@@ -54,6 +54,7 @@ from .harsanyi import (
     witness_lotteries_for_sign,
 )
 from .harvey import (
+    Analysis,
     DifferenceMap,
     DifferenceMapError,
     HarveyReport,
@@ -62,7 +63,6 @@ from .harvey import (
     extract_slopes,
     harvey_recover,
     recover_constant,
-    verify_chain_rule,
     verify_component_additivity,
 )
 from .nm import (
@@ -85,6 +85,7 @@ from .society import (
     check_semi_separable,
     matches,
     pareto_dominates,
+    same_weak_order,
 )
 from .societyfile import SocietyFileError, emit_society, parse_society, society_to_payload
 

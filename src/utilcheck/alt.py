@@ -53,11 +53,15 @@ class AltSystem:
         self.states = tuple(states)
         self._rank = rank
         self._oracle = oracle
+        #: The generating table when the system ranks pairs by its differences.
+        self.table: UtilityTable | None = None
 
     @classmethod
     def from_utility(cls, table: UtilityTable) -> "AltSystem":
         states = tuple(table.states())
-        return cls(states, rank=lambda pair: table[pair[0]] - table[pair[1]])
+        system = cls(states, rank=lambda pair: table[pair[0]] - table[pair[1]])
+        system.table = table
+        return system
 
     @classmethod
     def from_pair_ranking(
@@ -97,12 +101,6 @@ class AltSystem:
 
     def eq(self, p: Pair, q: Pair) -> bool:
         return self.geq(p, q) and self.geq(q, p)
-
-    def cmp_states(self, x: StateKey, y: StateKey) -> int:
-        """-1, 0, or 1 as the improvement [x, y] compares to the null pair [y, y]."""
-        up = self.geq((x, y), (y, y))
-        down = self.geq((y, y), (x, y))
-        return (1 if up else 0) - (1 if down else 0)
 
 
 def _triples(states, limit, sample, seed):

@@ -2,8 +2,10 @@
 
 Exit codes: 0 when everything passes, 1 when any check fails (witnesses are
 printed so the failure can be rechecked by hand), 2 for input or usage
-errors.  ``--json`` switches to the machine-readable report, whose field
-order is fixed so reports diff cleanly.
+errors, 3 for an internal error: a result that failed its own
+re-verification, which is a bug rather than a verdict.  ``--json``
+switches to the machine-readable report, whose field order is fixed so
+reports diff cleanly.
 """
 
 from __future__ import annotations
@@ -11,20 +13,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .coincidence import (
     COINCIDE,
     CONSTANT,
     HYPOTHESIS_CHECKS,
-    HypothesisRecord,
     simplex_counterexample,
     sqrt_fixture,
     theorem3_pipeline,
 )
 from .harsanyi import recover_weights
-from .harvey import harvey_recover
+from .harvey import Analysis, harvey_recover
 from .rationals import format_rational, parse_rational
 from .societyfile import SocietyFileError, emit_society, parse_society
 
@@ -61,13 +61,8 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
 def cmd_validate(args) -> int:
     soc = _load(args.file, args.max_states)
     by_name = dict(HYPOTHESIS_CHECKS)
-    checks = [(name, by_name[name]) for name in VALIDATE_CHECKS]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            futures = [pool.submit(fn, soc) for _, fn in checks]
-            records: list[HypothesisRecord] = [f.result() for f in futures]
-    else:
-        records = [fn(soc) for _, fn in checks]
+    analysis = Analysis(soc)
+    records = [by_name[name](soc, analysis) for name in VALIDATE_CHECKS]
     all_passed = all(r.passed for r in records)
     payload = {
         "command": "validate",
@@ -254,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="society JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--max-states", type=int, default=64, help="brute-force state cap")
-        p.add_argument("--threads", type=int, default=1, help="fan independent checks across threads")
 
     p_validate = sub.add_parser("validate", help="run the axiom battery")
     common(p_validate)
@@ -293,6 +287,9 @@ def main(argv=None) -> int:
     except (SocietyFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

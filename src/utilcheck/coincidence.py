@@ -40,7 +40,7 @@ from .harsanyi import (
     recover_weights,
     select_dependency_basis,
 )
-from .harvey import HarveyReport, check_axiom_I, harvey_recover
+from .harvey import Analysis, HarveyReport, check_axiom_I, harvey_recover
 from .nm import affine_relation
 from .society import (
     Profile,
@@ -48,6 +48,7 @@ from .society import (
     check_pareto_criterion,
     check_semi_separable,
     matches,
+    same_weak_order,
 )
 
 COINCIDE = "coincide"
@@ -121,15 +122,18 @@ class NormalizationResult:
     alt_report: HarveyReport
 
 
-def normalize_for_theorem3(soc: Society) -> NormalizationResult:
+def normalize_for_theorem3(
+    soc: Society, analysis: Analysis | None = None
+) -> NormalizationResult:
     """Rescale both profiles so each ethical table is the plain sum of its agents.
 
     The intensity-side weights are positive by construction; the
     lottery-side weights must be positive for every nonconstant agent, and
     when the canonical solution of a dependent profile misses that, the
-    positive reweighting is tried before giving up.
+    positive reweighting is tried before giving up.  ``analysis`` carries
+    the pair scan of checks already run on ``soc``.
     """
-    alt_report = harvey_recover(soc)
+    alt_report = harvey_recover(soc, analysis)
     if not alt_report.success:
         raise NormalizationError(
             f"intensity-side recovery failed at {alt_report.failed_stage}: {alt_report.witness}"
@@ -225,6 +229,16 @@ def _axis_exemplars(agent_index, agents, tables, states, grid):
     return [out.get(t) for t in grid]
 
 
+def _first_disagreement(t1: UtilityTable, t2: UtilityTable, states):
+    """The first (x, y) in state order where t1 and t2 compare x with y differently."""
+    return next(
+        (x, y)
+        for x in states
+        for y in states
+        if (t1[x] >= t1[y]) != (t2[x] >= t2[y])
+    )
+
+
 def proposition1_check(
     space: StateSpace,
     u_tables: Mapping[str, UtilityTable],
@@ -247,14 +261,13 @@ def proposition1_check(
     states = space.states
 
     for a, t, t_star in zip(agents, tables, starred):
-        for x in states:
-            for y in states:
-                if (t[x] >= t[y]) != (t_star[x] >= t_star[y]):
-                    return AffineReport(
-                        status=HYPOTHESIS_FAILURE,
-                        failed_hypothesis="shared-agent-order",
-                        failure_detail=f"agent {a!r} tables disagree on ({x!r}, {y!r})",
-                    )
+        if not same_weak_order(t, t_star, states):
+            x, y = _first_disagreement(t, t_star, states)
+            return AffineReport(
+                status=HYPOTHESIS_FAILURE,
+                failed_hypothesis="shared-agent-order",
+                failure_detail=f"agent {a!r} tables disagree on ({x!r}, {y!r})",
+            )
 
     realized = {tuple(t[s] for t in tables) for s in states}
     needed = 1
@@ -333,15 +346,14 @@ def proposition1_check(
 
     v_sum = linear_combination(tables, [1] * len(tables))
     v_star_sum = linear_combination(starred, [1] * len(starred))
-    for x in states:
-        for y in states:
-            if (v_sum[x] >= v_sum[y]) != (v_star_sum[x] >= v_star_sum[y]):
-                return AffineReport(
-                    status=HYPOTHESIS_FAILURE,
-                    agents=tuple(verdicts),
-                    failed_hypothesis="shared-ethical-order",
-                    failure_detail=f"table sums disagree on ({x!r}, {y!r})",
-                )
+    if not same_weak_order(v_sum, v_star_sum, states):
+        x, y = _first_disagreement(v_sum, v_star_sum, states)
+        return AffineReport(
+            status=HYPOTHESIS_FAILURE,
+            agents=tuple(verdicts),
+            failed_hypothesis="shared-ethical-order",
+            failure_detail=f"table sums disagree on ({x!r}, {y!r})",
+        )
     return AffineReport(status=COINCIDE, agents=tuple(verdicts))
 
 
@@ -368,7 +380,7 @@ class Theorem3Report:
         raise KeyError(name)
 
 
-def _two_nonconstant_record(soc: Society) -> HypothesisRecord:
+def _two_nonconstant_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
     alt_profile = soc.alt_side()
     nonconstant = [a for a in soc.agents if not alt_profile.tables[a].is_constant()]
     return HypothesisRecord(
@@ -378,21 +390,21 @@ def _two_nonconstant_record(soc: Society) -> HypothesisRecord:
     )
 
 
-def _semi_separability_record(soc: Society) -> HypothesisRecord:
-    semi = check_semi_separable(soc)
+def _semi_separability_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
+    semi = analysis.semi_separability
     return HypothesisRecord(
         "semi-separability", semi.passed, "" if semi else f"witness profile {semi.witness}"
     )
 
 
-def _pareto_record(soc: Society) -> HypothesisRecord:
+def _pareto_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
     pareto = check_pareto_criterion(soc)
     return HypothesisRecord(
         "pareto", pareto.passed, "" if pareto else f"witness pair {pareto.witness}"
     )
 
 
-def _matching_record(soc: Society) -> HypothesisRecord:
+def _matching_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
     """Per-agent matching across all three table sources, plus base-vs-intensity
     for the ethical order.  The two ethical tables are never cross-compared
     here: their agreement is what the affinity analysis itself adjudicates.
@@ -412,7 +424,7 @@ def _matching_record(soc: Society) -> HypothesisRecord:
     return HypothesisRecord("matching", True)
 
 
-def _axiom_i_record(soc: Society) -> HypothesisRecord:
+def _axiom_i_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
     result = check_axiom_i(soc)
     if result.passed:
         return HypothesisRecord("axiom-i", True)
@@ -428,14 +440,15 @@ def _axiom_i_record(soc: Society) -> HypothesisRecord:
     )
 
 
-def _axiom_cap_i_record(soc: Society) -> HypothesisRecord:
-    result = check_axiom_I(soc)
+def _axiom_cap_i_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
+    result = check_axiom_I(soc, analysis)
     return HypothesisRecord(
         "axiom-I", result.passed, "" if result else f"witness quadruple {result.witness}"
     )
 
 
-#: Named hypothesis checks in canonical reporting order.
+#: Named hypothesis checks in canonical reporting order; each takes the
+#: society and the run's ``Analysis`` of it.
 HYPOTHESIS_CHECKS: tuple = (
     ("two-nonconstant-agents", _two_nonconstant_record),
     ("semi-separability", _semi_separability_record),
@@ -446,8 +459,8 @@ HYPOTHESIS_CHECKS: tuple = (
 )
 
 
-def _check_hypotheses(soc: Society) -> list[HypothesisRecord]:
-    return [fn(soc) for _, fn in HYPOTHESIS_CHECKS]
+def _check_hypotheses(soc: Society, analysis: Analysis) -> list[HypothesisRecord]:
+    return [fn(soc, analysis) for _, fn in HYPOTHESIS_CHECKS]
 
 
 def theorem3_pipeline(soc: Society) -> Theorem3Report:
@@ -458,7 +471,8 @@ def theorem3_pipeline(soc: Society) -> Theorem3Report:
     Verdicts are mapped back to the original table scales, so a COINCIDE
     carries the exact (alpha, beta) with starred = alpha * base + beta.
     """
-    records = _check_hypotheses(soc)
+    analysis = Analysis(soc)
+    records = _check_hypotheses(soc, analysis)
     failed = next((r.name for r in records if not r.passed), None)
     if failed is not None:
         return Theorem3Report(
@@ -467,7 +481,7 @@ def theorem3_pipeline(soc: Society) -> Theorem3Report:
             failed_hypothesis=failed,
         )
     try:
-        norm = normalize_for_theorem3(soc)
+        norm = normalize_for_theorem3(soc, analysis)
     except NormalizationError as exc:
         return Theorem3Report(
             status=RECOVERY_FAILURE, hypotheses=tuple(records), detail=str(exc)

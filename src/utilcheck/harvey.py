@@ -9,14 +9,23 @@ additive on their grids.  On a finite grid additivity plus the realized
 step structure force each component to be exactly linear, so the slopes can
 be read off and verified exhaustively instead of by a limit argument; any
 failure is a hard error, never an approximation.
+
+One ordered-pair scan decides axiom (I) and tabulates F at once; an
+``Analysis`` object carries it from the first check that asks to the next,
+so a run scans each society's pairs once.  No chain-rule pass follows the
+map: with V(a) the ethical value at any state whose value vector is a (well
+defined because F(0) = 0), every tabulated value is F(b - a) = V(b) - V(a),
+so F(c' - c) + F(c'' - c') = F(c'' - c) telescopes and cannot fail.  A
+component that is linear on its grid is additive, so the quadratic
+additivity scan runs only for a component that is not.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import sub
 
 from .core import StateKey, linear_combination
 from .society import CheckResult, Society, check_semi_separable
@@ -41,8 +50,6 @@ class DifferenceMap:
     exemplars: dict[DiffVector, tuple[StateKey, StateKey]]
     components: tuple[dict[Fraction, Fraction], ...]
     diff_grids: tuple[tuple[Fraction, ...], ...]
-    ranges: tuple[tuple[Fraction, ...], ...]
-    value_vectors: tuple[DiffVector, ...]
 
     def component_monotone(self, i: int) -> bool:
         grid = self.diff_grids[i]
@@ -53,55 +60,98 @@ class DifferenceMap:
 def _pair_groups(soc: Society):
     """Iterate (difference vector, ethical difference, pair) in state order."""
     profile = soc.alt_side()
-    tables = [profile.tables[a] for a in soc.agents]
-    v = profile.ethical
-    for x in soc.space.states:
-        for y in soc.space.states:
-            c = tuple(t[x] - t[y] for t in tables)
-            yield c, v[x] - v[y], (x, y)
+    states = soc.space.states
+    vectors = [tuple(profile.tables[a][s] for a in soc.agents) for s in states]
+    ethical = [profile.ethical[s] for s in states]
+    for x, cx, vx in zip(states, vectors, ethical):
+        for y, cy, vy in zip(states, vectors, ethical):
+            yield tuple(map(sub, cx, cy)), vx - vy, (x, y)
 
 
-def check_axiom_I(soc: Society) -> CheckResult:
+@dataclass(frozen=True)
+class PairScan:
+    """Ethical differences by difference vector, from one pass over the pairs.
+
+    ``conflict`` is the first pair, in state order, whose ethical difference
+    differs from the one stored for its vector, together with the stored
+    pair; the scan stops there, so the tables are partial when it is set.
+    """
+
+    table: dict[DiffVector, Fraction]
+    exemplars: dict[DiffVector, tuple[StateKey, StateKey]]
+    conflict: tuple[tuple[StateKey, StateKey], tuple[StateKey, StateKey]] | None
+
+
+def _scan_pairs(soc: Society) -> PairScan:
+    table: dict[DiffVector, Fraction] = {}
+    exemplars: dict[DiffVector, tuple[StateKey, StateKey]] = {}
+    for c, dv, pair in _pair_groups(soc):
+        stored = table.get(c)
+        if stored is None:
+            table[c] = dv
+            exemplars[c] = pair
+        elif stored != dv:
+            return PairScan(table, exemplars, (pair, exemplars[c]))
+    return PairScan(table, exemplars, None)
+
+
+class Analysis:
+    """Results that several checks of one run need, each computed on first use.
+
+    A command creates one per society, passes it to its checks and drops it
+    when it returns.  It is never stored on the society: a long-lived
+    society would otherwise keep its quadratic pair tables alive.
+    """
+
+    def __init__(self, soc: Society):
+        self.soc = soc
+
+    @cached_property
+    def semi_separability(self) -> CheckResult:
+        return check_semi_separable(self.soc)
+
+    @cached_property
+    def pair_scan(self) -> PairScan:
+        return _scan_pairs(self.soc)
+
+
+def check_axiom_I(soc: Society, analysis: Analysis | None = None) -> CheckResult:
     """Equal agent differences on all coordinates must give equal ethical differences.
 
     Scans pairs grouped by their difference vector, which decides the same
     condition as the quadruple formulation: a witness quadruple is two pairs
     in one group with different ethical differences.
     """
-    seen: dict[DiffVector, tuple[Fraction, tuple[StateKey, StateKey]]] = {}
-    for c, dv, pair in _pair_groups(soc):
-        stored = seen.get(c)
-        if stored is None:
-            seen[c] = (dv, pair)
-        elif stored[0] != dv:
-            return CheckResult(False, witness=pair + stored[1])
-    return CheckResult(True)
+    if analysis is None:
+        analysis = Analysis(soc)
+    conflict = analysis.pair_scan.conflict
+    if conflict is None:
+        return CheckResult(True)
+    pair, stored = conflict
+    return CheckResult(False, witness=pair + stored)
 
 
-def build_difference_map(soc: Society) -> DifferenceMap:
+def build_difference_map(soc: Society, analysis: Analysis | None = None) -> DifferenceMap:
     """Tabulate F on every realized difference vector, validating well-definedness.
 
     Semi-separability is a hard precondition: it is what makes the realized
     difference vectors cover the full product of the per-agent grids, so a
     violation raises immediately rather than producing a partial map.
     """
-    semi = check_semi_separable(soc)
+    if analysis is None:
+        analysis = Analysis(soc)
+    semi = analysis.semi_separability
     if not semi:
         raise ValueError(f"society is not semi-separable (witness profile {semi.witness})")
+    scan = analysis.pair_scan
+    if scan.conflict is not None:
+        raise DifferenceMapError(*scan.conflict)
+    table = scan.table
+    # The complete scan realizes every u_i(x) - u_i(y), so agent i's grid is
+    # its range minus itself.
     profile = soc.alt_side()
-    tables = [profile.tables[a] for a in soc.agents]
-    table: dict[DiffVector, Fraction] = {}
-    exemplars: dict[DiffVector, tuple[StateKey, StateKey]] = {}
-    for c, dv, pair in _pair_groups(soc):
-        if c in table:
-            if table[c] != dv:
-                raise DifferenceMapError(pair, exemplars[c])
-        else:
-            table[c] = dv
-            exemplars[c] = pair
-    diff_grids = tuple(
-        tuple(sorted({c[i] for c in table})) for i in range(len(soc.agents))
-    )
+    ranges = [profile.tables[a].range_values() for a in soc.agents]
+    diff_grids = tuple(tuple(sorted({a - b for a in r for b in r})) for r in ranges)
     zero = Fraction(0)
     components = []
     for i, grid in enumerate(diff_grids):
@@ -112,47 +162,13 @@ def build_difference_map(soc: Society) -> DifferenceMap:
                 raise AssertionError("semi-separable map misses an axis vector")
             comp[c] = table[axis]
         components.append(comp)
-    ranges = tuple(tuple(t.range_values()) for t in tables)
-    vectors = sorted({tuple(t[x] for t in tables) for x in soc.space.states})
     return DifferenceMap(
         agents=soc.agents,
         table=table,
-        exemplars=exemplars,
+        exemplars=scan.exemplars,
         components=tuple(components),
         diff_grids=diff_grids,
-        ranges=ranges,
-        value_vectors=tuple(vectors),
     )
-
-
-def verify_chain_rule(
-    dm: DifferenceMap, *, exhaustive_limit: int = 200_000, sample: int = 8000, seed: int = 0
-) -> CheckResult:
-    """F(c'-c) + F(c''-c') must equal F(c''-c) over value-vector triples.
-
-    The tabulated F is fetched once per ordered vector pair; the triple scan
-    itself then only adds and compares those cached values.
-    """
-    vectors = dm.value_vectors
-    n = len(vectors)
-
-    def diff(a: DiffVector, b: DiffVector) -> DiffVector:
-        return tuple(x - y for x, y in zip(a, b))
-
-    fetched = [[dm.table[diff(b, a)] for a in vectors] for b in vectors]
-    exhaustive = n**3 <= exhaustive_limit
-    if exhaustive:
-        triples = itertools.product(range(n), repeat=3)
-    else:
-        rng = random.Random(seed)
-        triples = (
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(sample)
-        )
-    for i, j, k in triples:
-        if fetched[j][i] + fetched[k][j] != fetched[k][i]:
-            return CheckResult(False, witness=(vectors[i], vectors[j], vectors[k]))
-    note = "" if exhaustive else f"sampled {sample} of {n**3} triples"
-    return CheckResult(True, description=note)
 
 
 def verify_component_additivity(dm: DifferenceMap, i: int) -> CheckResult:
@@ -174,6 +190,19 @@ def verify_component_additivity(dm: DifferenceMap, i: int) -> CheckResult:
             if c + c1 in grid_set and comp[c] + comp[c1] != comp[c + c1]:
                 return CheckResult(False, witness=(c, c1))
     return CheckResult(True)
+
+
+def _is_linear(dm: DifferenceMap, i: int) -> bool:
+    """True iff F_i(c) = a * c on the whole grid for a single a.
+
+    A linear component is additive (a*c + a*c' = a*(c + c')) and passes the
+    zero and negation checks, so it needs no quadratic additivity scan.
+    """
+    grid = dm.diff_grids[i]
+    comp = dm.components[i]
+    top = grid[-1]
+    a = comp[top] / top if top else Fraction(0)
+    return all(comp[c] == a * c for c in grid)
 
 
 @dataclass(frozen=True)
@@ -240,20 +269,24 @@ class HarveyReport:
         return dict(zip(self.agents, self.weights))
 
 
-def harvey_recover(soc: Society) -> HarveyReport:
-    """Full intensity-side pipeline: axiom check, map, additivity, slopes, constant."""
-    axiom = check_axiom_I(soc)
+def harvey_recover(soc: Society, analysis: Analysis | None = None) -> HarveyReport:
+    """Full intensity-side pipeline: axiom check, map, additivity, slopes, constant.
+
+    Every agent's additivity is decided before any slope is extracted.
+    """
+    if analysis is None:
+        analysis = Analysis(soc)
+    axiom = check_axiom_I(soc, analysis)
     if not axiom:
         return HarveyReport(False, soc.agents, failed_stage="axiom-I", witness=axiom.witness)
     try:
-        dm = build_difference_map(soc)
+        dm = build_difference_map(soc, analysis)
     except ValueError as exc:
         stage = "difference-map" if isinstance(exc, DifferenceMapError) else "semi-separability"
         return HarveyReport(False, soc.agents, failed_stage=stage, witness=str(exc))
-    chain = verify_chain_rule(dm)
-    if not chain:
-        return HarveyReport(False, soc.agents, failed_stage="chain-rule", witness=chain.witness)
     for i, name in enumerate(soc.agents):
+        if _is_linear(dm, i):
+            continue
         add = verify_component_additivity(dm, i)
         if not add:
             return HarveyReport(

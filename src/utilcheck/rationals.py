@@ -3,8 +3,9 @@
 Every numeric quantity in this package is a ``fractions.Fraction``; nothing
 is ever rounded.  The wire format for a rational is the canonical string
 ``"p"`` or ``"p/q"`` with ``q > 0`` and ``gcd(|p|, q) = 1``, which is exactly
-what ``str(Fraction)`` produces, so emitting is trivial and parsing only has
-to reject the forms we do not accept (floats, decimals, zero denominators).
+what ``str(Fraction)`` produces.  Emitting is trivial, and parsing rejects
+every other spelling (floats, decimals, zero denominators, signs, leading
+zeros, unreduced fractions), so whatever parses emits back unchanged.
 """
 
 from __future__ import annotations
@@ -12,47 +13,34 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-#: Accepted wire syntax: optional sign, integer, optional /positive-integer.
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+#: Accepted wire syntax, ASCII digits only: "0" or a nonzero integer with no
+#: "+" and no leading zero, then optionally "/" and a denominator with no
+#: leading zero.  A denominator above 1 and lowest terms are checked after.
+_RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/(0|[1-9][0-9]*))?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p"`` or ``"p/q"`` (q > 0) into an exact Fraction.
+    """Parse canonical ``"p"`` or ``"p/q"`` into an exact Fraction.
 
-    Raises ValueError for anything else, including ``"1/0"``, decimal
-    notation, and negative denominators.
+    ``q`` must exceed 1 and share no factor with ``p``.  Raises ValueError
+    for anything else, including ``"1/0"``, ``"2/4"``, ``"3/1"``, decimal
+    notation and negative denominators.
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational literal: {text!r}") from None
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    q = int(den)
+    if q == 0:
+        raise ValueError(f"zero denominator in rational literal: {text!r}")
+    value = Fraction(int(num), q)
+    if value.denominator != q or q == 1:
+        raise ValueError(f"rational literal not in canonical form: {text!r}")
+    return value
 
 
 def format_rational(q: Fraction) -> str:
     """Canonical string form, inverse of parse_rational."""
     return str(Fraction(q))
-
-
-def is_dyadic(q: Fraction) -> bool:
-    """True iff q = k / 2**m for integers k, m >= 0."""
-    d = Fraction(q).denominator
-    return d & (d - 1) == 0
-
-
-def dyadic_depth(q: Fraction) -> int:
-    """Smallest m with q * 2**m integral; raises for non-dyadic q."""
-    if not is_dyadic(q):
-        raise ValueError(f"not dyadic: {q}")
-    return Fraction(q).denominator.bit_length() - 1
-
-
-def dyadic_grid(lo: Fraction, hi: Fraction, depth: int) -> list[Fraction]:
-    """The 2**depth + 1 equally spaced points from lo to hi inclusive."""
-    if hi <= lo:
-        raise ValueError("empty grid: need hi > lo")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    step = (hi - lo) / 2**depth
-    return [lo + k * step for k in range(2**depth + 1)]

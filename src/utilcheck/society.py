@@ -11,17 +11,14 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import StateKey, StateSpace, UtilityTable, WeakOrder, dirac
 
 if TYPE_CHECKING:  # pragma: no cover
     from .alt import AltSystem
-
-#: Guard for the semi-separability search: refuse when |X|**(n+1) exceeds this.
-DEFAULT_STATE_CAP = 2**30
 
 
 @dataclass(frozen=True)
@@ -143,40 +140,38 @@ def check_pareto_criterion(soc: Society) -> CheckResult:
     return CheckResult(True)
 
 
-def check_semi_separable(
-    soc: Society, *, orders: list[WeakOrder] | None = None, cap: int = DEFAULT_STATE_CAP
-) -> CheckResult:
+def check_semi_separable(soc: Society) -> CheckResult:
     """For every profile (x_1..x_n) some single state must be i-indifferent to x_i.
 
     Equivalent to requiring every combination of per-agent indifference
-    classes to be realized by an actual state, which is what gets searched:
-    profiles are scanned in state order and distinct class combinations are
-    checked once, so the witness is still the first failing profile.
+    classes to be realized by an actual state, which class counting decides
+    in O(|X| n).  On failure the witness is the first failing profile in
+    state order (the first one ``itertools.product(states, repeat=n)``
+    meets), built one coordinate at a time: a class prefix can still be
+    completed to a missing combination exactly when fewer realized
+    combinations extend it than the remaining agents' class counts allow.
     """
-    size = len(soc.space)
-    if size ** (soc.n + 1) > cap:
-        raise ValueError(
-            f"semi-separability search size {size}**{soc.n + 1} exceeds cap {cap}"
-        )
-    if orders is None:
-        orders = soc.orders()
-    class_ids = [o.indifference_class_ids() for o in orders]
-    realized = {tuple(ids[s] for ids in class_ids) for s in soc.space.states}
-    n_classes = [len(set(ids.values())) for ids in class_ids]
-    needed = 1
-    for k in n_classes:
-        needed *= k
-    if len(realized) == needed:
+    states = soc.space.states
+    class_ids = [o.indifference_class_ids() for o in soc.orders()]
+    realized = {tuple(ids[s] for ids in class_ids) for s in states}
+    # completions[j]: class combinations of agents j.. that a prefix of length j needs.
+    completions = [1] * (soc.n + 1)
+    for j in range(soc.n - 1, -1, -1):
+        completions[j] = completions[j + 1] * len(set(class_ids[j].values()))
+    if len(realized) == completions[0]:
         return CheckResult(True)
-    for profile in itertools.product(soc.space.states, repeat=soc.n):
-        combo = tuple(ids[s] for ids, s in zip(class_ids, profile))
-        if combo not in realized:
-            return CheckResult(
-                False,
-                witness=profile,
-                description="no single state is indifferent to this profile agent-wise",
-            )
-    raise AssertionError("class counting and profile scan disagree")
+    extending = Counter(combo[:j] for combo in realized for j in range(1, soc.n + 1))
+    prefix: tuple = ()
+    profile = []
+    for j, ids in enumerate(class_ids):
+        state = next(s for s in states if extending[prefix + (ids[s],)] < completions[j + 1])
+        prefix += (ids[state],)
+        profile.append(state)
+    return CheckResult(
+        False,
+        witness=tuple(profile),
+        description="no single state is indifferent to this profile agent-wise",
+    )
 
 
 def check_probabilistic_extension(ext: WeakOrder, base: WeakOrder) -> bool:
@@ -191,8 +186,28 @@ def check_probabilistic_extension(ext: WeakOrder, base: WeakOrder) -> bool:
     return True
 
 
+def same_weak_order(t1: UtilityTable, t2: UtilityTable, states: Sequence[StateKey]) -> bool:
+    """True iff t1[x] >= t1[y] exactly when t2[x] >= t2[y], for all states x, y.
+
+    Decided by sorting: in (t1, t2) order, t2 never decreases between
+    neighbours, so the orders agree iff t2 rises strictly exactly where t1
+    does.
+    """
+    ranked = sorted((t1[s], t2[s]) for s in states)
+    return all(
+        (a1 < b1) == (a2 < b2) for (a1, a2), (b1, b2) in zip(ranked, ranked[1:])
+    )
+
+
 def matches(order: WeakOrder, alt: "AltSystem") -> bool:
-    """True iff x >= y in the order exactly when [x,y] >= [y,y] in the system."""
+    """True iff x >= y in the order exactly when [x,y] >= [y,y] in the system.
+
+    When both come from tables, [x,y] >= [y,y] reads t(x) >= t(y), so the
+    question is decided by ``same_weak_order``; any other system is
+    compared pair by pair.
+    """
+    if order.table is not None and alt.table is not None:
+        return same_weak_order(order.table, alt.table, order.items)
     for x in order.items:
         for y in order.items:
             if order.geq(x, y) != alt.geq((x, y), (y, y)):

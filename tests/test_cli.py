@@ -19,6 +19,7 @@ from utilcheck import (
     simplex_counterexample,
     sqrt_fixture,
 )
+from utilcheck import cli, coincidence
 from utilcheck.societyfile import payload_to_society
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -131,13 +132,6 @@ def test_validate_simplex_exit_one_semi_separability_only():
     assert len(fails) == 1 and "semi-separability" in fails[0]
 
 
-def test_validate_threads_deterministic():
-    single = run_cli("validate", str(FIXTURES / "simplex.json"), "--json")
-    threaded = run_cli("validate", str(FIXTURES / "simplex.json"), "--json", "--threads", "4")
-    assert single.stdout == threaded.stdout
-    assert single.returncode == threaded.returncode == 1
-
-
 def test_recover_simplex_harsanyi_json_golden():
     result = run_cli("recover", str(FIXTURES / "simplex.json"), "--mode", "harsanyi", "--json")
     assert result.returncode == 0
@@ -219,6 +213,21 @@ def test_max_states_guard_exits_two():
     result = run_cli("validate", str(FIXTURES / "sqrt_k10.json"), "--max-states", "3")
     assert result.returncode == 2
     assert "max-states" in result.stderr
+
+
+def test_failed_reverification_exits_three(monkeypatch, capsys):
+    # Skew the table sum the normalization re-verifies against.
+    real = coincidence.linear_combination
+
+    def skewed(tables, weights, constant=Fraction(0)):
+        return real(tables, weights, constant + 1)
+
+    monkeypatch.setattr(coincidence, "linear_combination", skewed)
+    code = cli.main(["coincide", str(FIXTURES / "sqrt_k10.json"), "--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: intensity-side normalization failed re-verification\n"
 
 
 def test_missing_file_exits_two():

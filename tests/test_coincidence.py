@@ -18,6 +18,7 @@ from utilcheck import (
     affine_relation,
     check_pareto_criterion,
     check_semi_separable,
+    emit_society,
     linear_combination,
     normalize_for_theorem3,
     proposition1_check,
@@ -26,6 +27,7 @@ from utilcheck import (
     sqrt_fixture,
     theorem3_pipeline,
 )
+from utilcheck import cli, harvey
 
 F = Fraction
 
@@ -354,3 +356,17 @@ def test_pipeline_constant_agent_verdict():
     assert kinds == {"a1": "coincide", "a2": "coincide", "a3": "constant"}
     assert (report.agents[0].alpha, report.agents[0].beta) == (F(5), F(1))
     assert (report.agents[1].alpha, report.agents[1].beta) == (F(1, 2), F(0))
+
+
+def test_coincide_scans_the_pairs_once(tmp_path, monkeypatch, capsys):
+    # The battery's axiom-I record, the Harvey axiom check and the
+    # difference map all read one scan.
+    calls = []
+    real = harvey._pair_groups
+    monkeypatch.setattr(harvey, "_pair_groups", lambda soc: calls.append(soc) or real(soc))
+    soc, _, _ = planted_coincidence_society(random.Random(97), 3)
+    path = tmp_path / "planted.json"
+    path.write_text(emit_society(soc), encoding="utf-8")
+    assert cli.main(["coincide", str(path), "--json"]) == 0
+    assert '"status": "coincide"' in capsys.readouterr().out
+    assert len(calls) == 1

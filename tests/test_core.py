@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import letters_space, planted_society, rand_fraction
@@ -27,7 +27,9 @@ from utilcheck import (
     linear_combination,
     matches,
     mix,
+    parse_rational,
     pareto_dominates,
+    same_weak_order,
 )
 
 F = Fraction
@@ -319,13 +321,6 @@ def test_semi_separable_failure_witness_is_first():
     assert result.witness == ("s0", "s1")  # first profile in state order that fails
 
 
-def test_semi_separable_cap():
-    rng = random.Random(0)
-    soc, _, _ = planted_society(rng, 2, 5)
-    with pytest.raises(ValueError):
-        check_semi_separable(soc, cap=10)
-
-
 def test_semi_separable_matches_bruteforce_random():
     rng = random.Random(23)
     for _ in range(15):
@@ -340,6 +335,66 @@ def test_semi_separable_matches_bruteforce_random():
             for profile in itertools.product(soc.space.states, repeat=2)
         )
         assert got.passed == expected
+
+
+def first_unmatched_profile(soc):
+    """Brute-force oracle: the first profile in state order whose class
+    combination no state realizes, or None.  |X|**n profiles."""
+    class_ids = [o.indifference_class_ids() for o in soc.orders()]
+    realized = {tuple(ids[s] for ids in class_ids) for s in soc.space.states}
+    for profile in itertools.product(soc.space.states, repeat=soc.n):
+        if tuple(ids[s] for ids, s in zip(class_ids, profile)) not in realized:
+            return profile
+    return None
+
+
+@st.composite
+def small_societies(draw):
+    """2-4 agents on a product of per-agent value axes (ties allowed), some
+    states removed and the rest shuffled; agents may also read several
+    coordinates, so both verdicts occur."""
+    n = draw(st.integers(2, 4))
+    sizes = [draw(st.integers(1, 3 if n < 4 else 2)) for _ in range(n)]
+    points = list(itertools.product(*(range(k) for k in sizes)))
+    keep = draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
+    points = [p for p, k in zip(points, keep) if k] or points[:1]
+    points = draw(st.permutations(points))
+    states = [",".join(map(str, p)) for p in points]
+    tables = {}
+    for i in range(n):
+        values = draw(st.lists(st.integers(0, 2), min_size=sizes[i], max_size=sizes[i]))
+        mixed = draw(st.booleans())
+        tables[f"a{i}"] = UtilityTable(
+            {s: F(values[p[i]] + (p[(i + 1) % n] if mixed else 0)) for s, p in zip(states, points)}
+        )
+    space = StateSpace.explicit(states)
+    return Society.from_tables(space, tables, tables["a0"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_societies())
+def test_semi_separable_witness_equals_profile_scan(soc):
+    result = check_semi_separable(soc)
+    expected = first_unmatched_profile(soc)
+    assert result.passed == (expected is None)
+    assert result.witness == expected
+
+
+def test_semi_separable_large_society_has_no_cap():
+    # |X|**(n+1) = 81**5 is far beyond any profile scan; class counting decides.
+    space = StateSpace.product_grid([GridDim(f"x{i}", F(0), F(1), F(1, 2)) for i in range(4)])
+    tables = {
+        f"a{i}": UtilityTable.on_coords(space, lambda *xs, i=i: xs[i]) for i in range(4)
+    }
+    soc = Society.from_tables(space, tables, linear_combination(list(tables.values()), [1] * 4))
+    assert check_semi_separable(soc).passed
+    holed = Society.from_tables(
+        StateSpace.explicit(space.states[:-1]),
+        {a: UtilityTable({s: t[s] for s in space.states[:-1]}) for a, t in tables.items()},
+        UtilityTable({s: F(0) for s in space.states[:-1]}),
+    )
+    result = check_semi_separable(holed)
+    assert result.witness == ("1,0,0,0", "0,1,0,0", "0,0,1,0", "0,0,0,1")
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +469,42 @@ def test_matches_affine_generator_bruteforce():
     for x in u.states():
         for y in u.states():
             assert order.geq(x, y) == system.geq((x, y), (y, y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=9
+    )
+)
+def test_same_weak_order_equals_matches(values):
+    # Few distinct values, so ties are common in both tables.
+    states = [f"s{i}" for i in range(len(values))]
+    t1 = UtilityTable({s: F(a) for s, (a, _) in zip(states, values)})
+    t2 = UtilityTable({s: F(b) for s, (_, b) in zip(states, values)})
+    order = WeakOrder.from_utility(t1, items=states)
+    # A pair ranking carries no table, so matches compares pair by pair.
+    expected = matches(order, AltSystem.from_pair_ranking(states, lambda x, y: t2[x] - t2[y]))
+    assert same_weak_order(t1, t2, states) == expected
+    assert same_weak_order(t2, t1, states) == expected
+    assert matches(order, AltSystem.from_utility(t2)) == expected
+
+
+# ---------------------------------------------------------------------------
+# Rational wire format
+
+
+@pytest.mark.parametrize(
+    "text", ["1/2\n", "\u0661/\u0662", "+3", "06/08", "2/4", "3/1", "-0"]
+)
+def test_parse_rational_rejects_non_canonical(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("text", ["0", "7", "-7", "1/2", "-3/4", "123456789/1000"])
+def test_parse_rational_accepts_canonical_and_round_trips(text):
+    assert str(parse_rational(text)) == text
 
 
 # ---------------------------------------------------------------------------

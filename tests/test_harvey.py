@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import product_grid_society
 from utilcheck import (
@@ -22,11 +24,32 @@ from utilcheck import (
     harvey_recover,
     linear_combination,
     recover_constant,
-    verify_chain_rule,
     verify_component_additivity,
 )
+from utilcheck import harvey
 
 F = Fraction
+
+
+def chain_rule_violation(soc, dm):
+    """Exhaustive oracle: the first value-vector triple (a, b, c), in sorted
+    order, with F(b - a) + F(c - b) != F(c - a), or None.
+
+    The pipeline runs no such pass: on a map that builds, every tabulated
+    value is V(b) - V(a) for a realizing pair, so the sum telescopes.  The
+    scan stays here to check that argument on real maps.
+    """
+    profile = soc.alt_side()
+    vectors = sorted(
+        {tuple(profile.tables[a][s] for a in soc.agents) for s in soc.space.states}
+    )
+    fetched = [
+        [dm.table[tuple(x - y for x, y in zip(b, a))] for a in vectors] for b in vectors
+    ]
+    for i, j, k in itertools.product(range(len(vectors)), repeat=3):
+        if fetched[j][i] + fetched[k][j] != fetched[k][i]:
+            return vectors[i], vectors[j], vectors[k]
+    return None
 
 
 def _grid_society(v_fn, y_step=F(1)):
@@ -133,25 +156,26 @@ def test_difference_map_zero_and_symmetry_invariants():
 def test_chain_rule_additive_passes():
     soc = _grid_society(lambda x, y: 2 * x + 3 * y)
     dm = build_difference_map(soc)
-    assert verify_chain_rule(dm).passed
+    assert chain_rule_violation(soc, dm) is None
 
 
 def test_chain_rule_detects_corruption():
+    # The oracle is not vacuous: a corrupted table fails it.
     soc = _grid_society(lambda x, y: x + y)
     dm = build_difference_map(soc)
     bumped = dict(dm.table)
     key = next(c for c in bumped if any(c))
     bumped[key] += 1
     corrupted = dataclasses.replace(dm, table=bumped)
-    assert not verify_chain_rule(corrupted).passed
+    assert chain_rule_violation(soc, corrupted) is not None
 
 
 def test_chain_rule_random_planted_cross_checked():
     rng = random.Random(67)
-    for _ in range(5):
-        soc, _, _ = product_grid_society(rng, 2)
+    for n in (2, 2, 2, 3, 3):
+        soc, _, _ = product_grid_society(rng, n)
         dm = build_difference_map(soc)
-        assert verify_chain_rule(dm).passed
+        assert chain_rule_violation(soc, dm) is None
         # Direct ethical-difference oracle: F composed with the difference
         # vector must reproduce v(x) - v(y) on every pair.
         profile = soc.alt_side()
@@ -160,6 +184,43 @@ def test_chain_rule_random_planted_cross_checked():
             for y in soc.space.states:
                 c = tuple(t[x] - t[y] for t in tables)
                 assert dm.table[c] == profile.ethical[x] - profile.ethical[y]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-4, 4), min_size=2, max_size=3),
+        min_size=2,
+        max_size=3,
+    ),
+    st.data(),
+)
+def test_chain_rule_holds_on_every_built_random_map(axes, data):
+    # Agent i values coordinate i by axes[i] (ties allowed); the ethical
+    # table is an arbitrary function of the state, possibly additive.
+    points = list(itertools.product(*(range(len(a)) for a in axes)))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
+    points = [p for p, k in zip(points, keep) if k] or points[:1]
+    states = [",".join(map(str, p)) for p in points]
+    additive = data.draw(st.booleans())
+    parts = [data.draw(st.lists(st.integers(-6, 6), min_size=len(a), max_size=len(a))) for a in axes]
+    noise = data.draw(st.lists(st.integers(-2, 2), min_size=len(points), max_size=len(points)))
+    tables = {
+        f"a{i}": UtilityTable({s: F(axis[p[i]]) for s, p in zip(states, points)})
+        for i, axis in enumerate(axes)
+    }
+    ethical = UtilityTable(
+        {
+            s: F(sum(part[p[i]] for i, part in enumerate(parts)) + (0 if additive else e))
+            for s, p, e in zip(states, points, noise)
+        }
+    )
+    soc = Society.from_tables(StateSpace.explicit(states), tables, ethical)
+    try:
+        dm = build_difference_map(soc)
+    except ValueError:
+        return
+    assert chain_rule_violation(soc, dm) is None
 
 
 def test_component_additivity_and_negation():
@@ -297,6 +358,37 @@ def test_harvey_recover_reports_axiom_failure():
     report = harvey_recover(soc)
     assert not report.success
     assert report.failed_stage == "axiom-I"
+
+
+def test_harvey_recover_nonlinear_component_reports_additivity():
+    # u1 takes the values 0, 1, 3, so every difference is realized by one
+    # pair and the map builds for any ethical part f of the first coordinate;
+    # f = (0, 1, 4) gives F_1 = 1, 3, 4 at 1, 2, 3, so F_1(-2) + F_1(1) != F_1(-1).
+    space = StateSpace.product_grid(
+        [GridDim("x", F(0), F(1), F(1, 2)), GridDim("y", F(0), F(1), F(1))]
+    )
+    f = {F(0): F(0), F(1, 2): F(1), F(1): F(4)}
+    u1 = UtilityTable.on_coords(space, lambda x, y: {F(0): F(0), F(1, 2): F(1), F(1): F(3)}[x])
+    u2 = UtilityTable.on_coords(space, lambda x, y: y)
+    v = UtilityTable.on_coords(space, lambda x, y: f[x] + 2 * y)
+    soc = Society.from_tables(space, {"a1": u1, "a2": u2}, v)
+    report = harvey_recover(soc)
+    assert report.failed_stage == "additivity:a1"
+    expected = verify_component_additivity(build_difference_map(soc), 0)
+    assert not expected.passed
+    assert report.witness == expected.witness == (F(-2), F(1))
+
+
+def test_harvey_recover_linear_components_skip_additivity_scan(monkeypatch):
+    calls = []
+    real = harvey.verify_component_additivity
+    monkeypatch.setattr(
+        harvey, "verify_component_additivity", lambda dm, i: calls.append(i) or real(dm, i)
+    )
+    soc, weights, _ = product_grid_society(random.Random(89), 3)
+    report = harvey_recover(soc)
+    assert report.success and report.weights == weights
+    assert calls == []
 
 
 def test_harvey_recover_reports_semi_separability():
