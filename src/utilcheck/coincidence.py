@@ -1,9 +1,11 @@
 """Certifying when two cardinal scales for the same preferences coincide.
 
 Given one profile recovered from lottery data and one from intensity data,
-the pipeline normalizes both so each ethical table is exactly the plain sum
-of its agent tables, then asks, agent by agent, whether the two tables are
-positive affine images of each other.  On a finite grid this is decidable
+the pipeline recovers the weights that make each ethical table the plain
+sum of its reweighted agent tables, then asks, agent by agent, whether the
+two input tables are positive affine images of each other.  Reweighting
+either table by a positive factor cannot change that answer, so it is
+decided once, on the tables as given.  On a finite grid this is decidable
 outright: the value-for-value map between the two tables either has one
 slope everywhere (a coincidence certificate with exact coefficients) or two
 steps with different per-unit increments (a violation witness anyone can
@@ -34,19 +36,19 @@ from . import linalg
 from .alt import AltSystem
 from .core import StateKey, StateSpace, UtilityTable, WeakOrder, linear_combination
 from .harsanyi import (
-    WeightReport,
     check_axiom_i,
     positive_reweighting,
     recover_weights,
     select_dependency_basis,
 )
-from .harvey import Analysis, HarveyReport, check_axiom_I, harvey_recover
+from .harvey import Analysis, check_axiom_I, harvey_recover
 from .nm import affine_relation
 from .society import (
     Profile,
     Society,
     check_pareto_criterion,
     check_semi_separable,
+    class_combinations,
     matches,
     same_weak_order,
 )
@@ -109,29 +111,24 @@ class NormalizationRecord:
     alt_constant: Fraction
     nm_weights: tuple[Fraction, ...]
     nm_constant: Fraction
-    #: Per-agent slope of the normalized starred table against the normalized
-    #: base table; None for constant agents or before the affinity analysis.
+    #: Per-agent slope of the reweighted starred table (nm weight times u*_i)
+    #: against the reweighted base table (alt weight times u_i); None for
+    #: constant or violating agents or before the affinity analysis.
     slopes: tuple[Fraction | None, ...] | None = None
-
-
-@dataclass(frozen=True)
-class NormalizationResult:
-    society: Society
-    record: NormalizationRecord
-    nm_report: WeightReport
-    alt_report: HarveyReport
 
 
 def normalize_for_theorem3(
     soc: Society, analysis: Analysis | None = None
-) -> NormalizationResult:
-    """Rescale both profiles so each ethical table is the plain sum of its agents.
+) -> NormalizationRecord:
+    """Recover the weights that make each ethical table the plain sum of its agents.
 
-    The intensity-side weights are positive by construction; the
-    lottery-side weights must be positive for every nonconstant agent, and
-    when the canonical solution of a dependent profile misses that, the
-    positive reweighting is tried before giving up.  ``analysis`` carries
-    the pair scan of checks already run on ``soc``.
+    With the recorded weights and constants, v = sum alt_i u_i + alt_constant
+    and v* = sum nm_i u*_i + nm_constant; each recovery re-verifies its
+    identity pointwise before returning.  The intensity-side weights are
+    positive by construction; the lottery-side weights must be positive for
+    every nonconstant agent, and when the canonical solution of a dependent
+    profile misses that, the positive reweighting is tried before giving up.
+    ``analysis`` carries the pair scan of checks already run on ``soc``.
     """
     alt_report = harvey_recover(soc, analysis)
     if not alt_report.success:
@@ -162,39 +159,12 @@ def normalize_for_theorem3(
                 f"lottery-side weight for nonconstant agent {bad!r} is not positive"
             )
         nm_weights, nm_constant = improved.positive_variant
-
-    alt_profile = soc.alt_side()
-    new_u = {
-        a: alt_profile.tables[a].affine(w, Fraction(0))
-        for a, w in zip(soc.agents, alt_report.weights)
-    }
-    new_v = alt_profile.ethical.affine(Fraction(1), -alt_report.constant)
-    new_u_star = {
-        a: nm_profile.tables[a].affine(w, Fraction(0))
-        for a, w in zip(soc.agents, nm_weights)
-    }
-    new_v_star = nm_profile.ethical.affine(Fraction(1), -nm_constant)
-    if linear_combination(list(new_u.values()), [1] * soc.n) != new_v:
-        raise AssertionError("intensity-side normalization failed re-verification")
-    if linear_combination(list(new_u_star.values()), [1] * soc.n) != new_v_star:
-        raise AssertionError("lottery-side normalization failed re-verification")
-    record = NormalizationRecord(
+    return NormalizationRecord(
         agents=soc.agents,
         alt_weights=alt_report.weights,
         alt_constant=alt_report.constant,
         nm_weights=tuple(nm_weights),
         nm_constant=nm_constant,
-    )
-    normalized = Society(
-        space=soc.space,
-        agents=soc.agents,
-        base=Profile(new_u, new_v),
-        nm=Profile(new_u_star, new_v_star),
-        alt=Profile(new_u, new_v),
-        metadata=dict(soc.metadata),
-    )
-    return NormalizationResult(
-        society=normalized, record=record, nm_report=nm_report, alt_report=alt_report
     )
 
 
@@ -239,57 +209,13 @@ def _first_disagreement(t1: UtilityTable, t2: UtilityTable, states):
     )
 
 
-def proposition1_check(
-    space: StateSpace,
-    u_tables: Mapping[str, UtilityTable],
-    u_star_tables: Mapping[str, UtilityTable],
-) -> AffineReport:
-    """Decide per agent whether the starred table is a positive affine image.
+def _agent_verdicts(agents, tables, starred, states) -> tuple[AgentVerdict, ...]:
+    """Per agent: CONSTANT, or COINCIDE with exact (alpha, beta), or VIOLATION.
 
-    Hypotheses are reported individually: each agent pair must order states
-    identically, the realized value vectors must fill the product of the
-    per-agent ranges, and at least two agents must be nonconstant.  The
-    per-agent verdicts are computed before the two table sums are compared,
-    so a concrete affinity violation is reported as such rather than hiding
-    behind the diverging ethical orders it causes.
+    Needs each agent's two tables to order the states alike and the
+    realized value vectors to fill the product of the ranges.  Every
+    COINCIDE is re-verified pointwise as starred = alpha * table + beta.
     """
-    agents = tuple(u_tables)
-    if tuple(u_star_tables) != agents:
-        raise ValueError("profiles must cover the same agents in the same order")
-    tables = [u_tables[a] for a in agents]
-    starred = [u_star_tables[a] for a in agents]
-    states = space.states
-
-    for a, t, t_star in zip(agents, tables, starred):
-        if not same_weak_order(t, t_star, states):
-            x, y = _first_disagreement(t, t_star, states)
-            return AffineReport(
-                status=HYPOTHESIS_FAILURE,
-                failed_hypothesis="shared-agent-order",
-                failure_detail=f"agent {a!r} tables disagree on ({x!r}, {y!r})",
-            )
-
-    realized = {tuple(t[s] for t in tables) for s in states}
-    needed = 1
-    for t in tables:
-        needed *= len(t.range_values())
-    if len(realized) != needed:
-        return AffineReport(
-            status=HYPOTHESIS_FAILURE,
-            failed_hypothesis="range-product",
-            failure_detail=(
-                f"{len(realized)} realized value vectors but the range product needs {needed}"
-            ),
-        )
-
-    nonconstant = [a for a, t in zip(agents, tables) if not t.is_constant()]
-    if len(nonconstant) < 2:
-        return AffineReport(
-            status=HYPOTHESIS_FAILURE,
-            failed_hypothesis="two-nonconstant-agents",
-            failure_detail=f"only {nonconstant} nonconstant",
-        )
-
     verdicts: list[AgentVerdict] = []
     for i, name in enumerate(agents):
         if tables[i].is_constant():
@@ -340,9 +266,61 @@ def proposition1_check(
             if starred[i][s] != alpha * tables[i][s] + beta:
                 raise AssertionError("affine verdict failed pointwise re-verification")
         verdicts.append(AgentVerdict(agent=name, kind=COINCIDE, alpha=alpha, beta=beta))
+    return tuple(verdicts)
 
+
+def proposition1_check(
+    space: StateSpace,
+    u_tables: Mapping[str, UtilityTable],
+    u_star_tables: Mapping[str, UtilityTable],
+) -> AffineReport:
+    """Decide per agent whether the starred table is a positive affine image.
+
+    Hypotheses are reported individually: each agent pair must order states
+    identically, the realized value vectors must fill the product of the
+    per-agent ranges, and at least two agents must be nonconstant.  The
+    per-agent verdicts are computed before the two table sums are compared,
+    so a concrete affinity violation is reported as such rather than hiding
+    behind the diverging ethical orders it causes.
+    """
+    agents = tuple(u_tables)
+    if tuple(u_star_tables) != agents:
+        raise ValueError("profiles must cover the same agents in the same order")
+    tables = [u_tables[a] for a in agents]
+    starred = [u_star_tables[a] for a in agents]
+    states = space.states
+
+    for a, t, t_star in zip(agents, tables, starred):
+        if not same_weak_order(t, t_star, states):
+            x, y = _first_disagreement(t, t_star, states)
+            return AffineReport(
+                status=HYPOTHESIS_FAILURE,
+                failed_hypothesis="shared-agent-order",
+                failure_detail=f"agent {a!r} tables disagree on ({x!r}, {y!r})",
+            )
+
+    realized, completions = class_combinations(tables, states)
+    if len(realized) != completions[0]:
+        return AffineReport(
+            status=HYPOTHESIS_FAILURE,
+            failed_hypothesis="range-product",
+            failure_detail=(
+                f"{len(realized)} realized value vectors but the range product needs "
+                f"{completions[0]}"
+            ),
+        )
+
+    nonconstant = [a for a, t in zip(agents, tables) if not t.is_constant()]
+    if len(nonconstant) < 2:
+        return AffineReport(
+            status=HYPOTHESIS_FAILURE,
+            failed_hypothesis="two-nonconstant-agents",
+            failure_detail=f"only {nonconstant} nonconstant",
+        )
+
+    verdicts = _agent_verdicts(agents, tables, starred, states)
     if any(v.kind == VIOLATION for v in verdicts):
-        return AffineReport(status=VIOLATION, agents=tuple(verdicts))
+        return AffineReport(status=VIOLATION, agents=verdicts)
 
     v_sum = linear_combination(tables, [1] * len(tables))
     v_star_sum = linear_combination(starred, [1] * len(starred))
@@ -350,11 +328,11 @@ def proposition1_check(
         x, y = _first_disagreement(v_sum, v_star_sum, states)
         return AffineReport(
             status=HYPOTHESIS_FAILURE,
-            agents=tuple(verdicts),
+            agents=verdicts,
             failed_hypothesis="shared-ethical-order",
             failure_detail=f"table sums disagree on ({x!r}, {y!r})",
         )
-    return AffineReport(status=COINCIDE, agents=tuple(verdicts))
+    return AffineReport(status=COINCIDE, agents=verdicts)
 
 
 @dataclass(frozen=True)
@@ -464,101 +442,63 @@ def _check_hypotheses(soc: Society, analysis: Analysis) -> list[HypothesisRecord
 
 
 def theorem3_pipeline(soc: Society) -> Theorem3Report:
-    """Hypothesis battery, both recoveries, normalization, per-agent affinity.
+    """Hypothesis battery, both weight recoveries, per-agent affinity.
 
     Every hypothesis is evaluated (each gets a named record) before the
-    pipeline decides; recoveries only run when all hypotheses hold.
-    Verdicts are mapped back to the original table scales, so a COINCIDE
-    carries the exact (alpha, beta) with starred = alpha * base + beta.
+    pipeline decides; recoveries only run when all hypotheses hold.  The
+    passing battery already settles what the per-agent analysis needs:
+    matching gives each agent's two tables one order, semi-separability
+    with matching fills the range product, and two agents are nonconstant.
+    Verdicts are decided on the input tables, so a COINCIDE carries the
+    exact (alpha, beta) with starred = alpha * base + beta.  The one
+    remaining gate compares the two ethical orders; the reweighted table
+    sums are the ethical tables minus their recovered constants, so they
+    order states, and first disagree, alike.
     """
     analysis = Analysis(soc)
-    records = _check_hypotheses(soc, analysis)
+    records = tuple(_check_hypotheses(soc, analysis))
     failed = next((r.name for r in records if not r.passed), None)
     if failed is not None:
         return Theorem3Report(
-            status=HYPOTHESIS_FAILURE,
-            hypotheses=tuple(records),
-            failed_hypothesis=failed,
+            status=HYPOTHESIS_FAILURE, hypotheses=records, failed_hypothesis=failed
         )
     try:
         norm = normalize_for_theorem3(soc, analysis)
     except NormalizationError as exc:
-        return Theorem3Report(
-            status=RECOVERY_FAILURE, hypotheses=tuple(records), detail=str(exc)
-        )
-    normalized = norm.society
-    report = proposition1_check(
-        normalized.space,
-        {a: normalized.alt.tables[a] for a in normalized.agents},
-        {a: normalized.nm.tables[a] for a in normalized.agents},
+        return Theorem3Report(status=RECOVERY_FAILURE, hypotheses=records, detail=str(exc))
+    alt, nm = soc.alt_side(), soc.nm_side()
+    states = soc.space.states
+    agents = _agent_verdicts(
+        soc.agents,
+        [alt.tables[a] for a in soc.agents],
+        [nm.tables[a] for a in soc.agents],
+        states,
     )
-    if report.status == HYPOTHESIS_FAILURE:
+    violation = any(v.kind == VIOLATION for v in agents)
+    if not violation and not same_weak_order(alt.ethical, nm.ethical, states):
+        x, y = _first_disagreement(alt.ethical, nm.ethical, states)
         return Theorem3Report(
             status=HYPOTHESIS_FAILURE,
-            hypotheses=tuple(records)
-            + (HypothesisRecord(report.failed_hypothesis, False, report.failure_detail),),
-            failed_hypothesis=report.failed_hypothesis,
-            agents=report.agents,
-            normalization=norm.record,
+            hypotheses=records
+            + (
+                HypothesisRecord(
+                    "shared-ethical-order", False, f"table sums disagree on ({x!r}, {y!r})"
+                ),
+            ),
+            failed_hypothesis="shared-ethical-order",
+            agents=agents,
+            normalization=norm,
         )
-    agents = tuple(
-        _rescale_verdict(v, i, soc, norm.record) for i, v in enumerate(report.agents)
-    )
-    record = dataclasses.replace(
-        norm.record,
-        slopes=tuple(v.alpha if v.kind == COINCIDE else None for v in report.agents),
+    slopes = tuple(
+        v.alpha * w_nm / w_alt if v.kind == COINCIDE else None
+        for v, w_alt, w_nm in zip(agents, norm.alt_weights, norm.nm_weights)
     )
     return Theorem3Report(
-        status=report.status,
-        hypotheses=tuple(records),
+        status=VIOLATION if violation else COINCIDE,
+        hypotheses=records,
         agents=agents,
-        normalization=record,
+        normalization=dataclasses.replace(norm, slopes=slopes),
     )
-
-
-def _rescale_verdict(
-    verdict: AgentVerdict, i: int, soc: Society, record: NormalizationRecord
-) -> AgentVerdict:
-    """Express a normalized-scale verdict against the original tables."""
-    name = soc.agents[i]
-    base = soc.alt_side().tables[name]
-    starred = soc.nm_side().tables[name]
-    if verdict.kind == CONSTANT:
-        return verdict
-    if verdict.kind == VIOLATION:
-        w = verdict.witness
-        steps = []
-        for st in (w.first, w.second):
-            steps.append(
-                StepWitness(
-                    lo_state=st.lo_state,
-                    hi_state=st.hi_state,
-                    base_increment=base[st.hi_state] - base[st.lo_state],
-                    starred_increment=starred[st.hi_state] - starred[st.lo_state],
-                )
-            )
-        grid, images, exemplars = _value_map(base, starred, soc.space.states)
-        increments = tuple(
-            (hi - lo, ihi - ilo)
-            for lo, hi, ilo, ihi in zip(grid, grid[1:], images, images[1:])
-        )
-        return AgentVerdict(
-            agent=name,
-            kind=VIOLATION,
-            witness=ViolationWitness(first=steps[0], second=steps[1], increments=increments),
-        )
-    # COINCIDE: normalized starred = c* normalized base + d, with normalized
-    # tables a*_i u*_i and a_i u_i; solve back for u*_i = alpha u_i + beta.
-    a_alt = record.alt_weights[i]
-    a_nm = record.nm_weights[i]
-    if a_nm == 0:
-        raise AssertionError("nonconstant agent normalized with zero weight")
-    alpha = verdict.alpha * a_alt / a_nm
-    beta = verdict.beta / a_nm
-    for s in soc.space.states:
-        if starred[s] != alpha * base[s] + beta:
-            raise AssertionError("rescaled verdict failed pointwise re-verification")
-    return AgentVerdict(agent=name, kind=COINCIDE, alpha=alpha, beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,15 @@ class Analysis:
 
     @cached_property
     def semi_separability(self) -> CheckResult:
+        """Semi-separability of the base orders, the hypothesis record's question."""
         return check_semi_separable(self.soc)
+
+    @cached_property
+    def alt_semi_separability(self) -> CheckResult:
+        """Semi-separability of the intensity-side tables the difference map reads."""
+        if self.soc.alt is None:
+            return self.semi_separability
+        return check_semi_separable(self.soc, self.soc.alt)
 
     @cached_property
     def pair_scan(self) -> PairScan:
@@ -134,13 +142,14 @@ def check_axiom_I(soc: Society, analysis: Analysis | None = None) -> CheckResult
 def build_difference_map(soc: Society, analysis: Analysis | None = None) -> DifferenceMap:
     """Tabulate F on every realized difference vector, validating well-definedness.
 
-    Semi-separability is a hard precondition: it is what makes the realized
-    difference vectors cover the full product of the per-agent grids, so a
-    violation raises immediately rather than producing a partial map.
+    Semi-separability of the intensity-side tables is a hard precondition:
+    it is what makes the realized difference vectors cover the full product
+    of the per-agent grids, so a violation raises immediately rather than
+    producing a partial map.
     """
     if analysis is None:
         analysis = Analysis(soc)
-    semi = analysis.semi_separability
+    semi = analysis.alt_semi_separability
     if not semi:
         raise ValueError(f"society is not semi-separable (witness profile {semi.witness})")
     scan = analysis.pair_scan

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import ge
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import StateKey, StateSpace, UtilityTable, WeakOrder, dirac
@@ -127,11 +128,18 @@ def pareto_dominates(soc: Society, x: StateKey, y: StateKey) -> bool:
 
 
 def check_pareto_criterion(soc: Society) -> CheckResult:
-    """Every dominated pair must be ranked strictly by the ethical order."""
-    v = soc.base.ethical
-    for x in soc.space.states:
-        for y in soc.space.states:
-            if pareto_dominates(soc, x, y) and not v[x] > v[y]:
+    """Every dominated pair must be ranked strictly by the ethical order.
+
+    Each state's value vector is read once; x dominates y exactly when the
+    vectors differ and x's is weakly greater in every coordinate.
+    """
+    states = soc.space.states
+    tables = [soc.base.tables[a] for a in soc.agents]
+    vectors = [tuple(t[s] for t in tables) for s in states]
+    ethical = [soc.base.ethical[s] for s in states]
+    for x, cx, vx in zip(states, vectors, ethical):
+        for y, cy, vy in zip(states, vectors, ethical):
+            if vx <= vy and cx != cy and all(map(ge, cx, cy)):
                 return CheckResult(
                     False,
                     witness=(x, y),
@@ -140,7 +148,24 @@ def check_pareto_criterion(soc: Society) -> CheckResult:
     return CheckResult(True)
 
 
-def check_semi_separable(soc: Society) -> CheckResult:
+def class_combinations(
+    tables: Sequence[UtilityTable], states: Sequence[StateKey]
+) -> tuple[set[tuple], list[int]]:
+    """Realized combinations of per-table indifference classes, and how many exist.
+
+    A state realizes the tuple of its values, one per table.
+    ``completions[j]`` counts the combinations of tables j.. (the product
+    of their class counts), so the classes all combine exactly when
+    ``len(realized) == completions[0]``.
+    """
+    realized = {tuple(t[s] for t in tables) for s in states}
+    completions = [1] * (len(tables) + 1)
+    for j in range(len(tables) - 1, -1, -1):
+        completions[j] = completions[j + 1] * len({tables[j][s] for s in states})
+    return realized, completions
+
+
+def check_semi_separable(soc: Society, profile: Profile | None = None) -> CheckResult:
     """For every profile (x_1..x_n) some single state must be i-indifferent to x_i.
 
     Equivalent to requiring every combination of per-agent indifference
@@ -150,26 +175,25 @@ def check_semi_separable(soc: Society) -> CheckResult:
     meets), built one coordinate at a time: a class prefix can still be
     completed to a missing combination exactly when fewer realized
     combinations extend it than the remaining agents' class counts allow.
+    The orders are the base profile's unless ``profile`` names another.
     """
     states = soc.space.states
-    class_ids = [o.indifference_class_ids() for o in soc.orders()]
-    realized = {tuple(ids[s] for ids in class_ids) for s in states}
-    # completions[j]: class combinations of agents j.. that a prefix of length j needs.
-    completions = [1] * (soc.n + 1)
-    for j in range(soc.n - 1, -1, -1):
-        completions[j] = completions[j + 1] * len(set(class_ids[j].values()))
+    if profile is None:
+        profile = soc.base
+    tables = [profile.tables[a] for a in soc.agents]
+    realized, completions = class_combinations(tables, states)
     if len(realized) == completions[0]:
         return CheckResult(True)
     extending = Counter(combo[:j] for combo in realized for j in range(1, soc.n + 1))
     prefix: tuple = ()
-    profile = []
-    for j, ids in enumerate(class_ids):
-        state = next(s for s in states if extending[prefix + (ids[s],)] < completions[j + 1])
-        prefix += (ids[state],)
-        profile.append(state)
+    witness = []
+    for j, t in enumerate(tables):
+        state = next(s for s in states if extending[prefix + (t[s],)] < completions[j + 1])
+        prefix += (t[state],)
+        witness.append(state)
     return CheckResult(
         False,
-        witness=tuple(profile),
+        witness=tuple(witness),
         description="no single state is indifferent to this profile agent-wise",
     )
 

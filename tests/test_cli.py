@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from utilcheck import (
     simplex_counterexample,
     sqrt_fixture,
 )
-from utilcheck import cli, coincidence
+from utilcheck import cli, harsanyi
 from utilcheck.societyfile import payload_to_society
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,11 +31,15 @@ F = Fraction
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
+    # The child imports the package from this checkout's src/, as the test
+    # process does, whether or not PYTHONPATH already names it.
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     return subprocess.run(
         [sys.executable, "-m", "utilcheck.cli", *args],
         capture_output=True,
         text=True,
         cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
     )
 
 
@@ -169,6 +174,47 @@ def test_recover_harvey_on_sqrt_fixture():
     assert payload["constant"] == "0"
 
 
+def test_recover_harvey_checks_semi_separability_on_intensity_tables(tmp_path, capsys):
+    # The base tables form a 2x2 grid, but both intensity-side tables read
+    # 0, 1, 2, 3, so the difference map's domain is not a product.
+    states = ["s0", "s1", "s2", "s3"]
+
+    def table(*values):
+        return dict(zip(states, values))
+
+    path = tmp_path / "alt_not_product.json"
+    path.write_text(
+        json.dumps(
+            {
+                "space": {"kind": "explicit", "states": states},
+                "agents": [
+                    {"name": "a1", "utility": table("0", "0", "1", "1")},
+                    {"name": "a2", "utility": table("0", "1", "0", "1")},
+                ],
+                "ethical": table("0", "1", "1", "2"),
+                "alt_profile": {
+                    "agents": [
+                        {"name": "a1", "utility": table("0", "1", "2", "3")},
+                        {"name": "a2", "utility": table("0", "1", "2", "3")},
+                    ],
+                    "ethical": table("0", "2", "4", "6"),
+                },
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert cli.main(["recover", str(path), "--mode", "harvey", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["success"] is False
+    assert payload["failed_stage"] == "semi-separability"
+    assert payload["witness"] == "society is not semi-separable (witness profile ('s0', 's1'))"
+    # The validate record still reads the base orders, which do form a grid.
+    assert cli.main(["validate", str(path), "--json"]) == 1
+    checks = {c["name"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["semi-separability"] == "PASS"
+    assert checks["matching"] == "FAIL"
+
+
 def test_fixture_emit_round_trips(tmp_path):
     out = tmp_path / "sqrt.json"
     emit = run_cli("fixture", "sqrt", "--k", "4", "--eps", "1/2", "--out", str(out))
@@ -216,18 +262,20 @@ def test_max_states_guard_exits_two():
 
 
 def test_failed_reverification_exits_three(monkeypatch, capsys):
-    # Skew the table sum the normalization re-verifies against.
-    real = coincidence.linear_combination
+    # Skew the table sum the lottery-side recovery re-verifies against.
+    real = harsanyi.linear_combination
 
     def skewed(tables, weights, constant=Fraction(0)):
         return real(tables, weights, constant + 1)
 
-    monkeypatch.setattr(coincidence, "linear_combination", skewed)
+    monkeypatch.setattr(harsanyi, "linear_combination", skewed)
     code = cli.main(["coincide", str(FIXTURES / "sqrt_k10.json"), "--json"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err == "internal error: intensity-side normalization failed re-verification\n"
+    assert captured.err == (
+        "internal error: recovered identity failed pointwise re-verification\n"
+    )
 
 
 def test_missing_file_exits_two():

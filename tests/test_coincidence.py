@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import planted_coincidence_society, product_grid_society
 from utilcheck import (
@@ -54,11 +57,13 @@ def _coordinate_society(v_fn=None, star=None):
 
 def test_normalize_already_normalized_unchanged():
     soc, u1, u2 = _coordinate_society()
-    result = normalize_for_theorem3(soc)
-    assert result.society.alt.tables["a1"] == u1
-    assert result.society.nm.tables["a1"] == u1
-    assert result.record.alt_weights == (F(1), F(1))
-    assert result.record.nm_weights == (F(1), F(1))
+    record = normalize_for_theorem3(soc)
+    assert record.agents == ("a1", "a2")
+    assert record.alt_weights == (F(1), F(1))
+    assert record.alt_constant == 0
+    assert record.nm_weights == (F(1), F(1))
+    assert record.nm_constant == 0
+    assert record.slopes is None
 
 
 def test_normalize_planted_star_weights():
@@ -71,15 +76,19 @@ def test_normalize_planted_star_weights():
         soc.base.ethical,
         nm=Profile({"a1": star1, "a2": star2}, star_ethical),
     )
-    result = normalize_for_theorem3(soc)
-    assert result.record.nm_weights == (F(2), F(3))
-    assert result.record.nm_constant == F(5)
-    # Substitution oracle: normalized starred tables must sum to the
-    # normalized starred ethical table, pointwise.
-    total = linear_combination(
-        [result.society.nm.tables[a] for a in soc.agents], [1, 1]
-    )
-    assert total == result.society.nm.ethical
+    record = normalize_for_theorem3(soc)
+    assert record.nm_weights == (F(2), F(3))
+    assert record.nm_constant == F(5)
+    # Substitution oracle: the recorded weights and constants rebuild both
+    # input ethical tables pointwise.
+    for profile, weights, constant in (
+        (soc.alt_side(), record.alt_weights, record.alt_constant),
+        (soc.nm_side(), record.nm_weights, record.nm_constant),
+    ):
+        total = linear_combination(
+            [profile.tables[a] for a in soc.agents], weights, constant
+        )
+        assert total == profile.ethical
 
 
 def test_normalize_propagates_axiom_i_failure():
@@ -161,6 +170,77 @@ def test_proposition1_constant_agent_verdict():
     report = proposition1_check(space, tables, dict(tables))
     assert report.status == "coincide"
     assert report.agents[2].kind == "constant"
+
+
+@st.composite
+def affinity_cases(draw):
+    """Tables on a shuffled product of per-agent levels, one point possibly
+    missing; each starred table is an affine image or another increasing
+    table, now and then reversed; plus a positive weight for each table."""
+    n = draw(st.integers(2, 3))
+    sizes = [draw(st.integers(2 if i < 2 else 1, 4)) for i in range(n)]
+    points = draw(st.permutations(list(itertools.product(*(range(k) for k in sizes)))))
+    if draw(st.booleans()) and len(points) > 1:
+        points = points[1:]
+    states = [",".join(map(str, p)) for p in points]
+    steps = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+
+    def increasing(k):
+        levels = [F(draw(st.integers(-3, 3)))]
+        for step in draw(st.lists(steps, min_size=k - 1, max_size=k - 1)):
+            levels.append(levels[-1] + step)
+        return levels
+
+    base, starred = {}, {}
+    for i in range(n):
+        levels = increasing(sizes[i])
+        if draw(st.booleans()):
+            alpha, beta = draw(steps), draw(st.integers(-3, 3))
+            images = [alpha * t + beta for t in levels]
+        else:
+            images = increasing(sizes[i])
+        if draw(st.integers(0, 5)) == 3:  # not 0, which shrinking favours
+            images.reverse()
+        base[f"a{i}"] = UtilityTable({s: levels[p[i]] for s, p in zip(states, points)})
+        starred[f"a{i}"] = UtilityTable({s: images[p[i]] for s, p in zip(states, points)})
+    weights = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8)
+    scale = [(draw(weights), draw(weights)) for _ in range(n)]
+    return StateSpace.explicit(states), base, starred, scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(affinity_cases())
+def test_proposition1_verdicts_invariant_under_positive_scaling(case):
+    # The pipeline decides verdicts on the input tables rather than on the
+    # reweighted ones; this invariance is what makes the two agree.
+    space, base, starred, scale = case
+    report = proposition1_check(space, base, starred)
+    scaled = proposition1_check(
+        space,
+        {a: base[a].affine(w, F(0)) for a, (w, _) in zip(base, scale)},
+        {a: starred[a].affine(w_star, F(0)) for a, (_, w_star) in zip(starred, scale)},
+    )
+    if not report.agents:
+        assert not scaled.agents
+        assert scaled.failed_hypothesis == report.failed_hypothesis
+        return
+    assert [v.kind for v in scaled.agents] == [v.kind for v in report.agents]
+    for v, sv, (w, w_star) in zip(report.agents, scaled.agents, scale):
+        if v.kind == "coincide":
+            assert sv.alpha == v.alpha * w_star / w
+            assert sv.beta == v.beta * w_star
+        elif v.kind == "violation":
+            for step, scaled_step in (
+                (v.witness.first, sv.witness.first),
+                (v.witness.second, sv.witness.second),
+            ):
+                assert (scaled_step.lo_state, scaled_step.hi_state) == (
+                    step.lo_state,
+                    step.hi_state,
+                )
+            assert sv.witness.increments == tuple(
+                (b * w, s * w_star) for b, s in v.witness.increments
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +388,31 @@ def test_pipeline_planted_distortion_violation():
             w.first.starred_increment * w.second.base_increment
             != w.second.starred_increment * w.first.base_increment
         )
+
+
+def test_pipeline_shared_ethical_order_verdicts_on_input_tables():
+    # Each agent's tables are affine images, but the starred ethical table
+    # weighs a2 twice, so the two ethical orders disagree.  The verdicts
+    # still describe the input tables: u*2 = u2 gives alpha 1, beta 0.
+    soc, u1, u2 = _coordinate_society()
+    star1 = u1.affine(F(3), F(1))
+    star = Profile({"a1": star1, "a2": u2}, linear_combination([star1, u2], [1, 2]))
+    soc = Society.from_tables(soc.space, {"a1": u1, "a2": u2}, soc.base.ethical, nm=star)
+    report = theorem3_pipeline(soc)
+    assert report.status == "hypothesis-failure"
+    assert report.failed_hypothesis == "shared-ethical-order"
+    assert report.hypothesis("shared-ethical-order").detail == (
+        "table sums disagree on ('0,1/2', '1/2,0')"
+    )
+    assert [(v.agent, v.kind, v.alpha, v.beta) for v in report.agents] == [
+        ("a1", "coincide", F(3), F(1)),
+        ("a2", "coincide", F(1), F(0)),
+    ]
+    for verdict in report.agents:
+        base = soc.alt_side().tables[verdict.agent]
+        starred = soc.nm_side().tables[verdict.agent]
+        for s in soc.space.states:
+            assert starred[s] == verdict.alpha * base[s] + verdict.beta
 
 
 def test_pipeline_single_nonconstant_agent_error():

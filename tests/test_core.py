@@ -14,6 +14,7 @@ from conftest import letters_space, planted_society, rand_fraction
 from utilcheck import (
     AltSystem,
     GridDim,
+    Profile,
     SimpleLottery,
     Society,
     StateSpace,
@@ -247,20 +248,47 @@ def test_pareto_criterion_constant_agents_vacuous():
     assert check_pareto_criterion(soc).passed
 
 
+def pareto_pair_scan(soc):
+    """The former double loop through ``pareto_dominates``, kept as the oracle:
+    the first (x, y) in state order where x dominates y but is not ethically
+    better, or None."""
+    v = soc.base.ethical
+    for x in soc.space.states:
+        for y in soc.space.states:
+            if pareto_dominates(soc, x, y) and not v[x] > v[y]:
+                return (x, y)
+    return None
+
+
 def test_pareto_criterion_witness_matches_bruteforce():
     # u1 constant, u2 rising, v = u1 - u2 must fail where u2 strictly rises.
     soc = _two_agent_society([5, 5, 5], [0, 1, 2], [5, 4, 3])
     result = check_pareto_criterion(soc)
     assert not result.passed
+    assert result.witness == pareto_pair_scan(soc) == ("s1", "s0")
 
-    def oracle():
-        for x in soc.space.states:
-            for y in soc.space.states:
-                if pareto_dominates(soc, x, y) and not soc.base.ethical[x] > soc.base.ethical[y]:
-                    return (x, y)
-        return None
 
-    assert result.witness == oracle() == ("s1", "s0")
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(0, 2), min_size=m, max_size=m), min_size=3, max_size=5
+        )
+    )
+)
+def test_pareto_criterion_equals_pair_scan(rows):
+    # rows[0] is the ethical table, the rest are 2-4 agents; ties abound.
+    space = letters_space(len(rows[0]))
+    tables = {
+        f"a{i}": UtilityTable(dict(zip(space.states, map(F, row))))
+        for i, row in enumerate(rows[1:])
+    }
+    ethical = UtilityTable(dict(zip(space.states, map(F, rows[0]))))
+    soc = Society.from_tables(space, tables, ethical)
+    result = check_pareto_criterion(soc)
+    expected = pareto_pair_scan(soc)
+    assert result.passed == (expected is None)
+    assert result.witness == expected
 
 
 def test_pareto_criterion_planted_positive_weights():
@@ -378,6 +406,16 @@ def test_semi_separable_witness_equals_profile_scan(soc):
     expected = first_unmatched_profile(soc)
     assert result.passed == (expected is None)
     assert result.witness == expected
+    # Read from another profile of a society with constant base tables, the
+    # same tables give the same verdict and witness.
+    flat = UtilityTable({s: F(0) for s in soc.space.states})
+    wrapped = Society(
+        space=soc.space,
+        agents=soc.agents,
+        base=Profile({a: flat for a in soc.agents}, flat),
+        alt=soc.base,
+    )
+    assert check_semi_separable(wrapped, wrapped.alt) == result
 
 
 def test_semi_separable_large_society_has_no_cap():
