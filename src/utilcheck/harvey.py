@@ -18,6 +18,18 @@ defined because F(0) = 0), every tabulated value is F(b - a) = V(b) - V(a),
 so F(c' - c) + F(c'' - c') = F(c'' - c) telescopes and cannot fail.  A
 component that is linear on its grid is additive, so the quadratic
 additivity scan runs only for a component that is not.
+
+The scan runs over Python ints.  Each agent's table, and the ethical table,
+is multiplied by the LCM of its denominators (its scale).  A positive
+per-table scale keeps "these two differences are equal" exactly, so the
+verdict, the first conflicting pair and its stored pair are those of a scan
+over the Fractions.  Each state's scaled vector is then packed into one int,
+P(x) = sum of U_i(x) * R_i, with R_0 = 1 and R_{i+1} = R_i * (2 * span_i + 1),
+where span_i is max - min of agent i's scaled table.  Every component of a
+difference vector lies in [-span_i, span_i], so P(x) - P(y) is a balanced
+mixed-radix numeral with those components as digits and names the
+difference vector uniquely, so each pair costs one int subtraction and one
+int dict lookup.
 """
 
 from __future__ import annotations
@@ -25,12 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import sub
 
 from .core import StateKey, linear_combination
+from .rationals import scale_to_ints
 from .society import CheckResult, Society, check_semi_separable
-
-DiffVector = tuple[Fraction, ...]
 
 
 class DifferenceMapError(ValueError):
@@ -43,11 +53,20 @@ class DifferenceMapError(ValueError):
 
 @dataclass(frozen=True)
 class DifferenceMap:
-    """Tabulated ethical differences over realized agent-difference vectors."""
+    """Tabulated ethical differences over realized agent-difference vectors.
+
+    ``table`` has one entry per distinct difference vector, keyed by its
+    packed int (the vector's components times ``scales`` are the balanced
+    digits of the key in the radices ``radices``) and valued by the ethical
+    difference times ``ethical_scale``.  ``components`` and ``diff_grids``
+    are decoded back to Fractions.
+    """
 
     agents: tuple[str, ...]
-    table: dict[DiffVector, Fraction]
-    exemplars: dict[DiffVector, tuple[StateKey, StateKey]]
+    table: dict[int, int]
+    scales: tuple[int, ...]
+    radices: tuple[int, ...]
+    ethical_scale: int
     components: tuple[dict[Fraction, Fraction], ...]
     diff_grids: tuple[tuple[Fraction, ...], ...]
 
@@ -57,42 +76,61 @@ class DifferenceMap:
         return all(comp[a] < comp[b] for a, b in zip(grid, grid[1:]))
 
 
-def _pair_groups(soc: Society):
-    """Iterate (difference vector, ethical difference, pair) in state order."""
-    profile = soc.alt_side()
-    states = soc.space.states
-    vectors = [tuple(profile.tables[a][s] for a in soc.agents) for s in states]
-    ethical = [profile.ethical[s] for s in states]
-    for x, cx, vx in zip(states, vectors, ethical):
-        for y, cy, vy in zip(states, vectors, ethical):
-            yield tuple(map(sub, cx, cy)), vx - vy, (x, y)
-
-
 @dataclass(frozen=True)
 class PairScan:
-    """Ethical differences by difference vector, from one pass over the pairs.
+    """Scaled ethical differences by packed difference vector, from one pass over the pairs.
 
-    ``conflict`` is the first pair, in state order, whose ethical difference
-    differs from the one stored for its vector, together with the stored
-    pair; the scan stops there, so the tables are partial when it is set.
+    Agent i's values are scaled by ``scales[i]`` and weighted by
+    ``radices[i]`` in each state's packed int; ethical values are scaled by
+    ``ethical_scale``.  ``conflict`` is the first pair, in state order,
+    whose ethical difference differs from the one stored for its vector,
+    together with the stored pair; the scan stops in that pair's row, so
+    the table is partial when it is set.
     """
 
-    table: dict[DiffVector, Fraction]
-    exemplars: dict[DiffVector, tuple[StateKey, StateKey]]
+    table: dict[int, int]
+    scales: tuple[int, ...]
+    radices: tuple[int, ...]
+    ethical_scale: int
     conflict: tuple[tuple[StateKey, StateKey], tuple[StateKey, StateKey]] | None
 
 
 def _scan_pairs(soc: Society) -> PairScan:
-    table: dict[DiffVector, Fraction] = {}
-    exemplars: dict[DiffVector, tuple[StateKey, StateKey]] = {}
-    for c, dv, pair in _pair_groups(soc):
-        stored = table.get(c)
-        if stored is None:
-            table[c] = dv
-            exemplars[c] = pair
-        elif stored != dv:
-            return PairScan(table, exemplars, (pair, exemplars[c]))
-    return PairScan(table, exemplars, None)
+    profile = soc.alt_side()
+    states = soc.space.states
+    packed = [0] * len(states)
+    scales, radices, radix = [], [], 1
+    for a in soc.agents:
+        scale, column = scale_to_ints([profile.tables[a][s] for s in states])
+        packed = [p + u * radix for p, u in zip(packed, column)]
+        scales.append(scale)
+        radices.append(radix)
+        radix *= 2 * (max(column) - min(column)) + 1
+    ethical_scale, ethical = scale_to_ints([profile.ethical[s] for s in states])
+    table: dict[int, int] = {}
+    conflict = None
+    # Row x at a time: setdefault stores each key's first difference in
+    # state order and hands back the stored one, so the first pair whose
+    # stored difference is not its own is the first conflict.
+    for x, px, vx in zip(states, packed, ethical):
+        keys = [px - py for py in packed]
+        diffs = [vx - vy for vy in ethical]
+        stored = list(map(table.setdefault, keys, diffs))
+        if stored != diffs:
+            j = next(j for j, (s, d) in enumerate(zip(stored, diffs)) if s != d)
+            conflict = ((x, states[j]), _first_pair(states, packed, keys[j]))
+            break
+    return PairScan(table, tuple(scales), tuple(radices), ethical_scale, conflict)
+
+
+def _first_pair(
+    states: tuple[StateKey, ...], packed: list[int], key: int
+) -> tuple[StateKey, StateKey]:
+    """The first pair (x, y) in state order with P(x) - P(y) == key."""
+    first: dict[int, int] = {}
+    for j, p in enumerate(packed):
+        first.setdefault(p, j)
+    return next((x, states[first[px - key]]) for x, px in zip(states, packed) if px - key in first)
 
 
 class Analysis:
@@ -157,24 +195,26 @@ def build_difference_map(soc: Society, analysis: Analysis | None = None) -> Diff
         raise DifferenceMapError(*scan.conflict)
     table = scan.table
     # The complete scan realizes every u_i(x) - u_i(y), so agent i's grid is
-    # its range minus itself.
+    # its range minus itself.  Only the axis vectors are decoded: the one
+    # with component c for agent i is the key c * scale_i * R_i.
     profile = soc.alt_side()
     ranges = [profile.tables[a].range_values() for a in soc.agents]
     diff_grids = tuple(tuple(sorted({a - b for a in r for b in r})) for r in ranges)
-    zero = Fraction(0)
     components = []
-    for i, grid in enumerate(diff_grids):
+    for grid, scale, radix in zip(diff_grids, scan.scales, scan.radices):
         comp = {}
         for c in grid:
-            axis = tuple(c if j == i else zero for j in range(len(soc.agents)))
-            if axis not in table:
+            key = c.numerator * (scale // c.denominator) * radix
+            if key not in table:
                 raise AssertionError("semi-separable map misses an axis vector")
-            comp[c] = table[axis]
+            comp[c] = Fraction(table[key], scan.ethical_scale)
         components.append(comp)
     return DifferenceMap(
         agents=soc.agents,
         table=table,
-        exemplars=scan.exemplars,
+        scales=scan.scales,
+        radices=scan.radices,
+        ethical_scale=scan.ethical_scale,
         components=tuple(components),
         diff_grids=diff_grids,
     )

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 #: Accepted wire syntax, ASCII digits only: "0" or a nonzero integer with no
 #: "+" and no leading zero, then optionally "/" and a denominator with no
@@ -44,3 +46,14 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Canonical string form, inverse of parse_rational."""
     return str(Fraction(q))
+
+
+def scale_to_ints(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The LCM of the values' denominators, and each value times it, as ints.
+
+    The scale is positive, so the ints keep every order, every equality and
+    every equality of differences among the values: comparisons can run on
+    them exactly and much faster than on Fractions.
+    """
+    scale = lcm(*{v.denominator for v in values})
+    return scale, [v.numerator * (scale // v.denominator) for v in values]

@@ -17,6 +17,7 @@ from operator import ge
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import StateKey, StateSpace, UtilityTable, WeakOrder, dirac
+from .rationals import scale_to_ints
 
 if TYPE_CHECKING:  # pragma: no cover
     from .alt import AltSystem
@@ -131,12 +132,15 @@ def check_pareto_criterion(soc: Society) -> CheckResult:
     """Every dominated pair must be ranked strictly by the ethical order.
 
     Each state's value vector is read once; x dominates y exactly when the
-    vectors differ and x's is weakly greater in every coordinate.
+    vectors differ and x's is weakly greater in every coordinate.  The
+    comparisons run on each table scaled to ints by ``scale_to_ints``; a
+    positive scale keeps every one of them, so the verdict and the witness
+    are those of the same comparisons on the Fractions.
     """
     states = soc.space.states
-    tables = [soc.base.tables[a] for a in soc.agents]
-    vectors = [tuple(t[s] for t in tables) for s in states]
-    ethical = [soc.base.ethical[s] for s in states]
+    columns = [scale_to_ints([soc.base.tables[a][s] for s in states])[1] for a in soc.agents]
+    vectors = list(zip(*columns))
+    _, ethical = scale_to_ints([soc.base.ethical[s] for s in states])
     for x, cx, vx in zip(states, vectors, ethical):
         for y, cy, vy in zip(states, vectors, ethical):
             if vx <= vy and cx != cy and all(map(ge, cx, cy)):

@@ -467,8 +467,8 @@ def test_coincide_scans_the_pairs_once(tmp_path, monkeypatch, capsys):
     # The battery's axiom-I record, the Harvey axiom check and the
     # difference map all read one scan.
     calls = []
-    real = harvey._pair_groups
-    monkeypatch.setattr(harvey, "_pair_groups", lambda soc: calls.append(soc) or real(soc))
+    real = harvey._scan_pairs
+    monkeypatch.setattr(harvey, "_scan_pairs", lambda soc: calls.append(soc) or real(soc))
     soc, _, _ = planted_coincidence_society(random.Random(97), 3)
     path = tmp_path / "planted.json"
     path.write_text(emit_society(soc), encoding="utf-8")

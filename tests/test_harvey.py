@@ -31,6 +31,54 @@ from utilcheck import harvey
 F = Fraction
 
 
+def decode(dm, key):
+    """The difference vector whose packed int is ``key``.
+
+    The key's balanced digits are the scaled components: every lower part
+    is below R_i / 2 in absolute value (R_i is odd and sum of span_j * R_j
+    over j < i is (R_i - 1) / 2), so the digit at R_i is key / R_i rounded
+    to the nearest int, taken from the top down.
+    """
+    digits = []
+    for radix in reversed(dm.radices):
+        digit, rest = divmod(key, radix)
+        if 2 * rest > radix:
+            digit += 1
+        digits.append(digit)
+        key -= digit * radix
+    assert key == 0
+    return tuple(F(d, s) for d, s in zip(reversed(digits), dm.scales))
+
+
+def decoded_table(dm):
+    """``dm.table`` keyed by Fraction difference vectors, valued by Fractions."""
+    return {decode(dm, key): F(value, dm.ethical_scale) for key, value in dm.table.items()}
+
+
+def fraction_pair_scan(soc):
+    """The former Fraction-keyed pair scan, kept as the oracle for the int kernel.
+
+    Returns the table of ethical differences by difference vector and the
+    first conflict in state order (the pair and the pair stored for its
+    vector), or None; the table is partial after a conflict.
+    """
+    profile = soc.alt_side()
+    states = soc.space.states
+    vectors = [tuple(profile.tables[a][s] for a in soc.agents) for s in states]
+    ethical = [profile.ethical[s] for s in states]
+    table, exemplars = {}, {}
+    for x, cx, vx in zip(states, vectors, ethical):
+        for y, cy, vy in zip(states, vectors, ethical):
+            c, dv = tuple(a - b for a, b in zip(cx, cy)), vx - vy
+            stored = table.get(c)
+            if stored is None:
+                table[c] = dv
+                exemplars[c] = (x, y)
+            elif stored != dv:
+                return table, ((x, y), exemplars[c])
+    return table, None
+
+
 def chain_rule_violation(soc, dm):
     """Exhaustive oracle: the first value-vector triple (a, b, c), in sorted
     order, with F(b - a) + F(c - b) != F(c - a), or None.
@@ -43,8 +91,9 @@ def chain_rule_violation(soc, dm):
     vectors = sorted(
         {tuple(profile.tables[a][s] for a in soc.agents) for s in soc.space.states}
     )
+    table = decoded_table(dm)
     fetched = [
-        [dm.table[tuple(x - y for x, y in zip(b, a))] for a in vectors] for b in vectors
+        [table[tuple(x - y for x, y in zip(b, a))] for a in vectors] for b in vectors
     ]
     for i, j, k in itertools.product(range(len(vectors)), repeat=3):
         if fetched[j][i] + fetched[k][j] != fetched[k][i]:
@@ -99,20 +148,103 @@ def test_axiom_I_single_effective_agent():
 
 
 # ---------------------------------------------------------------------------
+# Int kernel against the Fraction pair scan
+
+_values = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@st.composite
+def _scan_societies(draw):
+    """2-4 agents over a product of short axes, some points dropped.
+
+    Axes may repeat a value (states that share a value vector) or have one
+    value (a constant agent); the ethical table is a sum of per-axis parts,
+    which builds on a full product, plus optional noise, which conflicts.
+    """
+    axes = draw(st.lists(st.lists(_values, min_size=1, max_size=3), min_size=2, max_size=4))
+    points = list(itertools.product(*(range(len(a)) for a in axes)))
+    if not draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
+        points = [p for p, k in zip(points, keep) if k] or points[:1]
+    parts = [draw(st.lists(_values, min_size=len(a), max_size=len(a))) for a in axes]
+    noisy = draw(st.booleans())
+    noise = draw(
+        st.lists(st.sampled_from([F(0), F(0), F(1, 3), F(-2)]), min_size=len(points), max_size=len(points))
+    )
+    states = [",".join(map(str, p)) for p in points]
+    tables = {
+        f"a{i}": UtilityTable({s: axis[p[i]] for s, p in zip(states, points)})
+        for i, axis in enumerate(axes)
+    }
+    ethical = UtilityTable(
+        {
+            s: sum((part[p[i]] for i, part in enumerate(parts)), e if noisy else F(0))
+            for s, p, e in zip(states, points, noise)
+        }
+    )
+    return Society.from_tables(StateSpace.explicit(states), tables, ethical)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scan_societies())
+def test_int_kernel_equals_fraction_pair_scan(soc):
+    scan = harvey.Analysis(soc).pair_scan
+    table, conflict = fraction_pair_scan(soc)
+    assert scan.conflict == conflict
+    result = check_axiom_I(soc)
+    assert result.witness == (None if conflict is None else conflict[0] + conflict[1])
+    if conflict is not None:
+        return
+    assert len(scan.table) == len(table)
+    assert decoded_table(scan) == table
+    try:
+        dm = build_difference_map(soc)
+    except ValueError:
+        return
+    assert decoded_table(dm) == table
+    for i, grid in enumerate(dm.diff_grids):
+        axis = [tuple(c if j == i else F(0) for j in range(soc.n)) for c in grid]
+        assert dm.components[i] == {v[i]: table[v] for v in axis}
+
+
+def test_packed_keys_decode_at_the_span_edges():
+    # Scaled tables: a1 in {0, 3} (span 3), a2 = 2 * {-1/2, 1} in {-1, 2}
+    # (span 3), a3 constant (span 0); radices 1, 7, 49, 49.
+    space = StateSpace.product_grid(
+        [GridDim("x", F(0), F(1), F(1)), GridDim("y", F(0), F(1), F(1))]
+    )
+    u1 = UtilityTable.on_coords(space, lambda x, y: 3 * x)
+    u2 = UtilityTable.on_coords(space, lambda x, y: F(3, 2) * y - F(1, 2))
+    u3 = UtilityTable.on_coords(space, lambda x, y: F(5))
+    v = linear_combination([u1, u2], [1, 2])
+    soc = Society.from_tables(space, {"a1": u1, "a2": u2, "a3": u3}, v)
+    dm = build_difference_map(soc)
+    assert (dm.scales, dm.radices, dm.ethical_scale) == ((1, 2, 1), (1, 7, 49), 1)
+    table, _ = fraction_pair_scan(soc)
+    assert decoded_table(dm) == table
+    edges = {(s1 * F(3), s2 * F(3, 2), F(0)) for s1 in (-1, 1) for s2 in (-1, 1)}
+    assert edges <= set(table)
+    for vector in edges:
+        key = sum(int(c * s) * r for c, s, r in zip(vector, dm.scales, dm.radices))
+        assert decode(dm, key) == vector
+        assert abs(key) in (3 + 3 * 7, 3 * 7 - 3)
+
+
+# ---------------------------------------------------------------------------
 # Difference map
 
 
 def test_difference_map_sum():
     soc = _grid_society(lambda x, y: x + y)
     dm = build_difference_map(soc)
-    for c, value in dm.table.items():
+    for c, value in decoded_table(dm).items():
         assert value == c[0] + c[1]
 
 
 def test_difference_map_planted_constant_cancels():
     soc = _grid_society(lambda x, y: 2 * x + 3 * y + 5)
     dm = build_difference_map(soc)
-    for c, value in dm.table.items():
+    for c, value in decoded_table(dm).items():
         assert value == 2 * c[0] + 3 * c[1]
 
 
@@ -141,7 +273,7 @@ def test_difference_map_zero_and_symmetry_invariants():
     soc, _, _ = product_grid_society(rng, 2)
     dm = build_difference_map(soc)
     n = len(soc.agents)
-    assert dm.table[tuple([F(0)] * n)] == 0
+    assert decoded_table(dm)[tuple([F(0)] * n)] == 0
     for i in range(n):
         grid = dm.diff_grids[i]
         assert list(grid) == sorted(grid)
@@ -164,7 +296,7 @@ def test_chain_rule_detects_corruption():
     soc = _grid_society(lambda x, y: x + y)
     dm = build_difference_map(soc)
     bumped = dict(dm.table)
-    key = next(c for c in bumped if any(c))
+    key = next(c for c in bumped if c)
     bumped[key] += 1
     corrupted = dataclasses.replace(dm, table=bumped)
     assert chain_rule_violation(soc, corrupted) is not None
@@ -180,10 +312,11 @@ def test_chain_rule_random_planted_cross_checked():
         # vector must reproduce v(x) - v(y) on every pair.
         profile = soc.alt_side()
         tables = [profile.tables[a] for a in soc.agents]
+        table = decoded_table(dm)
         for x in soc.space.states:
             for y in soc.space.states:
                 c = tuple(t[x] - t[y] for t in tables)
-                assert dm.table[c] == profile.ethical[x] - profile.ethical[y]
+                assert table[c] == profile.ethical[x] - profile.ethical[y]
 
 
 @settings(max_examples=60, deadline=None)
