@@ -35,12 +35,7 @@ from typing import Mapping
 from . import linalg
 from .alt import AltSystem
 from .core import StateKey, StateSpace, UtilityTable, WeakOrder, linear_combination
-from .harsanyi import (
-    check_axiom_i,
-    positive_reweighting,
-    recover_weights,
-    select_dependency_basis,
-)
+from .harsanyi import check_axiom_i, positive_reweighting, recover_weights
 from .harvey import Analysis, check_axiom_I, harvey_recover
 from .nm import affine_relation
 from .society import (
@@ -128,35 +123,33 @@ def normalize_for_theorem3(
     positive by construction; the lottery-side weights must be positive for
     every nonconstant agent, and when the canonical solution of a dependent
     profile misses that, the positive reweighting is tried before giving up.
-    ``analysis`` carries the pair scan of checks already run on ``soc``.
+    ``analysis`` carries the pair scan and the lottery-side reduction of
+    checks already run on ``soc``.
     """
+    if analysis is None:
+        analysis = Analysis(soc)
     alt_report = harvey_recover(soc, analysis)
     if not alt_report.success:
         raise NormalizationError(
             f"intensity-side recovery failed at {alt_report.failed_stage}: {alt_report.witness}"
         )
-    nm_report = recover_weights(soc)
+    nm_report = recover_weights(soc, analysis)
     if not nm_report.success:
         raise NormalizationError(
             f"lottery-side recovery failed at state {nm_report.residual_witness}"
         )
     nm_profile = soc.nm_side()
     nm_weights, nm_constant = nm_report.weights, nm_report.constant
-    needs_positive = any(
-        w <= 0 and not nm_profile.tables[a].is_constant()
+    nonpositive = [
+        a
         for a, w in zip(soc.agents, nm_weights)
-    )
-    if needs_positive:
-        basis = select_dependency_basis(nm_profile, soc.agents, soc.space.states)
-        improved = positive_reweighting(soc, nm_report, basis)
-        if improved is None or improved.positive_variant is None:
-            bad = next(
-                a
-                for a, w in zip(soc.agents, nm_weights)
-                if w <= 0 and not nm_profile.tables[a].is_constant()
-            )
+        if w <= 0 and not nm_profile.tables[a].is_constant()
+    ]
+    if nonpositive:
+        improved = positive_reweighting(soc, nm_report, analysis.span.dependency_basis)
+        if improved is None:
             raise NormalizationError(
-                f"lottery-side weight for nonconstant agent {bad!r} is not positive"
+                f"lottery-side weight for nonconstant agent {nonpositive[0]!r} is not positive"
             )
         nm_weights, nm_constant = improved.positive_variant
     return NormalizationRecord(
@@ -403,7 +396,7 @@ def _matching_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
 
 
 def _axiom_i_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
-    result = check_axiom_i(soc)
+    result = check_axiom_i(soc, analysis)
     if result.passed:
         return HypothesisRecord("axiom-i", True)
     pair = result.witness

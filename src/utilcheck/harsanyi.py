@@ -7,7 +7,9 @@ ethical table must be a linear combination of those rows.  Everything else
 follows constructively: a violating null vector yields a witness lottery
 pair, a regular submatrix yields sign-certifying lotteries, and a
 dependency basis lets nonpositive weights be traded away when the profile
-is linearly dependent.
+is linearly dependent.  One elimination per society (``SpanProblem.reduction``,
+shared through ``harvey.Analysis.span``) gives the span verdict, the weights
+and the dependency basis; only the two witness constructions eliminate again.
 """
 
 from __future__ import annotations
@@ -15,10 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from . import linalg
 from .core import SimpleLottery, StateKey, UtilityTable, linear_combination
 from .society import Profile, Society
+
+if TYPE_CHECKING:
+    from .harvey import Analysis
 
 
 def express_in_span(f0, fs) -> tuple[Fraction, ...] | None:
@@ -40,7 +46,16 @@ def express_in_span(f0, fs) -> tuple[Fraction, ...] | None:
 
 @dataclass(frozen=True)
 class SpanProblem:
-    """Stacked profile matrix: row 0 is constantly 1, row i is agent i's table."""
+    """Stacked profile matrix: row 0 is constantly 1, row i is agent i's table.
+
+    ``reduction`` is the rref of the |X| x (n+2) matrix with columns
+    [1 | u_1 ... u_n | v]; its pivots are the greedy first-independent
+    columns.  So v is in the span (axiom (i)) iff its column is no pivot; the
+    agent pivots are the greedy dependency basis, and a non-basis agent's
+    column in the pivot rows is its expansion over 1 and the basis; v's
+    column in the pivot rows is the canonical solution (non-basis weights
+    0); the weights are unique iff every column of [1 | u] is a pivot.
+    """
 
     states: tuple[StateKey, ...]
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -54,12 +69,41 @@ class SpanProblem:
         target = tuple(profile.ethical[s] for s in states)
         return cls(states=states, matrix=tuple(rows), target=target)
 
+    @classmethod
+    def of(cls, soc: Society) -> "SpanProblem":
+        """The lottery-side problem of a society."""
+        return cls.from_profile(soc.nm_side(), soc.agents, soc.space.states)
+
+    @cached_property
+    def reduction(self) -> tuple[linalg.Matrix, list[int]]:
+        return linalg.rref([[*col, t] for col, t in zip(zip(*self.matrix), self.target)])
+
+    @cached_property
+    def spanning_pivots(self) -> list[int]:
+        """Pivot columns of [1 | u] in order; pivot row r belongs to the r-th."""
+        return [c for c in self.reduction[1] if c < len(self.matrix)]
+
+    @property
+    def in_span(self) -> bool:
+        return len(self.matrix) not in self.reduction[1]
+
+    def rows_independent(self) -> bool:
+        return len(self.spanning_pivots) == len(self.matrix)
+
+    @cached_property
+    def dependency_basis(self) -> "DependencyBasis":
+        red, pivots = self.reduction[0], self.spanning_pivots
+        coefficients = {
+            c - 1: tuple(red[r][c] for r in range(len(pivots)))
+            for c in range(1, len(self.matrix))
+            if c not in pivots
+        }
+        basis = tuple(c - 1 for c in pivots if c > 0)
+        return DependencyBasis(basis=basis, coefficients=coefficients)
+
     @cached_property
     def null_basis(self) -> list[list[Fraction]]:
         return linalg.null_space([list(r) for r in self.matrix])
-
-    def rows_independent(self) -> bool:
-        return linalg.rank([list(r) for r in self.matrix]) == len(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -91,7 +135,7 @@ class WeightReport:
     constant: Fraction | None = None
     unique: bool = False
     positive_variant: tuple[tuple[Fraction, ...], Fraction] | None = None
-    residual_witness: StateKey | None = None
+    residual_witness: StateKey | None = None  # first state where the ethical table is nonzero
 
     def as_mapping(self) -> dict[str, Fraction]:
         if not self.success:
@@ -127,7 +171,7 @@ def _perturbed_pair(eta: list[Fraction], states) -> LotteryWitnessPair:
     return LotteryWitnessPair(p=p, q=q, eta=tuple(eta), lam=lam)
 
 
-def check_axiom_i(soc: Society) -> AxiomIResult:
+def check_axiom_i(soc: Society, analysis: Analysis | None = None) -> AxiomIResult:
     """Unanimous lottery indifference must force ethical indifference.
 
     Passes iff the ethical table lies in the row space of the profile
@@ -135,11 +179,10 @@ def check_axiom_i(soc: Society) -> AxiomIResult:
     every agent, unequal for the ethical table) is constructed from a
     violating null vector and verified before return.
     """
-    profile = soc.nm_side()
-    problem = SpanProblem.from_profile(profile, soc.agents, soc.space.states)
-    coeffs = express_in_span(list(problem.target), [list(r) for r in problem.matrix])
-    if coeffs is not None:
+    problem = SpanProblem.of(soc) if analysis is None else analysis.span
+    if problem.in_span:
         return AxiomIResult(True)
+    profile = soc.nm_side()
     eta = next(
         eta for eta in problem.null_basis if linalg.dot(problem.target, eta) != 0
     )
@@ -157,48 +200,31 @@ def _expect(lottery: SimpleLottery, table: UtilityTable) -> Fraction:
     return sum((pr * table[s] for s, pr in lottery.probs), Fraction(0))
 
 
-def recover_weights(soc: Society) -> WeightReport:
+def recover_weights(soc: Society, analysis: Analysis | None = None) -> WeightReport:
     """Exact (weights, constant) with ethical = sum w_i u_i + constant.
 
     With an independent profile the solution is unique.  Dependent profiles
     get the canonical solution: coefficients of non-basis agents are pinned
     to 0 and the basis carries everything.  If the row-space condition
-    fails, the report carries the first state where the best-effort
-    combination misses.
+    fails, the report carries the first state where the ethical table is
+    nonzero (the zero table is always in the span).
     """
-    profile = soc.nm_side()
-    problem = SpanProblem.from_profile(profile, soc.agents, soc.space.states)
-    basis = select_dependency_basis(profile, soc.agents, soc.space.states)
-    keep = [0] + [i + 1 for i in basis.basis]  # matrix rows: constant, then agents
-    rows = [list(problem.matrix[i]) for i in keep]
-    columns = [[row[j] for row in rows] for j in range(len(problem.states))]
-    sol = linalg.solve(columns, list(problem.target))
-    if sol is None:
-        # Fit the consistent part of the system, then report where it misses.
-        n_unknown = len(rows)
-        red, pivots = linalg.rref([col + [t] for col, t in zip(columns, problem.target)])
-        fit = [Fraction(0)] * n_unknown
-        for r, c in enumerate(pivots):
-            if c < n_unknown:
-                fit[c] = red[r][n_unknown]
-        bad = next(
-            s
-            for s, col, want in zip(problem.states, columns, problem.target)
-            if linalg.dot(col, fit) != want
-        )
+    problem = SpanProblem.of(soc) if analysis is None else analysis.span
+    if not problem.in_span:
+        bad = next(s for s, t in zip(problem.states, problem.target) if t != 0)
         return WeightReport(success=False, agents=soc.agents, residual_witness=bad)
-    b = sol[0]
-    weights = [Fraction(0)] * soc.n
-    for slot, agent_index in enumerate(basis.basis):
-        weights[agent_index] = sol[slot + 1]
+    red, k = problem.reduction[0], len(problem.matrix)
+    sol = [Fraction(0)] * k
+    for r, c in enumerate(problem.spanning_pivots):
+        sol[c] = red[r][k]
     report = WeightReport(
         success=True,
         agents=soc.agents,
-        weights=tuple(weights),
-        constant=b,
+        weights=tuple(sol[1:]),
+        constant=sol[0],
         unique=problem.rows_independent(),
     )
-    _verify_identity(profile, soc.agents, report.weights, b)
+    _verify_identity(soc.nm_side(), soc.agents, report.weights, report.constant)
     return report
 
 
@@ -210,25 +236,7 @@ def _verify_identity(profile: Profile, agents, weights, constant) -> None:
 
 def select_dependency_basis(profile: Profile, agents, states) -> DependencyBasis:
     """Greedy-by-index maximal set of agents independent together with 1."""
-    states = tuple(states)
-    ones = [Fraction(1)] * len(states)
-    chosen_rows = [ones]
-    basis: list[int] = []
-    for i, name in enumerate(agents):
-        row = [profile.tables[name][s] for s in states]
-        if linalg.rank(chosen_rows + [row]) == len(chosen_rows) + 1:
-            chosen_rows.append(row)
-            basis.append(i)
-    coefficients: dict[int, tuple[Fraction, ...]] = {}
-    for j, name in enumerate(agents):
-        if j in basis:
-            continue
-        row = [profile.tables[name][s] for s in states]
-        coeffs = express_in_span(row, chosen_rows)
-        if coeffs is None:
-            raise AssertionError("non-basis agent escaped the basis span")
-        coefficients[j] = coeffs
-    return DependencyBasis(basis=tuple(basis), coefficients=coefficients)
+    return SpanProblem.from_profile(profile, agents, states).dependency_basis
 
 
 def witness_lotteries_for_sign(soc: Society, agent: str) -> LotteryWitnessPair:
@@ -239,11 +247,11 @@ def witness_lotteries_for_sign(soc: Society, agent: str) -> LotteryWitnessPair:
     vector gives the perturbation.
     """
     profile = soc.nm_side()
-    problem = SpanProblem.from_profile(profile, soc.agents, soc.space.states)
+    problem = SpanProblem.of(soc)
     if not problem.rows_independent():
         raise ValueError("profile is linearly dependent; no regular submatrix exists")
     k = len(problem.matrix)
-    cols = _independent_columns(problem.matrix, k)
+    cols = linalg.rref([list(r) for r in problem.matrix])[1]  # first k regular state columns
     square = [[problem.matrix[r][c] for c in cols] for r in range(k)]
     idx = soc.agents.index(agent)
     target = [Fraction(0)] * k
@@ -266,19 +274,6 @@ def witness_lotteries_for_sign(soc: Society, agent: str) -> LotteryWitnessPair:
     return pair
 
 
-def _independent_columns(matrix, k: int) -> list[int]:
-    """First k columns (in state order) that make the rows regular."""
-    cols: list[int] = []
-    for c in range(len(matrix[0])):
-        trial = cols + [c]
-        sub = [[row[j] for j in trial] for row in matrix]
-        if linalg.rank(sub) == len(trial):
-            cols.append(c)
-            if len(cols) == k:
-                return cols
-    raise ValueError("matrix rows are dependent; no regular submatrix")
-
-
 def positive_reweighting(
     soc: Society, report: WeightReport, basis: DependencyBasis
 ) -> WeightReport | None:
@@ -287,7 +282,8 @@ def positive_reweighting(
     Returns the report with an all-positive variant attached, or None when
     the profile is independent and some weight is forced nonpositive.
     The transfer amount is eps = min basis weight / (2 * (1 + largest total
-    expansion magnitude)), small enough to keep every basis weight positive.
+    expansion magnitude)), small enough to keep every basis weight positive;
+    with an empty basis there is no weight to protect and eps = 1.
     """
     if not report.success:
         raise ValueError("cannot reweight a failed recovery")
@@ -306,7 +302,10 @@ def positive_reweighting(
         ),
         default=Fraction(0),
     )
-    eps = min(weights[i] for i in basis.basis) / (2 * (1 + spread))
+    if basis.basis:
+        eps = min(weights[i] for i in basis.basis) / (2 * (1 + spread))
+    else:
+        eps = Fraction(1)
     new = list(weights)
     new_b = report.constant
     for j in non_basis:

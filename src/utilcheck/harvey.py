@@ -39,6 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .core import StateKey, linear_combination
+from .harsanyi import SpanProblem
 from .rationals import scale_to_ints
 from .society import CheckResult, Society, check_semi_separable
 
@@ -136,9 +137,11 @@ def _first_pair(
 class Analysis:
     """Results that several checks of one run need, each computed on first use.
 
-    A command creates one per society, passes it to its checks and drops it
-    when it returns.  It is never stored on the society: a long-lived
-    society would otherwise keep its quadratic pair tables alive.
+    That is the intensity side's pair scan and semi-separability results and
+    the lottery side's ``span``, whose one reduction every Harsanyi answer
+    reads.  A command creates one per society, passes it to its checks and
+    drops it when it returns.  It is never stored on the society: a
+    long-lived society would otherwise keep its quadratic pair tables alive.
     """
 
     def __init__(self, soc: Society):
@@ -159,6 +162,10 @@ class Analysis:
     @cached_property
     def pair_scan(self) -> PairScan:
         return _scan_pairs(self.soc)
+
+    @cached_property
+    def span(self) -> SpanProblem:
+        return SpanProblem.of(self.soc)
 
 
 def check_axiom_I(soc: Society, analysis: Analysis | None = None) -> CheckResult:

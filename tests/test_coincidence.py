@@ -30,7 +30,7 @@ from utilcheck import (
     sqrt_fixture,
     theorem3_pipeline,
 )
-from utilcheck import cli, harvey
+from utilcheck import cli, harvey, linalg
 
 F = Fraction
 
@@ -474,4 +474,22 @@ def test_coincide_scans_the_pairs_once(tmp_path, monkeypatch, capsys):
     path.write_text(emit_society(soc), encoding="utf-8")
     assert cli.main(["coincide", str(path), "--json"]) == 0
     assert '"status": "coincide"' in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_coincide_and_recover_reduce_once(tmp_path, monkeypatch, capsys):
+    # Axiom (i), the lottery-side weights and the dependency basis all read
+    # one reduction of [1 | u | v].
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(rows) or real(rows))
+    soc, _, _ = planted_coincidence_society(random.Random(97), 3)
+    path = tmp_path / "planted.json"
+    path.write_text(emit_society(soc), encoding="utf-8")
+    assert cli.main(["coincide", str(path), "--json"]) == 0
+    assert '"status": "coincide"' in capsys.readouterr().out
+    assert len(calls) == 1
+    calls.clear()
+    assert cli.main(["recover", str(path), "--mode", "harsanyi", "--json"]) == 0
+    assert '"success": true' in capsys.readouterr().out
     assert len(calls) == 1

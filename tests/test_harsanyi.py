@@ -6,14 +6,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import letters_space, planted_society, rand_fraction
 from utilcheck import (
+    Analysis,
+    DependencyBasis,
     GridDim,
     Society,
     SpanProblem,
     StateSpace,
     UtilityTable,
+    WeightReport,
     check_axiom_i,
     check_pareto_criterion,
     expectation,
@@ -24,6 +29,7 @@ from utilcheck import (
     select_dependency_basis,
     witness_lotteries_for_sign,
 )
+from utilcheck.harsanyi import AxiomIResult, _perturbed_pair
 from utilcheck.linalg import dot, mat_vec, null_space, rank, rref, solve
 
 F = Fraction
@@ -193,10 +199,19 @@ def test_recover_sum_weights():
 
 
 def test_recover_failure_reports_residual_state():
+    # The witness is the first state where the ethical table is nonzero.
     soc = _grid_2x2_society(lambda x, y: x * y)
     report = recover_weights(soc)
     assert not report.success
-    assert report.residual_witness in soc.space.states
+    assert report.residual_witness == "1,1"
+    # v(s0) != 0 and the off-span bump sits at s3: the witness is still s0.
+    space = letters_space(4)
+    u1 = UtilityTable({"s0": F(0), "s1": F(1), "s2": F(2), "s3": F(3)})
+    u2 = UtilityTable({"s0": F(0), "s1": F(1), "s2": F(0), "s3": F(1)})
+    v = UtilityTable({"s0": F(5), "s1": F(6), "s2": F(7), "s3": F(9)})  # u1 + 5, s3 bumped
+    report = recover_weights(Society.from_tables(space, {"a1": u1, "a2": u2}, v))
+    assert not report.success
+    assert report.residual_witness == "s0"
 
 
 def test_plant_and_recover_random():
@@ -351,3 +366,164 @@ def test_positive_reweighting_unique_zero_weight_is_none():
     assert report.unique and report.weights == (F(1), F(0))
     basis = select_dependency_basis(soc.nm_side(), soc.agents, soc.space.states)
     assert positive_reweighting(soc, report, basis) is None
+
+
+def test_positive_reweighting_empty_basis():
+    # Every agent constant: no basis weight to protect, so the transfer is 1.
+    space = letters_space(3)
+    a = UtilityTable({s: F(1) for s in space.states})
+    b = UtilityTable({s: F(2) for s in space.states})
+    v = UtilityTable({s: F(5) for s in space.states})
+    soc = Society.from_tables(space, {"a": a, "b": b}, v)
+    report = recover_weights(soc)
+    assert report.weights == (F(0), F(0)) and report.constant == F(5)
+    basis = select_dependency_basis(soc.nm_side(), soc.agents, soc.space.states)
+    assert basis.basis == ()
+    out = positive_reweighting(soc, report, basis)
+    assert out.positive_variant == ((1, 1), 2)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: one elimination per question, as before the shared reduction
+
+
+def rank_loop_dependency_basis(profile, agents, states) -> DependencyBasis:
+    """Greedy basis by one rank per agent, expansions by one solve each."""
+    states = tuple(states)
+    chosen_rows = [[F(1)] * len(states)]
+    basis: list[int] = []
+    for i, name in enumerate(agents):
+        row = [profile.tables[name][s] for s in states]
+        if rank(chosen_rows + [row]) == len(chosen_rows) + 1:
+            chosen_rows.append(row)
+            basis.append(i)
+    coefficients = {}
+    for j, name in enumerate(agents):
+        if j not in basis:
+            row = [profile.tables[name][s] for s in states]
+            coefficients[j] = express_in_span(row, chosen_rows)
+            assert coefficients[j] is not None
+    return DependencyBasis(basis=tuple(basis), coefficients=coefficients)
+
+
+def solve_and_fit_recover_weights(soc) -> WeightReport:
+    """Solve on the basis rows; on failure fit the consistent part and report its first miss."""
+    profile = soc.nm_side()
+    problem = SpanProblem.from_profile(profile, soc.agents, soc.space.states)
+    basis = rank_loop_dependency_basis(profile, soc.agents, soc.space.states)
+    rows = [list(problem.matrix[i]) for i in [0] + [i + 1 for i in basis.basis]]
+    columns = [[row[j] for row in rows] for j in range(len(problem.states))]
+    sol = solve(columns, list(problem.target))
+    if sol is None:
+        n_unknown = len(rows)
+        red, pivots = rref([col + [t] for col, t in zip(columns, problem.target)])
+        fit = [F(0)] * n_unknown
+        for r, c in enumerate(pivots):
+            if c < n_unknown:
+                fit[c] = red[r][n_unknown]
+        bad = next(
+            s
+            for s, col, want in zip(problem.states, columns, problem.target)
+            if dot(col, fit) != want
+        )
+        return WeightReport(success=False, agents=soc.agents, residual_witness=bad)
+    weights = [F(0)] * soc.n
+    for slot, agent_index in enumerate(basis.basis):
+        weights[agent_index] = sol[slot + 1]
+    unique = rank([list(r) for r in problem.matrix]) == len(problem.matrix)
+    return WeightReport(
+        success=True, agents=soc.agents, weights=tuple(weights), constant=sol[0], unique=unique
+    )
+
+
+def rank_loop_independent_columns(matrix, k: int) -> list[int]:
+    """First k columns (in state order) that make the rows regular."""
+    cols: list[int] = []
+    for c in range(len(matrix[0])):
+        trial = cols + [c]
+        if rank([[row[j] for j in trial] for row in matrix]) == len(trial):
+            cols.append(c)
+            if len(cols) == k:
+                return cols
+    raise ValueError("matrix rows are dependent; no regular submatrix")
+
+
+def solve_axiom_i(soc) -> AxiomIResult:
+    """Membership by its own solve; the witness from the first violating null vector."""
+    problem = SpanProblem.from_profile(soc.nm_side(), soc.agents, soc.space.states)
+    rows = [list(r) for r in problem.matrix]
+    if express_in_span(list(problem.target), rows) is not None:
+        return AxiomIResult(True)
+    eta = next(eta for eta in null_space(rows) if dot(problem.target, eta) != 0)
+    return AxiomIResult(False, witness=_perturbed_pair(eta, problem.states))
+
+
+def regular_columns_witness(soc, agent):
+    """Sign-certifying pair from the rank-loop regular submatrix."""
+    problem = SpanProblem.from_profile(soc.nm_side(), soc.agents, soc.space.states)
+    k = len(problem.matrix)
+    cols = rank_loop_independent_columns(problem.matrix, k)
+    target = [F(0)] * k
+    target[soc.agents.index(agent) + 1] = F(1)
+    eta_small = solve([[problem.matrix[r][c] for c in cols] for r in range(k)], target)
+    eta = [F(0)] * len(problem.states)
+    for c, val in zip(cols, eta_small):
+        eta[c] = val
+    return _perturbed_pair(eta, problem.states)
+
+
+@st.composite
+def span_societies(draw):
+    """2-4 agents on 1-8 states: fresh, constant, duplicate or affinely dependent
+    agents; a zero or in-span ethical table, either one bumped at one state,
+    or a fresh one."""
+    m = draw(st.integers(1, 8))
+    value = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5]))
+
+    def fresh():
+        return draw(st.lists(value, min_size=m, max_size=m, unique=True))
+
+    def combination(rows):
+        coeffs = [draw(value) for _ in rows]
+        c0 = draw(value)
+        return [c0 + sum((c * r[s] for c, r in zip(coeffs, rows)), F(0)) for s in range(m)]
+
+    rows = []
+    kinds = ["fresh"] if draw(st.booleans()) else ["fresh", "constant", "duplicate", "affine"]
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(kinds if rows else kinds[:2]))
+        if kind == "fresh":
+            rows.append(fresh())
+        elif kind == "constant":
+            rows.append([draw(value)] * m)
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append(combination(rows))
+    target = draw(st.sampled_from(["zero", "bumped zero", "span", "bumped span", "fresh"]))
+    if target == "fresh":
+        ethical = fresh()
+    else:
+        ethical = [F(0)] * m if "zero" in target else combination(rows)
+        if "bumped" in target:
+            ethical[draw(st.integers(0, m - 1))] += draw(st.integers(1, 3))
+    space = letters_space(m)
+    tables = {f"a{i}": UtilityTable(dict(zip(space.states, row))) for i, row in enumerate(rows)}
+    return Society.from_tables(space, tables, UtilityTable(dict(zip(space.states, ethical))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(span_societies())
+def test_one_reduction_equals_separate_eliminations(soc):
+    profile = soc.nm_side()
+    basis = select_dependency_basis(profile, soc.agents, soc.space.states)
+    assert basis == rank_loop_dependency_basis(profile, soc.agents, soc.space.states)
+    report = recover_weights(soc)
+    assert report == solve_and_fit_recover_weights(soc)
+    assert recover_weights(soc, Analysis(soc)) == report
+    axiom = check_axiom_i(soc)
+    assert axiom == solve_axiom_i(soc) == check_axiom_i(soc, Analysis(soc))
+    assert axiom.passed == report.success
+    if SpanProblem.of(soc).rows_independent():
+        for agent in soc.agents:
+            assert witness_lotteries_for_sign(soc, agent) == regular_columns_witness(soc, agent)
