@@ -621,7 +621,7 @@ def simplex_counterexample(resolution: Fraction) -> SimplexFixture:
         raise AssertionError("agent 1 tables unexpectedly affine")
     for pair in ([u1, u2], [u1_star, u2_star]):
         rows = [[t[s] for s in keys] for t in pair]
-        if linalg.rank(rows) != 2:
+        if len(linalg.reduce_rows(rows).pivots) != 2:
             raise AssertionError("profile tables are linearly dependent")
 
     society = Society.from_tables(

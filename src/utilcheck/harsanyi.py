@@ -7,9 +7,11 @@ ethical table must be a linear combination of those rows.  Everything else
 follows constructively: a violating null vector yields a witness lottery
 pair, a regular submatrix yields sign-certifying lotteries, and a
 dependency basis lets nonpositive weights be traded away when the profile
-is linearly dependent.  One elimination per society (``SpanProblem.reduction``,
-shared through ``harvey.Analysis.span``) gives the span verdict, the weights
-and the dependency basis; only the two witness constructions eliminate again.
+is linearly dependent.  One integer reduction per society
+(``SpanProblem.reduction``, shared through ``harvey.Analysis.span``) gives
+the span verdict, the weights, the dependency basis, the regular states
+and the first state that separates the ethical table; the witness
+constructions add one reduction of at most n+1 rows each.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .core import SimpleLottery, StateKey, UtilityTable, linear_combination
+from .core import SimpleLottery, StateKey, expectation, linear_combination
 from .society import Profile, Society
 
 if TYPE_CHECKING:
@@ -39,22 +41,35 @@ def express_in_span(f0, fs) -> tuple[Fraction, ...] | None:
     f0 = list(map(Fraction, f0))
     if any(len(f) != len(f0) for f in fs):
         raise ValueError("all vectors must share a dimension")
-    columns = [[f[j] for f in fs] for j in range(len(f0))]
-    sol = linalg.solve(columns, f0)
+    sol = _solution(linalg.reduce_rows(zip(*fs, f0)), len(fs))
     return tuple(sol) if sol is not None else None
+
+
+def _solution(red: linalg.Reduction, n: int) -> list[Fraction] | None:
+    """The solution, free unknowns 0, of the reduced [M | b] with n unknowns; None if inconsistent."""
+    if n in red.pivots:
+        return None
+    sol = [Fraction(0)] * n
+    for c, row in zip(red.pivots, red.rows):
+        sol[c] = row[n]
+    return sol
 
 
 @dataclass(frozen=True)
 class SpanProblem:
     """Stacked profile matrix: row 0 is constantly 1, row i is agent i's table.
 
-    ``reduction`` is the rref of the |X| x (n+2) matrix with columns
-    [1 | u_1 ... u_n | v]; its pivots are the greedy first-independent
-    columns.  So v is in the span (axiom (i)) iff its column is no pivot; the
-    agent pivots are the greedy dependency basis, and a non-basis agent's
-    column in the pivot rows is its expansion over 1 and the basis; v's
-    column in the pivot rows is the canonical solution (non-basis weights
-    0); the weights are unique iff every column of [1 | u] is a pivot.
+    ``reduction`` is the one ``linalg.reduce_rows`` of the |X| x (n+2)
+    matrix with columns [1 | u_1 ... u_n | v], one row per state.  Its
+    pivots are the greedy first-independent columns.  So v is in the span
+    (axiom (i)) iff its column is no pivot; the agent pivots are the greedy
+    dependency basis, and a non-basis agent's column in the pivot rows is
+    its expansion over 1 and the basis; v's column in the pivot rows is the
+    canonical solution (non-basis weights 0); the weights are unique iff
+    every column of [1 | u] is a pivot.  Its origins are the greedy
+    first-independent states: those with a pivot in [1 | u] are the regular
+    state columns of the profile matrix, and the one with v's pivot, if
+    any, is the first state that separates v.
     """
 
     states: tuple[StateKey, ...]
@@ -75,26 +90,26 @@ class SpanProblem:
         return cls.from_profile(soc.nm_side(), soc.agents, soc.space.states)
 
     @cached_property
-    def reduction(self) -> tuple[linalg.Matrix, list[int]]:
-        return linalg.rref([[*col, t] for col, t in zip(zip(*self.matrix), self.target)])
+    def reduction(self) -> linalg.Reduction:
+        return linalg.reduce_rows(zip(*self.matrix, self.target))
 
     @cached_property
     def spanning_pivots(self) -> list[int]:
         """Pivot columns of [1 | u] in order; pivot row r belongs to the r-th."""
-        return [c for c in self.reduction[1] if c < len(self.matrix)]
+        return [c for c in self.reduction.pivots if c < len(self.matrix)]
 
     @property
     def in_span(self) -> bool:
-        return len(self.matrix) not in self.reduction[1]
+        return len(self.matrix) not in self.reduction.pivots
 
     def rows_independent(self) -> bool:
         return len(self.spanning_pivots) == len(self.matrix)
 
     @cached_property
     def dependency_basis(self) -> "DependencyBasis":
-        red, pivots = self.reduction[0], self.spanning_pivots
+        rows, pivots = self.reduction.rows, self.spanning_pivots
         coefficients = {
-            c - 1: tuple(red[r][c] for r in range(len(pivots)))
+            c - 1: tuple(rows[r][c] for r in range(len(pivots)))
             for c in range(1, len(self.matrix))
             if c not in pivots
         }
@@ -102,8 +117,38 @@ class SpanProblem:
         return DependencyBasis(basis=basis, coefficients=coefficients)
 
     @cached_property
-    def null_basis(self) -> list[list[Fraction]]:
-        return linalg.null_space([list(r) for r in self.matrix])
+    def regular_states(self) -> list[int]:
+        """Indices of the first states, in order, whose profile columns are independent."""
+        red, k = self.reduction, len(self.matrix)
+        return sorted(s for s, c in zip(red.origins, red.pivots) if c < k)
+
+    def separating_null_vector(self) -> list[Fraction]:
+        """The first canonical null vector of the profile matrix that v does not annihilate.
+
+        That of a free state f is 1 at f and, at each regular state before
+        f, minus that state's coefficient in f's profile column.  The first
+        free state with a nonzero v-product is the origin of v's pivot (the
+        last pivot), so v must be outside the span.
+        """
+        free = self.reduction.origins[-1]
+        before = [s for s in self.regular_states if s < free]
+        column = [row[free] for row in self.matrix]
+        lam = express_in_span(column, [[row[s] for row in self.matrix] for s in before])
+        eta = [Fraction(0)] * len(self.states)
+        eta[free] = Fraction(1)
+        for s, a in zip(before, lam):
+            eta[s] = -a
+        return eta
+
+    @cached_property
+    def regular_inverse(self) -> list[list[Fraction]]:
+        """Inverse of the profile columns on ``regular_states``: one reduction of [A_S | I]."""
+        k, cols = len(self.matrix), self.regular_states
+        square = [
+            [*(row[c] for c in cols), *(int(i == j) for j in range(k))]
+            for i, row in enumerate(self.matrix)
+        ]
+        return [row[k:] for row in linalg.reduce_rows(square).rows]
 
 
 @dataclass(frozen=True)
@@ -176,28 +221,22 @@ def check_axiom_i(soc: Society, analysis: Analysis | None = None) -> AxiomIResul
 
     Passes iff the ethical table lies in the row space of the profile
     matrix.  On failure the certifying lottery pair (equal expectation for
-    every agent, unequal for the ethical table) is constructed from a
-    violating null vector and verified before return.
+    every agent, unequal for the ethical table) is constructed from the
+    first canonical null vector that v does not annihilate, and verified
+    before return.
     """
     problem = SpanProblem.of(soc) if analysis is None else analysis.span
     if problem.in_span:
         return AxiomIResult(True)
     profile = soc.nm_side()
-    eta = next(
-        eta for eta in problem.null_basis if linalg.dot(problem.target, eta) != 0
-    )
-    pair = _perturbed_pair(eta, problem.states)
+    pair = _perturbed_pair(problem.separating_null_vector(), problem.states)
     for name in soc.agents:
         table = profile.tables[name]
-        if _expect(pair.p, table) != _expect(pair.q, table):
+        if expectation(pair.p, table) != expectation(pair.q, table):
             raise AssertionError("witness pair fails agent indifference")
-    if _expect(pair.p, profile.ethical) == _expect(pair.q, profile.ethical):
+    if expectation(pair.p, profile.ethical) == expectation(pair.q, profile.ethical):
         raise AssertionError("witness pair fails ethical separation")
     return AxiomIResult(False, witness=pair)
-
-
-def _expect(lottery: SimpleLottery, table: UtilityTable) -> Fraction:
-    return sum((pr * table[s] for s, pr in lottery.probs), Fraction(0))
 
 
 def recover_weights(soc: Society, analysis: Analysis | None = None) -> WeightReport:
@@ -213,10 +252,7 @@ def recover_weights(soc: Society, analysis: Analysis | None = None) -> WeightRep
     if not problem.in_span:
         bad = next(s for s, t in zip(problem.states, problem.target) if t != 0)
         return WeightReport(success=False, agents=soc.agents, residual_witness=bad)
-    red, k = problem.reduction[0], len(problem.matrix)
-    sol = [Fraction(0)] * k
-    for r, c in enumerate(problem.spanning_pivots):
-        sol[c] = red[r][k]
+    sol = _solution(problem.reduction, len(problem.matrix))
     report = WeightReport(
         success=True,
         agents=soc.agents,
@@ -239,33 +275,28 @@ def select_dependency_basis(profile: Profile, agents, states) -> DependencyBasis
     return SpanProblem.from_profile(profile, agents, states).dependency_basis
 
 
-def witness_lotteries_for_sign(soc: Society, agent: str) -> LotteryWitnessPair:
+def witness_lotteries_for_sign(
+    soc: Society, agent: str, analysis: Analysis | None = None
+) -> LotteryWitnessPair:
     """Lotteries separating one agent: strict gain for them, indifference for the rest.
 
     Requires the profile rows (with the constant row) to be independent so a
     regular square submatrix exists; its inverse image of the target unit
-    vector gives the perturbation.
+    vector gives the perturbation.  Calls given the same ``analysis`` share
+    the regular states and the inverse.
     """
     profile = soc.nm_side()
-    problem = SpanProblem.of(soc)
+    problem = SpanProblem.of(soc) if analysis is None else analysis.span
     if not problem.rows_independent():
         raise ValueError("profile is linearly dependent; no regular submatrix exists")
-    k = len(problem.matrix)
-    cols = linalg.rref([list(r) for r in problem.matrix])[1]  # first k regular state columns
-    square = [[problem.matrix[r][c] for c in cols] for r in range(k)]
-    idx = soc.agents.index(agent)
-    target = [Fraction(0)] * k
-    target[idx + 1] = Fraction(1)  # strict separation for the chosen agent only
-    eta_small = linalg.solve(square, target)
-    if eta_small is None:
-        raise AssertionError("regular submatrix failed to solve")
+    idx = soc.agents.index(agent) + 1  # strict separation for the chosen agent only
     eta = [Fraction(0)] * len(problem.states)
-    for c, val in zip(cols, eta_small):
-        eta[c] = val
+    for c, row in zip(problem.regular_states, problem.regular_inverse):
+        eta[c] = row[idx]
     pair = _perturbed_pair(eta, problem.states)
     for j, name in enumerate(soc.agents):
         table = profile.tables[name]
-        diff = _expect(pair.p, table) - _expect(pair.q, table)
+        diff = expectation(pair.p, table) - expectation(pair.q, table)
         if name == agent:
             if diff <= 0:
                 raise AssertionError("witness pair fails strict separation")

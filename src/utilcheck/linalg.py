@@ -1,104 +1,71 @@
-"""Exact linear algebra over Fraction matrices.
+"""Exact row reduction by fraction-free integer elimination.
 
-Plain Gauss-Jordan elimination: with rational scalars every step is exact,
-so there is no pivoting strategy beyond "first nonzero" and no tolerance
-anywhere.  Matrices are lists of row lists; functions never mutate their
-arguments.
+One kernel, ``reduce_rows``, answers every row-space question in the
+package.  Each row is multiplied by the LCM of its own denominators, which
+keeps the row space, so the reduced row echelon form and its pivots need no
+unscaling.  Bareiss elimination (Bareiss 1968, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination") then runs on ints,
+every division exact, taking the rows in order until every column has a
+pivot; back-substitution on those few rows gives the rref times one
+determinant.  The package's matrices are tall (one row per state), so its
+rows, and their LCMs, stay short.  Inputs are never mutated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
-
-
-def _copy(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+from .rationals import scale_to_ints
 
 
-def rref(rows) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = _copy(rows)
-    if not m:
-        return m, []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+class Reduction(NamedTuple):
+    """The nonzero rows of a reduced row echelon form, and where each came from.
 
-
-def rank(rows) -> int:
-    return len(rref(rows)[1])
-
-
-def solve(rows, rhs) -> Vector | None:
-    """One exact solution of A x = b, or None if inconsistent.
-
-    When the system is underdetermined the free variables are set to 0,
-    which makes the returned solution deterministic.
+    ``rows[r]`` has 1 in column ``pivots[r]`` (increasing) and 0 in every
+    other pivot column.  ``origins[r]`` is the input row whose elimination
+    first left a nonzero in column ``pivots[r]``; in increasing order the
+    origins are the greedy first-independent input rows, each independent
+    of the rows before it.
     """
-    m = _copy(rows)
-    if not m:
-        return None
-    if len(rhs) != len(m):
-        raise ValueError("rhs length does not match row count")
-    n_cols = len(m[0])
-    aug = [row + [Fraction(b)] for row, b in zip(m, rhs)]
-    red, pivots = rref(aug)
-    if n_cols in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    x = [Fraction(0)] * n_cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][n_cols]
-    return x
+
+    pivots: list[int]
+    rows: list[list[Fraction]]
+    origins: list[int]
 
 
-def null_space(rows) -> list[Vector]:
-    """Basis of {x : A x = 0}, one vector per free column of A.
-
-    Canonical form: each basis vector has 1 in its free column and 0 in all
-    other free columns, so the basis is deterministic.
-    """
-    m = _copy(rows)
-    if not m:
-        return []
-    n_cols = len(m[0])
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis: list[Vector] = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * n_cols
-        v[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][free]
-        basis.append(v)
-    return basis
-
-
-def dot(a, b) -> Fraction:
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def mat_vec(rows, v) -> Vector:
-    return [dot(row, v) for row in rows]
+def reduce_rows(rows) -> Reduction:
+    """Reduce a matrix given as rows of rationals (Fractions or ints)."""
+    basis: list[tuple[int, int, list[int]]] = []  # (origin, pivot column, Bareiss row)
+    for i, row in enumerate(rows):
+        x = scale_to_ints(row)[1]
+        prev = 1
+        for _, c, b in basis:  # row i's Bareiss state after each earlier pivot step
+            p, f = b[c], x[c]
+            if f:
+                x = [(p * a - f * e) // prev for a, e in zip(x, b)]
+            else:
+                x = [p * a // prev for a in x]
+            prev = p
+        lead = next((j for j, a in enumerate(x) if a), None)
+        if lead is not None:
+            basis.append((i, lead, x))
+            if len(basis) == len(x):
+                break
+    # The last Bareiss pivot is the determinant of the pivot minor, so it
+    # times each rref row is an int row (Cramer's rule); solve for those
+    # from the last pivot row up, every division exact.
+    det = basis[-1][2][basis[-1][1]] if basis else 1
+    done: list[tuple[int, list[int], int]] = []  # (pivot column, det * rref row, origin)
+    for origin, c, b in reversed(basis):
+        x = [det * a for a in b]
+        for c2, y, _ in done:
+            if f := b[c2]:
+                x = [a - f * e for a, e in zip(x, y)]
+        done.append((c, [a // b[c] for a in x], origin))
+    done.sort()
+    return Reduction(
+        pivots=[c for c, _, _ in done],
+        rows=[[Fraction(a, det) for a in y] for _, y, _ in done],
+        origins=[origin for _, _, origin in done],
+    )

@@ -27,6 +27,17 @@ def letters_space(n: int) -> StateSpace:
     return StateSpace.explicit([f"s{i}" for i in range(n)])
 
 
+def primes(n: int) -> list[int]:
+    """The first n primes, for tables with a distinct prime under every value."""
+    found: list[int] = []
+    candidate = 2
+    while len(found) < n:
+        if all(candidate % p for p in found if p * p <= candidate):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
 def planted_society(
     rng: random.Random,
     n_agents: int,
@@ -42,7 +53,7 @@ def planted_society(
     only that agent's value moves, which makes the state-level dominance
     criterion decisive for weight signs.
     """
-    from utilcheck.linalg import rank
+    from gauss_jordan import rank
 
     space = letters_space(n_states)
     while True:

@@ -19,6 +19,7 @@ from conftest import (
     product_grid_society,
     rand_fraction,
 )
+from gauss_jordan import rank
 from utilcheck import (
     AltSystem,
     UtilityTable,
@@ -36,7 +37,6 @@ from utilcheck import (
     theorem3_pipeline,
     witness_lotteries_for_sign,
 )
-from utilcheck.linalg import rank
 
 F = Fraction
 

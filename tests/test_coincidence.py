@@ -481,8 +481,8 @@ def test_coincide_and_recover_reduce_once(tmp_path, monkeypatch, capsys):
     # Axiom (i), the lottery-side weights and the dependency basis all read
     # one reduction of [1 | u | v].
     calls = []
-    real = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(rows) or real(rows))
+    real = linalg.reduce_rows
+    monkeypatch.setattr(linalg, "reduce_rows", lambda rows: calls.append(rows) or real(rows))
     soc, _, _ = planted_coincidence_society(random.Random(97), 3)
     path = tmp_path / "planted.json"
     path.write_text(emit_society(soc), encoding="utf-8")

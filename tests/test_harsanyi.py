@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import letters_space, planted_society, rand_fraction
+from conftest import letters_space, planted_society, primes, rand_fraction
+from gauss_jordan import dot, mat_vec, null_space, rank, rref, solve
 from utilcheck import (
     Analysis,
     DependencyBasis,
@@ -29,10 +30,11 @@ from utilcheck import (
     select_dependency_basis,
     witness_lotteries_for_sign,
 )
+from utilcheck import linalg
 from utilcheck.harsanyi import AxiomIResult, _perturbed_pair
-from utilcheck.linalg import dot, mat_vec, null_space, rank, rref, solve
 
 F = Fraction
+PRIMES = primes(64)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +168,10 @@ def test_axiom_i_product_witness():
     # so exactly one perturbation direction remains and the ethical table must
     # load on it.
     problem = SpanProblem.from_profile(profile, soc.agents, soc.space.states)
-    assert len(problem.null_basis) == 1
-    assert dot(list(problem.target), problem.null_basis[0]) != 0
+    null_basis = null_space([list(r) for r in problem.matrix])
+    assert len(null_basis) == 1
+    assert dot(list(problem.target), null_basis[0]) != 0
+    assert list(pair.eta) == null_basis[0]
 
 
 def test_axiom_i_invariant_under_affine_rescaling():
@@ -401,8 +405,7 @@ def rank_loop_dependency_basis(profile, agents, states) -> DependencyBasis:
     for j, name in enumerate(agents):
         if j not in basis:
             row = [profile.tables[name][s] for s in states]
-            coefficients[j] = express_in_span(row, chosen_rows)
-            assert coefficients[j] is not None
+            coefficients[j] = tuple(solve([list(c) for c in zip(*chosen_rows)], row))
     return DependencyBasis(basis=tuple(basis), coefficients=coefficients)
 
 
@@ -452,7 +455,7 @@ def solve_axiom_i(soc) -> AxiomIResult:
     """Membership by its own solve; the witness from the first violating null vector."""
     problem = SpanProblem.from_profile(soc.nm_side(), soc.agents, soc.space.states)
     rows = [list(r) for r in problem.matrix]
-    if express_in_span(list(problem.target), rows) is not None:
+    if solve([list(c) for c in zip(*rows)], list(problem.target)) is not None:
         return AxiomIResult(True)
     eta = next(eta for eta in null_space(rows) if dot(problem.target, eta) != 0)
     return AxiomIResult(False, witness=_perturbed_pair(eta, problem.states))
@@ -476,12 +479,17 @@ def regular_columns_witness(soc, agent):
 def span_societies(draw):
     """2-4 agents on 1-8 states: fresh, constant, duplicate or affinely dependent
     agents; a zero or in-span ethical table, either one bumped at one state,
-    or a fresh one."""
+    or a fresh one.  Fresh tables take denominators 1, 2, 3, 5 and 7, or a
+    distinct prime under every value."""
     m = draw(st.integers(1, 8))
-    value = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5]))
+    value = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 7]))
+    per_value = iter(PRIMES[4:]) if draw(st.booleans()) else None  # primes above 9
 
     def fresh():
-        return draw(st.lists(value, min_size=m, max_size=m, unique=True))
+        if per_value is None:
+            return draw(st.lists(value, min_size=m, max_size=m, unique=True))
+        numerators = st.integers(-9, 9).filter(bool)
+        return [F(draw(numerators), next(per_value)) for _ in range(m)]
 
     def combination(rows):
         coeffs = [draw(value) for _ in rows]
@@ -525,5 +533,23 @@ def test_one_reduction_equals_separate_eliminations(soc):
     assert axiom == solve_axiom_i(soc) == check_axiom_i(soc, Analysis(soc))
     assert axiom.passed == report.success
     if SpanProblem.of(soc).rows_independent():
+        analysis = Analysis(soc)
         for agent in soc.agents:
-            assert witness_lotteries_for_sign(soc, agent) == regular_columns_witness(soc, agent)
+            pair = regular_columns_witness(soc, agent)
+            assert witness_lotteries_for_sign(soc, agent) == pair
+            assert witness_lotteries_for_sign(soc, agent, analysis) == pair
+
+
+@pytest.mark.parametrize("n_agents", [2, 3])
+def test_witness_lotteries_reduce_a_fixed_number_of_times(monkeypatch, n_agents):
+    # One reduction of [1 | u | v] gives the regular states, and one of the
+    # square submatrix beside the identity gives its inverse; every agent
+    # reads both.
+    calls = []
+    real = linalg.reduce_rows
+    monkeypatch.setattr(linalg, "reduce_rows", lambda rows: calls.append(rows) or real(rows))
+    soc, _, _ = planted_society(random.Random(61), n_agents, 6)
+    analysis = Analysis(soc)
+    for agent in soc.agents:
+        witness_lotteries_for_sign(soc, agent, analysis)
+    assert len(calls) == 2
