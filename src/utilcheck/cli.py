@@ -11,6 +11,7 @@ reports diff cleanly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -238,7 +239,9 @@ def cmd_fixture(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="utilcheck",
         description="Exact verification of utilitarian aggregation on finite societies",
@@ -280,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SocietyFileError, ValueError, OSError) as exc:

@@ -9,7 +9,8 @@ decided once, on the tables as given.  On a finite grid this is decidable
 outright: the value-for-value map between the two tables either has one
 slope everywhere (a coincidence certificate with exact coefficients) or two
 steps with different per-unit increments (a violation witness anyone can
-recheck by hand).
+recheck by hand).  The map is read off both tables' scaled ints; Fractions
+appear only in the reported coefficients and steps.
 
 The two shipped fixtures exercise both outcomes.  The square-root fixture
 arranges every aggregation hypothesis to hold while the scales differ by a
@@ -30,6 +31,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
 from . import linalg
@@ -161,103 +163,66 @@ def normalize_for_theorem3(
     )
 
 
-def _value_map(base: UtilityTable, starred: UtilityTable, states):
-    """Sorted base values with their starred images and first exemplar states."""
-    by_value: dict[Fraction, tuple[Fraction, StateKey]] = {}
-    for s in states:
-        t = base[s]
-        if t not in by_value:
-            by_value[t] = (starred[s], s)
-    grid = sorted(by_value)
-    return grid, [by_value[t][0] for t in grid], [by_value[t][1] for t in grid]
-
-
-def _axis_exemplars(agent_index, agents, tables, states, grid):
-    """For each grid value, the first state moving only this agent's coordinate.
-
-    Other agents are pinned to their value at the first state; the
-    range-product hypothesis guarantees each combination is realized.
-    """
-    ref = states[0]
-    pins = [tables[k][ref] for k in range(len(agents))]
-    out = {}
-    for s in states:
-        if any(
-            k != agent_index and tables[k][s] != pins[k] for k in range(len(agents))
-        ):
-            continue
-        t = tables[agent_index][s]
-        if t not in out:
-            out[t] = s
-    return [out.get(t) for t in grid]
-
-
 def _first_disagreement(t1: UtilityTable, t2: UtilityTable, states):
     """The first (x, y) in state order where t1 and t2 compare x with y differently."""
-    return next(
-        (x, y)
-        for x in states
-        for y in states
-        if (t1[x] >= t1[y]) != (t2[x] >= t2[y])
-    )
+    a, b = t1.scaled[1], t2.scaled[1]
+    return next((x, y) for x in states for y in states if (a[x] >= a[y]) != (b[x] >= b[y]))
 
 
 def _agent_verdicts(agents, tables, starred, states) -> tuple[AgentVerdict, ...]:
     """Per agent: CONSTANT, or COINCIDE with exact (alpha, beta), or VIOLATION.
 
     Needs each agent's two tables to order the states alike and the
-    realized value vectors to fill the product of the ranges.  Every
-    COINCIDE is re-verified pointwise as starred = alpha * table + beta.
+    realized value vectors to fill the product of the ranges.  A step's
+    states are the first on the agent's axis (the others pinned at the
+    first state) with its two values, else the first with them.  Scaled
+    increments are compared by cross multiplication; Fractions are built
+    only for reported steps and (alpha, beta), and every COINCIDE is
+    re-verified pointwise as starred = alpha * table + beta, both sides
+    times the LCM d of the scaled terms' denominators, so in ints.
     """
+    ints = [t.scaled[1] for t in tables]
+    pins = [column[states[0]] for column in ints]
+    moved = [{k for k, column in enumerate(ints) if column[s] != pins[k]} for s in states]
     verdicts: list[AgentVerdict] = []
     for i, name in enumerate(agents):
         if tables[i].is_constant():
             verdicts.append(AgentVerdict(agent=name, kind=CONSTANT))
             continue
-        grid, images, exemplars = _value_map(tables[i], starred[i], states)
-        axis = _axis_exemplars(i, agents, tables, states, grid)
-        witnesses = [a if a is not None else e for a, e in zip(axis, exemplars)]
-        steps = [
-            StepWitness(
-                lo_state=witnesses[k],
-                hi_state=witnesses[k + 1],
-                base_increment=grid[k + 1] - grid[k],
-                starred_increment=images[k + 1] - images[k],
-            )
-            for k in range(len(grid) - 1)
-        ]
-        slope_num = images[1] - images[0]
-        slope_den = grid[1] - grid[0]
-        bad = next(
-            (
-                st
-                for st in steps
-                if st.starred_increment * slope_den != slope_num * st.base_increment
-            ),
-            None,
-        )
+        base, (base_scale, _), (star_scale, image) = ints[i], tables[i].scaled, starred[i].scaled
+        first: dict[int, tuple[int, StateKey]] = {}
+        axis: dict[int, StateKey] = {}
+        for s, movers in zip(states, moved):
+            t = base[s]
+            if t not in first:
+                first[t] = (image[s], s)
+            if movers <= {i} and t not in axis:
+                axis[t] = s
+        grid = sorted(first)
+        images = [first[t][0] for t in grid]
+        exemplars = [axis.get(t, first[t][1]) for t in grid]
+        rises = [(b - a, y - x) for a, b, x, y in zip(grid, grid[1:], images, images[1:])]
+        g = gcd(*rises[0])  # the first step's ratio in lowest terms keeps products short
+        run, lift = rises[0][0] // g, rises[0][1] // g
+        bad = next((k for k, (db, ds) in enumerate(rises) if ds * run != lift * db), None)
         if bad is not None:
-            verdicts.append(
-                AgentVerdict(
-                    agent=name,
-                    kind=VIOLATION,
-                    witness=ViolationWitness(
-                        first=steps[0],
-                        second=bad,
-                        increments=tuple(
-                            (st.base_increment, st.starred_increment) for st in steps
-                        ),
-                    ),
-                )
-            )
+            steps = [
+                StepWitness(lo, hi, Fraction(db, base_scale), Fraction(ds, star_scale))
+                for lo, hi, (db, ds) in zip(exemplars, exemplars[1:], rises)
+            ]
+            increments = tuple((st.base_increment, st.starred_increment) for st in steps)
+            witness = ViolationWitness(first=steps[0], second=steps[bad], increments=increments)
+            verdicts.append(AgentVerdict(agent=name, kind=VIOLATION, witness=witness))
             continue
-        alpha = slope_num / slope_den
-        beta = images[0] - alpha * grid[0]
+        alpha = Fraction(lift * base_scale, run * star_scale)
+        beta = Fraction(images[0], star_scale) - alpha * Fraction(grid[0], base_scale)
         if alpha <= 0:
             raise AssertionError("shared order should force a positive slope")
-        for s in states:
-            if starred[i][s] != alpha * tables[i][s] + beta:
-                raise AssertionError("affine verdict failed pointwise re-verification")
+        d = lcm(star_scale, alpha.denominator * base_scale, beta.denominator)
+        k, f = d // star_scale, alpha.numerator * (d // (alpha.denominator * base_scale))
+        offset = beta.numerator * (d // beta.denominator)
+        if any(image[s] * k != f * base[s] + offset for s in states):
+            raise AssertionError("affine verdict failed pointwise re-verification")
         verdicts.append(AgentVerdict(agent=name, kind=COINCIDE, alpha=alpha, beta=beta))
     return tuple(verdicts)
 

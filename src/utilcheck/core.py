@@ -15,9 +15,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Callable, Iterable, Mapping
 
-from .rationals import format_rational
+from .rationals import format_rational, scale_to_ints
 
 StateKey = str
 
@@ -104,7 +105,8 @@ class StateSpace:
 class UtilityTable:
     """Total map state -> exact rational value.
 
-    Equality is pointwise exact equality of the value maps.
+    Equality is pointwise exact equality of the value maps.  Tables are
+    never changed, so ``scaled`` is computed on first use and kept.
     """
 
     values: Mapping[StateKey, Fraction]
@@ -139,9 +141,15 @@ class UtilityTable:
         a, b = Fraction(alpha), Fraction(beta)
         return UtilityTable({s: a * v + b for s, v in self.values.items()})
 
-    def range_values(self) -> list[Fraction]:
-        """Sorted distinct values (the realized range)."""
-        return sorted(set(self.values.values()))
+    @cached_property
+    def scaled(self) -> tuple[int, dict[StateKey, int]]:
+        """The LCM of the denominators, and each state's value times it as an int.
+
+        A positive scale keeps every order and every equality among values
+        and among their differences, so the table checks compare these ints.
+        """
+        scale, ints = scale_to_ints(list(self.values.values()))
+        return scale, dict(zip(self.values, ints))
 
 
 def linear_combination(
@@ -161,6 +169,28 @@ def linear_combination(
     for s in keys:
         out[s] = sum((w * t[s] for w, t in zip(weights, tables)), Fraction(constant))
     return UtilityTable(out)
+
+
+def is_combination(target: UtilityTable, tables, weights, constant=Fraction(0)) -> bool:
+    """True iff target = sum(w_i * t_i) + constant at every state of target.
+
+    With the coefficients scaled to ints a_i, c over their common
+    denominator m, each state is tested as m * target * d == sum(a_i * t_i
+    * d) + c * d in ints, d the LCM of its own values' denominators, so no
+    product grows with the number of states.
+    """
+    m, (c, *coefficients) = scale_to_ints([Fraction(constant), *map(Fraction, weights)])
+    columns = [t.values for t in tables]
+    if len(columns) != len(coefficients):
+        raise ValueError("one weight per table")
+    for s, v in target.values.items():
+        p, q = v.as_integer_ratio()
+        pairs = [column[s].as_integer_ratio() for column in columns]
+        d = lcm(q, *[den for _, den in pairs])
+        terms = sum([a * num * (d // den) for a, (num, den) in zip(coefficients, pairs)])
+        if m * p * (d // q) != terms + c * d:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -246,9 +276,13 @@ class WeakOrder:
             raise ValueError("weak order needs at least one item")
         if (values is None) == (geq_pairs is None):
             raise ValueError("give exactly one of values / geq_pairs")
-        self._values: dict | None = dict(values) if values is not None else None
         self._geq: frozenset | None = None
-        if self._values is not None:
+        #: The table ranking the items, if any; ``from_utility`` keeps its own.
+        self.table: UtilityTable | None = None
+        self._values: dict | None = None
+        if values is not None:
+            self.table = values if isinstance(values, UtilityTable) else UtilityTable(values)
+            self._values = self.table.values
             missing = [x for x in self.items if x not in self._values]
             if missing:
                 raise ValueError(f"no value for items: {missing[:3]}")
@@ -259,7 +293,7 @@ class WeakOrder:
     @classmethod
     def from_utility(cls, table: UtilityTable, items=None) -> "WeakOrder":
         items = tuple(items) if items is not None else tuple(table.states())
-        return cls(items, values=table.values)
+        return cls(items, values=table)
 
     @classmethod
     def from_values(cls, items, values: Mapping) -> "WeakOrder":
@@ -286,13 +320,6 @@ class WeakOrder:
                         raise ValueError(
                             f"relation not transitive on ({x!r}, {y!r}, {z!r})"
                         )
-
-    @property
-    def table(self) -> UtilityTable | None:
-        """The backing value map as a table, when there is one."""
-        if self._values is None:
-            return None
-        return UtilityTable(self._values)
 
     def geq(self, x, y) -> bool:
         if self._values is not None:

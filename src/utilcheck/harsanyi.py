@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .core import SimpleLottery, StateKey, expectation, linear_combination
+from .core import SimpleLottery, StateKey, expectation, is_combination
 from .society import Profile, Society
 
 if TYPE_CHECKING:
@@ -265,8 +265,7 @@ def recover_weights(soc: Society, analysis: Analysis | None = None) -> WeightRep
 
 
 def _verify_identity(profile: Profile, agents, weights, constant) -> None:
-    combo = linear_combination([profile.tables[a] for a in agents], weights, constant)
-    if combo != profile.ethical:
+    if not is_combination(profile.ethical, [profile.tables[a] for a in agents], weights, constant):
         raise AssertionError("recovered identity failed pointwise re-verification")
 
 

@@ -19,9 +19,9 @@ so F(c' - c) + F(c'' - c') = F(c'' - c) telescopes and cannot fail.  A
 component that is linear on its grid is additive, so the quadratic
 additivity scan runs only for a component that is not.
 
-The scan runs over Python ints.  Each agent's table, and the ethical table,
-is multiplied by the LCM of its denominators (its scale).  A positive
-per-table scale keeps "these two differences are equal" exactly, so the
+The scan runs over Python ints: each table's scaled form, its values times
+the LCM of its denominators (``UtilityTable.scaled``, shared with the
+other checks), is read once.  A positive per-table scale keeps "these two differences are equal" exactly, so the
 verdict, the first conflicting pair and its stored pair are those of a scan
 over the Fractions.  Each state's scaled vector is then packed into one int,
 P(x) = sum of U_i(x) * R_i, with R_0 = 1 and R_{i+1} = R_i * (2 * span_i + 1),
@@ -29,7 +29,7 @@ where span_i is max - min of agent i's scaled table.  Every component of a
 difference vector lies in [-span_i, span_i], so P(x) - P(y) is a balanced
 mixed-radix numeral with those components as digits and names the
 difference vector uniquely, so each pair costs one int subtraction and one
-int dict lookup.
+int dict lookup.  Fractions are decoded only for the components.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import StateKey, linear_combination
+from .core import StateKey, is_combination
 from .harsanyi import SpanProblem
-from .rationals import scale_to_ints
 from .society import CheckResult, Society, check_semi_separable
 
 
@@ -102,12 +101,14 @@ def _scan_pairs(soc: Society) -> PairScan:
     packed = [0] * len(states)
     scales, radices, radix = [], [], 1
     for a in soc.agents:
-        scale, column = scale_to_ints([profile.tables[a][s] for s in states])
+        scale, ints = profile.tables[a].scaled
+        column = [ints[s] for s in states]
         packed = [p + u * radix for p, u in zip(packed, column)]
         scales.append(scale)
         radices.append(radix)
         radix *= 2 * (max(column) - min(column)) + 1
-    ethical_scale, ethical = scale_to_ints([profile.ethical[s] for s in states])
+    ethical_scale, ethical_ints = profile.ethical.scaled
+    ethical = [ethical_ints[s] for s in states]
     table: dict[int, int] = {}
     conflict = None
     # Row x at a time: setdefault stores each key's first difference in
@@ -202,19 +203,18 @@ def build_difference_map(soc: Society, analysis: Analysis | None = None) -> Diff
         raise DifferenceMapError(*scan.conflict)
     table = scan.table
     # The complete scan realizes every u_i(x) - u_i(y), so agent i's grid is
-    # its range minus itself.  Only the axis vectors are decoded: the one
-    # with component c for agent i is the key c * scale_i * R_i.
+    # its scaled range minus itself.  Only the axis vectors are decoded: the
+    # one with scaled component c for agent i is the key c * R_i.
     profile = soc.alt_side()
-    ranges = [profile.tables[a].range_values() for a in soc.agents]
-    diff_grids = tuple(tuple(sorted({a - b for a in r for b in r})) for r in ranges)
-    components = []
-    for grid, scale, radix in zip(diff_grids, scan.scales, scan.radices):
+    diff_grids, components = [], []
+    for a, scale, radix in zip(soc.agents, scan.scales, scan.radices):
+        values = set(profile.tables[a].scaled[1].values())
         comp = {}
-        for c in grid:
-            key = c.numerator * (scale // c.denominator) * radix
-            if key not in table:
+        for c in sorted({x - y for x in values for y in values}):
+            if c * radix not in table:
                 raise AssertionError("semi-separable map misses an axis vector")
-            comp[c] = Fraction(table[key], scan.ethical_scale)
+            comp[Fraction(c, scale)] = Fraction(table[c * radix], scan.ethical_scale)
+        diff_grids.append(tuple(comp))
         components.append(comp)
     return DifferenceMap(
         agents=soc.agents,
@@ -223,7 +223,7 @@ def build_difference_map(soc: Society, analysis: Analysis | None = None) -> Diff
         radices=scan.radices,
         ethical_scale=scan.ethical_scale,
         components=tuple(components),
-        diff_grids=diff_grids,
+        diff_grids=tuple(diff_grids),
     )
 
 
@@ -304,7 +304,7 @@ def recover_constant(soc: Society, slopes) -> Fraction:
     b = profile.ethical[anchor] - sum(
         (a * t[anchor] for a, t in zip(slopes, tables)), Fraction(0)
     )
-    if linear_combination(tables, slopes, b) != profile.ethical:
+    if not is_combination(profile.ethical, tables, slopes, b):
         raise ValueError("slopes and constant fail pointwise re-verification")
     return b
 

@@ -18,7 +18,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SimpleLottery, StateSpace, UtilityTable, WeakOrder, dirac, expectation, mix
+from .core import (
+    SimpleLottery, StateSpace, UtilityTable, WeakOrder, dirac, expectation, is_combination, mix
+)
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,4 @@ def affine_relation(
     if alpha <= 0:
         return None
     beta = w[anchor] - alpha * u[anchor]
-    for s in keys:
-        if w[s] != alpha * u[s] + beta:
-            return None
-    return alpha, beta
+    return (alpha, beta) if is_combination(w, [u], [alpha], beta) else None

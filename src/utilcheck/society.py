@@ -5,8 +5,9 @@ space, all given here as utility tables.  Coincidence runs carry two extra
 table profiles: a lottery-side profile (u*, v*) and an intensity-side
 profile (u, v); either defaults to the base profile when absent.
 
-Failing checks return the first witness in state order, so results are
-reproducible byte for byte.
+The checks compare each table's scaled ints (``UtilityTable.scaled``),
+which keep every order and equality of the values.  Failing checks return
+the first witness in state order, so results are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from operator import ge
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import StateKey, StateSpace, UtilityTable, WeakOrder, dirac
-from .rationals import scale_to_ints
 
 if TYPE_CHECKING:  # pragma: no cover
     from .alt import AltSystem
@@ -133,14 +133,13 @@ def check_pareto_criterion(soc: Society) -> CheckResult:
 
     Each state's value vector is read once; x dominates y exactly when the
     vectors differ and x's is weakly greater in every coordinate.  The
-    comparisons run on each table scaled to ints by ``scale_to_ints``; a
-    positive scale keeps every one of them, so the verdict and the witness
-    are those of the same comparisons on the Fractions.
+    comparisons run on the scaled tables; a positive scale keeps every one
+    of them, so the verdict and the witness are those of the same
+    comparisons on the Fractions.
     """
     states = soc.space.states
-    columns = [scale_to_ints([soc.base.tables[a][s] for s in states])[1] for a in soc.agents]
-    vectors = list(zip(*columns))
-    _, ethical = scale_to_ints([soc.base.ethical[s] for s in states])
+    vectors = list(zip(*(_column(soc.base.tables[a], states) for a in soc.agents)))
+    ethical = _column(soc.base.ethical, states)
     for x, cx, vx in zip(states, vectors, ethical):
         for y, cy, vy in zip(states, vectors, ethical):
             if vx <= vy and cx != cy and all(map(ge, cx, cy)):
@@ -152,20 +151,27 @@ def check_pareto_criterion(soc: Society) -> CheckResult:
     return CheckResult(True)
 
 
+def _column(table: UtilityTable, states: Sequence[StateKey]) -> list[int]:
+    """The table's scaled values in state order."""
+    ints = table.scaled[1]
+    return [ints[s] for s in states]
+
+
 def class_combinations(
     tables: Sequence[UtilityTable], states: Sequence[StateKey]
 ) -> tuple[set[tuple], list[int]]:
     """Realized combinations of per-table indifference classes, and how many exist.
 
-    A state realizes the tuple of its values, one per table.
-    ``completions[j]`` counts the combinations of tables j.. (the product
-    of their class counts), so the classes all combine exactly when
-    ``len(realized) == completions[0]``.
+    A class is named by its scaled value, and a state realizes the tuple of
+    its classes, one per table.  ``completions[j]`` counts the combinations
+    of tables j.. (the product of their class counts), so the classes all
+    combine exactly when ``len(realized) == completions[0]``.
     """
-    realized = {tuple(t[s] for t in tables) for s in states}
+    columns = [_column(t, states) for t in tables]
+    realized = set(zip(*columns))
     completions = [1] * (len(tables) + 1)
     for j in range(len(tables) - 1, -1, -1):
-        completions[j] = completions[j + 1] * len({tables[j][s] for s in states})
+        completions[j] = completions[j + 1] * len(set(columns[j]))
     return realized, completions
 
 
@@ -192,8 +198,9 @@ def check_semi_separable(soc: Society, profile: Profile | None = None) -> CheckR
     prefix: tuple = ()
     witness = []
     for j, t in enumerate(tables):
-        state = next(s for s in states if extending[prefix + (t[s],)] < completions[j + 1])
-        prefix += (t[state],)
+        ints = t.scaled[1]
+        state = next(s for s in states if extending[prefix + (ints[s],)] < completions[j + 1])
+        prefix += (ints[state],)
         witness.append(state)
     return CheckResult(
         False,
@@ -217,11 +224,11 @@ def check_probabilistic_extension(ext: WeakOrder, base: WeakOrder) -> bool:
 def same_weak_order(t1: UtilityTable, t2: UtilityTable, states: Sequence[StateKey]) -> bool:
     """True iff t1[x] >= t1[y] exactly when t2[x] >= t2[y], for all states x, y.
 
-    Decided by sorting: in (t1, t2) order, t2 never decreases between
-    neighbours, so the orders agree iff t2 rises strictly exactly where t1
-    does.
+    Decided by sorting the scaled tables: in (t1, t2) order, t2 never
+    decreases between neighbours, so the orders agree iff t2 rises strictly
+    exactly where t1 does.
     """
-    ranked = sorted((t1[s], t2[s]) for s in states)
+    ranked = sorted(zip(_column(t1, states), _column(t2, states)))
     return all(
         (a1 < b1) == (a2 < b2) for (a1, a2), (b1, b2) in zip(ranked, ranked[1:])
     )

@@ -262,13 +262,13 @@ def test_max_states_guard_exits_two():
 
 
 def test_failed_reverification_exits_three(monkeypatch, capsys):
-    # Skew the table sum the lottery-side recovery re-verifies against.
-    real = harsanyi.linear_combination
+    # Skew the integer identity check the lottery-side recovery re-verifies with.
+    real = harsanyi.is_combination
 
-    def skewed(tables, weights, constant=Fraction(0)):
-        return real(tables, weights, constant + 1)
+    def skewed(target, tables, weights, constant=Fraction(0)):
+        return real(target, tables, weights, constant + 1)
 
-    monkeypatch.setattr(harsanyi, "linear_combination", skewed)
+    monkeypatch.setattr(harsanyi, "is_combination", skewed)
     code = cli.main(["coincide", str(FIXTURES / "sqrt_k10.json"), "--json"])
     captured = capsys.readouterr()
     assert code == 3
@@ -276,6 +276,26 @@ def test_failed_reverification_exits_three(monkeypatch, capsys):
     assert captured.err == (
         "internal error: recovered identity failed pointwise re-verification\n"
     )
+
+
+def test_parser_is_built_once_per_process(capsys):
+    # Two in-process runs with different subcommands and flags each print
+    # what they print alone, in a fresh interpreter, from one parser.
+    runs = [
+        ("recover", str(FIXTURES / "sqrt_k10.json"), "--mode", "harvey"),
+        ("coincide", str(FIXTURES / "simplex.json"), "--json"),
+    ]
+    alone = [run_cli(*argv) for argv in runs]
+    cli.build_parser.cache_clear()
+    for argv, expected in zip(runs, alone):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            expected.returncode,
+            expected.stdout,
+            expected.stderr,
+        )
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_missing_file_exits_two():

@@ -1,0 +1,213 @@
+"""Integer table checks against their Fraction oracles, and the scaling count.
+
+The order, class and affinity checks read ``UtilityTable.scaled``, and the
+identity check tests each state with ints.  The differentials draw
+2-4 agents with ties and constant agents, negative values, denominators 1,
+2, 3, 5 and 7 or a distinct prime under every value, tables whose key order
+differs from the state order, and identities off by one unit at a single
+state, and assert the verdicts and witnesses of ``fraction_checks``.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import random
+import sys
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_checks as oracle
+from conftest import planted_coincidence_society, primes
+from utilcheck import (
+    AltSystem,
+    Profile,
+    Society,
+    StateSpace,
+    UtilityTable,
+    WeakOrder,
+    check_semi_separable,
+    cli,
+    core,
+    emit_society,
+    linear_combination,
+    matches,
+    same_weak_order,
+)
+from utilcheck.coincidence import _agent_verdicts, _first_disagreement
+from utilcheck.core import is_combination
+from utilcheck.society import class_combinations
+
+F = Fraction
+
+
+@st.composite
+def societies(draw):
+    """A society on a (possibly holed) product of per-agent levels, with a starred profile.
+
+    Each agent's table takes one value per level, so states sharing a level
+    tie, and an agent with one level is constant.  The starred table of an
+    agent is an affine image, a monotone cube or a fresh draw per level,
+    and one starred state may be bumped off its level's value.
+    """
+    n = draw(st.integers(2, 4))
+    levels = [draw(st.integers(1, 3)) for _ in range(n)]
+    combos = draw(st.permutations(list(itertools.product(*(range(k) for k in levels)))))
+    if draw(st.booleans()):
+        combos = combos[: draw(st.integers(1, len(combos)))]
+    prime_pool = iter(primes(80)) if draw(st.booleans()) else None
+
+    def value(lo=-6, hi=6):
+        den = next(prime_pool) if prime_pool else draw(st.sampled_from([1, 2, 3, 5, 7]))
+        return F(draw(st.integers(lo, hi)), den)
+
+    states = [f"s{j}" for j in range(len(combos))]
+    key_order = draw(st.permutations(range(len(states))))
+
+    def table(per_state):
+        return UtilityTable({states[j]: per_state[j] for j in key_order})
+
+    agents = [f"a{i}" for i in range(n)]
+    tables, starred = [], []
+    for i, k in enumerate(levels):
+        base = [value() for _ in range(k)]
+        kind = draw(st.sampled_from(["affine", "cube", "fresh"]))
+        if kind == "affine":
+            alpha, beta = value(1, 5), value()
+            star = [alpha * v + beta for v in base]
+        elif kind == "cube":
+            star = [(v - min(base) + 1) ** 3 for v in base]
+        else:
+            star = [value() for _ in range(k)]
+        star_values = [star[c[i]] for c in combos]
+        if draw(st.integers(0, 4)) == 0:
+            j = draw(st.integers(0, len(states) - 1))
+            star_values[j] += draw(st.sampled_from([F(1), F(1, 11)]))
+        tables.append(table([base[c[i]] for c in combos]))
+        starred.append(table(star_values))
+    space = StateSpace.explicit(states)
+    ethical = linear_combination(tables, [1] * n)
+    nm = Profile(dict(zip(agents, starred)), linear_combination(starred, [1] * n))
+    return Society.from_tables(space, dict(zip(agents, tables)), ethical, nm=nm)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except AssertionError as exc:
+        return "raised", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(societies())
+def test_order_agreement_matches_fraction_oracle(soc):
+    states = soc.space.states
+    for a in soc.agents:
+        t, t_star = soc.base.tables[a], soc.nm.tables[a]
+        expected = oracle.same_weak_order(t, t_star, states)
+        assert same_weak_order(t, t_star, states) == expected
+        order = WeakOrder.from_utility(t, items=states)
+        assert matches(order, AltSystem.from_utility(t_star)) == expected
+        if not expected:
+            first = oracle.first_disagreement(t, t_star, states)
+            assert _first_disagreement(t, t_star, states) == first
+
+
+@settings(max_examples=300, deadline=None)
+@given(societies())
+def test_class_counting_matches_fraction_oracle(soc):
+    states = soc.space.states
+    for profile in (soc.base, soc.nm):
+        tables = [profile.tables[a] for a in soc.agents]
+        realized, completions = class_combinations(tables, states)
+        expected_realized, expected_completions = oracle.class_combinations(tables, states)
+        # Class ids are the scaled values: divided by the scales they are the values.
+        decoded = {
+            tuple(F(v, t.scaled[0]) for v, t in zip(combo, tables)) for combo in realized
+        }
+        assert decoded == expected_realized
+        assert completions == expected_completions
+        assert check_semi_separable(soc, profile) == oracle.check_semi_separable(soc, profile)
+
+
+@settings(max_examples=300, deadline=None)
+@given(societies())
+def test_agent_verdicts_match_fraction_oracle(soc):
+    states = soc.space.states
+    tables = [soc.base.tables[a] for a in soc.agents]
+    starred = [soc.nm.tables[a] for a in soc.agents]
+    expected = _outcome(oracle.agent_verdicts, soc.agents, tables, starred, states)
+    assert _outcome(_agent_verdicts, soc.agents, tables, starred, states) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(societies(), st.data())
+def test_identity_check_matches_table_sum(soc, data):
+    tables = [soc.base.tables[a] for a in soc.agents]
+    weights = [
+        F(data.draw(st.integers(-4, 4)), data.draw(st.sampled_from([1, 2, 3, 7])))
+        for _ in tables
+    ]
+    constant = F(data.draw(st.integers(-9, 9)), data.draw(st.sampled_from([1, 5, 13])))
+    target = linear_combination(tables, weights, constant)
+    bumped = data.draw(st.booleans())
+    if bumped:
+        state = data.draw(st.sampled_from(soc.space.states))
+        unit = data.draw(st.sampled_from([F(1), F(1, target.scaled[0])]))
+        target = UtilityTable({s: v + unit * (s == state) for s, v in target.values.items()})
+    expected = oracle.is_combination(target, tables, weights, constant)
+    assert expected is not bumped
+    assert is_combination(target, tables, weights, constant) == expected
+    assert is_combination(target, tables[:1], weights[:1], constant) == oracle.is_combination(
+        target, tables[:1], weights[:1], constant
+    )
+
+
+def test_order_keeps_its_table():
+    u = UtilityTable({"b": F(1, 3), "a": F(-2)})
+    order = WeakOrder.from_utility(u, items=("a", "b"))
+    assert order.table is u
+    assert order.geq("b", "a") and not order.geq("a", "b")
+    by_values = WeakOrder.from_values(("a", "b"), {"a": F(1), "b": F(1)})
+    assert by_values.table == UtilityTable({"a": F(1), "b": F(1)})
+
+
+def test_cli_paths_scale_each_table_once(tmp_path, monkeypatch, capsys):
+    # A passing coincide reads each of its 2n + 2 tables scaled, each scaled
+    # once.  The lottery-side recovery's identity check tests each state on
+    # its own values, so it scales no table.  Neither builds a table sum.
+    soc, _, _ = planted_coincidence_society(random.Random(97), 3)
+    path = tmp_path / "planted.json"
+    path.write_text(emit_society(soc), encoding="utf-8")
+    sums = []
+    real_sum = core.linear_combination
+
+    def counted_sum(*args, **kwargs):
+        sums.append(args)
+        return real_sum(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("utilcheck") and vars(module).get("linear_combination") is real_sum:
+            monkeypatch.setattr(module, "linear_combination", counted_sum)
+    scaled = []
+    real_scaled = UtilityTable.scaled.func
+
+    def counted_scaled(table):
+        scaled.append(id(table))
+        return real_scaled(table)
+
+    prop = functools.cached_property(counted_scaled)
+    prop.__set_name__(UtilityTable, "scaled")
+    monkeypatch.setattr(UtilityTable, "scaled", prop)
+
+    assert cli.main(["coincide", str(path), "--json"]) == 0
+    assert '"status": "coincide"' in capsys.readouterr().out
+    assert sums == []
+    assert len(scaled) == len(set(scaled)) == 2 * 3 + 2
+    scaled.clear()
+    assert cli.main(["recover", str(path), "--mode", "harsanyi", "--json"]) == 0
+    assert '"success": true' in capsys.readouterr().out
+    assert sums == []
+    assert scaled == []
