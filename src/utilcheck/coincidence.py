@@ -344,6 +344,8 @@ def _matching_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
     """Per-agent matching across all three table sources, plus base-vs-intensity
     for the ethical order.  The two ethical tables are never cross-compared
     here: their agreement is what the affinity analysis itself adjudicates.
+    A missing profile stands in as the base one, and a table always matches
+    itself, so those pairs are skipped.
     """
     alt_profile = soc.alt_side()
     nm_profile = soc.nm_side()
@@ -351,6 +353,8 @@ def _matching_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
     pairs += [(name, soc.base.tables[name], alt_profile.tables[name]) for name in soc.agents]
     pairs.append(("ethical", soc.base.ethical, alt_profile.ethical))
     for name, order_table, alt_table in pairs:
+        if order_table is alt_table:
+            continue
         system = AltSystem.from_utility(alt_table)
         order = WeakOrder.from_utility(order_table, items=soc.space.states)
         if not matches(order, system):

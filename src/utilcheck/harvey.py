@@ -15,9 +15,10 @@ One ordered-pair scan decides axiom (I) and tabulates F at once; an
 so a run scans each society's pairs once.  No chain-rule pass follows the
 map: with V(a) the ethical value at any state whose value vector is a (well
 defined because F(0) = 0), every tabulated value is F(b - a) = V(b) - V(a),
-so F(c' - c) + F(c'' - c') = F(c'' - c) telescopes and cannot fail.  A
-component that is linear on its grid is additive, so the quadratic
-additivity scan runs only for a component that is not.
+so F(c' - c) + F(c'' - c') = F(c'' - c) telescopes and cannot fail.  Each
+component's linearity is decided once, in ints (``DifferenceMap.bends``):
+a linear component is additive, so only a bent one gets the quadratic
+additivity scan, and the slopes read the same decision.
 
 The scan runs over Python ints: each table's scaled form, its values times
 the LCM of its denominators (``UtilityTable.scaled``, shared with the
@@ -29,7 +30,8 @@ where span_i is max - min of agent i's scaled table.  Every component of a
 difference vector lies in [-span_i, span_i], so P(x) - P(y) is a balanced
 mixed-radix numeral with those components as digits and names the
 difference vector uniquely, so each pair costs one int subtraction and one
-int dict lookup.  Fractions are decoded only for the components.
+int dict lookup.  Fractions are built for the slopes and the reports; the
+Fraction components are decoded only when something reads them.
 """
 
 from __future__ import annotations
@@ -52,31 +54,6 @@ class DifferenceMapError(ValueError):
 
 
 @dataclass(frozen=True)
-class DifferenceMap:
-    """Tabulated ethical differences over realized agent-difference vectors.
-
-    ``table`` has one entry per distinct difference vector, keyed by its
-    packed int (the vector's components times ``scales`` are the balanced
-    digits of the key in the radices ``radices``) and valued by the ethical
-    difference times ``ethical_scale``.  ``components`` and ``diff_grids``
-    are decoded back to Fractions.
-    """
-
-    agents: tuple[str, ...]
-    table: dict[int, int]
-    scales: tuple[int, ...]
-    radices: tuple[int, ...]
-    ethical_scale: int
-    components: tuple[dict[Fraction, Fraction], ...]
-    diff_grids: tuple[tuple[Fraction, ...], ...]
-
-    def component_monotone(self, i: int) -> bool:
-        grid = self.diff_grids[i]
-        comp = self.components[i]
-        return all(comp[a] < comp[b] for a, b in zip(grid, grid[1:]))
-
-
-@dataclass(frozen=True)
 class PairScan:
     """Scaled ethical differences by packed difference vector, from one pass over the pairs.
 
@@ -93,6 +70,57 @@ class PairScan:
     radices: tuple[int, ...]
     ethical_scale: int
     conflict: tuple[tuple[StateKey, StateKey], tuple[StateKey, StateKey]] | None
+
+
+@dataclass(frozen=True)
+class DifferenceMap(PairScan):
+    """A complete pair scan (``conflict`` is None) with each agent's difference grid.
+
+    ``grids`` holds agent i's scaled grid in ascending order; its point c is
+    the axis vector keyed c * radices[i].  ``components`` and ``diff_grids``
+    are the same grids decoded to Fractions on first read.
+    """
+
+    agents: tuple[str, ...]
+    grids: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def steps(self) -> tuple[int | None, ...]:
+        """Each agent's smallest positive scaled grid point, or None if its grid is {0}."""
+        return tuple(next((c for c in grid if c > 0), None) for grid in self.grids)
+
+    @cached_property
+    def bends(self) -> tuple[int | None, ...]:
+        """Each agent's first scaled grid point off the line F_i(c) = a_i * c, or None.
+
+        With h the agent's step, a_i = F_i(h) / h, and F_i(c) = a_i * c reads
+        table[c * R_i] * h == table[h * R_i] * c: the scales cancel.  A
+        constant agent has no bend.
+        """
+        bends = []
+        for grid, h, radix in zip(self.grids, self.steps, self.radices):
+            if h is None:
+                bends.append(None)
+                continue
+            f_h = self.table[h * radix]
+            bends.append(next((c for c in grid if self.table[c * radix] * h != f_h * c), None))
+        return tuple(bends)
+
+    @cached_property
+    def diff_grids(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(c, s) for c in g) for g, s in zip(self.grids, self.scales))
+
+    @cached_property
+    def components(self) -> tuple[dict[Fraction, Fraction], ...]:
+        return tuple(
+            {Fraction(c, s): Fraction(self.table[c * r], self.ethical_scale) for c in grid}
+            for grid, s, r in zip(self.grids, self.scales, self.radices)
+        )
+
+    def component_monotone(self, i: int) -> bool:
+        grid = self.diff_grids[i]
+        comp = self.components[i]
+        return all(comp[a] < comp[b] for a, b in zip(grid, grid[1:]))
 
 
 def _scan_pairs(soc: Society) -> PairScan:
@@ -201,30 +229,18 @@ def build_difference_map(soc: Society, analysis: Analysis | None = None) -> Diff
     scan = analysis.pair_scan
     if scan.conflict is not None:
         raise DifferenceMapError(*scan.conflict)
-    table = scan.table
     # The complete scan realizes every u_i(x) - u_i(y), so agent i's grid is
-    # its scaled range minus itself.  Only the axis vectors are decoded: the
-    # one with scaled component c for agent i is the key c * R_i.
+    # its scaled range minus itself; the axis vector with scaled component c
+    # for agent i is the key c * R_i.
     profile = soc.alt_side()
-    diff_grids, components = [], []
-    for a, scale, radix in zip(soc.agents, scan.scales, scan.radices):
+    grids = []
+    for a, radix in zip(soc.agents, scan.radices):
         values = set(profile.tables[a].scaled[1].values())
-        comp = {}
-        for c in sorted({x - y for x in values for y in values}):
-            if c * radix not in table:
-                raise AssertionError("semi-separable map misses an axis vector")
-            comp[Fraction(c, scale)] = Fraction(table[c * radix], scan.ethical_scale)
-        diff_grids.append(tuple(comp))
-        components.append(comp)
-    return DifferenceMap(
-        agents=soc.agents,
-        table=table,
-        scales=scan.scales,
-        radices=scan.radices,
-        ethical_scale=scan.ethical_scale,
-        components=tuple(components),
-        diff_grids=tuple(diff_grids),
-    )
+        grid = tuple(sorted({x - y for x in values for y in values}))
+        if any(c * radix not in scan.table for c in grid):
+            raise AssertionError("semi-separable map misses an axis vector")
+        grids.append(grid)
+    return DifferenceMap(**vars(scan), agents=soc.agents, grids=tuple(grids))
 
 
 def verify_component_additivity(dm: DifferenceMap, i: int) -> CheckResult:
@@ -248,19 +264,6 @@ def verify_component_additivity(dm: DifferenceMap, i: int) -> CheckResult:
     return CheckResult(True)
 
 
-def _is_linear(dm: DifferenceMap, i: int) -> bool:
-    """True iff F_i(c) = a * c on the whole grid for a single a.
-
-    A linear component is additive (a*c + a*c' = a*(c + c')) and passes the
-    zero and negation checks, so it needs no quadratic additivity scan.
-    """
-    grid = dm.diff_grids[i]
-    comp = dm.components[i]
-    top = grid[-1]
-    a = comp[top] / top if top else Fraction(0)
-    return all(comp[c] == a * c for c in grid)
-
-
 @dataclass(frozen=True)
 class SlopeReport:
     slopes: tuple[Fraction, ...]
@@ -270,6 +273,8 @@ class SlopeReport:
 def extract_slopes(dm: DifferenceMap) -> SlopeReport:
     """Per-agent slope a_i with F_i(c) = a_i * c verified on the whole grid.
 
+    The verification is the map's one linearity decision per agent
+    (``DifferenceMap.bends``); a bent point is decoded only for the message.
     Agents whose difference grid is {0} contribute nothing to any
     difference; their slope is fixed at 1 by convention and flagged.
     A non-constant slope or a nonpositive slope (an upstream dominance
@@ -277,19 +282,15 @@ def extract_slopes(dm: DifferenceMap) -> SlopeReport:
     """
     slopes: list[Fraction] = []
     constant_agents: list[str] = []
-    for i, name in enumerate(dm.agents):
-        grid = dm.diff_grids[i]
-        comp = dm.components[i]
-        positives = [c for c in grid if c > 0]
-        if not positives:
+    for name, h, bend, scale, radix in zip(dm.agents, dm.steps, dm.bends, dm.scales, dm.radices):
+        if h is None:
             slopes.append(Fraction(1))
             constant_agents.append(name)
             continue
-        h = positives[0]
-        a = comp[h] / h
-        for c in grid:
-            if comp[c] != a * c:
-                raise ValueError(f"component {name!r} is not linear at {c}: {comp[c]} != {a * c}")
+        a = Fraction(dm.table[h * radix] * scale, h * dm.ethical_scale)
+        if bend is not None:
+            c, value = Fraction(bend, scale), Fraction(dm.table[bend * radix], dm.ethical_scale)
+            raise ValueError(f"component {name!r} is not linear at {c}: {value} != {a * c}")
         if a <= 0:
             raise ValueError(f"component slope for {name!r} is not positive: {a}")
         slopes.append(a)
@@ -337,11 +338,10 @@ def harvey_recover(soc: Society, analysis: Analysis | None = None) -> HarveyRepo
         return HarveyReport(False, soc.agents, failed_stage="axiom-I", witness=axiom.witness)
     try:
         dm = build_difference_map(soc, analysis)
-    except ValueError as exc:
-        stage = "difference-map" if isinstance(exc, DifferenceMapError) else "semi-separability"
-        return HarveyReport(False, soc.agents, failed_stage=stage, witness=str(exc))
-    for i, name in enumerate(soc.agents):
-        if _is_linear(dm, i):
+    except ValueError as exc:  # the axiom-I pass leaves only semi-separability to fail
+        return HarveyReport(False, soc.agents, failed_stage="semi-separability", witness=str(exc))
+    for i, (name, bend) in enumerate(zip(soc.agents, dm.bends)):
+        if bend is None:
             continue
         add = verify_component_additivity(dm, i)
         if not add:

@@ -3,12 +3,15 @@
 All rationals travel as canonical strings ("3", "-1/4"); JSON numbers are
 rejected so no value can silently pass through floating point.  Emission
 follows a fixed field order and writes table entries in state order, so
-emit -> parse -> emit reproduces the file byte for byte.
+emit -> parse -> emit reproduces the file byte for byte.  A key repeated
+within one object is rejected: no emitted file has one, and JSON itself
+would let the last copy win silently.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from typing import Any
 
@@ -145,10 +148,20 @@ def payload_to_society(payload: Any) -> Society:
         raise SocietyFileError(str(exc)) from None
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict; emission writes each key once, so a repeat is an error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        repeated = next(key for key, _ in pairs if counts[key] > 1)
+        raise SocietyFileError(f"duplicate key {repeated!r}")
+    return obj
+
+
 def parse_society(path: str) -> Society:
     with open(path, encoding="utf-8") as handle:
         try:
-            payload = json.load(handle)
+            payload = json.load(handle, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise SocietyFileError(f"invalid JSON: {exc}") from None
     return payload_to_society(payload)

@@ -160,3 +160,20 @@ def planted_coincidence_society(
         metadata={},
     )
     return society, tuple(alphas), tuple(betas)
+
+
+def bent_component_society() -> Society:
+    """u1 in {0, 2, 5}, u2 in {0, 1}, v = f(u1) + 3 * u2 with f = (0, 2, 4).
+
+    No two pairs of u1 values share a difference, so axiom (I) holds; F_1
+    is 2, 2, 4 at 2, 3, 5, which is additive (every sum that stays on the
+    grid rearranges 2 + 3 = 5) but not linear: the slope at 2 is 1 and
+    F_1(-5) = -4.
+    """
+    zero, half, one = Fraction(0), Fraction(1, 2), Fraction(1)
+    space = StateSpace.product_grid([GridDim("x", zero, one, half), GridDim("y", zero, one, one)])
+    levels = {zero: (0, 0), half: (2, 2), one: (5, 4)}
+    u1 = UtilityTable.on_coords(space, lambda x, y: Fraction(levels[x][0]))
+    u2 = UtilityTable.on_coords(space, lambda x, y: y)
+    v = UtilityTable.on_coords(space, lambda x, y: levels[x][1] + 3 * y)
+    return Society.from_tables(space, {"a1": u1, "a2": u2}, v)

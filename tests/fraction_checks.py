@@ -5,6 +5,11 @@ These are the same checks as it ran them before, on the Fractions
 themselves: order agreement by sorting value pairs, indifference classes
 named by their values, per-agent affinity verdicts from value maps, and an
 identity tested by building the table sum and comparing it with the target.
+The intensity side's linearity decision is kept the same way: the package
+decides it once per component on the difference map's ints
+(``DifferenceMap.bends``); here the additivity skip and the slope
+extraction each test F_i(c) = a * c on the decoded Fraction components, and
+``harvey_recover`` is the pipeline that ran them.
 """
 
 from __future__ import annotations
@@ -12,7 +17,17 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from utilcheck import CheckResult, UtilityTable, linear_combination
+from utilcheck import (
+    CheckResult,
+    DifferenceMapError,
+    HarveyReport,
+    UtilityTable,
+    build_difference_map,
+    check_axiom_I,
+    linear_combination,
+    recover_constant,
+    verify_component_additivity,
+)
 from utilcheck.coincidence import (
     COINCIDE,
     CONSTANT,
@@ -21,6 +36,7 @@ from utilcheck.coincidence import (
     StepWitness,
     ViolationWitness,
 )
+from utilcheck.harvey import SlopeReport
 
 
 def same_weak_order(t1: UtilityTable, t2: UtilityTable, states) -> bool:
@@ -150,3 +166,65 @@ def agent_verdicts(agents, tables, starred, states) -> tuple[AgentVerdict, ...]:
                 raise AssertionError("affine verdict failed pointwise re-verification")
         verdicts.append(AgentVerdict(agent=name, kind=COINCIDE, alpha=alpha, beta=beta))
     return tuple(verdicts)
+
+
+def is_linear(dm, i: int) -> bool:
+    """True iff F_i(c) = a * c on the whole grid for a single a."""
+    grid = dm.diff_grids[i]
+    comp = dm.components[i]
+    top = grid[-1]
+    a = comp[top] / top if top else Fraction(0)
+    return all(comp[c] == a * c for c in grid)
+
+
+def extract_slopes(dm) -> SlopeReport:
+    slopes: list[Fraction] = []
+    constant_agents: list[str] = []
+    for i, name in enumerate(dm.agents):
+        grid = dm.diff_grids[i]
+        comp = dm.components[i]
+        positives = [c for c in grid if c > 0]
+        if not positives:
+            slopes.append(Fraction(1))
+            constant_agents.append(name)
+            continue
+        h = positives[0]
+        a = comp[h] / h
+        for c in grid:
+            if comp[c] != a * c:
+                raise ValueError(f"component {name!r} is not linear at {c}: {comp[c]} != {a * c}")
+        if a <= 0:
+            raise ValueError(f"component slope for {name!r} is not positive: {a}")
+        slopes.append(a)
+    return SlopeReport(slopes=tuple(slopes), constant_agents=tuple(constant_agents))
+
+
+def harvey_recover(soc) -> HarveyReport:
+    axiom = check_axiom_I(soc)
+    if not axiom:
+        return HarveyReport(False, soc.agents, failed_stage="axiom-I", witness=axiom.witness)
+    try:
+        dm = build_difference_map(soc)
+    except ValueError as exc:
+        stage = "difference-map" if isinstance(exc, DifferenceMapError) else "semi-separability"
+        return HarveyReport(False, soc.agents, failed_stage=stage, witness=str(exc))
+    for i, name in enumerate(soc.agents):
+        if is_linear(dm, i):
+            continue
+        add = verify_component_additivity(dm, i)
+        if not add:
+            return HarveyReport(
+                False, soc.agents, failed_stage=f"additivity:{name}", witness=add.witness
+            )
+    try:
+        slope_report = extract_slopes(dm)
+        b = recover_constant(soc, slope_report.slopes)
+    except ValueError as exc:
+        return HarveyReport(False, soc.agents, failed_stage="slopes", witness=str(exc))
+    return HarveyReport(
+        True,
+        soc.agents,
+        weights=slope_report.slopes,
+        constant=b,
+        constant_agents=slope_report.constant_agents,
+    )

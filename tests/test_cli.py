@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import planted_coincidence_society
+from conftest import bent_component_society, planted_coincidence_society
 from utilcheck import (
     SocietyFileError,
     emit_society,
@@ -112,6 +112,25 @@ def test_numeric_json_values_rejected():
         payload_to_society(payload)
 
 
+def test_duplicate_json_key_exits_two_naming_the_key(tmp_path):
+    # Without the check the second "s0" would silently win and the weights
+    # would be recovered from it.
+    text = (
+        '{"space": {"kind": "explicit", "states": ["s0", "s1"]},\n'
+        ' "agents": [{"name": "a1", "utility": {"s0": "0", "s1": "1", "s0": "5"}},\n'
+        '            {"name": "a2", "utility": {"s0": "1", "s1": "0"}}],\n'
+        ' "ethical": {"s0": "0", "s1": "1"}}\n'
+    )
+    path = tmp_path / "duplicate.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SocietyFileError, match="duplicate key 's0'"):
+        parse_society(str(path))
+    result = run_cli("recover", str(path), "--mode", "harsanyi")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "duplicate key 's0'" in result.stderr
+
+
 def test_missing_state_in_table_rejected():
     payload = {
         "space": {"kind": "explicit", "states": ["a", "b"]},
@@ -169,9 +188,20 @@ def test_coincide_planted_affine_exit_zero(tmp_path):
 def test_recover_harvey_on_sqrt_fixture():
     result = run_cli("recover", str(FIXTURES / "sqrt_k10.json"), "--mode", "harvey", "--json")
     assert result.returncode == 0
+    assert result.stdout == (GOLDEN / "recover_sqrt_k10_harvey.json").read_text()
     payload = json.loads(result.stdout)
     assert payload["weights"] == {"agent1": "1", "agent2": "1"}
     assert payload["constant"] == "0"
+
+
+def test_recover_harvey_reports_a_bent_component_at_the_slopes_stage(tmp_path, capsys):
+    path = tmp_path / "bent.json"
+    path.write_text(emit_society(bent_component_society()), encoding="utf-8")
+    assert cli.main(["recover", str(path), "--mode", "harvey", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["success"] is False
+    assert payload["failed_stage"] == "slopes"
+    assert payload["witness"] == "component 'a1' is not linear at -5: -4 != -5"
 
 
 def test_recover_harvey_checks_semi_separability_on_intensity_tables(tmp_path, capsys):

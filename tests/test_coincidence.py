@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from utilcheck import (
     sqrt_fixture,
     theorem3_pipeline,
 )
-from utilcheck import cli, harvey, linalg
+from utilcheck import cli, coincidence, harvey, linalg
 
 F = Fraction
 
@@ -493,3 +494,26 @@ def test_coincide_and_recover_reduce_once(tmp_path, monkeypatch, capsys):
     assert cli.main(["recover", str(path), "--mode", "harsanyi", "--json"]) == 0
     assert '"success": true' in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_matching_skips_a_table_compared_with_itself(tmp_path, monkeypatch, capsys):
+    # With no intensity-side profile the base tables stand in for it, so of
+    # the 2n + 1 pairs only the n lottery-side ones compare two tables; with
+    # neither separate profile none does.
+    calls = []
+    real = coincidence.matches
+    monkeypatch.setattr(coincidence, "matches", lambda *args: calls.append(args) or real(*args))
+    soc, _, _ = planted_coincidence_society(random.Random(97), 3)
+    assert soc.nm is not None and soc.alt is None
+    path = tmp_path / "planted.json"
+    path.write_text(emit_society(soc), encoding="utf-8")
+    assert cli.main(["coincide", str(path), "--json"]) == 0
+    assert '"status": "coincide"' in capsys.readouterr().out
+    assert len(calls) == 3
+    calls.clear()
+    base_only = Society.from_tables(soc.space, soc.base.tables, soc.base.ethical)
+    path.write_text(emit_society(base_only), encoding="utf-8")
+    cli.main(["validate", str(path), "--json"])
+    checks = {c["name"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["matching"] == "PASS"
+    assert calls == []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import product_grid_society
+from conftest import bent_component_society, product_grid_society
 from utilcheck import (
     DifferenceMapError,
     GridDim,
@@ -24,6 +24,7 @@ from utilcheck import (
     harvey_recover,
     linear_combination,
     recover_constant,
+    sqrt_fixture,
     verify_component_additivity,
 )
 from utilcheck import harvey
@@ -366,12 +367,20 @@ def test_component_additivity_and_negation():
 
 
 def test_component_additivity_detects_corruption():
+    # Bump F_2(1/2) and F_2(-1/2) off F_2(1) / 2 in the table itself,
+    # keeping F_2 odd, so the check of sums on the grid is what fails.
     soc = _grid_society(lambda x, y: x + y, y_step=F(1, 2))
     dm = build_difference_map(soc)
-    comp = dict(dm.components[1])
-    comp[F(1, 2)] += F(1, 7)
-    corrupted = dataclasses.replace(dm, components=(dm.components[0], comp))
-    assert not verify_component_additivity(corrupted, 1).passed
+    assert dm.scales[1] == 2
+    bumped = dict(dm.table)
+    bumped[dm.radices[1]] += 1
+    bumped[-dm.radices[1]] -= 1
+    corrupted = dataclasses.replace(dm, table=bumped)
+    assert corrupted.components[1][F(1, 2)] == F(1)
+    result = verify_component_additivity(corrupted, 1)
+    assert not result.passed
+    assert result.witness == (F(-1), F(1, 2))
+    assert corrupted.bends[1] == -2 and dm.bends[1] is None
 
 
 # ---------------------------------------------------------------------------
@@ -422,25 +431,12 @@ def test_extract_slopes_constant_agent_convention():
 
 
 def test_extract_slopes_nonlinear_component_errors():
-    soc = _grid_society(lambda x, y: x + y)
-    dm = build_difference_map(soc)
-    comp = dict(dm.components[0])
-    comp[F(-1)] = F(-1)  # keep oddness but break 2c scaling
-    comp[F(1)] = F(1)
-    bumped_table = dict(dm.table)
-    corrupted = dataclasses.replace(
-        dm,
-        components=({F(0): F(0), F(1): F(1, 3), F(-1): F(-1, 3)}, dm.components[1]),
-        table=bumped_table,
-    )
-    with pytest.raises(ValueError, match="not linear"):
-        # grid is {-1, 0, 1} with F(1) = 1/3: slope 1/3 everywhere is linear,
-        # so force a genuine mismatch instead.
-        bad = dataclasses.replace(
-            corrupted,
-            components=({F(0): F(0), F(1): F(1, 3), F(-1): F(-1)}, dm.components[1]),
-        )
-        extract_slopes(bad)
+    dm = build_difference_map(bent_component_society())
+    assert verify_component_additivity(dm, 0).passed
+    assert dm.bends == (-5, None)
+    with pytest.raises(ValueError) as err:
+        extract_slopes(dm)
+    assert str(err.value) == "component 'a1' is not linear at -5: -4 != -5"
 
 
 def test_extract_slopes_nonpositive_errors():
@@ -510,6 +506,31 @@ def test_harvey_recover_nonlinear_component_reports_additivity():
     expected = verify_component_additivity(build_difference_map(soc), 0)
     assert not expected.passed
     assert report.witness == expected.witness == (F(-2), F(1))
+
+
+def test_harvey_recover_additive_nonlinear_component_reports_slopes():
+    report = harvey_recover(bent_component_society())
+    assert not report.success
+    assert report.failed_stage == "slopes"
+    assert report.witness == "component 'a1' is not linear at -5: -4 != -5"
+
+
+def test_passing_harvey_recover_decodes_no_fractions(monkeypatch):
+    # The Fraction components and grids are cached properties: one that was
+    # read is in the map's instance dict.
+    built = []
+    real = harvey.build_difference_map
+    monkeypatch.setattr(
+        harvey, "build_difference_map", lambda *args: built.append(real(*args)) or built[-1]
+    )
+    rng = random.Random(83)
+    societies = [product_grid_society(rng, n)[0] for n in (2, 3)]
+    for soc in societies + [sqrt_fixture(6, F(1, 2)).society]:
+        assert harvey_recover(soc).success
+    assert len(built) == 3
+    for dm in built:
+        assert "bends" in vars(dm)
+        assert "components" not in vars(dm) and "diff_grids" not in vars(dm)
 
 
 def test_harvey_recover_linear_components_skip_additivity_scan(monkeypatch):

@@ -5,7 +5,11 @@ identity check tests each state with ints.  The differentials draw
 2-4 agents with ties and constant agents, negative values, denominators 1,
 2, 3, 5 and 7 or a distinct prime under every value, tables whose key order
 differs from the state order, and identities off by one unit at a single
-state, and assert the verdicts and witnesses of ``fraction_checks``.
+state, and assert the verdicts and witnesses of ``fraction_checks``.  The
+intensity-side differential draws linear, additive but bent, non-additive,
+constant and nonpositive-slope components and asserts the same linearity
+decisions, slope reports, error texts and recovery reports as the Fraction
+pipeline.
 """
 
 from __future__ import annotations
@@ -28,10 +32,13 @@ from utilcheck import (
     StateSpace,
     UtilityTable,
     WeakOrder,
+    build_difference_map,
     check_semi_separable,
     cli,
     core,
     emit_society,
+    extract_slopes,
+    harvey_recover,
     linear_combination,
     matches,
     same_weak_order,
@@ -96,8 +103,8 @@ def societies(draw):
 def _outcome(fn, *args):
     try:
         return "ok", fn(*args)
-    except AssertionError as exc:
-        return "raised", str(exc)
+    except (AssertionError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -163,6 +170,67 @@ def test_identity_check_matches_table_sum(soc, data):
     assert is_combination(target, tables[:1], weights[:1], constant) == oracle.is_combination(
         target, tables[:1], weights[:1], constant
     )
+
+
+#: Level shapes of an intensity-side agent: a repeated difference (the
+#: map builds only for a linear ethical part); no repeated difference, and
+#: every sum on the grid rearranges 2 + 3 = 5 (any part is additive); no
+#: repeated difference, but 1 + 1 = 2 (additivity can fail).
+LEVEL_SHAPES = ((0, 1, 2), (0, 2, 5), (0, 1, 3))
+
+
+@st.composite
+def intensity_societies(draw):
+    """A society on a product of per-agent levels with v = sum f_i(u_i) + b.
+
+    Each agent has 1-3 levels (one level is a constant agent) of a shape in
+    ``LEVEL_SHAPES``, stretched by a positive rational and shifted.  Its
+    ethical part f_i is linear with a slope from -2 to 3 over 1, 2 or 3, so
+    possibly zero or negative, or a fresh value per level.  One state may
+    be dropped from the product, which breaks semi-separability, and one
+    ethical value may be bumped, which usually breaks axiom (I).
+    """
+    n = draw(st.integers(2, 3))
+    levels = []
+    for _ in range(n):
+        shape = draw(st.sampled_from(LEVEL_SHAPES))[: draw(st.integers(1, 3))]
+        stretch = F(draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3, 7])))
+        shift = F(draw(st.integers(-2, 2)), draw(st.sampled_from([1, 5])))
+        levels.append([shift + stretch * p for p in shape])
+    combos = list(itertools.product(*(range(len(lv)) for lv in levels)))
+    if len(combos) > 1 and draw(st.integers(0, 5)) == 0:
+        combos.pop(draw(st.integers(0, len(combos) - 1)))
+    parts = []
+    for lv in levels:
+        if draw(st.booleans()):
+            slope = F(draw(st.integers(-2, 3)), draw(st.sampled_from([1, 2, 3])))
+            parts.append([slope * u for u in lv])
+        else:
+            parts.append([F(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 2]))) for _ in lv])
+    b = F(draw(st.integers(-3, 3)), 2)
+    states = [f"s{j}" for j in range(len(combos))]
+    ethical = {
+        s: b + sum(part[c[i]] for i, part in enumerate(parts)) for s, c in zip(states, combos)
+    }
+    if draw(st.integers(0, 5)) == 0:
+        ethical[draw(st.sampled_from(states))] += 1
+    tables = {
+        f"a{i}": UtilityTable({s: lv[c[i]] for s, c in zip(states, combos)})
+        for i, lv in enumerate(levels)
+    }
+    return Society.from_tables(StateSpace.explicit(states), tables, UtilityTable(ethical))
+
+
+@settings(max_examples=300, deadline=None)
+@given(intensity_societies())
+def test_intensity_side_matches_fraction_oracle(soc):
+    assert harvey_recover(soc) == oracle.harvey_recover(soc)
+    try:
+        dm = build_difference_map(soc)
+    except ValueError:
+        return
+    assert [bend is None for bend in dm.bends] == [oracle.is_linear(dm, i) for i in range(soc.n)]
+    assert _outcome(extract_slopes, dm) == _outcome(oracle.extract_slopes, dm)
 
 
 def test_order_keeps_its_table():
