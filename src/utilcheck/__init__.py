@@ -38,6 +38,7 @@ from .core import (
     WeakOrder,
     dirac,
     expectation,
+    first_disagreement,
     linear_combination,
     mix,
 )
@@ -84,6 +85,7 @@ from .society import (
     check_probabilistic_extension,
     check_semi_separable,
     matches,
+    order_disagreement,
     pareto_dominates,
     same_weak_order,
 )

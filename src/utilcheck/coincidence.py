@@ -47,7 +47,7 @@ from .society import (
     check_semi_separable,
     class_combinations,
     matches,
-    same_weak_order,
+    order_disagreement,
 )
 
 COINCIDE = "coincide"
@@ -163,12 +163,6 @@ def normalize_for_theorem3(
     )
 
 
-def _first_disagreement(t1: UtilityTable, t2: UtilityTable, states):
-    """The first (x, y) in state order where t1 and t2 compare x with y differently."""
-    a, b = t1.scaled[1], t2.scaled[1]
-    return next((x, y) for x in states for y in states if (a[x] >= a[y]) != (b[x] >= b[y]))
-
-
 def _agent_verdicts(agents, tables, starred, states) -> tuple[AgentVerdict, ...]:
     """Per agent: CONSTANT, or COINCIDE with exact (alpha, beta), or VIOLATION.
 
@@ -249,8 +243,8 @@ def proposition1_check(
     states = space.states
 
     for a, t, t_star in zip(agents, tables, starred):
-        if not same_weak_order(t, t_star, states):
-            x, y = _first_disagreement(t, t_star, states)
+        if pair := order_disagreement(t, t_star, states):
+            x, y = pair
             return AffineReport(
                 status=HYPOTHESIS_FAILURE,
                 failed_hypothesis="shared-agent-order",
@@ -282,8 +276,8 @@ def proposition1_check(
 
     v_sum = linear_combination(tables, [1] * len(tables))
     v_star_sum = linear_combination(starred, [1] * len(starred))
-    if not same_weak_order(v_sum, v_star_sum, states):
-        x, y = _first_disagreement(v_sum, v_star_sum, states)
+    if pair := order_disagreement(v_sum, v_star_sum, states):
+        x, y = pair
         return AffineReport(
             status=HYPOTHESIS_FAILURE,
             agents=verdicts,
@@ -437,8 +431,8 @@ def theorem3_pipeline(soc: Society) -> Theorem3Report:
         states,
     )
     violation = any(v.kind == VIOLATION for v in agents)
-    if not violation and not same_weak_order(alt.ethical, nm.ethical, states):
-        x, y = _first_disagreement(alt.ethical, nm.ethical, states)
+    if not violation and (pair := order_disagreement(alt.ethical, nm.ethical, states)):
+        x, y = pair
         return Theorem3Report(
             status=HYPOTHESIS_FAILURE,
             hypotheses=records

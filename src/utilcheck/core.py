@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .rationals import format_rational, scale_to_ints
 
@@ -113,10 +113,6 @@ class UtilityTable:
 
     def __post_init__(self):
         object.__setattr__(self, "values", dict(self.values))
-
-    @classmethod
-    def from_function(cls, space: StateSpace, fn: Callable[[StateKey], Fraction]) -> "UtilityTable":
-        return cls({s: Fraction(fn(s)) for s in space.states})
 
     @classmethod
     def on_coords(cls, space: StateSpace, fn: Callable[..., Fraction]) -> "UtilityTable":
@@ -225,12 +221,6 @@ class SimpleLottery:
     def support(self) -> tuple[StateKey, ...]:
         return tuple(s for s, _ in self.probs)
 
-    def prob(self, state: StateKey) -> Fraction:
-        for s, p in self.probs:
-            if s == state:
-                return p
-        return Fraction(0)
-
     def as_dict(self) -> dict[StateKey, Fraction]:
         return dict(self.probs)
 
@@ -262,69 +252,78 @@ def expectation(p: SimpleLottery, u: UtilityTable) -> Fraction:
     return total
 
 
-class WeakOrder:
-    """Complete transitive relation over a finite item list.
+def first_disagreement(keys1: Sequence, keys2: Sequence) -> tuple[int, int] | None:
+    """The first index pair (i, j), in index order, that the two rankings compare differently.
 
-    Two storage forms: by a value map (item ranked by an exact rational) or
-    by an explicit set of weakly-preferred pairs, which is validated for
-    completeness and transitivity at construction.
+    Ranking by ``keys1`` and by ``keys2`` is the same weak order, and the
+    answer None, exactly when sorting the key pairs leaves ``keys2`` rising
+    strictly exactly where ``keys1`` does.  Only after a disagreement does
+    the quadratic search run, and it stops at the first pair with
+    (keys1[i] >= keys1[j]) != (keys2[i] >= keys2[j]).
+    """
+    ranked = sorted(zip(keys1, keys2))
+    if all((a1 < b1) == (a2 < b2) for (a1, a2), (b1, b2) in zip(ranked, ranked[1:])):
+        return None
+    return next(
+        (i, j)
+        for i, (a1, a2) in enumerate(zip(keys1, keys2))
+        for j, (b1, b2) in enumerate(zip(keys1, keys2))
+        if (a1 >= b1) != (a2 >= b2)
+    )
+
+
+class WeakOrder:
+    """Complete transitive relation over a finite item list, ranked by a table.
+
+    x >= y exactly when table[x] >= table[y].  ``from_pairs`` validates an
+    explicit relation and ranks each item by its score, the number of items
+    it is weakly preferred to: in a weak order x >= y exactly when x's score
+    is at least y's.
     """
 
-    def __init__(self, items, *, values=None, geq_pairs=None):
+    def __init__(self, items, values):
         self.items: tuple = tuple(items)
         if not self.items:
             raise ValueError("weak order needs at least one item")
-        if (values is None) == (geq_pairs is None):
-            raise ValueError("give exactly one of values / geq_pairs")
-        self._geq: frozenset | None = None
-        #: The table ranking the items, if any; ``from_utility`` keeps its own.
-        self.table: UtilityTable | None = None
-        self._values: dict | None = None
-        if values is not None:
-            self.table = values if isinstance(values, UtilityTable) else UtilityTable(values)
-            self._values = self.table.values
-            missing = [x for x in self.items if x not in self._values]
-            if missing:
-                raise ValueError(f"no value for items: {missing[:3]}")
-        else:
-            self._geq = frozenset(geq_pairs)
-            self._validate_pairs()
+        #: The table ranking the items; ``from_utility`` keeps its own.
+        self.table = values if isinstance(values, UtilityTable) else UtilityTable(values)
+        self._values = self.table.values
+        missing = [x for x in self.items if x not in self._values]
+        if missing:
+            raise ValueError(f"no value for items: {missing[:3]}")
 
     @classmethod
     def from_utility(cls, table: UtilityTable, items=None) -> "WeakOrder":
         items = tuple(items) if items is not None else tuple(table.states())
-        return cls(items, values=table)
+        return cls(items, table)
 
     @classmethod
     def from_values(cls, items, values: Mapping) -> "WeakOrder":
-        return cls(items, values=values)
+        return cls(items, values)
 
     @classmethod
     def from_pairs(cls, items, geq_pairs) -> "WeakOrder":
-        return cls(items, geq_pairs=geq_pairs)
-
-    def _validate_pairs(self):
-        geq = self._geq
-        for x in self.items:
+        """The order whose weakly-preferred pairs are ``geq_pairs``, after validating them."""
+        items, geq = tuple(items), frozenset(geq_pairs)
+        for x in items:
             if (x, x) not in geq:
                 raise ValueError(f"relation not reflexive at {x!r}")
-            for y in self.items:
+            for y in items:
                 if (x, y) not in geq and (y, x) not in geq:
                     raise ValueError(f"relation not complete on ({x!r}, {y!r})")
-        for x in self.items:
-            for y in self.items:
+        for x in items:
+            for y in items:
                 if (x, y) not in geq:
                     continue
-                for z in self.items:
+                for z in items:
                     if (y, z) in geq and (x, z) not in geq:
                         raise ValueError(
                             f"relation not transitive on ({x!r}, {y!r}, {z!r})"
                         )
+        return cls(items, {x: Fraction(sum((x, y) in geq for y in items)) for x in items})
 
     def geq(self, x, y) -> bool:
-        if self._values is not None:
-            return self._values[x] >= self._values[y]
-        return (x, y) in self._geq
+        return self._values[x] >= self._values[y]
 
     def strict(self, x, y) -> bool:
         return self.geq(x, y) and not self.geq(y, x)
@@ -334,21 +333,5 @@ class WeakOrder:
 
     def indifference_class_ids(self) -> dict:
         """Map item -> id of its indifference class, ids in item order."""
-        if self._values is not None:
-            reps: dict = {}
-            out = {}
-            for x in self.items:
-                v = self._values[x]
-                out[x] = reps.setdefault(v, len(reps))
-            return out
-        reps_list: list = []
-        out = {}
-        for x in self.items:
-            for i, r in enumerate(reps_list):
-                if self.indiff(x, r):
-                    out[x] = i
-                    break
-            else:
-                out[x] = len(reps_list)
-                reps_list.append(x)
-        return out
+        reps: dict = {}
+        return {x: reps.setdefault(self._values[x], len(reps)) for x in self.items}

@@ -5,10 +5,11 @@ v(x) - v(y) against the vector of agent differences u_i(x) - u_i(y).  When
 unanimous intensity equality forces ethical intensity equality, F is a
 well-defined function of the difference vector; semi-separability makes its
 domain a full product, and then F splits into per-agent components that are
-additive on their grids.  On a finite grid additivity plus the realized
-step structure force each component to be exactly linear, so the slopes can
-be read off and verified exhaustively instead of by a limit argument; any
-failure is a hard error, never an approximation.
+additive on their grids.  On a finite grid additivity does not imply
+linearity (an additive component can still bend), so linearity is checked,
+not implied: the slopes are read off and verified exhaustively instead of by
+a limit argument, and additivity separates an ``additivity:`` failure from a
+``slopes`` failure.  Any failure is a hard error, never an approximation.
 
 One ordered-pair scan decides axiom (I) and tabulates F at once; an
 ``Analysis`` object carries it from the first check that asks to the next,
@@ -118,9 +119,8 @@ class DifferenceMap(PairScan):
         )
 
     def component_monotone(self, i: int) -> bool:
-        grid = self.diff_grids[i]
-        comp = self.components[i]
-        return all(comp[a] < comp[b] for a, b in zip(grid, grid[1:]))
+        values = [self.table[c * self.radices[i]] for c in self.grids[i]]
+        return all(a < b for a, b in zip(values, values[1:]))
 
 
 def _scan_pairs(soc: Society) -> PairScan:
@@ -247,20 +247,23 @@ def verify_component_additivity(dm: DifferenceMap, i: int) -> CheckResult:
     """F_i(c) + F_i(c') must equal F_i(c + c') whenever all three lie on the grid.
 
     Also certifies the forced consequences F_i(0) = 0 and F_i(-c) = -F_i(c).
+    All three read the scan's scaled ints: ``f`` maps each scaled grid point
+    c to table[c * R_i], and a sum is tested against ``f``'s keys, the grid
+    (a key (c + c') * R_i off the grid can be another vector's key).  Only a
+    witness is decoded, to Fractions.
     """
-    comp = dm.components[i]
-    grid = dm.diff_grids[i]
-    zero = Fraction(0)
-    if comp[zero] != 0:
-        return CheckResult(False, witness=(zero, zero), description="F_i(0) != 0")
-    for c in grid:
-        if comp[-c] != -comp[c]:
-            return CheckResult(False, witness=(c, -c), description="F_i(-c) != -F_i(c)")
-    grid_set = set(grid)
-    for c in grid:
-        for c1 in grid:
-            if c + c1 in grid_set and comp[c] + comp[c1] != comp[c + c1]:
-                return CheckResult(False, witness=(c, c1))
+    scale, radix = dm.scales[i], dm.radices[i]
+    f = {c: dm.table[c * radix] for c in dm.grids[i]}
+    if f[0] != 0:
+        return CheckResult(False, witness=(Fraction(0), Fraction(0)), description="F_i(0) != 0")
+    for c in f:
+        if f[-c] != -f[c]:
+            witness = (Fraction(c, scale), Fraction(-c, scale))
+            return CheckResult(False, witness=witness, description="F_i(-c) != -F_i(c)")
+    for c in f:
+        for c1 in f:
+            if c + c1 in f and f[c] + f[c1] != f[c + c1]:
+                return CheckResult(False, witness=(Fraction(c, scale), Fraction(c1, scale)))
     return CheckResult(True)
 
 
@@ -298,7 +301,11 @@ def extract_slopes(dm: DifferenceMap) -> SlopeReport:
 
 
 def recover_constant(soc: Society, slopes) -> Fraction:
-    """The additive constant, fixed at the first state and re-verified pointwise."""
+    """The additive constant, fixed at the first state and re-verified pointwise.
+
+    The slopes passed the linearity decision, so a failed re-verification
+    is a bug, not a verdict: it raises ``AssertionError``.
+    """
     profile = soc.alt_side()
     tables = [profile.tables[a] for a in soc.agents]
     anchor = soc.space.states[0]
@@ -306,7 +313,7 @@ def recover_constant(soc: Society, slopes) -> Fraction:
         (a * t[anchor] for a, t in zip(slopes, tables)), Fraction(0)
     )
     if not is_combination(profile.ethical, tables, slopes, b):
-        raise ValueError("slopes and constant fail pointwise re-verification")
+        raise AssertionError("slopes and constant fail pointwise re-verification")
     return b
 
 
@@ -350,13 +357,12 @@ def harvey_recover(soc: Society, analysis: Analysis | None = None) -> HarveyRepo
             )
     try:
         slope_report = extract_slopes(dm)
-        b = recover_constant(soc, slope_report.slopes)
     except ValueError as exc:
         return HarveyReport(False, soc.agents, failed_stage="slopes", witness=str(exc))
     return HarveyReport(
         True,
         soc.agents,
         weights=slope_report.slopes,
-        constant=b,
+        constant=recover_constant(soc, slope_report.slopes),
         constant_agents=slope_report.constant_agents,
     )

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    SimpleLottery, StateSpace, UtilityTable, WeakOrder, dirac, expectation, is_combination, mix
+    SimpleLottery, StateSpace, UtilityTable, WeakOrder, dirac, expectation, first_disagreement,
+    is_combination, mix,
 )
 
 
@@ -142,12 +143,8 @@ def check_independence(sample: LotteryOrderSample) -> IndependenceResult:
 
 def nm_represents(u: UtilityTable, sample: LotteryOrderSample) -> bool:
     """True iff the sampled order coincides with ranking by expected u."""
-    ev = {lot: expectation(lot, u) for lot in sample.lotteries}
-    for p in sample.lotteries:
-        for q in sample.lotteries:
-            if sample.order.geq(p, q) != (ev[p] >= ev[q]):
-                return False
-    return True
+    ranks = [sample.order.table[p] for p in sample.lotteries]
+    return first_disagreement(ranks, [expectation(p, u) for p in sample.lotteries]) is None
 
 
 def affine_relation(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from operator import ge
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .core import StateKey, StateSpace, UtilityTable, WeakOrder, dirac
+from .core import StateKey, StateSpace, UtilityTable, WeakOrder, dirac, first_disagreement
 
 if TYPE_CHECKING:  # pragma: no cover
     from .alt import AltSystem
@@ -105,9 +105,6 @@ class Society:
 
     def order(self, agent: str) -> WeakOrder:
         return WeakOrder.from_utility(self.base.tables[agent], items=self.space.states)
-
-    def ethical_order(self) -> WeakOrder:
-        return WeakOrder.from_utility(self.base.ethical, items=self.space.states)
 
     def orders(self) -> list[WeakOrder]:
         return [self.order(a) for a in self.agents]
@@ -211,37 +208,39 @@ def check_semi_separable(soc: Society, profile: Profile | None = None) -> CheckR
 
 def check_probabilistic_extension(ext: WeakOrder, base: WeakOrder) -> bool:
     """True iff ext agrees with base on all point-mass lotteries."""
-    for x in base.items:
-        if dirac(x) not in ext.items:
+    points = [dirac(x) for x in base.items]
+    lotteries = set(ext.items)
+    for x, p in zip(base.items, points):
+        if p not in lotteries:
             raise KeyError(f"point-mass lottery for {x!r} missing from the extension")
-    for x in base.items:
-        for y in base.items:
-            if base.geq(x, y) != ext.geq(dirac(x), dirac(y)):
-                return False
-    return True
+    keys = [base.table[x] for x in base.items]
+    return first_disagreement(keys, [ext.table[p] for p in points]) is None
+
+
+def order_disagreement(
+    t1: UtilityTable, t2: UtilityTable, states: Sequence[StateKey]
+) -> tuple[StateKey, StateKey] | None:
+    """The first (x, y) in state order that t1 and t2 compare differently, or None.
+
+    ``core.first_disagreement`` on the two scaled tables in state order.
+    """
+    pair = first_disagreement(_column(t1, states), _column(t2, states))
+    return None if pair is None else (states[pair[0]], states[pair[1]])
 
 
 def same_weak_order(t1: UtilityTable, t2: UtilityTable, states: Sequence[StateKey]) -> bool:
-    """True iff t1[x] >= t1[y] exactly when t2[x] >= t2[y], for all states x, y.
-
-    Decided by sorting the scaled tables: in (t1, t2) order, t2 never
-    decreases between neighbours, so the orders agree iff t2 rises strictly
-    exactly where t1 does.
-    """
-    ranked = sorted(zip(_column(t1, states), _column(t2, states)))
-    return all(
-        (a1 < b1) == (a2 < b2) for (a1, a2), (b1, b2) in zip(ranked, ranked[1:])
-    )
+    """True iff t1[x] >= t1[y] exactly when t2[x] >= t2[y], for all states x, y."""
+    return order_disagreement(t1, t2, states) is None
 
 
 def matches(order: WeakOrder, alt: "AltSystem") -> bool:
     """True iff x >= y in the order exactly when [x,y] >= [y,y] in the system.
 
-    When both come from tables, [x,y] >= [y,y] reads t(x) >= t(y), so the
-    question is decided by ``same_weak_order``; any other system is
-    compared pair by pair.
+    When the system comes from a table, [x,y] >= [y,y] reads t(x) >= t(y),
+    so the question is decided by ``same_weak_order``; a system without a
+    table has no per-state key and is compared pair by pair.
     """
-    if order.table is not None and alt.table is not None:
+    if alt.table is not None:
         return same_weak_order(order.table, alt.table, order.items)
     for x in order.items:
         for y in order.items:

@@ -177,3 +177,24 @@ def bent_component_society() -> Society:
     u2 = UtilityTable.on_coords(space, lambda x, y: y)
     v = UtilityTable.on_coords(space, lambda x, y: levels[x][1] + 3 * y)
     return Society.from_tables(space, {"a1": u1, "a2": u2}, v)
+
+
+def nonadditive_society() -> Society:
+    """u1 in {0, 1, 3, 4}, u2 in {0, 1}, v = f(u1) + 3 * u2 with f = (0, 1, 5, 6).
+
+    ``fixtures/nonadditive.json`` is this society.  Every difference of u1
+    values that repeats (1 and 3) repeats with one f difference, so axiom
+    (I) holds; F_1 is 1, 4, 5, 6 at 1, 2, 3, 4, so F_1(1) + F_1(1) = 2 but
+    F_1(2) = 4, and the first failing sum on the grid is F_1(-4) + F_1(2).
+    """
+    levels = ((0, 0), (1, 1), (3, 5), (4, 6))
+    states = [f"{a},{b}" for a, _ in levels for b in (0, 1)]
+    u1 = UtilityTable({f"{a},{b}": Fraction(a) for a, _ in levels for b in (0, 1)})
+    u2 = UtilityTable({f"{a},{b}": Fraction(b) for a, _ in levels for b in (0, 1)})
+    v = UtilityTable({f"{a},{b}": Fraction(f + 3 * b) for a, f in levels for b in (0, 1)})
+    return Society.from_tables(
+        StateSpace.explicit(states),
+        {"a1": u1, "a2": u2},
+        v,
+        metadata={"title": "nonadditive: f = (0, 1, 5, 6) on u1 in {0, 1, 3, 4}"},
+    )

@@ -9,7 +9,13 @@ The intensity side's linearity decision is kept the same way: the package
 decides it once per component on the difference map's ints
 (``DifferenceMap.bends``); here the additivity skip and the slope
 extraction each test F_i(c) = a * c on the decoded Fraction components, and
-``harvey_recover`` is the pipeline that ran them.
+``harvey_recover`` is the pipeline that ran them, with the additivity
+check on those components.
+
+Order agreement is one kernel in the package (``core.first_disagreement``)
+and a weak order is one table.  Kept here: the brute-force pair scan, the
+weak order stored as its set of weakly-preferred pairs, and the pair loops
+of the probabilistic-extension and NM-representation checks.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ from utilcheck import (
     build_difference_map,
     check_axiom_I,
     linear_combination,
+    dirac,
+    expectation,
     recover_constant,
-    verify_component_additivity,
 )
 from utilcheck.coincidence import (
     COINCIDE,
@@ -53,6 +60,86 @@ def first_disagreement(t1: UtilityTable, t2: UtilityTable, states):
         for y in states
         if (t1[x] >= t1[y]) != (t2[x] >= t2[y])
     )
+
+
+def first_pair(keys1, keys2):
+    """The first (i, j) in index order with the two key rankings comparing i, j differently."""
+    n = len(keys1)
+    return next(
+        (
+            (i, j)
+            for i in range(n)
+            for j in range(n)
+            if (keys1[i] >= keys1[j]) != (keys2[i] >= keys2[j])
+        ),
+        None,
+    )
+
+
+class PairWeakOrder:
+    """A weak order stored as its explicit set of weakly-preferred pairs."""
+
+    def __init__(self, items, geq_pairs):
+        self.items = tuple(items)
+        self._geq = frozenset(geq_pairs)
+        geq = self._geq
+        for x in self.items:
+            if (x, x) not in geq:
+                raise ValueError(f"relation not reflexive at {x!r}")
+            for y in self.items:
+                if (x, y) not in geq and (y, x) not in geq:
+                    raise ValueError(f"relation not complete on ({x!r}, {y!r})")
+        for x in self.items:
+            for y in self.items:
+                if (x, y) not in geq:
+                    continue
+                for z in self.items:
+                    if (y, z) in geq and (x, z) not in geq:
+                        raise ValueError(
+                            f"relation not transitive on ({x!r}, {y!r}, {z!r})"
+                        )
+
+    def geq(self, x, y) -> bool:
+        return (x, y) in self._geq
+
+    def strict(self, x, y) -> bool:
+        return self.geq(x, y) and not self.geq(y, x)
+
+    def indiff(self, x, y) -> bool:
+        return self.geq(x, y) and self.geq(y, x)
+
+    def indifference_class_ids(self) -> dict:
+        reps_list: list = []
+        out = {}
+        for x in self.items:
+            for i, r in enumerate(reps_list):
+                if self.indiff(x, r):
+                    out[x] = i
+                    break
+            else:
+                out[x] = len(reps_list)
+                reps_list.append(x)
+        return out
+
+
+def check_probabilistic_extension(ext, base) -> bool:
+    for x in base.items:
+        if dirac(x) not in ext.items:
+            raise KeyError(f"point-mass lottery for {x!r} missing from the extension")
+    for x in base.items:
+        for y in base.items:
+            if base.geq(x, y) != ext.geq(dirac(x), dirac(y)):
+                return False
+    return True
+
+
+def nm_represents(u, sample) -> bool:
+    ev = {lot: expectation(lot, u) for lot in sample.lotteries}
+    for p in sample.lotteries:
+        for q in sample.lotteries:
+            if sample.order.geq(p, q) != (ev[p] >= ev[q]):
+                return False
+    return True
 
 
 def class_combinations(tables, states) -> tuple[set[tuple], list[int]]:
@@ -197,6 +284,29 @@ def extract_slopes(dm) -> SlopeReport:
             raise ValueError(f"component slope for {name!r} is not positive: {a}")
         slopes.append(a)
     return SlopeReport(slopes=tuple(slopes), constant_agents=tuple(constant_agents))
+
+
+def verify_component_additivity(dm, i: int) -> CheckResult:
+    comp = dm.components[i]
+    grid = dm.diff_grids[i]
+    zero = Fraction(0)
+    if comp[zero] != 0:
+        return CheckResult(False, witness=(zero, zero), description="F_i(0) != 0")
+    for c in grid:
+        if comp[-c] != -comp[c]:
+            return CheckResult(False, witness=(c, -c), description="F_i(-c) != -F_i(c)")
+    grid_set = set(grid)
+    for c in grid:
+        for c1 in grid:
+            if c + c1 in grid_set and comp[c] + comp[c1] != comp[c + c1]:
+                return CheckResult(False, witness=(c, c1))
+    return CheckResult(True)
+
+
+def component_monotone(dm, i: int) -> bool:
+    grid = dm.diff_grids[i]
+    comp = dm.components[i]
+    return all(comp[a] < comp[b] for a, b in zip(grid, grid[1:]))
 
 
 def harvey_recover(soc) -> HarveyReport:

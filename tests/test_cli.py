@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import bent_component_society, planted_coincidence_society
+from conftest import bent_component_society, nonadditive_society, planted_coincidence_society
 from utilcheck import (
     SocietyFileError,
     emit_society,
@@ -20,7 +20,7 @@ from utilcheck import (
     simplex_counterexample,
     sqrt_fixture,
 )
-from utilcheck import cli, harsanyi
+from utilcheck import cli, harsanyi, harvey
 from utilcheck.societyfile import payload_to_society
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -173,6 +173,20 @@ def test_coincide_sqrt_json_golden():
     assert result.stdout == (GOLDEN / "coincide_sqrt_k10.json").read_text()
 
 
+def test_shipped_nonadditive_fixture_matches_generator():
+    soc = parse_society(str(FIXTURES / "nonadditive.json"))
+    assert emit_society(soc) == emit_society(nonadditive_society())
+
+
+def test_recover_nonadditive_harvey_json_golden():
+    result = run_cli("recover", str(FIXTURES / "nonadditive.json"), "--mode", "harvey", "--json")
+    assert result.returncode == 1
+    assert result.stdout == (GOLDEN / "recover_nonadditive_harvey.json").read_text()
+    payload = json.loads(result.stdout)
+    assert payload["failed_stage"] == "additivity:a1"
+    assert payload["witness"] == "(Fraction(-4, 1), Fraction(2, 1))"
+
+
 def test_coincide_planted_affine_exit_zero(tmp_path):
     rng = random.Random(103)
     soc, _, _ = planted_coincidence_society(rng, 2)
@@ -305,6 +319,19 @@ def test_failed_reverification_exits_three(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == (
         "internal error: recovered identity failed pointwise re-verification\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [["recover", "--mode", "harvey"], ["coincide"]])
+def test_failed_harvey_reverification_exits_three(monkeypatch, capsys, argv):
+    # A failed self-check of the intensity-side recovery is a bug, not a verdict.
+    monkeypatch.setattr(harvey, "is_combination", lambda *args: False)
+    code = cli.main([argv[0], str(FIXTURES / "sqrt_k10.json"), *argv[1:], "--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: slopes and constant fail pointwise re-verification\n"
     )
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bent_component_society, product_grid_society
+from conftest import bent_component_society, nonadditive_society, product_grid_society
 from utilcheck import (
     DifferenceMapError,
     GridDim,
@@ -527,7 +527,10 @@ def test_passing_harvey_recover_decodes_no_fractions(monkeypatch):
     societies = [product_grid_society(rng, n)[0] for n in (2, 3)]
     for soc in societies + [sqrt_fixture(6, F(1, 2)).society]:
         assert harvey_recover(soc).success
-    assert len(built) == 3
+    # A failing additivity check decodes only its witness.
+    report = harvey_recover(nonadditive_society())
+    assert report.failed_stage == "additivity:a1" and report.witness == (F(-4), F(2))
+    assert len(built) == 4
     for dm in built:
         assert "bends" in vars(dm)
         assert "components" not in vars(dm) and "diff_grids" not in vars(dm)

@@ -14,6 +14,7 @@ pipeline.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -41,9 +42,11 @@ from utilcheck import (
     harvey_recover,
     linear_combination,
     matches,
+    order_disagreement,
     same_weak_order,
+    verify_component_additivity,
 )
-from utilcheck.coincidence import _agent_verdicts, _first_disagreement
+from utilcheck.coincidence import _agent_verdicts
 from utilcheck.core import is_combination
 from utilcheck.society import class_combinations
 
@@ -117,9 +120,8 @@ def test_order_agreement_matches_fraction_oracle(soc):
         assert same_weak_order(t, t_star, states) == expected
         order = WeakOrder.from_utility(t, items=states)
         assert matches(order, AltSystem.from_utility(t_star)) == expected
-        if not expected:
-            first = oracle.first_disagreement(t, t_star, states)
-            assert _first_disagreement(t, t_star, states) == first
+        first = None if expected else oracle.first_disagreement(t, t_star, states)
+        assert order_disagreement(t, t_star, states) == first
 
 
 @settings(max_examples=300, deadline=None)
@@ -231,6 +233,34 @@ def test_intensity_side_matches_fraction_oracle(soc):
         return
     assert [bend is None for bend in dm.bends] == [oracle.is_linear(dm, i) for i in range(soc.n)]
     assert _outcome(extract_slopes, dm) == _outcome(oracle.extract_slopes, dm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(intensity_societies(), st.data())
+def test_component_additivity_matches_fraction_oracle(soc, data):
+    # On the built map, or on one whose table is corrupted at key 0, at an
+    # axis-key pair c * R_i, -c * R_i (by opposite amounts, so F stays odd)
+    # or at c * R_i alone.
+    try:
+        dm = build_difference_map(soc)
+    except ValueError:
+        return
+    corruption = data.draw(st.sampled_from(["none", "zero", "axis", "one"]))
+    if corruption != "none":
+        table = dict(dm.table)
+        delta = data.draw(st.sampled_from([-2, -1, 1, 3]))
+        i = data.draw(st.integers(0, soc.n - 1))
+        points = [c for c in dm.grids[i] if c > 0]
+        if corruption == "zero" or not points:
+            table[0] += delta
+        else:
+            key = data.draw(st.sampled_from(points)) * dm.radices[i]
+            table[key] += delta
+            table[-key] -= delta if corruption == "axis" else 0
+        dm = dataclasses.replace(dm, table=table)
+    for k in range(soc.n):
+        assert verify_component_additivity(dm, k) == oracle.verify_component_additivity(dm, k)
+        assert dm.component_monotone(k) == oracle.component_monotone(dm, k)
 
 
 def test_order_keeps_its_table():
