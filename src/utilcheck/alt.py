@@ -156,12 +156,14 @@ def alt_represents(
     exhaustive_limit: int = 65536,
     sample: int = 20000,
     seed: int = 0,
-) -> bool:
-    """True iff u's differences order pairs exactly as the system does."""
+) -> CheckResult:
+    """Passes iff u's differences order pairs exactly as the system does."""
+    n = len(a.states)
     for x, y, z, w in _quadruples(a.states, exhaustive_limit, sample, seed):
         if (u[x] - u[y] >= u[z] - u[w]) != a.geq((x, y), (z, w)):
-            return False
-    return True
+            return CheckResult(False, witness=(x, y, z, w))
+    note = "" if n**4 <= exhaustive_limit else f"sampled {sample} of {n**4} quadruples"
+    return CheckResult(True, description=note)
 
 
 @dataclass(frozen=True)

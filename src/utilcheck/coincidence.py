@@ -6,11 +6,11 @@ sum of its reweighted agent tables, then asks, agent by agent, whether the
 two input tables are positive affine images of each other.  Reweighting
 either table by a positive factor cannot change that answer, so it is
 decided once, on the tables as given.  On a finite grid this is decidable
-outright: the value-for-value map between the two tables either has one
-slope everywhere (a coincidence certificate with exact coefficients) or two
-steps with different per-unit increments (a violation witness anyone can
-recheck by hand).  The map is read off both tables' scaled ints; Fractions
-appear only in the reported coefficients and steps.
+outright.  ``nm.affine_relation`` decides it on both tables' scaled ints and
+returns the exact coefficients (a coincidence certificate).  Only when it
+fails is the value-for-value map built, to find two steps with different
+per-unit increments (a violation witness anyone can recheck by hand).
+Fractions appear only in the reported coefficients and steps.
 
 The two shipped fixtures exercise both outcomes.  The square-root fixture
 arranges every aggregation hypothesis to hold while the scales differ by a
@@ -31,7 +31,6 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Mapping
 
 from . import linalg
@@ -45,9 +44,9 @@ from .society import (
     Society,
     check_pareto_criterion,
     check_semi_separable,
-    class_combinations,
     matches,
     order_disagreement,
+    semi_separability,
 )
 
 COINCIDE = "coincide"
@@ -167,58 +166,73 @@ def _agent_verdicts(agents, tables, starred, states) -> tuple[AgentVerdict, ...]
     """Per agent: CONSTANT, or COINCIDE with exact (alpha, beta), or VIOLATION.
 
     Needs each agent's two tables to order the states alike and the
-    realized value vectors to fill the product of the ranges.  A step's
-    states are the first on the agent's axis (the others pinned at the
-    first state) with its two values, else the first with them.  Scaled
-    increments are compared by cross multiplication; Fractions are built
-    only for reported steps and (alpha, beta), and every COINCIDE is
-    re-verified pointwise as starred = alpha * table + beta, both sides
-    times the LCM d of the scaled terms' denominators, so in ints.
+    realized value vectors to fill the product of the ranges.  The
+    coincidence decision is ``affine_relation``'s, which checks every
+    state.  Only when it fails is the agent's value map built, from the
+    scaled ints, to find the witness: two steps whose scaled increments
+    differ under cross multiplication.  A step's states are the first on
+    the agent's axis (the others pinned at the first state) with its two
+    values, else the first with them.
     """
     ints = [t.scaled[1] for t in tables]
-    pins = [column[states[0]] for column in ints]
-    moved = [{k for k, column in enumerate(ints) if column[s] != pins[k]} for s in states]
     verdicts: list[AgentVerdict] = []
     for i, name in enumerate(agents):
         if tables[i].is_constant():
             verdicts.append(AgentVerdict(agent=name, kind=CONSTANT))
             continue
+        relation = affine_relation(tables[i], starred[i])
+        if relation is not None:
+            verdicts.append(AgentVerdict(name, COINCIDE, *relation))
+            continue
         base, (base_scale, _), (star_scale, image) = ints[i], tables[i].scaled, starred[i].scaled
+        others = [(column, column[states[0]]) for k, column in enumerate(ints) if k != i]
         first: dict[int, tuple[int, StateKey]] = {}
         axis: dict[int, StateKey] = {}
-        for s, movers in zip(states, moved):
+        for s in states:
             t = base[s]
             if t not in first:
                 first[t] = (image[s], s)
-            if movers <= {i} and t not in axis:
+            if t not in axis and all(column[s] == pin for column, pin in others):
                 axis[t] = s
         grid = sorted(first)
         images = [first[t][0] for t in grid]
         exemplars = [axis.get(t, first[t][1]) for t in grid]
         rises = [(b - a, y - x) for a, b, x, y in zip(grid, grid[1:], images, images[1:])]
-        g = gcd(*rises[0])  # the first step's ratio in lowest terms keeps products short
-        run, lift = rises[0][0] // g, rises[0][1] // g
+        run, lift = rises[0]
         bad = next((k for k, (db, ds) in enumerate(rises) if ds * run != lift * db), None)
-        if bad is not None:
-            steps = [
-                StepWitness(lo, hi, Fraction(db, base_scale), Fraction(ds, star_scale))
-                for lo, hi, (db, ds) in zip(exemplars, exemplars[1:], rises)
-            ]
-            increments = tuple((st.base_increment, st.starred_increment) for st in steps)
-            witness = ViolationWitness(first=steps[0], second=steps[bad], increments=increments)
-            verdicts.append(AgentVerdict(agent=name, kind=VIOLATION, witness=witness))
-            continue
-        alpha = Fraction(lift * base_scale, run * star_scale)
-        beta = Fraction(images[0], star_scale) - alpha * Fraction(grid[0], base_scale)
-        if alpha <= 0:
-            raise AssertionError("shared order should force a positive slope")
-        d = lcm(star_scale, alpha.denominator * base_scale, beta.denominator)
-        k, f = d // star_scale, alpha.numerator * (d // (alpha.denominator * base_scale))
-        offset = beta.numerator * (d // beta.denominator)
-        if any(image[s] * k != f * base[s] + offset for s in states):
+        if bad is None:
+            if lift <= 0:
+                raise AssertionError("shared order should force a positive slope")
             raise AssertionError("affine verdict failed pointwise re-verification")
-        verdicts.append(AgentVerdict(agent=name, kind=COINCIDE, alpha=alpha, beta=beta))
+        steps = [
+            StepWitness(lo, hi, Fraction(db, base_scale), Fraction(ds, star_scale))
+            for lo, hi, (db, ds) in zip(exemplars, exemplars[1:], rises)
+        ]
+        increments = tuple((st.base_increment, st.starred_increment) for st in steps)
+        witness = ViolationWitness(first=steps[0], second=steps[bad], increments=increments)
+        verdicts.append(AgentVerdict(agent=name, kind=VIOLATION, witness=witness))
     return tuple(verdicts)
+
+
+def _affinity_report(agents, tables, starred, sums, states) -> AffineReport:
+    """The agent verdicts, then, unless one is a violation, the order of the two sums.
+
+    ``sums`` is one table summing ``tables`` and one summing ``starred``,
+    each reweighted as the caller's theorem needs; a violation is reported
+    as such rather than hiding behind the diverging orders it causes.
+    """
+    verdicts = _agent_verdicts(agents, tables, starred, states)
+    if any(v.kind == VIOLATION for v in verdicts):
+        return AffineReport(status=VIOLATION, agents=verdicts)
+    if pair := order_disagreement(*sums, states):
+        x, y = pair
+        return AffineReport(
+            status=HYPOTHESIS_FAILURE,
+            agents=verdicts,
+            failed_hypothesis="shared-ethical-order",
+            failure_detail=f"table sums disagree on ({x!r}, {y!r})",
+        )
+    return AffineReport(status=COINCIDE, agents=verdicts)
 
 
 def proposition1_check(
@@ -230,10 +244,9 @@ def proposition1_check(
 
     Hypotheses are reported individually: each agent pair must order states
     identically, the realized value vectors must fill the product of the
-    per-agent ranges, and at least two agents must be nonconstant.  The
-    per-agent verdicts are computed before the two table sums are compared,
-    so a concrete affinity violation is reported as such rather than hiding
-    behind the diverging ethical orders it causes.
+    per-agent ranges (``semi_separability``), and at least two agents must
+    be nonconstant.  The per-agent verdicts are computed before the two
+    plain table sums are compared.
     """
     agents = tuple(u_tables)
     if tuple(u_star_tables) != agents:
@@ -251,15 +264,12 @@ def proposition1_check(
                 failure_detail=f"agent {a!r} tables disagree on ({x!r}, {y!r})",
             )
 
-    realized, completions = class_combinations(tables, states)
-    if len(realized) != completions[0]:
+    semi = semi_separability(tables, states)
+    if not semi:
         return AffineReport(
             status=HYPOTHESIS_FAILURE,
             failed_hypothesis="range-product",
-            failure_detail=(
-                f"{len(realized)} realized value vectors but the range product needs "
-                f"{completions[0]}"
-            ),
+            failure_detail=f"witness profile {semi.witness}",
         )
 
     nonconstant = [a for a, t in zip(agents, tables) if not t.is_constant()]
@@ -270,21 +280,9 @@ def proposition1_check(
             failure_detail=f"only {nonconstant} nonconstant",
         )
 
-    verdicts = _agent_verdicts(agents, tables, starred, states)
-    if any(v.kind == VIOLATION for v in verdicts):
-        return AffineReport(status=VIOLATION, agents=verdicts)
-
-    v_sum = linear_combination(tables, [1] * len(tables))
-    v_star_sum = linear_combination(starred, [1] * len(starred))
-    if pair := order_disagreement(v_sum, v_star_sum, states):
-        x, y = pair
-        return AffineReport(
-            status=HYPOTHESIS_FAILURE,
-            agents=verdicts,
-            failed_hypothesis="shared-ethical-order",
-            failure_detail=f"table sums disagree on ({x!r}, {y!r})",
-        )
-    return AffineReport(status=COINCIDE, agents=verdicts)
+    ones = [1] * len(agents)
+    sums = (linear_combination(tables, ones), linear_combination(starred, ones))
+    return _affinity_report(agents, tables, starred, sums, states)
 
 
 @dataclass(frozen=True)
@@ -393,10 +391,6 @@ HYPOTHESIS_CHECKS: tuple = (
 )
 
 
-def _check_hypotheses(soc: Society, analysis: Analysis) -> list[HypothesisRecord]:
-    return [fn(soc, analysis) for _, fn in HYPOTHESIS_CHECKS]
-
-
 def theorem3_pipeline(soc: Society) -> Theorem3Report:
     """Hypothesis battery, both weight recoveries, per-agent affinity.
 
@@ -412,7 +406,7 @@ def theorem3_pipeline(soc: Society) -> Theorem3Report:
     order states, and first disagree, alike.
     """
     analysis = Analysis(soc)
-    records = tuple(_check_hypotheses(soc, analysis))
+    records = tuple(fn(soc, analysis) for _, fn in HYPOTHESIS_CHECKS)
     failed = next((r.name for r in records if not r.passed), None)
     if failed is not None:
         return Theorem3Report(
@@ -423,36 +417,30 @@ def theorem3_pipeline(soc: Society) -> Theorem3Report:
     except NormalizationError as exc:
         return Theorem3Report(status=RECOVERY_FAILURE, hypotheses=records, detail=str(exc))
     alt, nm = soc.alt_side(), soc.nm_side()
-    states = soc.space.states
-    agents = _agent_verdicts(
+    report = _affinity_report(
         soc.agents,
         [alt.tables[a] for a in soc.agents],
         [nm.tables[a] for a in soc.agents],
-        states,
+        (alt.ethical, nm.ethical),
+        soc.space.states,
     )
-    violation = any(v.kind == VIOLATION for v in agents)
-    if not violation and (pair := order_disagreement(alt.ethical, nm.ethical, states)):
-        x, y = pair
+    if report.status == HYPOTHESIS_FAILURE:
         return Theorem3Report(
             status=HYPOTHESIS_FAILURE,
             hypotheses=records
-            + (
-                HypothesisRecord(
-                    "shared-ethical-order", False, f"table sums disagree on ({x!r}, {y!r})"
-                ),
-            ),
-            failed_hypothesis="shared-ethical-order",
-            agents=agents,
+            + (HypothesisRecord(report.failed_hypothesis, False, report.failure_detail),),
+            failed_hypothesis=report.failed_hypothesis,
+            agents=report.agents,
             normalization=norm,
         )
     slopes = tuple(
         v.alpha * w_nm / w_alt if v.kind == COINCIDE else None
-        for v, w_alt, w_nm in zip(agents, norm.alt_weights, norm.nm_weights)
+        for v, w_alt, w_nm in zip(report.agents, norm.alt_weights, norm.nm_weights)
     )
     return Theorem3Report(
-        status=VIOLATION if violation else COINCIDE,
+        status=report.status,
         hypotheses=records,
-        agents=agents,
+        agents=report.agents,
         normalization=dataclasses.replace(norm, slopes=slopes),
     )
 

@@ -252,17 +252,24 @@ def expectation(p: SimpleLottery, u: UtilityTable) -> Fraction:
     return total
 
 
+def same_ranking(keys1: Sequence, keys2: Sequence) -> bool:
+    """True iff ranking by ``keys1`` and by ``keys2`` is the same weak order.
+
+    Decided by sorting the key pairs: the rankings agree exactly when
+    ``keys2`` then rises strictly exactly where ``keys1`` does.
+    """
+    ranked = sorted(zip(keys1, keys2))
+    return all((a1 < b1) == (a2 < b2) for (a1, a2), (b1, b2) in zip(ranked, ranked[1:]))
+
+
 def first_disagreement(keys1: Sequence, keys2: Sequence) -> tuple[int, int] | None:
     """The first index pair (i, j), in index order, that the two rankings compare differently.
 
-    Ranking by ``keys1`` and by ``keys2`` is the same weak order, and the
-    answer None, exactly when sorting the key pairs leaves ``keys2`` rising
-    strictly exactly where ``keys1`` does.  Only after a disagreement does
-    the quadratic search run, and it stops at the first pair with
+    None exactly when ``same_ranking`` holds.  Only after a disagreement
+    does the quadratic search run, and it stops at the first pair with
     (keys1[i] >= keys1[j]) != (keys2[i] >= keys2[j]).
     """
-    ranked = sorted(zip(keys1, keys2))
-    if all((a1 < b1) == (a2 < b2) for (a1, a2), (b1, b2) in zip(ranked, ranked[1:])):
+    if same_ranking(keys1, keys2):
         return None
     return next(
         (i, j)

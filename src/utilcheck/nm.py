@@ -5,7 +5,9 @@ value is linear in the probabilities, so the identities verified here are
 decided by finite samples: point masses plus pairwise dyadic mixtures
 already separate any two tables that are not affinely related.  Samples are
 explicitly enumerated; when a tested mixture falls outside the enumeration
-it is reported as an escape rather than skipped silently.
+it is reported as an escape rather than skipped silently.  Whether two
+tables are affinely related is decided by ``affine_relation`` on their
+scaled ints; the coincidence verdicts make the same call.
 
 One non-operation by design: closedness of the preferred-mixture segments
 is vacuous on a finite set of dyadic mixture weights, so no check exists
@@ -17,10 +19,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .core import (
-    SimpleLottery, StateSpace, UtilityTable, WeakOrder, dirac, expectation, first_disagreement,
-    is_combination, mix,
+    SimpleLottery, StateSpace, UtilityTable, WeakOrder, dirac, expectation, mix, same_ranking,
 )
 
 
@@ -144,7 +146,7 @@ def check_independence(sample: LotteryOrderSample) -> IndependenceResult:
 def nm_represents(u: UtilityTable, sample: LotteryOrderSample) -> bool:
     """True iff the sampled order coincides with ranking by expected u."""
     ranks = [sample.order.table[p] for p in sample.lotteries]
-    return first_disagreement(ranks, [expectation(p, u) for p in sample.lotteries]) is None
+    return same_ranking(ranks, [expectation(p, u) for p in sample.lotteries])
 
 
 def affine_relation(
@@ -152,21 +154,27 @@ def affine_relation(
 ) -> tuple[Fraction, Fraction] | None:
     """The unique (alpha > 0, beta) with w = alpha*u + beta, or None.
 
-    Solved from the first two states where u differs, then verified on every
-    state; exact arithmetic makes verify-after-solve complete.  Constant u:
-    returns (1, shift) when w is constant too, else None.
+    Decided on the two tables' scaled ints U and W.  From the first state a
+    and the first state o where u differs, run = U(o) - U(a) and lift =
+    W(o) - W(a) must have one sign, and every state s must satisfy run *
+    (W(s) - W(a)) == lift * (U(s) - U(a)).  Fractions are built only for
+    the returned pair.  Constant u: returns (1, shift) when w is constant
+    too, else None.
     """
-    keys = list(u.values.keys())
-    if set(keys) != set(w.values.keys()):
+    if u.values.keys() != w.values.keys():
         raise ValueError("tables must share a domain")
-    anchor = keys[0]
-    other = next((s for s in keys if u[s] != u[anchor]), None)
+    (u_scale, u_ints), (w_scale, w_ints) = u.scaled, w.scaled
+    anchor = next(iter(u_ints))
+    other = next((s for s in u_ints if u_ints[s] != u_ints[anchor]), None)
     if other is None:
         if w.is_constant():
             return Fraction(1), w[anchor] - u[anchor]
         return None
-    alpha = (w[other] - w[anchor]) / (u[other] - u[anchor])
-    if alpha <= 0:
+    u0, w0 = u_ints[anchor], w_ints[anchor]
+    run, lift = u_ints[other] - u0, w_ints[other] - w0
+    g = gcd(run, lift)  # the ratio in lowest terms keeps the products short
+    run, lift = run // g, lift // g
+    if run * lift <= 0 or any(run * (w_ints[s] - w0) != lift * (u_ints[s] - u0) for s in u_ints):
         return None
-    beta = w[anchor] - alpha * u[anchor]
-    return (alpha, beta) if is_combination(w, [u], [alpha], beta) else None
+    alpha = Fraction(lift * u_scale, run * w_scale)
+    return alpha, w[anchor] - alpha * u[anchor]

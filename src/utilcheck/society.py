@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 from operator import ge
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .core import StateKey, StateSpace, UtilityTable, WeakOrder, dirac, first_disagreement
+from .core import (
+    StateKey, StateSpace, UtilityTable, WeakOrder, dirac, first_disagreement, same_ranking,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .alt import AltSystem
@@ -154,56 +156,48 @@ def _column(table: UtilityTable, states: Sequence[StateKey]) -> list[int]:
     return [ints[s] for s in states]
 
 
-def class_combinations(
-    tables: Sequence[UtilityTable], states: Sequence[StateKey]
-) -> tuple[set[tuple], list[int]]:
-    """Realized combinations of per-table indifference classes, and how many exist.
+def semi_separability(tables: Sequence[UtilityTable], states: Sequence[StateKey]) -> CheckResult:
+    """For every profile (x_1..x_n) some single state must be i-indifferent to x_i.
 
-    A class is named by its scaled value, and a state realizes the tuple of
-    its classes, one per table.  ``completions[j]`` counts the combinations
-    of tables j.. (the product of their class counts), so the classes all
-    combine exactly when ``len(realized) == completions[0]``.
+    Equivalent to requiring every combination of per-table indifference
+    classes to be realized by an actual state, which class counting decides
+    in O(|X| n): a class is named by its scaled value, a state realizes the
+    tuple of its classes, and ``completions[j]`` counts the combinations of
+    tables j.. (the product of their class counts).  On failure the witness
+    is the first failing profile in state order (the first one
+    ``itertools.product(states, repeat=n)`` meets), built one coordinate at
+    a time: a class prefix can still be completed to a missing combination
+    exactly when fewer realized combinations extend it than the remaining
+    tables' class counts allow.
     """
     columns = [_column(t, states) for t in tables]
     realized = set(zip(*columns))
     completions = [1] * (len(tables) + 1)
     for j in range(len(tables) - 1, -1, -1):
         completions[j] = completions[j + 1] * len(set(columns[j]))
-    return realized, completions
-
-
-def check_semi_separable(soc: Society, profile: Profile | None = None) -> CheckResult:
-    """For every profile (x_1..x_n) some single state must be i-indifferent to x_i.
-
-    Equivalent to requiring every combination of per-agent indifference
-    classes to be realized by an actual state, which class counting decides
-    in O(|X| n).  On failure the witness is the first failing profile in
-    state order (the first one ``itertools.product(states, repeat=n)``
-    meets), built one coordinate at a time: a class prefix can still be
-    completed to a missing combination exactly when fewer realized
-    combinations extend it than the remaining agents' class counts allow.
-    The orders are the base profile's unless ``profile`` names another.
-    """
-    states = soc.space.states
-    if profile is None:
-        profile = soc.base
-    tables = [profile.tables[a] for a in soc.agents]
-    realized, completions = class_combinations(tables, states)
     if len(realized) == completions[0]:
         return CheckResult(True)
-    extending = Counter(combo[:j] for combo in realized for j in range(1, soc.n + 1))
+    extending = Counter(combo[:j] for combo in realized for j in range(1, len(tables) + 1))
     prefix: tuple = ()
     witness = []
-    for j, t in enumerate(tables):
-        ints = t.scaled[1]
-        state = next(s for s in states if extending[prefix + (ints[s],)] < completions[j + 1])
-        prefix += (ints[state],)
-        witness.append(state)
+    for j, column in enumerate(columns):
+        k = next(k for k, c in enumerate(column) if extending[prefix + (c,)] < completions[j + 1])
+        prefix += (column[k],)
+        witness.append(states[k])
     return CheckResult(
         False,
         witness=tuple(witness),
         description="no single state is indifferent to this profile agent-wise",
     )
+
+
+def check_semi_separable(soc: Society, profile: Profile | None = None) -> CheckResult:
+    """``semi_separability`` of the society's agent tables on its states.
+
+    The orders are the base profile's unless ``profile`` names another.
+    """
+    profile = soc.base if profile is None else profile
+    return semi_separability([profile.tables[a] for a in soc.agents], soc.space.states)
 
 
 def check_probabilistic_extension(ext: WeakOrder, base: WeakOrder) -> bool:
@@ -213,8 +207,7 @@ def check_probabilistic_extension(ext: WeakOrder, base: WeakOrder) -> bool:
     for x, p in zip(base.items, points):
         if p not in lotteries:
             raise KeyError(f"point-mass lottery for {x!r} missing from the extension")
-    keys = [base.table[x] for x in base.items]
-    return first_disagreement(keys, [ext.table[p] for p in points]) is None
+    return same_ranking([base.table[x] for x in base.items], [ext.table[p] for p in points])
 
 
 def order_disagreement(
@@ -230,7 +223,7 @@ def order_disagreement(
 
 def same_weak_order(t1: UtilityTable, t2: UtilityTable, states: Sequence[StateKey]) -> bool:
     """True iff t1[x] >= t1[y] exactly when t2[x] >= t2[y], for all states x, y."""
-    return order_disagreement(t1, t2, states) is None
+    return same_ranking(_column(t1, states), _column(t2, states))
 
 
 def matches(order: WeakOrder, alt: "AltSystem") -> bool:

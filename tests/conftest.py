@@ -5,6 +5,7 @@ Everything is seeded; no test depends on global RNG state.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -160,6 +161,17 @@ def planted_coincidence_society(
         metadata={},
     )
     return society, tuple(alphas), tuple(betas)
+
+
+def affine_grid_society() -> Society:
+    """``fixtures/affine_grid.json``: a planted coincidence on a 3 x 3 x 5 grid.
+
+    Every hypothesis holds and every agent coincides, each with alpha != 1
+    and beta != 0, so the lottery-side weights differ from the
+    intensity-side ones.
+    """
+    soc, _, _ = planted_coincidence_society(random.Random(0), 3, sizes=(1, 1, 2))
+    return dataclasses.replace(soc, metadata={"title": "affine-grid: planted coincidence, seed 0"})
 
 
 def bent_component_society() -> Society:

@@ -3,8 +3,9 @@
 The package compares each table's scaled int form (``UtilityTable.scaled``).
 These are the same checks as it ran them before, on the Fractions
 themselves: order agreement by sorting value pairs, indifference classes
-named by their values, per-agent affinity verdicts from value maps, and an
-identity tested by building the table sum and comparing it with the target.
+named by their values, the affinity of two tables solved and checked in
+Fractions, per-agent affinity verdicts from value maps, and an identity
+tested by building the table sum and comparing it with the target.
 The intensity side's linearity decision is kept the same way: the package
 decides it once per component on the difference map's ints
 (``DifferenceMap.bends``); here the additivity skip and the slope
@@ -12,10 +13,11 @@ extraction each test F_i(c) = a * c on the decoded Fraction components, and
 ``harvey_recover`` is the pipeline that ran them, with the additivity
 check on those components.
 
-Order agreement is one kernel in the package (``core.first_disagreement``)
-and a weak order is one table.  Kept here: the brute-force pair scan, the
-weak order stored as its set of weakly-preferred pairs, and the pair loops
-of the probabilistic-extension and NM-representation checks.
+Order agreement is one sort in the package (``core.same_ranking``), which
+``core.first_disagreement`` runs before its search, and a weak order is one
+table.  Kept here: the brute-force pair scan, the weak order stored as its
+set of weakly-preferred pairs, and the pair loops of the
+probabilistic-extension and NM-representation checks.
 """
 
 from __future__ import annotations
@@ -142,23 +144,14 @@ def nm_represents(u, sample) -> bool:
     return True
 
 
-def class_combinations(tables, states) -> tuple[set[tuple], list[int]]:
+def semi_separability(tables, states) -> CheckResult:
     realized = {tuple(t[s] for t in tables) for s in states}
     completions = [1] * (len(tables) + 1)
     for j in range(len(tables) - 1, -1, -1):
         completions[j] = completions[j + 1] * len({tables[j][s] for s in states})
-    return realized, completions
-
-
-def check_semi_separable(soc, profile=None) -> CheckResult:
-    states = soc.space.states
-    if profile is None:
-        profile = soc.base
-    tables = [profile.tables[a] for a in soc.agents]
-    realized, completions = class_combinations(tables, states)
     if len(realized) == completions[0]:
         return CheckResult(True)
-    extending = Counter(combo[:j] for combo in realized for j in range(1, soc.n + 1))
+    extending = Counter(combo[:j] for combo in realized for j in range(1, len(tables) + 1))
     prefix: tuple = ()
     witness = []
     for j, t in enumerate(tables):
@@ -174,6 +167,23 @@ def check_semi_separable(soc, profile=None) -> CheckResult:
 
 def is_combination(target, tables, weights, constant=Fraction(0)) -> bool:
     return linear_combination(tables, weights, constant) == target
+
+
+def affine_relation(u: UtilityTable, w: UtilityTable):
+    keys = list(u.values.keys())
+    if set(keys) != set(w.values.keys()):
+        raise ValueError("tables must share a domain")
+    anchor = keys[0]
+    other = next((s for s in keys if u[s] != u[anchor]), None)
+    if other is None:
+        if w.is_constant():
+            return Fraction(1), w[anchor] - u[anchor]
+        return None
+    alpha = (w[other] - w[anchor]) / (u[other] - u[anchor])
+    if alpha <= 0:
+        return None
+    beta = w[anchor] - alpha * u[anchor]
+    return (alpha, beta) if is_combination(w, [u], [alpha], beta) else None
 
 
 def _value_map(base: UtilityTable, starred: UtilityTable, states):

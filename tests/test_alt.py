@@ -142,6 +142,17 @@ def test_alt_represents_affine_closure_property():
         assert alt_represents(u.affine(alpha, beta), system)
 
 
+def test_sampled_representation_notes_coverage():
+    rng = random.Random(2)
+    states = [f"s{i}" for i in range(30)]
+    u = UtilityTable({s: rand_fraction(rng) for s in states})
+    system = AltSystem.from_utility(u)
+    result = alt_represents(u.affine(F(2), F(-1)), system, exhaustive_limit=1000, sample=500)
+    assert result.passed and result.description == "sampled 500 of 810000 quadruples"
+    small, small_system = table_system({"a": 0, "b": 2, "c": 3})
+    assert alt_represents(small, small_system).description == ""
+
+
 # ---------------------------------------------------------------------------
 # Standard sequences and reconstruction
 

@@ -12,7 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import bent_component_society, nonadditive_society, planted_coincidence_society
+from conftest import (
+    affine_grid_society,
+    bent_component_society,
+    nonadditive_society,
+    planted_coincidence_society,
+)
 from utilcheck import (
     SocietyFileError,
     emit_society,
@@ -185,6 +190,24 @@ def test_recover_nonadditive_harvey_json_golden():
     payload = json.loads(result.stdout)
     assert payload["failed_stage"] == "additivity:a1"
     assert payload["witness"] == "(Fraction(-4, 1), Fraction(2, 1))"
+
+
+def test_shipped_affine_grid_fixture_matches_generator():
+    soc = parse_society(str(FIXTURES / "affine_grid.json"))
+    assert len(soc.space) <= 64
+    assert emit_society(soc) == emit_society(affine_grid_society())
+
+
+def test_coincide_affine_grid_json_golden():
+    result = run_cli("coincide", str(FIXTURES / "affine_grid.json"), "--json")
+    assert result.returncode == 0
+    assert result.stdout == (GOLDEN / "coincide_affine_grid.json").read_text()
+    payload = json.loads(result.stdout)
+    assert payload["status"] == "coincide"
+    assert any(a["alpha"] != "1" for a in payload["agents"])
+    assert any(a["beta"] != "0" for a in payload["agents"])
+    norm = payload["normalization"]
+    assert norm["nm_weights"] != norm["alt_weights"]
 
 
 def test_coincide_planted_affine_exit_zero(tmp_path):

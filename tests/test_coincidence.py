@@ -140,6 +140,7 @@ def test_proposition1_range_product_failure():
     report = proposition1_check(soc.space, dict(soc.base.tables), dict(soc.nm.tables))
     assert report.status == "hypothesis-failure"
     assert report.failed_hypothesis == "range-product"
+    assert report.failure_detail == f"witness profile {fixture.semi_separability_witness}"
 
 
 def test_proposition1_two_nonconstant_failure():

@@ -1,11 +1,13 @@
 """Order agreement: the one kernel and its readers against the kept pair loops.
 
-``core.first_disagreement`` decides by sorting and searches for the first
-pair only after a disagreement; ``fraction_checks.first_pair`` is the plain
-pair scan.  A weak order is one table: ``from_pairs`` ranks each item by how
-many items it is weakly preferred to, and the pair-set order it replaced is
-kept as ``fraction_checks.PairWeakOrder``.  The probabilistic-extension and
-NM-representation checks are compared with their former pair loops.
+``core.same_ranking`` decides by sorting, and ``core.first_disagreement``
+searches for the first pair only after it fails;
+``fraction_checks.first_pair`` is the plain pair scan.  The bool checks
+stop after the sort.  A weak order is one table: ``from_pairs`` ranks each
+item by how many items it is weakly preferred to, and the pair-set order it
+replaced is kept as ``fraction_checks.PairWeakOrder``.  The
+probabilistic-extension and NM-representation checks are compared with
+their former pair loops.
 """
 
 from __future__ import annotations
@@ -18,15 +20,20 @@ from hypothesis import strategies as st
 
 import fraction_checks as oracle
 from utilcheck import (
+    AltSystem,
     LotteryOrderSample,
     UtilityTable,
     WeakOrder,
     check_probabilistic_extension,
     dirac,
     first_disagreement,
+    matches,
     mix,
     nm_represents,
+    same_weak_order,
+    society,
 )
+from utilcheck.core import same_ranking
 
 F = Fraction
 
@@ -52,6 +59,23 @@ def test_kernel_matches_pair_scan(pairs):
     assert first_disagreement(keys1, keys2) == oracle.first_pair(keys1, keys2)
     assert first_disagreement(keys2, keys1) == oracle.first_pair(keys2, keys1)
     assert first_disagreement(keys1, keys1) is None
+    assert same_ranking(keys1, keys2) == (oracle.first_pair(keys1, keys2) is None)
+    assert same_ranking(keys1, keys1)
+
+
+def test_failing_bool_checks_stop_after_the_sort(monkeypatch):
+    def search(*args):
+        raise AssertionError("the witness search ran")
+
+    monkeypatch.setattr(society, "first_disagreement", search)
+    states = [f"s{j}" for j in range(6)]
+    t1 = UtilityTable({s: F(j) for j, s in enumerate(states)})
+    swapped = states[:-2] + [states[-1], states[-2]]
+    t2 = UtilityTable({s: F(j) for j, s in enumerate(swapped)})
+    assert same_weak_order(t1, t2, states) is False
+    assert matches(WeakOrder.from_utility(t1, items=states), AltSystem.from_utility(t2)) is False
+    ext = WeakOrder.from_values([dirac(s) for s in states], {dirac(s): t2[s] for s in states})
+    assert check_probabilistic_extension(ext, WeakOrder.from_utility(t1)) is False
 
 
 @st.composite

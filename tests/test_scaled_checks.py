@@ -6,6 +6,8 @@ identity check tests each state with ints.  The differentials draw
 2, 3, 5 and 7 or a distinct prime under every value, tables whose key order
 differs from the state order, and identities off by one unit at a single
 state, and assert the verdicts and witnesses of ``fraction_checks``.  The
+affinity kernel is also drawn on single table pairs (constant tables, zero
+and negative slopes, a bumped state, mismatched domains).  The
 intensity-side differential draws linear, additive but bent, non-additive,
 constant and nonpositive-slope components and asserts the same linearity
 decisions, slope reports, error texts and recovery reports as the Fraction
@@ -21,6 +23,7 @@ import random
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +36,7 @@ from utilcheck import (
     StateSpace,
     UtilityTable,
     WeakOrder,
+    affine_relation,
     build_difference_map,
     check_semi_separable,
     cli,
@@ -48,7 +52,7 @@ from utilcheck import (
 )
 from utilcheck.coincidence import _agent_verdicts
 from utilcheck.core import is_combination
-from utilcheck.society import class_combinations
+from utilcheck.society import semi_separability
 
 F = Fraction
 
@@ -130,15 +134,10 @@ def test_class_counting_matches_fraction_oracle(soc):
     states = soc.space.states
     for profile in (soc.base, soc.nm):
         tables = [profile.tables[a] for a in soc.agents]
-        realized, completions = class_combinations(tables, states)
-        expected_realized, expected_completions = oracle.class_combinations(tables, states)
-        # Class ids are the scaled values: divided by the scales they are the values.
-        decoded = {
-            tuple(F(v, t.scaled[0]) for v, t in zip(combo, tables)) for combo in realized
-        }
-        assert decoded == expected_realized
-        assert completions == expected_completions
-        assert check_semi_separable(soc, profile) == oracle.check_semi_separable(soc, profile)
+        expected = oracle.semi_separability(tables, states)
+        assert check_semi_separable(soc, profile) == expected
+        for subset in (tables[::-1], tables[1:]):
+            assert semi_separability(subset, states) == oracle.semi_separability(subset, states)
 
 
 @settings(max_examples=300, deadline=None)
@@ -149,6 +148,79 @@ def test_agent_verdicts_match_fraction_oracle(soc):
     starred = [soc.nm.tables[a] for a in soc.agents]
     expected = _outcome(oracle.agent_verdicts, soc.agents, tables, starred, states)
     assert _outcome(_agent_verdicts, soc.agents, tables, starred, states) == expected
+
+
+@pytest.mark.parametrize(
+    ("star", "message"),
+    [
+        ((5, 5, 5, 5), "shared order should force a positive slope"),
+        ((3, 2, 1, 3), "shared order should force a positive slope"),
+        ((0, 2, 4, 1), "affine verdict failed pointwise re-verification"),
+    ],
+)
+def test_agent_verdicts_without_a_disagreeing_step_raise(star, message):
+    # The first state of each base value steps evenly, so no step disagrees,
+    # but the starred table is no positive affine image: a zero slope, a
+    # negative one, or a fourth state off the line.
+    states = ["s0", "s1", "s2", "s3"]
+    base = UtilityTable(dict(zip(states, map(F, (0, 1, 2, 0)))))
+    flat = UtilityTable({s: F(7) for s in states})
+    starred = UtilityTable(dict(zip(states, map(F, star))))
+    args = (("a0", "a1"), [base, flat], [starred, flat], states)
+    assert _outcome(_agent_verdicts, *args) == ("AssertionError", message)
+    assert _outcome(oracle.agent_verdicts, *args) == ("AssertionError", message)
+
+
+@st.composite
+def table_pairs(draw):
+    """Two tables (u, w), and the (alpha, beta) planted as w = alpha * u + beta or None.
+
+    u may be constant; w is an affine image of u with a slope from -2 to 4
+    (zero and negative slopes included), a constant, or a fresh draw.  One
+    state of w may be bumped, every value may sit over its own prime, each
+    table lists its keys in its own order, and w may miss one of u's states.
+    """
+    states = [f"s{j}" for j in range(draw(st.integers(2, 7)))]
+    prime_pool = iter(primes(2 * len(states))) if draw(st.booleans()) else None
+
+    def value(lo=-6, hi=6):
+        den = next(prime_pool) if prime_pool else draw(st.sampled_from([1, 2, 3, 5, 7]))
+        return F(draw(st.integers(lo, hi)), den)
+
+    constant_u = draw(st.sampled_from([False] * 3 + [True]))
+    u = [value()] * len(states) if constant_u else [value() for _ in states]
+    kind = draw(st.sampled_from(["affine", "constant", "fresh"]))
+    planted = None
+    if kind == "affine":
+        alpha = F(draw(st.integers(-2, 4)), draw(st.sampled_from([1, 2, 5])))
+        beta = value()
+        w = [alpha * v + beta for v in u]
+        if alpha > 0 and len(set(u)) > 1:
+            planted = (alpha, beta)
+    else:
+        w = [value()] * len(states) if kind == "constant" else [value() for _ in states]
+    if draw(st.sampled_from([False] * 3 + [True])):
+        w[draw(st.integers(0, len(states) - 1))] += draw(st.sampled_from([F(1), F(1, 11)]))
+        planted = None
+    w_states = list(states)
+    if draw(st.sampled_from([False] * 9 + [True])):
+        w_states[-1] = "elsewhere"
+
+    def table(names, values):
+        order = draw(st.permutations(range(len(names))))
+        return UtilityTable({names[j]: values[j] for j in order})
+
+    return table(states, u), table(w_states, w), planted
+
+
+@settings(max_examples=500, deadline=None)
+@given(table_pairs())
+def test_affine_relation_matches_fraction_oracle(pair):
+    u, w, planted = pair
+    for a, b in ((u, w), (w, u)):
+        assert _outcome(affine_relation, a, b) == _outcome(oracle.affine_relation, a, b)
+    if planted is not None and u.values.keys() == w.values.keys():
+        assert affine_relation(u, w) == planted
 
 
 @settings(max_examples=300, deadline=None)
