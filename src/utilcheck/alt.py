@@ -1,11 +1,14 @@
 """Improvement-intensity systems: a weak order on ordered state pairs.
 
 ``[x, y] >= [z, w]`` reads "moving from y to x is at least as strong an
-improvement as moving from w to z".  The checks here certify the two
-structural axioms (consistency and the crossover axiom), test whether a
-table represents a system through its differences, and rebuild a utility
-table from comparisons alone by laying out a dyadic standard sequence
-between two anchor states.
+improvement as moving from w to z".  Every weak order on the n**2 ordered
+pairs of a finite set has a rank function, so a system is one: a table's
+differences or any exact pair ranking.  The checks decide the two
+structural axioms (consistency and crossover) and whether a table
+represents a system, on every tuple, by sorting or grouping the pairs'
+scaled int ranks; only a failure searches for the first witness in state
+order.  A utility table is rebuilt from comparisons alone by laying out a
+dyadic standard sequence between two anchor states.
 
 Reconstruction needs the space to be rich enough that every required
 subdivision point is realized; on the dyadic product grids used throughout
@@ -19,12 +22,14 @@ below (endpoints are treated uniformly rather than by a separate branch).
 from __future__ import annotations
 
 import itertools
-import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
-from .core import StateKey, UtilityTable
+from .core import StateKey, UtilityTable, first_disagreement, same_ranking
+from .rationals import scale_to_ints
 from .society import CheckResult
 
 Pair = tuple[StateKey, StateKey]
@@ -39,27 +44,17 @@ class MissingGridPointError(ValueError):
 
 
 class AltSystem:
-    """Weak order on X^2, backed by a table, a pair ranking, or a raw oracle."""
+    """Weak order on X^2: [x,y] >= [z,w] exactly when rank([x,y]) >= rank([z,w])."""
 
-    def __init__(
-        self,
-        states: Sequence[StateKey],
-        *,
-        rank: Callable[[Pair], Fraction] | None = None,
-        oracle: Callable[[Pair, Pair], bool] | None = None,
-    ):
-        if (rank is None) == (oracle is None):
-            raise ValueError("give exactly one of rank / oracle")
+    def __init__(self, states: Sequence[StateKey], rank: Callable[[Pair], Fraction]):
         self.states = tuple(states)
         self._rank = rank
-        self._oracle = oracle
         #: The generating table when the system ranks pairs by its differences.
         self.table: UtilityTable | None = None
 
     @classmethod
     def from_utility(cls, table: UtilityTable) -> "AltSystem":
-        states = tuple(table.states())
-        system = cls(states, rank=lambda pair: table[pair[0]] - table[pair[1]])
+        system = cls(tuple(table.states()), lambda pair: table[pair[0]] - table[pair[1]])
         system.table = table
         return system
 
@@ -68,33 +63,16 @@ class AltSystem:
         cls, states: Sequence[StateKey], fn: Callable[[StateKey, StateKey], Fraction]
     ) -> "AltSystem":
         """Rank pairs by an exact value; the result is automatically a weak order."""
-        return cls(states, rank=lambda pair: Fraction(fn(pair[0], pair[1])))
+        return cls(states, lambda pair: Fraction(fn(pair[0], pair[1])))
 
-    @classmethod
-    def from_oracle(
-        cls,
-        states: Sequence[StateKey],
-        oracle: Callable[[Pair, Pair], bool],
-        *,
-        validate_samples: int = 200,
-        seed: int = 0,
-    ) -> "AltSystem":
-        """Wrap a boolean comparison oracle, spot-checking the weak-order laws."""
-        system = cls(states, oracle=oracle)
-        rng = random.Random(seed)
-        pairs = [(x, y) for x in states for y in states]
-        for _ in range(validate_samples):
-            p, q, r = (rng.choice(pairs) for _ in range(3))
-            if not (oracle(p, q) or oracle(q, p)):
-                raise ValueError(f"oracle incomplete on {p} vs {q}")
-            if oracle(p, q) and oracle(q, r) and not oracle(p, r):
-                raise ValueError(f"oracle intransitive on {p}, {q}, {r}")
-        return system
+    @cached_property
+    def ranks(self) -> list[int]:
+        """Each pair's rank as a scaled int, pairs in (x, y) state order."""
+        pairs = itertools.product(self.states, repeat=2)
+        return scale_to_ints([self._rank(pair) for pair in pairs])[1]
 
     def geq(self, p: Pair, q: Pair) -> bool:
-        if self._rank is not None:
-            return self._rank(p) >= self._rank(q)
-        return self._oracle(p, q)
+        return self._rank(p) >= self._rank(q)
 
     def strict(self, p: Pair, q: Pair) -> bool:
         return self.geq(p, q) and not self.geq(q, p)
@@ -103,67 +81,76 @@ class AltSystem:
         return self.geq(p, q) and self.geq(q, p)
 
 
-def _triples(states, limit, sample, seed):
-    n = len(states)
-    if n**3 <= limit:
-        yield from itertools.product(states, repeat=3)
-        return
-    rng = random.Random(seed)
-    for _ in range(sample):
-        yield tuple(rng.choice(states) for _ in range(3))
+def check_consistency(a: AltSystem) -> CheckResult:
+    """[x,y] >= [y,y] must hold exactly when [x,z] >= [y,z], for all triples.
+
+    Column z of the rank matrix, rank([x,z]) over x, compares x with y as
+    [x,z] >= [y,z], and column y's comparison of x with y is [x,y] >= [y,y];
+    so the axiom holds exactly when every column ranks the states alike.  A
+    table-backed system passes with no work; otherwise n sorts decide it in
+    O(n**2 log n), and only a failure runs the cubic search for the first
+    witness triple in state order.
+    """
+    if a.table is not None:
+        return CheckResult(True)
+    n, ranks = len(a.states), a.ranks
+    columns = [ranks[z::n] for z in range(n)]
+    if all(same_ranking(columns[0], column) for column in columns[1:]):
+        return CheckResult(True)
+    x, y, z = next(
+        (x, y, z)
+        for x, y, z in itertools.product(range(n), repeat=3)
+        if (columns[y][x] >= columns[y][y]) != (columns[z][x] >= columns[z][y])
+    )
+    return CheckResult(False, witness=(a.states[x], a.states[y], a.states[z]))
 
 
-def _quadruples(states, limit, sample, seed):
-    n = len(states)
-    if n**4 <= limit:
-        yield from itertools.product(states, repeat=4)
-        return
-    rng = random.Random(seed)
-    for _ in range(sample):
-        yield tuple(rng.choice(states) for _ in range(4))
+def check_crossover(a: AltSystem) -> CheckResult:
+    """[x,y] = [z,w] must hold exactly when [x,z] = [y,w], for all quadruples.
+
+    Swapping the two middle states is an involution on quadruples, so every
+    violation is two pairs in one rank class whose crossed pairs fall in
+    different classes, or such a quadruple with its middle states swapped.
+    Grouping the pairs by rank finds them all in O(sum of |class|**2), and
+    the witness is the least of them, the first in state order.  A
+    table-backed system passes with no work.
+    """
+    if a.table is not None:
+        return CheckResult(True)
+    n, ranks = len(a.states), a.ranks
+    classes: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for i, rank in enumerate(ranks):
+        classes[rank].append(divmod(i, n))
+    first = min(
+        (
+            quadruple
+            for members in classes.values()
+            for (x, y), (z, w) in itertools.product(members, repeat=2)
+            if ranks[x * n + z] != ranks[y * n + w]
+            for quadruple in ((x, y, z, w), (x, z, y, w))
+        ),
+        default=None,
+    )
+    if first is None:
+        return CheckResult(True)
+    return CheckResult(False, witness=tuple(a.states[k] for k in first))
 
 
-def check_consistency(
-    a: AltSystem, *, exhaustive_limit: int = 65536, sample: int = 20000, seed: int = 0
-) -> CheckResult:
-    """[x,y] >= [y,y] must hold exactly when [x,z] >= [y,z], for all triples."""
-    n = len(a.states)
-    exhaustive = n**3 <= exhaustive_limit
-    for x, y, z in _triples(a.states, exhaustive_limit, sample, seed):
-        if a.geq((x, y), (y, y)) != a.geq((x, z), (y, z)):
-            return CheckResult(False, witness=(x, y, z))
-    note = "" if exhaustive else f"sampled {sample} of {n**3} triples"
-    return CheckResult(True, description=note)
+def alt_represents(u: UtilityTable, a: AltSystem) -> CheckResult:
+    """Passes iff u's differences order pairs exactly as the system does.
 
-
-def check_crossover(
-    a: AltSystem, *, exhaustive_limit: int = 65536, sample: int = 20000, seed: int = 0
-) -> CheckResult:
-    """[x,y] = [z,w] must hold exactly when [x,z] = [y,w], for all quadruples."""
-    n = len(a.states)
-    exhaustive = n**4 <= exhaustive_limit
-    for x, y, z, w in _quadruples(a.states, exhaustive_limit, sample, seed):
-        if a.eq((x, y), (z, w)) != a.eq((x, z), (y, w)):
-            return CheckResult(False, witness=(x, y, z, w))
-    note = "" if exhaustive else f"sampled {sample} of {n**4} quadruples"
-    return CheckResult(True, description=note)
-
-
-def alt_represents(
-    u: UtilityTable,
-    a: AltSystem,
-    *,
-    exhaustive_limit: int = 65536,
-    sample: int = 20000,
-    seed: int = 0,
-) -> CheckResult:
-    """Passes iff u's differences order pairs exactly as the system does."""
-    n = len(a.states)
-    for x, y, z, w in _quadruples(a.states, exhaustive_limit, sample, seed):
-        if (u[x] - u[y] >= u[z] - u[w]) != a.geq((x, y), (z, w)):
-            return CheckResult(False, witness=(x, y, z, w))
-    note = "" if n**4 <= exhaustive_limit else f"sampled {sample} of {n**4} quadruples"
-    return CheckResult(True, description=note)
+    One ``first_disagreement`` of u's scaled differences against the
+    system's ranks, both over the n**2 pairs in (x, y) order, decides it in
+    O(n**2 log n).  Its (i, j) search order is the (x, y, z, w) order, so a
+    failure names the first quadruple in state order.
+    """
+    values = u.scaled[1]
+    column = [values[s] for s in a.states]
+    found = first_disagreement([vx - vy for vx in column for vy in column], a.ranks)
+    if found is None:
+        return CheckResult(True)
+    (i, j), n = found, len(a.states)
+    return CheckResult(False, witness=tuple(a.states[k] for k in (*divmod(i, n), *divmod(j, n))))
 
 
 @dataclass(frozen=True)
@@ -199,10 +186,7 @@ class StandardSequence:
 
 
 def _first_state(a: AltSystem, pred) -> StateKey | None:
-    for s in a.states:
-        if pred(s):
-            return s
-    return None
+    return next((s for s in a.states if pred(s)), None)
 
 
 def build_standard_sequence(
@@ -233,34 +217,20 @@ def build_standard_sequence(
     ref = (upper, z0)  # improvement worth exactly h
 
     entries: dict[Fraction, StateKey] = {Fraction(0): z0, h: upper}
-    # Upward walk.
-    s = h
-    for _ in range(len(a.states) + 1):
-        cur = entries[s]
-        nxt = _first_state(a, lambda w: a.eq((w, cur), ref))
-        if nxt is None:
-            beyond = _first_state(a, lambda w: a.strict((w, cur), ref))
-            if beyond is not None:
-                raise MissingGridPointError(s + h)
-            break
-        entries[s + h] = nxt
-        s += h
-    else:
-        raise ValueError("sequence outgrew the state space; system is inconsistent")
-    # Downward walk.
-    s = Fraction(0)
-    for _ in range(len(a.states) + 1):
-        cur = entries[s]
-        prv = _first_state(a, lambda w: a.eq((cur, w), ref))
-        if prv is None:
-            below = _first_state(a, lambda w: a.strict((cur, w), ref))
-            if below is not None:
-                raise MissingGridPointError(s - h)
-            break
-        entries[s - h] = prv
-        s -= h
-    else:
-        raise ValueError("sequence outgrew the state space; system is inconsistent")
+    # Walk up from h, each step [next, cur] = ref, then down from 0, each [cur, next] = ref.
+    for s, step in ((h, h), (Fraction(0), -h)):
+        for _ in range(len(a.states) + 1):
+            cur = entries[s]
+            pair = (lambda w: (w, cur)) if step > 0 else (lambda w: (cur, w))
+            nxt = _first_state(a, lambda w: a.eq(pair(w), ref))
+            if nxt is None:
+                if _first_state(a, lambda w: a.strict(pair(w), ref)) is not None:
+                    raise MissingGridPointError(s + step)
+                break
+            s += step
+            entries[s] = nxt
+        else:
+            raise ValueError("sequence outgrew the state space; system is inconsistent")
 
     top = max(entries)
     if top < 1 or not a.eq((z1, entries[Fraction(1)]), (z0, z0)):

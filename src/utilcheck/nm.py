@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .core import (
     SimpleLottery, StateSpace, UtilityTable, WeakOrder, dirac, expectation, mix, same_ranking,
@@ -88,6 +88,9 @@ def random_dyadic_lotteries(
     out: list[SimpleLottery] = []
     seen = set()
     states = list(space.states)
+    available = comb(denom + len(states) - 1, len(states) - 1)
+    if count > available:
+        raise ValueError(f"asked for {count} lotteries of depth {depth}, only {available} exist")
     while len(out) < count:
         cuts = sorted(rng.randrange(denom + 1) for _ in range(len(states) - 1))
         parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]

@@ -5,7 +5,9 @@ rejected so no value can silently pass through floating point.  Emission
 follows a fixed field order and writes table entries in state order, so
 emit -> parse -> emit reproduces the file byte for byte.  A key repeated
 within one object is rejected: no emitted file has one, and JSON itself
-would let the last copy win silently.
+would let the last copy win silently.  So is a field that emission never
+writes (only ``metadata`` is free-form), so a misspelled block cannot be
+ignored.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ def _need(payload: dict, key: str, kind, where: str):
     return value
 
 
+def _known(payload: dict, fields: tuple[str, ...], where: str) -> None:
+    for key in payload:
+        if key not in fields:
+            raise SocietyFileError(f"unknown field {key!r}", where)
+
+
 def _parse_scalar(text: Any, where: str) -> Fraction:
     if not isinstance(text, str):
         raise SocietyFileError(
@@ -56,17 +64,23 @@ def _parse_space(payload: Any) -> StateSpace:
         raise SocietyFileError("must be an object", where)
     kind = _need(payload, "kind", str, where)
     if kind == "explicit":
+        _known(payload, ("kind", "states"), where)
         states = _need(payload, "states", list, where)
         if not states or not all(isinstance(s, str) for s in states):
             raise SocietyFileError("states must be a nonempty list of strings", where)
-        return StateSpace.explicit(states)
+        try:
+            return StateSpace.explicit(states)
+        except ValueError as exc:
+            raise SocietyFileError(str(exc), where) from None
     if kind == "product_grid":
+        _known(payload, ("kind", "dims"), where)
         dims_payload = _need(payload, "dims", list, where)
         dims = []
         for i, dim in enumerate(dims_payload):
             dwhere = f"space.dims[{i}]"
             if not isinstance(dim, dict):
                 raise SocietyFileError("must be an object", dwhere)
+            _known(dim, ("name", "min", "max", "resolution"), dwhere)
             name = _need(dim, "name", str, dwhere)
             lo = _parse_scalar(_need(dim, "min", str, dwhere), dwhere + ".min")
             hi = _parse_scalar(_need(dim, "max", str, dwhere), dwhere + ".max")
@@ -98,9 +112,12 @@ def _parse_table(payload: Any, space: StateSpace, where: str) -> UtilityTable:
     return UtilityTable(values)
 
 
-def _parse_profile(payload: Any, space: StateSpace, where: str) -> tuple[list[str], Profile]:
+def _parse_profile(
+    payload: Any, space: StateSpace, where: str, fields=("agents", "ethical")
+) -> tuple[list[str], Profile]:
     if not isinstance(payload, dict):
         raise SocietyFileError("must be an object", where)
+    _known(payload, fields, where)
     agents_payload = _need(payload, "agents", list, where)
     if not agents_payload:
         raise SocietyFileError("agents list must be nonempty", where)
@@ -110,6 +127,7 @@ def _parse_profile(payload: Any, space: StateSpace, where: str) -> tuple[list[st
         awhere = f"{where}.agents[{i}]"
         if not isinstance(entry, dict):
             raise SocietyFileError("must be an object", awhere)
+        _known(entry, ("name", "utility"), awhere)
         name = _need(entry, "name", str, awhere)
         if name in tables:
             raise SocietyFileError(f"duplicate agent {name!r}", awhere)
@@ -120,11 +138,14 @@ def _parse_profile(payload: Any, space: StateSpace, where: str) -> tuple[list[st
     return names, Profile(tables, ethical)
 
 
+_TOP_LEVEL_FIELDS = ("metadata", "space", "agents", "ethical", "nm_profile", "alt_profile")
+
+
 def payload_to_society(payload: Any) -> Society:
     if not isinstance(payload, dict):
         raise SocietyFileError("top level must be an object")
     space = _parse_space(_need(payload, "space", dict, "$"))
-    base_names, base = _parse_profile(payload, space, "$")
+    base_names, base = _parse_profile(payload, space, "$", _TOP_LEVEL_FIELDS)
     profiles: dict[str, Profile | None] = {"nm_profile": None, "alt_profile": None}
     for key in profiles:
         if key in payload:

@@ -18,10 +18,17 @@ Order agreement is one sort in the package (``core.same_ranking``), which
 table.  Kept here: the brute-force pair scan, the weak order stored as its
 set of weakly-preferred pairs, and the pair loops of the
 probabilistic-extension and NM-representation checks.
+
+The intensity-system checks decide on an ``AltSystem``'s int pair ranks
+(``AltSystem.ranks``): consistency by one sort per rank column, crossover
+by grouping the pairs into rank classes, and representation by one
+``first_disagreement`` over the pairs.  Kept here: the exhaustive triple
+and quadruple loops over ``AltSystem.geq`` that they replaced.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -348,3 +355,24 @@ def harvey_recover(soc) -> HarveyReport:
         constant=b,
         constant_agents=slope_report.constant_agents,
     )
+
+
+def check_consistency(a) -> CheckResult:
+    for x, y, z in itertools.product(a.states, repeat=3):
+        if a.geq((x, y), (y, y)) != a.geq((x, z), (y, z)):
+            return CheckResult(False, witness=(x, y, z))
+    return CheckResult(True)
+
+
+def check_crossover(a) -> CheckResult:
+    for x, y, z, w in itertools.product(a.states, repeat=4):
+        if a.eq((x, y), (z, w)) != a.eq((x, z), (y, w)):
+            return CheckResult(False, witness=(x, y, z, w))
+    return CheckResult(True)
+
+
+def alt_represents(u, a) -> CheckResult:
+    for x, y, z, w in itertools.product(a.states, repeat=4):
+        if (u[x] - u[y] >= u[z] - u[w]) != a.geq((x, y), (z, w)):
+            return CheckResult(False, witness=(x, y, z, w))
+    return CheckResult(True)

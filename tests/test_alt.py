@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_checks as oracle
 from conftest import rand_fraction
 from utilcheck import (
     AltSystem,
+    CheckResult,
     MissingGridPointError,
     UtilityTable,
     affine_relation,
@@ -99,19 +101,49 @@ def test_axioms_hold_on_any_utility_system(vals):
     assert check_crossover(system).passed
 
 
-def test_sampled_consistency_notes_coverage():
+def _bumped_late_system():
+    """64 states valued 0..63, ranked by differences except [s63, s62], moved to the bottom."""
+    states = [f"s{i}" for i in range(64)]
+    u = UtilityTable({s: F(i) for i, s in enumerate(states)})
+    system = AltSystem.from_pair_ranking(
+        states, lambda x, y: F(-100) if (x, y) == ("s63", "s62") else u[x] - u[y]
+    )
+    return u, system
+
+
+def _exact_systems_at_30_states():
     rng = random.Random(2)
     states = [f"s{i}" for i in range(30)]
     u = UtilityTable({s: rand_fraction(rng) for s in states})
-    system = AltSystem.from_utility(u)
-    result = check_consistency(system, exhaustive_limit=1000, sample=500)
-    assert result.passed and "sampled 500" in result.description
+    ranked = AltSystem.from_pair_ranking(states, lambda x, y: u[x] - u[y])
+    return u, (AltSystem.from_utility(u), ranked)
 
 
-def test_oracle_validation_rejects_incomplete():
-    states = ("a", "b")
-    with pytest.raises(ValueError):
-        AltSystem.from_oracle(states, lambda p, q: False)
+def test_consistency_is_exact_at_scale():
+    # 27,000 triples: the ranked system is decided by one sort per column.
+    _, systems = _exact_systems_at_30_states()
+    for system in systems:
+        assert check_consistency(system) == CheckResult(True)
+    # Only column s62 moves s63, from the top to the bottom, so the first
+    # triple that sees it is (s0, s63, s62).
+    _, bumped = _bumped_late_system()
+    result = check_consistency(bumped)
+    assert not result.passed and result.witness == ("s0", "s63", "s62")
+    x, y, z = result.witness
+    assert bumped.geq((x, y), (y, y)) != bumped.geq((x, z), (y, z))
+
+
+def test_crossover_is_exact_at_scale():
+    _, systems = _exact_systems_at_30_states()
+    for system in systems:
+        assert check_crossover(system) == CheckResult(True)
+    # [s1, s0] = [s63, s62] on the values but not in the system, while the
+    # crossed pairs [s1, s63] and [s0, s62] tie; no quadruple from s0 moves.
+    _, bumped = _bumped_late_system()
+    result = check_crossover(bumped)
+    assert not result.passed and result.witness == ("s1", "s0", "s63", "s62")
+    x, y, z, w = result.witness
+    assert bumped.eq((x, y), (z, w)) != bumped.eq((x, z), (y, w))
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +174,58 @@ def test_alt_represents_affine_closure_property():
         assert alt_represents(u.affine(alpha, beta), system)
 
 
-def test_sampled_representation_notes_coverage():
-    rng = random.Random(2)
-    states = [f"s{i}" for i in range(30)]
-    u = UtilityTable({s: rand_fraction(rng) for s in states})
-    system = AltSystem.from_utility(u)
-    result = alt_represents(u.affine(F(2), F(-1)), system, exhaustive_limit=1000, sample=500)
-    assert result.passed and result.description == "sampled 500 of 810000 quadruples"
-    small, small_system = table_system({"a": 0, "b": 2, "c": 3})
-    assert alt_represents(small, small_system).description == ""
+def test_representation_is_exact_at_scale():
+    # 810,000 quadruples, decided by one sort of the 900 pair keys.
+    u, systems = _exact_systems_at_30_states()
+    for system in systems:
+        assert alt_represents(u.affine(F(2), F(-1)), system) == CheckResult(True)
+    values, bumped = _bumped_late_system()
+    result = alt_represents(values, bumped)
+    assert not result.passed and result.witness == ("s0", "s0", "s63", "s62")
+
+
+# ---------------------------------------------------------------------------
+# Exact checks against the exhaustive loops they replaced
+
+SYSTEM_KINDS = ("table", "product", "absolute", "tied", "bumped")
+
+
+@st.composite
+def systems(draw):
+    """A system of 0 to 6 states, of one kind, and a table to test it against."""
+    n = draw(st.integers(0, 6))
+    states = [f"s{i}" for i in range(n)]
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    u = UtilityTable({s: draw(small) for s in states})
+    kind = draw(st.sampled_from(SYSTEM_KINDS))
+    if kind == "table":
+        system = AltSystem.from_utility(u)
+    elif kind == "product":
+        system = AltSystem.from_pair_ranking(states, lambda x, y: u[x] * u[y])
+    elif kind == "absolute":
+        system = AltSystem.from_pair_ranking(states, lambda x, y: abs(u[x] - u[y]))
+    elif kind == "tied":
+        pairs = itertools.product(states, repeat=2)
+        ranks = {pair: draw(st.integers(0, 2)) for pair in pairs}
+        system = AltSystem.from_pair_ranking(states, lambda x, y: ranks[x, y])
+    else:
+        bumped = draw(st.sampled_from(list(itertools.product(states, repeat=2)))) if n else None
+        shift = draw(st.sampled_from([F(-1), F(-1, 2), F(1, 3), F(1)]))
+        system = AltSystem.from_pair_ranking(
+            states, lambda x, y: u[x] - u[y] + (shift if (x, y) == bumped else 0)
+        )
+    other = UtilityTable({s: draw(small) for s in states})
+    target = draw(st.sampled_from([u, u.affine(F(2), F(-1)), other]))
+    return system, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_exact_checks_match_exhaustive_loops(case):
+    system, target = case
+    assert check_consistency(system) == oracle.check_consistency(system)
+    assert check_crossover(system) == oracle.check_crossover(system)
+    assert alt_represents(target, system) == oracle.alt_represents(target, system)
 
 
 # ---------------------------------------------------------------------------

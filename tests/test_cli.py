@@ -149,6 +149,64 @@ def test_missing_state_in_table_rejected():
         payload_to_society(payload)
 
 
+def _profile(*names):
+    agents = [{"name": name, "utility": {"a": str(k), "b": "0"}} for k, name in enumerate(names)]
+    return {"agents": agents, "ethical": {"a": "1", "b": "0"}}
+
+
+def _full_payload():
+    """A valid file using every emitted field: metadata, space, base, nm and alt profiles."""
+    return {
+        "metadata": {"title": "t", "free": {"form": ["any", 1]}},
+        "space": {"kind": "explicit", "states": ["a", "b"]},
+        **_profile("a1", "a2"),
+        "nm_profile": _profile("a1", "a2"),
+        "alt_profile": _profile("a1", "a2"),
+    }
+
+
+def _grid_payload():
+    dim = {"name": "x", "min": "0", "max": "1", "resolution": "1"}
+    return {
+        "space": {"kind": "product_grid", "dims": [dim]},
+        "agents": [
+            {"name": "a1", "utility": {"0": "0", "1": "1"}},
+            {"name": "a2", "utility": {"0": "1", "1": "0"}},
+        ],
+        "ethical": {"0": "0", "1": "0"},
+    }
+
+
+@pytest.mark.parametrize(
+    "build, place, where",
+    [
+        (_full_payload, lambda p: p, "$"),
+        (_full_payload, lambda p: p["space"], "space"),
+        (_grid_payload, lambda p: p["space"], "space"),
+        (_grid_payload, lambda p: p["space"]["dims"][0], "space.dims[0]"),
+        (_full_payload, lambda p: p["nm_profile"], "nm_profile"),
+        (_full_payload, lambda p: p["alt_profile"], "alt_profile"),
+        (_full_payload, lambda p: p["agents"][1], "$.agents[1]"),
+        (_full_payload, lambda p: p["alt_profile"]["agents"][0], "alt_profile.agents[0]"),
+    ],
+    ids=["top", "explicit-space", "grid-space", "dim", "nm-profile", "alt-profile",
+         "agent", "alt-agent"],
+)
+def test_unknown_field_exits_two_naming_it(tmp_path, capsys, build, place, where):
+    payload = build()
+    payload_to_society(payload)  # valid, free-form metadata included, until misspelled
+    place(payload)["alt_profle"] = {}
+    with pytest.raises(SocietyFileError, match=r"unknown field 'alt_profle'") as err:
+        payload_to_society(payload)
+    assert err.value.where == where
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where}: unknown field 'alt_profle'\n"
+
+
 # ---------------------------------------------------------------------------
 # Subcommands and exit codes
 
@@ -165,6 +223,16 @@ def test_recover_simplex_harsanyi_json_golden():
     result = run_cli("recover", str(FIXTURES / "simplex.json"), "--mode", "harsanyi", "--json")
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / "recover_simplex_harsanyi.json").read_text()
+
+
+def test_validate_simplex_text_golden_is_the_readme_example():
+    result = run_cli("validate", str(FIXTURES / "simplex.json"))
+    assert result.returncode == 1
+    golden = (GOLDEN / "validate_simplex.txt").read_text()
+    assert result.stdout == golden
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("$ utilcheck validate fixtures/simplex.json\n", 1)[1].split("```", 1)[0]
+    assert block == golden
 
 
 def test_validate_simplex_json_golden():
@@ -303,23 +371,28 @@ def test_malformed_json_exits_two(tmp_path):
 
 
 def test_schema_error_exits_two_with_field(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(
-        json.dumps(
-            {
-                "space": {"kind": "explicit", "states": ["a", "b"]},
-                "agents": [
-                    {"name": "a1", "utility": {"a": "1/0", "b": "0"}},
-                    {"name": "a2", "utility": {"a": "0", "b": "0"}},
-                ],
-                "ethical": {"a": "0", "b": "0"},
-            }
-        ),
-        encoding="utf-8",
-    )
-    result = run_cli("validate", str(path))
-    assert result.returncode == 2
-    assert "utility.a" in result.stderr
+    zero_denominator = {
+        "space": {"kind": "explicit", "states": ["a", "b"]},
+        "agents": [
+            {"name": "a1", "utility": {"a": "1/0", "b": "0"}},
+            {"name": "a2", "utility": {"a": "0", "b": "0"}},
+        ],
+        "ethical": {"a": "0", "b": "0"},
+    }
+    duplicate_state = {
+        "space": {"kind": "explicit", "states": ["a", "a"]},
+        "agents": [{"name": "a1", "utility": {"a": "0"}}, {"name": "a2", "utility": {"a": "0"}}],
+        "ethical": {"a": "0"},
+    }
+    for payload, field in [
+        (zero_denominator, "utility.a"),
+        (duplicate_state, "space: state identifiers must be unique"),
+    ]:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        result = run_cli("validate", str(path))
+        assert result.returncode == 2
+        assert field in result.stderr
 
 
 def test_max_states_guard_exits_two():

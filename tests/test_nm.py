@@ -142,6 +142,20 @@ def test_random_dyadic_lotteries_are_valid_and_seeded():
     assert len(set(first)) == 6
 
 
+def test_random_dyadic_lotteries_reject_more_than_exist():
+    # Two states at depth 1 carry exactly three lotteries: 1, 1/2 and 0 on
+    # the first state.  Asking for all of them terminates; one more raises
+    # instead of sampling forever.
+    space = letters_space(2)
+    every = random_dyadic_lotteries(space, 3, 1, seed=0)
+    assert {lot.as_dict().get("s0", 0) for lot in every} == {0, Fraction(1, 2), 1}
+    with pytest.raises(ValueError, match="only 3 exist"):
+        random_dyadic_lotteries(space, 4, 1, seed=0)
+    assert len(set(random_dyadic_lotteries(letters_space(3), 15, 2, seed=1))) == 15
+    with pytest.raises(ValueError, match="only 15 exist"):
+        random_dyadic_lotteries(letters_space(3), 16, 2, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Affine relation
 
