@@ -37,7 +37,7 @@ from . import linalg
 from .alt import AltSystem
 from .core import StateKey, StateSpace, UtilityTable, WeakOrder, linear_combination
 from .harsanyi import check_axiom_i, positive_reweighting, recover_weights
-from .harvey import Analysis, check_axiom_I, harvey_recover
+from .harvey import Analysis, check_axiom_I
 from .nm import affine_relation
 from .society import (
     Profile,
@@ -124,12 +124,12 @@ def normalize_for_theorem3(
     positive by construction; the lottery-side weights must be positive for
     every nonconstant agent, and when the canonical solution of a dependent
     profile misses that, the positive reweighting is tried before giving up.
-    ``analysis`` carries the pair scan and the lottery-side reduction of
-    checks already run on ``soc``.
+    ``analysis`` carries the intensity-side report and the lottery-side
+    reduction of checks already run on ``soc``.
     """
     if analysis is None:
         analysis = Analysis(soc)
-    alt_report = harvey_recover(soc, analysis)
+    alt_report = analysis.harvey
     if not alt_report.success:
         raise NormalizationError(
             f"intensity-side recovery failed at {alt_report.failed_stage}: {alt_report.witness}"
@@ -332,6 +332,18 @@ def _pareto_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
     )
 
 
+def _pareto_certified(soc: Society, analysis: Analysis) -> bool:
+    """True when the intensity-side recovery proves the Pareto criterion.
+
+    Without an ``alt_profile`` the recovery reads the base tables, and a
+    successful report is the identity v = sum a_i u_i + b verified at every
+    state, with a_i > 0 for every nonconstant agent.  If x dominates y, each
+    u_i(x) - u_i(y) is at least 0 and one is positive, for a nonconstant
+    agent (a constant one has only zero differences), so v(x) > v(y).
+    """
+    return soc.alt is None and analysis.harvey.success
+
+
 def _matching_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
     """Per-agent matching across all three table sources, plus base-vs-intensity
     for the ethical order.  The two ethical tables are never cross-compared
@@ -395,10 +407,15 @@ def theorem3_pipeline(soc: Society) -> Theorem3Report:
     """Hypothesis battery, both weight recoveries, per-agent affinity.
 
     Every hypothesis is evaluated (each gets a named record) before the
-    pipeline decides; recoveries only run when all hypotheses hold.  The
-    passing battery already settles what the per-agent analysis needs:
-    matching gives each agent's two tables one order, semi-separability
-    with matching fills the range product, and two agents are nonconstant.
+    pipeline decides, and the records keep ``HYPOTHESIS_CHECKS`` order.  The
+    pareto record is computed last: when the other five pass and the file
+    has no ``alt_profile``, a successful intensity-side recovery certifies
+    it (``_pareto_certified``) and the O(|X|^2 n) dominance loop is skipped;
+    otherwise the loop decides it and names its first witness.  Normalization
+    reads the same recovery.  The passing battery already settles what the
+    per-agent analysis needs: matching gives each agent's two tables one
+    order, semi-separability with matching fills the range product, and two
+    agents are nonconstant.
     Verdicts are decided on the input tables, so a COINCIDE carries the
     exact (alpha, beta) with starred = alpha * base + beta.  The one
     remaining gate compares the two ethical orders; the reweighted table
@@ -406,7 +423,12 @@ def theorem3_pipeline(soc: Society) -> Theorem3Report:
     order states, and first disagree, alike.
     """
     analysis = Analysis(soc)
-    records = tuple(fn(soc, analysis) for _, fn in HYPOTHESIS_CHECKS)
+    by_name = {name: fn(soc, analysis) for name, fn in HYPOTHESIS_CHECKS if name != "pareto"}
+    if all(r.passed for r in by_name.values()) and _pareto_certified(soc, analysis):
+        by_name["pareto"] = HypothesisRecord("pareto", True)
+    else:
+        by_name["pareto"] = _pareto_record(soc, analysis)
+    records = tuple(by_name[name] for name, _ in HYPOTHESIS_CHECKS)
     failed = next((r.name for r in records if not r.passed), None)
     if failed is not None:
         return Theorem3Report(

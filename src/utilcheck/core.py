@@ -77,8 +77,10 @@ class StateSpace:
         dims = tuple(dims)
         if not dims:
             raise ValueError("product grid needs at least one dimension")
-        coords = tuple(itertools.product(*(d.points() for d in dims)))
-        keys = tuple(",".join(format_rational(c) for c in point) for point in coords)
+        points = [d.points() for d in dims]
+        coords = tuple(itertools.product(*points))
+        labels = [[format_rational(p) for p in axis] for axis in points]
+        keys = tuple(map(",".join, itertools.product(*labels)))
         return cls(states=keys, dims=dims, _coords=coords)
 
     @property
@@ -126,7 +128,7 @@ class UtilityTable:
         return self.values.keys()
 
     def covers(self, space: StateSpace) -> bool:
-        return all(s in self.values for s in space.states)
+        return self.values.keys() >= space.index.keys()
 
     def is_constant(self) -> bool:
         vals = iter(self.values.values())
@@ -266,16 +268,33 @@ def first_disagreement(keys1: Sequence, keys2: Sequence) -> tuple[int, int] | No
     """The first index pair (i, j), in index order, that the two rankings compare differently.
 
     None exactly when ``same_ranking`` holds.  Only after a disagreement
-    does the quadratic search run, and it stops at the first pair with
-    (keys1[i] >= keys1[j]) != (keys2[i] >= keys2[j]).
+    does the witness search run, in O(N log N).  Index i has a partner j
+    with (keys1[i] >= keys1[j]) != (keys2[i] >= keys2[j]) exactly when some
+    j with keys1[j] <= keys1[i] has a larger second key, or some j with
+    keys1[j] > keys1[i] has a second key no larger.  So the indices are
+    grouped by first key in ascending order, and each group gets the
+    largest second key up to and including it and the smallest one above
+    it; the first index outside its bounds is i, and one scan finds its
+    first partner j.
     """
     if same_ranking(keys1, keys2):
         return None
-    return next(
-        (i, j)
-        for i, (a1, a2) in enumerate(zip(keys1, keys2))
-        for j, (b1, b2) in enumerate(zip(keys1, keys2))
-        if (a1 >= b1) != (a2 >= b2)
+    ranked = sorted(range(len(keys1)), key=keys1.__getitem__)
+    groups = [list(g) for _, g in itertools.groupby(ranked, key=keys1.__getitem__)]
+    tops = itertools.accumulate((max(keys2[k] for k in g) for g in groups), max)
+    lows = [*itertools.accumulate((min(keys2[k] for k in g) for g in reversed(groups)), min)]
+    bounds: list = [None] * len(keys1)
+    for group, top, floor in zip(groups, tops, lows[-2::-1] + [None]):
+        for k in group:
+            bounds[k] = (top, floor)
+    i = next(
+        i
+        for i, (key, (top, floor)) in enumerate(zip(keys2, bounds))
+        if top > key or (floor is not None and floor <= key)
+    )
+    a1, a2 = keys1[i], keys2[i]
+    return i, next(
+        j for j, (b1, b2) in enumerate(zip(keys1, keys2)) if (a1 >= b1) != (a2 >= b2)
     )
 
 

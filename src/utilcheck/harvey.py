@@ -166,10 +166,10 @@ def _first_pair(
 class Analysis:
     """Results that several checks of one run need, each computed on first use.
 
-    That is the intensity side's pair scan and semi-separability results and
-    the lottery side's ``span``, whose one reduction every Harsanyi answer
-    reads.  A command creates one per society, passes it to its checks and
-    drops it when it returns.  It is never stored on the society: a
+    That is the intensity side's pair scan, semi-separability results and
+    ``harvey`` recovery report, and the lottery side's ``span``, whose one
+    reduction every Harsanyi answer reads.  A command creates one per
+    society, passes it to its checks and drops it when it returns.  It is never stored on the society: a
     long-lived society would otherwise keep its quadratic pair tables alive.
     """
 
@@ -195,6 +195,11 @@ class Analysis:
     @cached_property
     def span(self) -> SpanProblem:
         return SpanProblem.of(self.soc)
+
+    @cached_property
+    def harvey(self) -> HarveyReport:
+        """The intensity-side recovery, which Theorem 3 normalizes with and may certify Pareto by."""
+        return harvey_recover(self.soc, self)
 
 
 def check_axiom_I(soc: Society, analysis: Analysis | None = None) -> CheckResult:

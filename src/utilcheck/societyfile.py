@@ -8,6 +8,12 @@ within one object is rejected: no emitted file has one, and JSON itself
 would let the last copy win silently.  So is a field that emission never
 writes (only ``metadata`` is free-form), so a misspelled block cannot be
 ignored.
+
+Parsing validates each distinct literal of a file once: one dict per file
+maps each literal string to its Fraction, and ``parse_rational`` stays the
+only validator.  A value's location string is built only when the value is
+rejected, and a table covers the space exactly when its states, each known
+to the space, are as many as the space's.
 """
 
 from __future__ import annotations
@@ -98,22 +104,32 @@ def _parse_space(payload: Any) -> StateSpace:
     raise SocietyFileError(f"unknown space kind {kind!r}", where)
 
 
-def _parse_table(payload: Any, space: StateSpace, where: str) -> UtilityTable:
+def _parse_table(
+    payload: Any, space: StateSpace, where: str, literals: dict[str, Fraction]
+) -> UtilityTable:
     if not isinstance(payload, dict):
         raise SocietyFileError("utility table must be an object", where)
+    index = space.index
     values = {}
     for state, text in payload.items():
-        if state not in space:
+        if state not in index:
             raise SocietyFileError(f"unknown state {state!r}", where)
-        values[state] = _parse_scalar(text, f"{where}.{state}")
-    missing = [s for s in space.states if s not in values]
-    if missing:
-        raise SocietyFileError(f"missing states (first: {missing[0]!r})", where)
+        value = literals.get(text) if isinstance(text, str) else None
+        if value is None:
+            value = literals[text] = _parse_scalar(text, f"{where}.{state}")
+        values[state] = value
+    if len(values) != len(index):
+        missing = next(s for s in space.states if s not in values)
+        raise SocietyFileError(f"missing states (first: {missing!r})", where)
     return UtilityTable(values)
 
 
 def _parse_profile(
-    payload: Any, space: StateSpace, where: str, fields=("agents", "ethical")
+    payload: Any,
+    space: StateSpace,
+    where: str,
+    literals: dict[str, Fraction],
+    fields=("agents", "ethical"),
 ) -> tuple[list[str], Profile]:
     if not isinstance(payload, dict):
         raise SocietyFileError("must be an object", where)
@@ -131,10 +147,14 @@ def _parse_profile(
         name = _need(entry, "name", str, awhere)
         if name in tables:
             raise SocietyFileError(f"duplicate agent {name!r}", awhere)
-        table = _parse_table(_need(entry, "utility", dict, awhere), space, awhere + ".utility")
+        table = _parse_table(
+            _need(entry, "utility", dict, awhere), space, awhere + ".utility", literals
+        )
         names.append(name)
         tables[name] = table
-    ethical = _parse_table(_need(payload, "ethical", dict, where), space, where + ".ethical")
+    ethical = _parse_table(
+        _need(payload, "ethical", dict, where), space, where + ".ethical", literals
+    )
     return names, Profile(tables, ethical)
 
 
@@ -145,11 +165,12 @@ def payload_to_society(payload: Any) -> Society:
     if not isinstance(payload, dict):
         raise SocietyFileError("top level must be an object")
     space = _parse_space(_need(payload, "space", dict, "$"))
-    base_names, base = _parse_profile(payload, space, "$", _TOP_LEVEL_FIELDS)
+    literals: dict[str, Fraction] = {}
+    base_names, base = _parse_profile(payload, space, "$", literals, _TOP_LEVEL_FIELDS)
     profiles: dict[str, Profile | None] = {"nm_profile": None, "alt_profile": None}
     for key in profiles:
         if key in payload:
-            names, profile = _parse_profile(payload[key], space, key)
+            names, profile = _parse_profile(payload[key], space, key, literals)
             if names != base_names:
                 raise SocietyFileError("agent names must match the base profile", key)
             profiles[key] = profile

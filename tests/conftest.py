@@ -210,3 +210,18 @@ def nonadditive_society() -> Society:
         v,
         metadata={"title": "nonadditive: f = (0, 1, 5, 6) on u1 in {0, 1, 3, 4}"},
     )
+
+
+def negative_weight_society() -> Society:
+    """``fixtures/negative_weight.json``: a 3 x 3 grid whose ethical sum weighs a0 by -1.
+
+    Every hypothesis but the Pareto criterion holds: a move that raises a0's
+    value alone dominates and lowers the ethical value.  The intensity-side
+    recovery fails at its slopes, so no certificate stands in for the
+    dominance loop, which names the first dominated pair.
+    """
+    soc, _, _ = product_grid_society(
+        random.Random(0), 2, sizes=(1, 1), weights=(Fraction(-1), Fraction(3, 2)),
+        constant=Fraction(1, 2),
+    )
+    return dataclasses.replace(soc, metadata={"title": "negative-weight: a0 weighted -1, seed 0"})

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,21 @@ def test_representation_is_exact_at_scale():
     values, bumped = _bumped_late_system()
     result = alt_represents(values, bumped)
     assert not result.passed and result.witness == ("s0", "s0", "s63", "s62")
+
+
+def test_a_late_representation_witness_is_found_fast():
+    # 16,384 pair keys; the pair scan the witness search replaced took
+    # about 35 s to reach this witness, checked once against
+    # ``fraction_checks.first_pair``.
+    rng = random.Random(2)
+    states = [f"s{i}" for i in range(128)]
+    u = UtilityTable({s: rand_fraction(rng) for s in states})
+    bump = {("s127", "s126"): F(1, 7)}
+    system = AltSystem.from_pair_ranking(states, lambda x, y: u[x] - u[y] + bump.get((x, y), 0))
+    start = time.perf_counter()
+    result = alt_represents(u, system)
+    assert time.perf_counter() - start < 2
+    assert not result.passed and result.witness == ("s127", "s4", "s127", "s126")
 
 
 # ---------------------------------------------------------------------------

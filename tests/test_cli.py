@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     affine_grid_society,
     bent_component_society,
+    negative_weight_society,
     nonadditive_society,
     planted_coincidence_society,
 )
@@ -276,6 +277,28 @@ def test_coincide_affine_grid_json_golden():
     assert any(a["beta"] != "0" for a in payload["agents"])
     norm = payload["normalization"]
     assert norm["nm_weights"] != norm["alt_weights"]
+
+
+def test_shipped_negative_weight_fixture_matches_generator():
+    soc = parse_society(str(FIXTURES / "negative_weight.json"))
+    assert emit_society(soc) == emit_society(negative_weight_society())
+
+
+def test_coincide_negative_weight_json_golden():
+    # The one shipped fixture that fails Pareto: the dominance loop names the pair.
+    result = run_cli("coincide", str(FIXTURES / "negative_weight.json"), "--json")
+    assert result.returncode == 1
+    assert result.stdout == (GOLDEN / "coincide_negative_weight.json").read_text()
+    payload = json.loads(result.stdout)
+    assert payload["failed_hypothesis"] == "pareto"
+    assert [h["name"] for h in payload["hypotheses"] if h["verdict"] == "FAIL"] == ["pareto"]
+
+
+def test_coincide_simplex_json_golden():
+    result = run_cli("coincide", str(FIXTURES / "simplex.json"), "--json")
+    assert result.returncode == 1
+    assert result.stdout == (GOLDEN / "coincide_simplex.json").read_text()
+    assert json.loads(result.stdout)["failed_hypothesis"] == "semi-separability"
 
 
 def test_coincide_planted_affine_exit_zero(tmp_path):

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import planted_coincidence_society, product_grid_society
+from conftest import (
+    negative_weight_society,
+    planted_coincidence_society,
+    product_grid_society,
+)
 from utilcheck import (
     GridDim,
     NormalizationError,
@@ -518,3 +524,102 @@ def test_matching_skips_a_table_compared_with_itself(tmp_path, monkeypatch, caps
     checks = {c["name"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert checks["matching"] == "PASS"
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The Pareto record: certified by the intensity-side recovery, else the loop
+
+
+def _count_pareto_loops(monkeypatch) -> list:
+    calls = []
+    real = coincidence.check_pareto_criterion
+    monkeypatch.setattr(
+        coincidence, "check_pareto_criterion", lambda soc: calls.append(soc) or real(soc)
+    )
+    return calls
+
+
+def _run(tmp_path, capsys, soc, command="coincide") -> dict:
+    path = tmp_path / "society.json"
+    path.write_text(emit_society(soc), encoding="utf-8")
+    cli.main([command, str(path), "--json"])
+    return json.loads(capsys.readouterr().out)
+
+
+def test_passing_coincide_runs_no_dominance_loop(tmp_path, monkeypatch, capsys):
+    calls = _count_pareto_loops(monkeypatch)
+    soc, _, _ = planted_coincidence_society(random.Random(97), 3)
+    payload = _run(tmp_path, capsys, soc)
+    assert payload["status"] == "coincide"
+    assert {h["name"]: h["verdict"] for h in payload["hypotheses"]}["pareto"] == "PASS"
+    assert calls == []
+
+
+def test_failed_intensity_recovery_runs_the_loop_once(tmp_path, monkeypatch, capsys):
+    # The other five hypotheses pass, but a negative weight fails the
+    # recovery's slopes, so the loop decides and names the pair.
+    calls = _count_pareto_loops(monkeypatch)
+    soc = negative_weight_society()
+    assert not harvey.harvey_recover(soc).success
+    payload = _run(tmp_path, capsys, soc)
+    assert payload["failed_hypothesis"] == "pareto"
+    assert len(calls) == 1
+
+
+def test_an_alt_profile_runs_the_loop_once(tmp_path, monkeypatch, capsys):
+    # The recovery then reads the intensity-side tables, which prove
+    # nothing about the base ones.
+    calls = _count_pareto_loops(monkeypatch)
+    soc, _, _ = planted_coincidence_society(random.Random(97), 3)
+    soc = dataclasses.replace(soc, alt=Profile(soc.base.tables, soc.base.ethical))
+    assert _run(tmp_path, capsys, soc)["status"] == "coincide"
+    assert len(calls) == 1
+
+
+def test_validate_runs_the_loop_once(tmp_path, monkeypatch, capsys):
+    calls = _count_pareto_loops(monkeypatch)
+    soc, _, _ = planted_coincidence_society(random.Random(97), 3)
+    assert _run(tmp_path, capsys, soc, "validate")["all_passed"] is True
+    assert len(calls) == 1
+
+
+@st.composite
+def pareto_societies(draw):
+    """Separable grids with weights of every sign, constant and bent agents, and alt profiles."""
+    n = draw(st.integers(2, 3))
+    dims = [GridDim(f"x{i}", F(0), F(1), F(1, 2 ** draw(st.integers(0, 1)))) for i in range(n)]
+    space = StateSpace.product_grid(dims)
+    tables = {}
+    for i, dim in enumerate(dims):
+        points = dim.points()
+        if draw(st.integers(0, 3)) == 0:
+            levels = [F(draw(st.integers(-2, 2)))] * len(points)
+        else:
+            size = len(points)
+            ints = st.lists(st.integers(-6, 6), min_size=size, max_size=size, unique=True)
+            levels = [F(k, 2) for k in draw(ints)]
+        by_point = dict(zip(points, levels))
+        tables[f"a{i}"] = UtilityTable({s: by_point[space.coords(s)[i]] for s in space.states})
+    weight = st.sampled_from([F(-1), F(0), F(1, 2), F(1), F(1), F(3), F(3)])
+    weights = [draw(weight) for _ in range(n)]
+    terms = list(tables.values())
+    if draw(st.integers(0, 3)) == 0:  # bend a0's component
+        terms[0] = UtilityTable({s: v**3 for s, v in terms[0].values.items()})
+    ethical = linear_combination(terms, weights, F(draw(st.integers(-2, 2))))
+    alt = None
+    if draw(st.integers(0, 3)) == 0:
+        plain = linear_combination(list(tables.values()), [F(1)] * n)
+        alt = Profile(tables, draw(st.sampled_from([ethical, plain])))
+    return Society(space, tuple(tables), Profile(tables, ethical), alt=alt)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pareto_societies())
+def test_pareto_record_matches_the_loop(soc):
+    expected = check_pareto_criterion(soc)
+    report = theorem3_pipeline(soc)
+    record = report.hypothesis("pareto")
+    assert record.passed == expected.passed
+    assert record.detail == ("" if expected else f"witness pair {expected.witness}")
+    with mock.patch.object(coincidence, "_pareto_certified", lambda soc, analysis: False):
+        assert theorem3_pipeline(soc) == report

@@ -1,7 +1,7 @@
 """Order agreement: the one kernel and its readers against the kept pair loops.
 
 ``core.same_ranking`` decides by sorting, and ``core.first_disagreement``
-searches for the first pair only after it fails;
+searches for the first pair only after it fails, in O(N log N);
 ``fraction_checks.first_pair`` is the plain pair scan.  The bool checks
 stop after the sort.  A weak order is one table: ``from_pairs`` ranks each
 item by how many items it is weakly preferred to, and the pair-set order it
@@ -53,6 +53,8 @@ def _outcome(fn, *args):
 @example([])
 @example([(1, -2)])
 @example([(0, 0), (0, 1)])
+@example([(0, 1), (1, 0)])
+@example([(2, 0), (1, 0), (0, 1)])
 def test_kernel_matches_pair_scan(pairs):
     keys1 = [a for a, _ in pairs]
     keys2 = [b for _, b in pairs]

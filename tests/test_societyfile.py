@@ -1,0 +1,191 @@
+"""The society-file parser against the one it replaced, kept as an oracle.
+
+The package parses each distinct literal of a file once and builds a
+location string only for a rejected value; ``reference_parser`` validates
+every value with its location in hand.  On valid files and on single
+mutations of them, both must give equal societies, or the same error text
+and location.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_parser as oracle
+from utilcheck import GridDim, Profile, Society, StateSpace, UtilityTable, emit_society
+from utilcheck.societyfile import (
+    SocietyFileError,
+    parse_society,
+    payload_to_society,
+    society_to_payload,
+)
+
+F = Fraction
+
+#: Few literals, so most values of a file repeat one already parsed.
+LITERALS = ("0", "1", "-1", "1/2", "-3/4", "5/3")
+
+#: Values no file may carry: the JSON non-strings, then non-canonical spellings.
+NON_STRINGS = (1, 1.5, True, None, [], {})
+BAD_LITERALS = ("1.0", "2/4", "+1", "01", "1/0", "3/1", "-0", "", " 1", "1/-2", "x")
+
+
+@st.composite
+def societies(draw):
+    if draw(st.booleans()):
+        lo = draw(st.sampled_from([F(0), F(-1, 2), F(1, 3)]))
+        depths = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2))
+        space = StateSpace.product_grid(
+            [GridDim(f"x{i}", lo, lo + 1, F(1, 2**m)) for i, m in enumerate(depths)]
+        )
+    else:
+        names = st.sampled_from(["a", "b", "c", "1/2,0", "x y", "1"])
+        space = StateSpace.explicit(draw(st.lists(names, min_size=1, max_size=4, unique=True)))
+    agents = [f"a{i}" for i in range(draw(st.integers(2, 3)))]
+    value = st.sampled_from(LITERALS).map(F)
+
+    def profile() -> Profile:
+        tables = {a: UtilityTable({s: draw(value) for s in space.states}) for a in agents}
+        return Profile(tables, UtilityTable({s: draw(value) for s in space.states}))
+
+    base = profile()
+    nm = profile() if draw(st.booleans()) else None
+    alt = profile() if draw(st.booleans()) else None
+    metadata = draw(st.sampled_from([{}, {"title": "t", "n": 1}]))
+    return Society(space, tuple(agents), base, nm=nm, alt=alt, metadata=metadata)
+
+
+def _positions(node, path=()):
+    """Every path into the payload, the root first."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _positions(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _positions(child, path + (i,))
+
+
+def _at(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+@st.composite
+def mutations(draw, payload):
+    """One mutation of the payload: a value replaced, a key or item dropped, or a key added."""
+    payload = copy.deepcopy(payload)
+    paths = list(_positions(payload))[1:]
+    values = [p for p in paths if len(p) > 1 and p[-2] in ("utility", "ethical")]
+    # Half the draws hit a table value, where the memo is read.
+    path = draw(st.sampled_from(draw(st.sampled_from([paths, values]))))
+    parent, key = _at(payload, path[:-1]), path[-1]
+    kind = draw(st.sampled_from(["replace", "replace", "drop", "add", "rename"]))
+    if kind == "replace":
+        bad = st.sampled_from(NON_STRINGS + BAD_LITERALS)
+        parent[key] = draw(st.one_of(bad, st.sampled_from(LITERALS + ("7/2",))))
+    elif kind == "drop":
+        del parent[key]
+    elif isinstance(parent, dict):
+        extra = draw(st.sampled_from(["bogus", "zz", "1/2,0", "metadata"]))
+        if kind == "add":
+            parent.setdefault(extra, draw(st.sampled_from(["1", 1])))
+        elif extra not in parent:
+            parent[extra] = parent.pop(key)
+    else:
+        parent.append(copy.deepcopy(parent[key]))
+    return payload
+
+
+def _outcome(parse, payload):
+    try:
+        soc = parse(copy.deepcopy(payload))
+    except SocietyFileError as exc:
+        return "error", str(exc), exc.where
+    except Exception as exc:  # both parsers must fail alike even off the schema path
+        return type(exc).__name__, str(exc)
+    return "ok", soc, emit_society(soc), [list(t.values) for t in soc.base.tables.values()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(societies())
+def test_valid_files_parse_alike_and_round_trip(soc):
+    payload = society_to_payload(soc)
+    got = _outcome(payload_to_society, payload)
+    assert got == _outcome(oracle.payload_to_society, payload)
+    assert got[0] == "ok" and got[1] == soc
+    text = emit_society(soc)
+    assert emit_society(payload_to_society(json.loads(text))) == text
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), societies())
+def test_single_mutations_parse_or_fail_alike(data, soc):
+    payload = data.draw(mutations(society_to_payload(soc)))
+    assert _outcome(payload_to_society, payload) == _outcome(oracle.payload_to_society, payload)
+
+
+def _repeated_literal_payload() -> dict:
+    space = StateSpace.explicit(["s0", "s1", "s2"])
+    ones = UtilityTable({s: F(1) for s in space.states})
+    soc = Society.from_tables(space, {"a": ones, "b": ones}, ones)
+    return society_to_payload(soc)
+
+
+def test_a_repeated_literal_parses_to_one_value_everywhere():
+    payload = _repeated_literal_payload()
+    soc = payload_to_society(payload)
+    assert soc == oracle.payload_to_society(payload)
+    tables = [*soc.base.tables.values(), soc.base.ethical]
+    assert all(v == 1 and isinstance(v, Fraction) for t in tables for v in t.values.values())
+
+
+@pytest.mark.parametrize("bad", NON_STRINGS + BAD_LITERALS, ids=repr)
+def test_a_bad_value_after_its_literal_is_memoized_names_its_location(bad):
+    # "1" is parsed for every earlier value of the file; a later 1, 1.5 or
+    # true must still be rejected, at its own location.
+    payload = _repeated_literal_payload()
+    payload["ethical"]["s2"] = bad
+    with pytest.raises(SocietyFileError) as err:
+        payload_to_society(payload)
+    assert err.value.where == "$.ethical.s2"
+    with pytest.raises(SocietyFileError) as expected:
+        oracle.payload_to_society(payload)
+    assert (str(err.value), err.value.where) == (str(expected.value), expected.value.where)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: t.pop("s1"), "$.agents[1].utility: missing states (first: 's1')"),
+        (lambda t: t.update(zz="1"), "$.agents[1].utility: unknown state 'zz'"),
+    ],
+)
+def test_coverage_errors_keep_their_text(edit, message):
+    payload = _repeated_literal_payload()
+    edit(payload["agents"][1]["utility"])
+    assert _outcome(payload_to_society, payload) == ("error", message, "$.agents[1].utility")
+    assert _outcome(oracle.payload_to_society, payload) == ("error", message, "$.agents[1].utility")
+
+
+@pytest.mark.parametrize("text", ['{"a": 1, "a": 2}', "{", "[]"])
+def test_files_parse_or_fail_alike(tmp_path, text):
+    path = tmp_path / "society.json"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(lambda _: parse_society(str(path)), None) == _outcome(
+        lambda _: oracle.parse_society(str(path)), None
+    )
+
+
+def test_grid_keys_match_the_per_coordinate_format():
+    dims = [GridDim("x", F(-1, 2), F(1, 2), F(1, 4)), GridDim("y", F(0), F(3), F(3, 2))]
+    space = StateSpace.product_grid(dims)
+    assert space == oracle._product_grid(dims)
+    assert space.states[:3] == ("-1/2,0", "-1/2,3/2", "-1/2,3")
