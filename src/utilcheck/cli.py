@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .coincidence import (
     COINCIDE,
-    CONSTANT,
     HYPOTHESIS_CHECKS,
+    VIOLATION,
     simplex_counterexample,
     sqrt_fixture,
     theorem3_pipeline,
@@ -51,12 +51,31 @@ def _load(path: str, max_states: int):
     return soc
 
 
-def _emit(payload: dict, as_json: bool, lines) -> None:
+def _emit(payload: dict, as_json: bool, render) -> None:
+    """Print the payload as JSON, or the text lines ``render`` builds from it."""
     if as_json:
         print(json.dumps(payload, indent=2))
     else:
-        for line in lines:
+        for line in render(payload):
             print(line)
+
+
+def _records_payload(records) -> list[dict]:
+    return [
+        {"name": r.name, "verdict": "PASS" if r.passed else "FAIL", "detail": r.detail}
+        for r in records
+    ]
+
+
+def _record_line(record: dict) -> str:
+    detail = record["detail"]
+    return f"{record['verdict']} {record['name']}" + (f": {detail}" if detail else "")
+
+
+def _weights_lines(payload: dict) -> list[str]:
+    """A successful recovery's weights and constant lines, as both modes print them."""
+    weights = ", ".join(f"{a}={w}" for a, w in payload["weights"].items())
+    return [f"weights: {weights}", f"constant: {payload['constant']}"]
 
 
 def cmd_validate(args) -> int:
@@ -68,18 +87,28 @@ def cmd_validate(args) -> int:
     payload = {
         "command": "validate",
         "title": soc.metadata.get("title", ""),
-        "checks": [
-            {"name": r.name, "verdict": "PASS" if r.passed else "FAIL", "detail": r.detail}
-            for r in records
-        ],
+        "checks": _records_payload(records),
         "all_passed": all_passed,
     }
-    lines = [
-        f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f": {r.detail}" if r.detail else "")
-        for r in records
-    ]
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, lambda p: map(_record_line, p["checks"]))
     return 0 if all_passed else 1
+
+
+def _harsanyi_lines(payload: dict) -> list[str]:
+    if not payload["success"]:
+        return [f"FAIL recovery: no exact combination at state {payload['residual_witness']!r}"]
+    return _weights_lines(payload) + [f"unique: {str(payload['unique']).lower()}"]
+
+
+def _harvey_lines(payload: dict) -> list[str]:
+    if not payload["success"]:
+        return [f"FAIL recovery at {payload['failed_stage']}: {payload['witness']}"]
+    lines = _weights_lines(payload)
+    if payload["constant_agents"]:
+        lines.append(
+            "constant agents (slope fixed at 1): " + ", ".join(payload["constant_agents"])
+        )
+    return lines
 
 
 def cmd_recover(args) -> int:
@@ -96,16 +125,7 @@ def cmd_recover(args) -> int:
             "unique": report.unique,
             "residual_witness": report.residual_witness,
         }
-        if report.success:
-            lines = [
-                "weights: "
-                + ", ".join(f"{a}={format_rational(w)}" for a, w in zip(report.agents, report.weights)),
-                f"constant: {format_rational(report.constant)}",
-                f"unique: {str(report.unique).lower()}",
-            ]
-        else:
-            lines = [f"FAIL recovery: no exact combination at state {report.residual_witness!r}"]
-        _emit(payload, args.json, lines)
+        _emit(payload, args.json, _harsanyi_lines)
         return 0 if report.success else 1
     report = harvey_recover(soc)
     payload = {
@@ -119,17 +139,7 @@ def cmd_recover(args) -> int:
         "failed_stage": report.failed_stage,
         "witness": None if report.witness is None else str(report.witness),
     }
-    if report.success:
-        lines = [
-            "weights: "
-            + ", ".join(f"{a}={format_rational(w)}" for a, w in zip(report.agents, report.weights)),
-            f"constant: {format_rational(report.constant)}",
-        ]
-        if report.constant_agents:
-            lines.append("constant agents (slope fixed at 1): " + ", ".join(report.constant_agents))
-    else:
-        lines = [f"FAIL recovery at {report.failed_stage}: {report.witness}"]
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, _harvey_lines)
     return 0 if report.success else 1
 
 
@@ -138,9 +148,7 @@ def _verdict_payload(verdict) -> dict:
     if verdict.kind == COINCIDE:
         out["alpha"] = format_rational(verdict.alpha)
         out["beta"] = format_rational(verdict.beta)
-    elif verdict.kind == CONSTANT:
-        pass
-    else:
+    elif verdict.kind == VIOLATION:
         w = verdict.witness
         out["witness"] = {
             "first_step": _step_payload(w.first),
@@ -162,75 +170,64 @@ def _step_payload(step) -> dict:
     }
 
 
+def _agent_line(agent: dict) -> str:
+    name = agent["name"]
+    if agent["verdict"] == "COINCIDE":
+        return f"{name}: coincide with alpha={agent['alpha']}, beta={agent['beta']}"
+    if agent["verdict"] == "CONSTANT":
+        return f"{name}: constant on both scales"
+    first, second = agent["witness"]["first_step"], agent["witness"]["second_step"]
+    return (
+        f"{name}: violation; step {first['from']}->{first['to']} moves "
+        f"({first['base_increment']}, {first['starred_increment']}) but "
+        f"{second['from']}->{second['to']} moves "
+        f"({second['base_increment']}, {second['starred_increment']})"
+    )
+
+
+def _coincide_lines(payload: dict) -> list[str]:
+    lines = [f"status: {payload['status']}"]
+    lines += map(_record_line, payload["hypotheses"])
+    lines += map(_agent_line, payload["agents"])
+    if payload["detail"]:
+        lines.append(payload["detail"])
+    return lines
+
+
 def cmd_coincide(args) -> int:
     soc = _load(args.file, args.max_states)
     report = theorem3_pipeline(soc)
+    norm = report.normalization
     payload = {
         "command": "coincide",
         "title": soc.metadata.get("title", ""),
         "status": report.status,
-        "hypotheses": [
-            {"name": r.name, "verdict": "PASS" if r.passed else "FAIL", "detail": r.detail}
-            for r in report.hypotheses
-        ],
+        "hypotheses": _records_payload(report.hypotheses),
         "failed_hypothesis": report.failed_hypothesis,
         "agents": [_verdict_payload(v) for v in report.agents],
         "normalization": None
-        if report.normalization is None
+        if norm is None
         else {
-            "alt_weights": _weights_payload(
-                report.normalization.agents, report.normalization.alt_weights
-            ),
-            "alt_constant": _rat(report.normalization.alt_constant),
-            "nm_weights": _weights_payload(
-                report.normalization.agents, report.normalization.nm_weights
-            ),
-            "nm_constant": _rat(report.normalization.nm_constant),
+            "alt_weights": _weights_payload(norm.agents, norm.alt_weights),
+            "alt_constant": _rat(norm.alt_constant),
+            "nm_weights": _weights_payload(norm.agents, norm.nm_weights),
+            "nm_constant": _rat(norm.nm_constant),
             "slopes": None
-            if report.normalization.slopes is None
-            else {
-                a: _rat(s)
-                for a, s in zip(report.normalization.agents, report.normalization.slopes)
-            },
+            if norm.slopes is None
+            else {a: _rat(s) for a, s in zip(norm.agents, norm.slopes)},
         },
         "detail": report.detail,
     }
-    lines = [f"status: {report.status}"]
-    for r in report.hypotheses:
-        lines.append(
-            f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f": {r.detail}" if r.detail else "")
-        )
-    for v in report.agents:
-        if v.kind == COINCIDE:
-            lines.append(
-                f"{v.agent}: coincide with alpha={format_rational(v.alpha)}, "
-                f"beta={format_rational(v.beta)}"
-            )
-        elif v.kind == CONSTANT:
-            lines.append(f"{v.agent}: constant on both scales")
-        else:
-            w = v.witness
-            lines.append(
-                f"{v.agent}: violation; step {w.first.lo_state}->{w.first.hi_state} "
-                f"moves ({format_rational(w.first.base_increment)}, "
-                f"{format_rational(w.first.starred_increment)}) but "
-                f"{w.second.lo_state}->{w.second.hi_state} moves "
-                f"({format_rational(w.second.base_increment)}, "
-                f"{format_rational(w.second.starred_increment)})"
-            )
-    if report.detail:
-        lines.append(report.detail)
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, _coincide_lines)
     return 0 if report.status == COINCIDE else 1
 
 
 def cmd_fixture(args) -> int:
     if args.kind == "sqrt":
         bundle = sqrt_fixture(args.k, parse_rational(args.eps), degenerate_second_agent=args.degenerate)
-        text = emit_society(bundle.society)
     else:
         bundle = simplex_counterexample(parse_rational(args.resolution))
-        text = emit_society(bundle.society)
+    text = emit_society(bundle.society)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -296,10 +296,14 @@ class HypothesisRecord:
 class Theorem3Report:
     status: str  # COINCIDE | VIOLATION | HYPOTHESIS_FAILURE | RECOVERY_FAILURE
     hypotheses: tuple[HypothesisRecord, ...]
-    failed_hypothesis: str | None = None
     agents: tuple[AgentVerdict, ...] = ()
     normalization: NormalizationRecord | None = None
     detail: str = ""
+
+    @property
+    def failed_hypothesis(self) -> str | None:
+        """The name of the first failed record, or None when every one passed."""
+        return next((r.name for r in self.hypotheses if not r.passed), None)
 
     def hypothesis(self, name: str) -> HypothesisRecord:
         for rec in self.hypotheses:
@@ -326,6 +330,13 @@ def _semi_separability_record(soc: Society, analysis: Analysis) -> HypothesisRec
 
 
 def _pareto_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
+    """PASS when ``_pareto_certified`` holds; otherwise the dominance loop decides.
+
+    The loop is O(|X|^2 n) and names the first dominated pair that is not
+    ethically better.
+    """
+    if _pareto_certified(soc, analysis):
+        return HypothesisRecord("pareto", True)
     pareto = check_pareto_criterion(soc)
     return HypothesisRecord(
         "pareto", pareto.passed, "" if pareto else f"witness pair {pareto.witness}"
@@ -406,13 +417,12 @@ HYPOTHESIS_CHECKS: tuple = (
 def theorem3_pipeline(soc: Society) -> Theorem3Report:
     """Hypothesis battery, both weight recoveries, per-agent affinity.
 
-    Every hypothesis is evaluated (each gets a named record) before the
-    pipeline decides, and the records keep ``HYPOTHESIS_CHECKS`` order.  The
-    pareto record is computed last: when the other five pass and the file
-    has no ``alt_profile``, a successful intensity-side recovery certifies
-    it (``_pareto_certified``) and the O(|X|^2 n) dominance loop is skipped;
-    otherwise the loop decides it and names its first witness.  Normalization
-    reads the same recovery.  The passing battery already settles what the
+    Every hypothesis in ``HYPOTHESIS_CHECKS`` is evaluated, in that order
+    (each gets a named record), before the pipeline decides.  The records
+    are those ``validate`` reports: the pareto record is certified by the
+    intensity-side recovery when it can be and decided by the dominance loop
+    otherwise (``_pareto_record``), and normalization reads the same cached
+    recovery.  The passing battery already settles what the
     per-agent analysis needs: matching gives each agent's two tables one
     order, semi-separability with matching fills the range product, and two
     agents are nonconstant.
@@ -423,17 +433,9 @@ def theorem3_pipeline(soc: Society) -> Theorem3Report:
     order states, and first disagree, alike.
     """
     analysis = Analysis(soc)
-    by_name = {name: fn(soc, analysis) for name, fn in HYPOTHESIS_CHECKS if name != "pareto"}
-    if all(r.passed for r in by_name.values()) and _pareto_certified(soc, analysis):
-        by_name["pareto"] = HypothesisRecord("pareto", True)
-    else:
-        by_name["pareto"] = _pareto_record(soc, analysis)
-    records = tuple(by_name[name] for name, _ in HYPOTHESIS_CHECKS)
-    failed = next((r.name for r in records if not r.passed), None)
-    if failed is not None:
-        return Theorem3Report(
-            status=HYPOTHESIS_FAILURE, hypotheses=records, failed_hypothesis=failed
-        )
+    records = tuple(fn(soc, analysis) for _, fn in HYPOTHESIS_CHECKS)
+    if not all(r.passed for r in records):
+        return Theorem3Report(status=HYPOTHESIS_FAILURE, hypotheses=records)
     try:
         norm = normalize_for_theorem3(soc, analysis)
     except NormalizationError as exc:
@@ -451,7 +453,6 @@ def theorem3_pipeline(soc: Society) -> Theorem3Report:
             status=HYPOTHESIS_FAILURE,
             hypotheses=records
             + (HypothesisRecord(report.failed_hypothesis, False, report.failure_detail),),
-            failed_hypothesis=report.failed_hypothesis,
             agents=report.agents,
             normalization=norm,
         )

@@ -182,11 +182,6 @@ class WeightReport:
     positive_variant: tuple[tuple[Fraction, ...], Fraction] | None = None
     residual_witness: StateKey | None = None  # first state where the ethical table is nonzero
 
-    def as_mapping(self) -> dict[str, Fraction]:
-        if not self.success:
-            raise ValueError("recovery failed; no weights")
-        return dict(zip(self.agents, self.weights))
-
 
 @dataclass(frozen=True)
 class DependencyBasis:
@@ -309,8 +304,12 @@ def positive_reweighting(
 ) -> WeightReport | None:
     """Trade weight from the basis onto dependent agents to make all weights positive.
 
-    Returns the report with an all-positive variant attached, or None when
-    the profile is independent and some weight is forced nonpositive.
+    Returns the report with an all-positive variant attached, or None.  The
+    construction is sufficient, not complete: it gives up whenever some
+    canonical weight of an independent profile, or some canonical basis
+    weight of a dependent one, is nonpositive.  The first case has no other
+    solution; the second may (u3 = u1 - u2 and v = 3 u1 - u2 give canonical
+    weights (3, -1, 0), yet v = u1 + u2 + 2 u3).
     The transfer amount is eps = min basis weight / (2 * (1 + largest total
     expansion magnitude)), small enough to keep every basis weight positive;
     with an empty basis there is no weight to protect and eps = 1.

@@ -332,11 +332,6 @@ class HarveyReport:
     failed_stage: str | None = None
     witness: object = None
 
-    def as_mapping(self) -> dict[str, Fraction]:
-        if not self.success:
-            raise ValueError("recovery failed; no weights")
-        return dict(zip(self.agents, self.weights))
-
 
 def harvey_recover(soc: Society, analysis: Analysis | None = None) -> HarveyReport:
     """Full intensity-side pipeline: axiom check, map, additivity, slopes, constant.

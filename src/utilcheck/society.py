@@ -134,9 +134,10 @@ def check_pareto_criterion(soc: Society) -> CheckResult:
     vectors differ and x's is weakly greater in every coordinate.  The
     comparisons run on the scaled tables; a positive scale keeps every one
     of them, so the verdict and the witness are those of the same
-    comparisons on the Fractions.  The loop is O(|X|^2 n); the Theorem 3
-    pipeline runs it only when no successful intensity-side recovery of the
-    base tables certifies the criterion, and ``validate`` always runs it.
+    comparisons on the Fractions.  The loop is O(|X|^2 n); the pareto
+    hypothesis record, which ``validate`` and ``coincide`` share, runs it
+    only when no successful intensity-side recovery of the base tables
+    certifies the criterion.
     """
     states = soc.space.states
     vectors = list(zip(*(_column(soc.base.tables[a], states) for a in soc.agents)))

@@ -18,10 +18,17 @@ from conftest import (
     negative_weight_society,
     nonadditive_society,
     planted_coincidence_society,
+    product_grid_society,
 )
 from utilcheck import (
+    GridDim,
+    Profile,
+    Society,
     SocietyFileError,
+    StateSpace,
+    UtilityTable,
     emit_society,
+    linear_combination,
     parse_society,
     simplex_counterexample,
     sqrt_fixture,
@@ -299,6 +306,88 @@ def test_coincide_simplex_json_golden():
     assert result.returncode == 1
     assert result.stdout == (GOLDEN / "coincide_simplex.json").read_text()
     assert json.loads(result.stdout)["failed_hypothesis"] == "semi-separability"
+
+
+@pytest.mark.parametrize(
+    "golden, code, argv",
+    [
+        ("coincide_affine_grid.txt", 0, ["coincide", "affine_grid.json"]),
+        ("coincide_sqrt_k10.txt", 1, ["coincide", "sqrt_k10.json"]),
+        ("recover_affine_grid_harsanyi.txt", 0, ["recover", "affine_grid.json", "harsanyi"]),
+        ("recover_nonadditive_harsanyi.txt", 1, ["recover", "nonadditive.json", "harsanyi"]),
+        ("recover_nonadditive_harvey.txt", 1, ["recover", "nonadditive.json", "harvey"]),
+    ],
+)
+def test_text_report_golden(golden, code, argv):
+    command, fixture, *mode = argv
+    result = run_cli(command, str(FIXTURES / fixture), *(["--mode", *mode] if mode else []))
+    assert result.returncode == code
+    assert result.stdout == (GOLDEN / golden).read_text()
+
+
+def _constant_third_agent_society() -> Society:
+    """Two grid agents and a third everywhere indifferent, with affine starred tables."""
+    space = StateSpace.product_grid(
+        [GridDim("x", F(0), F(1), F(1, 2)), GridDim("y", F(0), F(1), F(1, 2))]
+    )
+    u1 = UtilityTable.on_coords(space, lambda x, y: x)
+    u2 = UtilityTable.on_coords(space, lambda x, y: y)
+    u3 = UtilityTable({s: F(4) for s in space.states})
+    star = {
+        "a1": u1.affine(F(5), F(1)),
+        "a2": u2.affine(F(1, 2), F(0)),
+        "a3": UtilityTable({s: F(-2) for s in space.states}),
+    }
+    return Society.from_tables(
+        space,
+        {"a1": u1, "a2": u2, "a3": u3},
+        linear_combination([u1, u2, u3], [F(2), F(3), F(1)]),
+        nm=Profile(star, linear_combination(list(star.values()), [F(2, 5), F(6), F(1)], F(3))),
+    )
+
+
+def _text_report(tmp_path, capsys, soc, *argv) -> tuple[int, str]:
+    path = tmp_path / "society.json"
+    path.write_text(emit_society(soc), encoding="utf-8")
+    code = cli.main([argv[0], str(path), *argv[1:]])
+    return code, capsys.readouterr().out
+
+
+def test_coincide_text_reports_a_constant_agent(tmp_path, capsys):
+    code, out = _text_report(tmp_path, capsys, _constant_third_agent_society(), "coincide")
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        "a1: coincide with alpha=5, beta=1",
+        "a2: coincide with alpha=1/2, beta=0",
+        "a3: constant on both scales",
+    ]
+
+
+def test_recover_harvey_text_names_the_constant_agents(tmp_path, capsys):
+    soc = _constant_third_agent_society()
+    code, out = _text_report(tmp_path, capsys, soc, "recover", "--mode", "harvey")
+    assert code == 0
+    assert out == (
+        "weights: a1=2, a2=3, a3=1\n"
+        "constant: 0\n"
+        "constant agents (slope fixed at 1): a3\n"
+    )
+
+
+def test_coincide_text_reports_a_recovery_failure(tmp_path, capsys):
+    # Every hypothesis holds, but the lottery-side ethical table weights the
+    # nonconstant agent a0 by -1 in an independent profile, so no positive
+    # reweighting exists.
+    soc, _, _ = product_grid_society(random.Random(5), 2, sizes=(1, 1))
+    tables = soc.base.tables
+    nm_ethical = linear_combination([tables["a0"], tables["a1"]], [F(-1), F(1)])
+    soc = Society.from_tables(soc.space, tables, soc.base.ethical, nm=Profile(tables, nm_ethical))
+    code, out = _text_report(tmp_path, capsys, soc, "coincide")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "status: recovery-failure"
+    assert all(line.startswith("PASS ") for line in lines[1:7])
+    assert lines[7:] == ["lottery-side weight for nonconstant agent 'a0' is not positive"]
 
 
 def test_coincide_planted_affine_exit_zero(tmp_path):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -539,47 +543,61 @@ def _count_pareto_loops(monkeypatch) -> list:
     return calls
 
 
-def _run(tmp_path, capsys, soc, command="coincide") -> dict:
-    path = tmp_path / "society.json"
-    path.write_text(emit_society(soc), encoding="utf-8")
-    cli.main([command, str(path), "--json"])
-    return json.loads(capsys.readouterr().out)
+def cli_report(soc, command: str = "coincide") -> dict:
+    """The command's JSON report on ``soc``, run in-process from a temporary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "society.json"
+        path.write_text(emit_society(soc), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main([command, str(path), "--json"])
+    return json.loads(out.getvalue())
 
 
-def test_passing_coincide_runs_no_dominance_loop(tmp_path, monkeypatch, capsys):
+def test_passing_coincide_runs_no_dominance_loop(monkeypatch):
     calls = _count_pareto_loops(monkeypatch)
     soc, _, _ = planted_coincidence_society(random.Random(97), 3)
-    payload = _run(tmp_path, capsys, soc)
+    payload = cli_report(soc)
     assert payload["status"] == "coincide"
     assert {h["name"]: h["verdict"] for h in payload["hypotheses"]}["pareto"] == "PASS"
     assert calls == []
 
 
-def test_failed_intensity_recovery_runs_the_loop_once(tmp_path, monkeypatch, capsys):
+def test_failed_intensity_recovery_runs_the_loop_once(monkeypatch):
     # The other five hypotheses pass, but a negative weight fails the
     # recovery's slopes, so the loop decides and names the pair.
     calls = _count_pareto_loops(monkeypatch)
     soc = negative_weight_society()
     assert not harvey.harvey_recover(soc).success
-    payload = _run(tmp_path, capsys, soc)
+    payload = cli_report(soc)
     assert payload["failed_hypothesis"] == "pareto"
     assert len(calls) == 1
 
 
-def test_an_alt_profile_runs_the_loop_once(tmp_path, monkeypatch, capsys):
+def test_an_alt_profile_runs_the_loop_once(monkeypatch):
     # The recovery then reads the intensity-side tables, which prove
     # nothing about the base ones.
     calls = _count_pareto_loops(monkeypatch)
     soc, _, _ = planted_coincidence_society(random.Random(97), 3)
     soc = dataclasses.replace(soc, alt=Profile(soc.base.tables, soc.base.ethical))
-    assert _run(tmp_path, capsys, soc)["status"] == "coincide"
+    assert cli_report(soc)["status"] == "coincide"
     assert len(calls) == 1
 
 
-def test_validate_runs_the_loop_once(tmp_path, monkeypatch, capsys):
+def test_validate_runs_the_loop_once(monkeypatch):
+    # At most once: the recovery certifies a passing base-only file, so the
+    # loop runs 0 times; a failed recovery or an alt_profile leaves it to decide.
     calls = _count_pareto_loops(monkeypatch)
     soc, _, _ = planted_coincidence_society(random.Random(97), 3)
-    assert _run(tmp_path, capsys, soc, "validate")["all_passed"] is True
+    base_only = Society.from_tables(soc.space, soc.base.tables, soc.base.ethical)
+    assert cli_report(base_only, "validate")["all_passed"] is True
+    assert calls == []
+    checks = cli_report(negative_weight_society(), "validate")["checks"]
+    assert [c["name"] for c in checks if c["verdict"] == "FAIL"] == ["pareto"]
+    assert len(calls) == 1
+    calls.clear()
+    with_alt = dataclasses.replace(base_only, alt=Profile(soc.base.tables, soc.base.ethical))
+    assert cli_report(with_alt, "validate")["all_passed"] is True
     assert len(calls) == 1
 
 
@@ -621,5 +639,10 @@ def test_pareto_record_matches_the_loop(soc):
     record = report.hypothesis("pareto")
     assert record.passed == expected.passed
     assert record.detail == ("" if expected else f"witness pair {expected.witness}")
+    validate_checks = cli_report(soc, "validate")["checks"]
+    assert validate_checks[0] == {
+        "name": "pareto", "verdict": "PASS" if expected else "FAIL", "detail": record.detail
+    }
     with mock.patch.object(coincidence, "_pareto_certified", lambda soc, analysis: False):
         assert theorem3_pipeline(soc) == report
+        assert cli_report(soc, "validate")["checks"] == validate_checks

@@ -372,6 +372,24 @@ def test_positive_reweighting_unique_zero_weight_is_none():
     assert positive_reweighting(soc, report, basis) is None
 
 
+def test_positive_reweighting_misses_a_positive_solution_of_a_dependent_profile():
+    # u3 = u1 - u2 and v = 3 u1 - u2: the canonical solution (3, -1, 0) puts
+    # a negative weight on the basis, so the construction gives up, although
+    # v = u1 + u2 + 2 u3 is an all-positive solution.
+    space = letters_space(4)
+    u1 = UtilityTable({"s0": F(0), "s1": F(1), "s2": F(0), "s3": F(2)})
+    u2 = UtilityTable({"s0": F(0), "s1": F(0), "s2": F(1), "s3": F(1)})
+    u3 = linear_combination([u1, u2], [F(1), F(-1)])
+    v = linear_combination([u1, u2], [F(3), F(-1)])
+    soc = Society.from_tables(space, {"a1": u1, "a2": u2, "a3": u3}, v)
+    report = recover_weights(soc)
+    assert not report.unique and report.weights == (F(3), F(-1), F(0))
+    basis = select_dependency_basis(soc.nm_side(), soc.agents, soc.space.states)
+    assert basis.basis == (0, 1)
+    assert positive_reweighting(soc, report, basis) is None
+    assert linear_combination([u1, u2, u3], [F(1), F(1), F(2)]) == v
+
+
 def test_positive_reweighting_empty_basis():
     # Every agent constant: no basis weight to protect, so the transfer is 1.
     space = letters_space(3)
