@@ -17,12 +17,11 @@ from .alt import (
     reconstruct_alt_utility,
 )
 from .coincidence import (
-    AffineReport,
     AgentVerdict,
+    CoincidenceReport,
     NormalizationError,
     SimplexFixture,
     SqrtFixture,
-    Theorem3Report,
     ViolationWitness,
     normalize_for_theorem3,
     proposition1_check,

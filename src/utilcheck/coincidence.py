@@ -12,6 +12,12 @@ fails is the value-for-value map built, to find two steps with different
 per-unit increments (a violation witness anyone can recheck by hand).
 Fractions appear only in the reported coefficients and steps.
 
+Both theorems answer with one ``CoincidenceReport``.  Proposition 1
+(``proposition1_check``, on two given profiles) and Theorem 3
+(``theorem3_pipeline``, after both weight recoveries) each record their
+hypotheses as named records, then share one verdict tail that adds the
+per-agent verdicts and the ethical-order gate.
+
 The two shipped fixtures exercise both outcomes.  The square-root fixture
 arranges every aggregation hypothesis to hold while the scales differ by a
 square root, which surfaces as step increments that grow with the step
@@ -93,11 +99,10 @@ class AgentVerdict:
 
 
 @dataclass(frozen=True)
-class AffineReport:
-    status: str  # COINCIDE | VIOLATION | HYPOTHESIS_FAILURE
-    agents: tuple[AgentVerdict, ...] = ()
-    failed_hypothesis: str | None = None
-    failure_detail: str = ""
+class HypothesisRecord:
+    name: str
+    passed: bool
+    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,32 @@ class NormalizationRecord:
     #: against the reweighted base table (alt weight times u_i); None for
     #: constant or violating agents or before the affinity analysis.
     slopes: tuple[Fraction | None, ...] | None = None
+
+
+@dataclass(frozen=True)
+class CoincidenceReport:
+    """One theorem's verdict: its hypothesis records, then the per-agent verdicts.
+
+    A failing record carries its own detail; ``detail`` holds only a
+    recovery failure's message.
+    """
+
+    status: str  # COINCIDE | VIOLATION | HYPOTHESIS_FAILURE | RECOVERY_FAILURE
+    hypotheses: tuple[HypothesisRecord, ...]
+    agents: tuple[AgentVerdict, ...] = ()
+    normalization: NormalizationRecord | None = None
+    detail: str = ""
+
+    @property
+    def failed_hypothesis(self) -> str | None:
+        """The name of the first failed record, or None when every one passed."""
+        return next((r.name for r in self.hypotheses if not r.passed), None)
+
+    def hypothesis(self, name: str) -> HypothesisRecord:
+        for rec in self.hypotheses:
+            if rec.name == name:
+                return rec
+        raise KeyError(name)
 
 
 def normalize_for_theorem3(
@@ -147,12 +178,12 @@ def normalize_for_theorem3(
         if w <= 0 and not nm_profile.tables[a].is_constant()
     ]
     if nonpositive:
-        improved = positive_reweighting(soc, nm_report, analysis.span.dependency_basis)
-        if improved is None:
+        positive = positive_reweighting(soc, nm_report, analysis.span.dependency_basis)
+        if positive is None:
             raise NormalizationError(
                 f"lottery-side weight for nonconstant agent {nonpositive[0]!r} is not positive"
             )
-        nm_weights, nm_constant = improved.positive_variant
+        nm_weights, nm_constant = positive
     return NormalizationRecord(
         agents=soc.agents,
         alt_weights=alt_report.weights,
@@ -214,39 +245,60 @@ def _agent_verdicts(agents, tables, starred, states) -> tuple[AgentVerdict, ...]
     return tuple(verdicts)
 
 
-def _affinity_report(agents, tables, starred, sums, states) -> AffineReport:
-    """The agent verdicts, then, unless one is a violation, the order of the two sums.
+def _affinity_report(
+    records, agents, tables, starred, sums, states, norm=None
+) -> CoincidenceReport:
+    """The verdict tail both theorems share, after their hypothesis records passed.
 
-    ``sums`` is one table summing ``tables`` and one summing ``starred``,
-    each reweighted as the caller's theorem needs; a violation is reported
-    as such rather than hiding behind the diverging orders it causes.
+    The agent verdicts come first; unless one is a violation, the order of
+    the two sums is compared next, and a disagreement adds a failing
+    ``shared-ethical-order`` record.  ``sums`` is one table summing
+    ``tables`` and one summing ``starred``, each reweighted as the caller's
+    theorem needs; a violation is reported as such rather than hiding
+    behind the diverging orders it causes.  A COINCIDE or VIOLATION fills
+    ``norm``'s slopes, when one is given.
     """
     verdicts = _agent_verdicts(agents, tables, starred, states)
-    if any(v.kind == VIOLATION for v in verdicts):
-        return AffineReport(status=VIOLATION, agents=verdicts)
-    if pair := order_disagreement(*sums, states):
-        x, y = pair
-        return AffineReport(
-            status=HYPOTHESIS_FAILURE,
-            agents=verdicts,
-            failed_hypothesis="shared-ethical-order",
-            failure_detail=f"table sums disagree on ({x!r}, {y!r})",
+    status = VIOLATION if any(v.kind == VIOLATION for v in verdicts) else COINCIDE
+    if status == COINCIDE and (pair := order_disagreement(*sums, states)):
+        failed = HypothesisRecord("shared-ethical-order", False, f"table sums disagree on {pair!r}")
+        return CoincidenceReport(HYPOTHESIS_FAILURE, records + (failed,), verdicts, norm)
+    if norm is not None:
+        slopes = tuple(
+            v.alpha * w_nm / w_alt if v.kind == COINCIDE else None
+            for v, w_alt, w_nm in zip(verdicts, norm.alt_weights, norm.nm_weights)
         )
-    return AffineReport(status=COINCIDE, agents=verdicts)
+        norm = dataclasses.replace(norm, slopes=slopes)
+    return CoincidenceReport(status, records, verdicts, norm)
+
+
+def _check_record(name: str, result, label: str) -> HypothesisRecord:
+    """A check's pass, or its failure with detail ``"<label> <witness>"``."""
+    return HypothesisRecord(name, result.passed, "" if result else f"{label} {result.witness}")
+
+
+def _two_nonconstant(agents, tables: Mapping[str, UtilityTable]) -> HypothesisRecord:
+    """The one ``two-nonconstant-agents`` decision, for both theorems."""
+    nonconstant = [a for a in agents if not tables[a].is_constant()]
+    return HypothesisRecord(
+        "two-nonconstant-agents", len(nonconstant) >= 2, f"nonconstant agents: {nonconstant}"
+    )
 
 
 def proposition1_check(
     space: StateSpace,
     u_tables: Mapping[str, UtilityTable],
     u_star_tables: Mapping[str, UtilityTable],
-) -> AffineReport:
+) -> CoincidenceReport:
     """Decide per agent whether the starred table is a positive affine image.
 
-    Hypotheses are reported individually: each agent pair must order states
-    identically, the realized value vectors must fill the product of the
-    per-agent ranges (``semi_separability``), and at least two agents must
-    be nonconstant.  The per-agent verdicts are computed before the two
-    plain table sums are compared.
+    Three hypotheses are recorded, in this order: each agent pair must
+    order states identically (``shared-agent-order``, naming the first
+    disagreeing agent), the realized value vectors must fill the product of
+    the per-agent ranges (``range-product``, by ``semi_separability``), and
+    at least two agents must be nonconstant.  When all three pass, the
+    per-agent verdicts are computed before the two plain table sums are
+    compared.
     """
     agents = tuple(u_tables)
     if tuple(u_star_tables) != agents:
@@ -254,79 +306,24 @@ def proposition1_check(
     tables = [u_tables[a] for a in agents]
     starred = [u_star_tables[a] for a in agents]
     states = space.states
-
-    for a, t, t_star in zip(agents, tables, starred):
-        if pair := order_disagreement(t, t_star, states):
-            x, y = pair
-            return AffineReport(
-                status=HYPOTHESIS_FAILURE,
-                failed_hypothesis="shared-agent-order",
-                failure_detail=f"agent {a!r} tables disagree on ({x!r}, {y!r})",
-            )
-
-    semi = semi_separability(tables, states)
-    if not semi:
-        return AffineReport(
-            status=HYPOTHESIS_FAILURE,
-            failed_hypothesis="range-product",
-            failure_detail=f"witness profile {semi.witness}",
-        )
-
-    nonconstant = [a for a, t in zip(agents, tables) if not t.is_constant()]
-    if len(nonconstant) < 2:
-        return AffineReport(
-            status=HYPOTHESIS_FAILURE,
-            failed_hypothesis="two-nonconstant-agents",
-            failure_detail=f"only {nonconstant} nonconstant",
-        )
-
+    disagreement = next(
+        (
+            f"agent {a!r} tables disagree on {pair!r}"
+            for a, t, t_star in zip(agents, tables, starred)
+            if (pair := order_disagreement(t, t_star, states))
+        ),
+        "",
+    )
+    records = (
+        HypothesisRecord("shared-agent-order", not disagreement, disagreement),
+        _check_record("range-product", semi_separability(tables, states), "witness profile"),
+        _two_nonconstant(agents, u_tables),
+    )
+    if not all(r.passed for r in records):
+        return CoincidenceReport(HYPOTHESIS_FAILURE, records)
     ones = [1] * len(agents)
     sums = (linear_combination(tables, ones), linear_combination(starred, ones))
-    return _affinity_report(agents, tables, starred, sums, states)
-
-
-@dataclass(frozen=True)
-class HypothesisRecord:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class Theorem3Report:
-    status: str  # COINCIDE | VIOLATION | HYPOTHESIS_FAILURE | RECOVERY_FAILURE
-    hypotheses: tuple[HypothesisRecord, ...]
-    agents: tuple[AgentVerdict, ...] = ()
-    normalization: NormalizationRecord | None = None
-    detail: str = ""
-
-    @property
-    def failed_hypothesis(self) -> str | None:
-        """The name of the first failed record, or None when every one passed."""
-        return next((r.name for r in self.hypotheses if not r.passed), None)
-
-    def hypothesis(self, name: str) -> HypothesisRecord:
-        for rec in self.hypotheses:
-            if rec.name == name:
-                return rec
-        raise KeyError(name)
-
-
-def _two_nonconstant_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
-    alt_profile = soc.alt_side()
-    nonconstant = [a for a in soc.agents if not alt_profile.tables[a].is_constant()]
-    return HypothesisRecord(
-        "two-nonconstant-agents",
-        len(nonconstant) >= 2,
-        f"nonconstant agents: {nonconstant}",
-    )
-
-
-def _semi_separability_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
-    semi = analysis.semi_separability
-    return HypothesisRecord(
-        "semi-separability", semi.passed, "" if semi else f"witness profile {semi.witness}"
-    )
+    return _affinity_report(records, agents, tables, starred, sums, states)
 
 
 def _pareto_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
@@ -337,10 +334,7 @@ def _pareto_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
     """
     if _pareto_certified(soc, analysis):
         return HypothesisRecord("pareto", True)
-    pareto = check_pareto_criterion(soc)
-    return HypothesisRecord(
-        "pareto", pareto.passed, "" if pareto else f"witness pair {pareto.witness}"
-    )
+    return _check_record("pareto", check_pareto_criterion(soc), "witness pair")
 
 
 def _pareto_certified(soc: Society, analysis: Analysis) -> bool:
@@ -395,11 +389,16 @@ def _axiom_i_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
     )
 
 
+def _two_nonconstant_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
+    return _two_nonconstant(soc.agents, soc.alt_side().tables)
+
+
+def _semi_separability_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
+    return _check_record("semi-separability", analysis.semi_separability, "witness profile")
+
+
 def _axiom_cap_i_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
-    result = check_axiom_I(soc, analysis)
-    return HypothesisRecord(
-        "axiom-I", result.passed, "" if result else f"witness quadruple {result.witness}"
-    )
+    return _check_record("axiom-I", check_axiom_I(soc, analysis), "witness quadruple")
 
 
 #: Named hypothesis checks in canonical reporting order; each takes the
@@ -414,8 +413,8 @@ HYPOTHESIS_CHECKS: tuple = (
 )
 
 
-def theorem3_pipeline(soc: Society) -> Theorem3Report:
-    """Hypothesis battery, both weight recoveries, per-agent affinity.
+def theorem3_pipeline(soc: Society) -> CoincidenceReport:
+    """Hypothesis battery, both weight recoveries, then the shared verdict tail.
 
     Every hypothesis in ``HYPOTHESIS_CHECKS`` is evaluated, in that order
     (each gets a named record), before the pipeline decides.  The records
@@ -435,36 +434,20 @@ def theorem3_pipeline(soc: Society) -> Theorem3Report:
     analysis = Analysis(soc)
     records = tuple(fn(soc, analysis) for _, fn in HYPOTHESIS_CHECKS)
     if not all(r.passed for r in records):
-        return Theorem3Report(status=HYPOTHESIS_FAILURE, hypotheses=records)
+        return CoincidenceReport(HYPOTHESIS_FAILURE, records)
     try:
         norm = normalize_for_theorem3(soc, analysis)
     except NormalizationError as exc:
-        return Theorem3Report(status=RECOVERY_FAILURE, hypotheses=records, detail=str(exc))
+        return CoincidenceReport(RECOVERY_FAILURE, records, detail=str(exc))
     alt, nm = soc.alt_side(), soc.nm_side()
-    report = _affinity_report(
+    return _affinity_report(
+        records,
         soc.agents,
         [alt.tables[a] for a in soc.agents],
         [nm.tables[a] for a in soc.agents],
         (alt.ethical, nm.ethical),
         soc.space.states,
-    )
-    if report.status == HYPOTHESIS_FAILURE:
-        return Theorem3Report(
-            status=HYPOTHESIS_FAILURE,
-            hypotheses=records
-            + (HypothesisRecord(report.failed_hypothesis, False, report.failure_detail),),
-            agents=report.agents,
-            normalization=norm,
-        )
-    slopes = tuple(
-        v.alpha * w_nm / w_alt if v.kind == COINCIDE else None
-        for v, w_alt, w_nm in zip(report.agents, norm.alt_weights, norm.nm_weights)
-    )
-    return Theorem3Report(
-        status=report.status,
-        hypotheses=records,
-        agents=report.agents,
-        normalization=dataclasses.replace(norm, slopes=slopes),
+        norm,
     )
 
 

@@ -43,11 +43,6 @@ class GridDim:
                 f"dimension {self.name!r}: (hi-lo)/step must be a power of two, got {ratio}"
             )
 
-    @property
-    def depth(self) -> int:
-        """m such that step = (hi-lo) / 2**m."""
-        return (((self.hi - self.lo) / self.step).numerator).bit_length() - 1
-
     def points(self) -> list[Fraction]:
         n = ((self.hi - self.lo) / self.step).numerator
         return [self.lo + k * self.step for k in range(n + 1)]
@@ -128,7 +123,8 @@ class UtilityTable:
         return self.values.keys()
 
     def covers(self, space: StateSpace) -> bool:
-        return self.values.keys() >= space.index.keys()
+        """True iff the table's states are exactly the space's."""
+        return self.values.keys() == space.index.keys()
 
     def is_constant(self) -> bool:
         vals = iter(self.values.values())

@@ -16,14 +16,14 @@ constructions add one reduction of at most n+1 rows each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import linalg
 from .core import SimpleLottery, StateKey, expectation, is_combination
-from .society import Profile, Society
+from .society import CheckResult, Profile, Society
 
 if TYPE_CHECKING:
     from .harvey import Analysis
@@ -162,15 +162,6 @@ class LotteryWitnessPair:
 
 
 @dataclass(frozen=True)
-class AxiomIResult:
-    passed: bool
-    witness: LotteryWitnessPair | None = None
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-@dataclass(frozen=True)
 class WeightReport:
     """Outcome of weight recovery; the identity is re-verified before return."""
 
@@ -179,7 +170,6 @@ class WeightReport:
     weights: tuple[Fraction, ...] | None = None
     constant: Fraction | None = None
     unique: bool = False
-    positive_variant: tuple[tuple[Fraction, ...], Fraction] | None = None
     residual_witness: StateKey | None = None  # first state where the ethical table is nonzero
 
 
@@ -211,7 +201,7 @@ def _perturbed_pair(eta: list[Fraction], states) -> LotteryWitnessPair:
     return LotteryWitnessPair(p=p, q=q, eta=tuple(eta), lam=lam)
 
 
-def check_axiom_i(soc: Society, analysis: Analysis | None = None) -> AxiomIResult:
+def check_axiom_i(soc: Society, analysis: Analysis | None = None) -> CheckResult:
     """Unanimous lottery indifference must force ethical indifference.
 
     Passes iff the ethical table lies in the row space of the profile
@@ -222,7 +212,7 @@ def check_axiom_i(soc: Society, analysis: Analysis | None = None) -> AxiomIResul
     """
     problem = SpanProblem.of(soc) if analysis is None else analysis.span
     if problem.in_span:
-        return AxiomIResult(True)
+        return CheckResult(True)
     profile = soc.nm_side()
     pair = _perturbed_pair(problem.separating_null_vector(), problem.states)
     for name in soc.agents:
@@ -231,7 +221,7 @@ def check_axiom_i(soc: Society, analysis: Analysis | None = None) -> AxiomIResul
             raise AssertionError("witness pair fails agent indifference")
     if expectation(pair.p, profile.ethical) == expectation(pair.q, profile.ethical):
         raise AssertionError("witness pair fails ethical separation")
-    return AxiomIResult(False, witness=pair)
+    return CheckResult(False, witness=pair)
 
 
 def recover_weights(soc: Society, analysis: Analysis | None = None) -> WeightReport:
@@ -301,10 +291,10 @@ def witness_lotteries_for_sign(
 
 def positive_reweighting(
     soc: Society, report: WeightReport, basis: DependencyBasis
-) -> WeightReport | None:
+) -> tuple[tuple[Fraction, ...], Fraction] | None:
     """Trade weight from the basis onto dependent agents to make all weights positive.
 
-    Returns the report with an all-positive variant attached, or None.  The
+    Returns all-positive (weights, constant) for the ethical table, or None.  The
     construction is sufficient, not complete: it gives up whenever some
     canonical weight of an independent profile, or some canonical basis
     weight of a dependent one, is nonpositive.  The first case has no other
@@ -318,7 +308,7 @@ def positive_reweighting(
         raise ValueError("cannot reweight a failed recovery")
     weights = list(report.weights)
     if all(w > 0 for w in weights):
-        return replace(report, positive_variant=(report.weights, report.constant))
+        return report.weights, report.constant
     if report.unique:
         return None
     if any(weights[i] <= 0 for i in basis.basis):
@@ -347,4 +337,4 @@ def positive_reweighting(
         raise AssertionError("reweighting produced a nonpositive weight")
     profile = soc.nm_side()
     _verify_identity(profile, soc.agents, new, new_b)
-    return replace(report, positive_variant=(tuple(new), new_b))
+    return tuple(new), new_b

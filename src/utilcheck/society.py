@@ -30,7 +30,7 @@ class CheckResult:
     """PASS, or a witness demonstrating failure."""
 
     passed: bool
-    witness: tuple | None = None
+    witness: object = None
     description: str = ""
 
     def __bool__(self) -> bool:
@@ -69,9 +69,9 @@ class Society:
                 raise ValueError(f"{label} profile does not cover exactly the agents")
             for name, table in profile.tables.items():
                 if not table.covers(self.space):
-                    raise ValueError(f"{label} table for {name!r} misses states")
+                    raise ValueError(f"{label} table for {name!r} does not cover exactly the space")
             if not profile.ethical.covers(self.space):
-                raise ValueError(f"{label} ethical table misses states")
+                raise ValueError(f"{label} ethical table does not cover exactly the space")
 
     @classmethod
     def from_tables(

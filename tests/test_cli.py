@@ -68,9 +68,12 @@ def test_shipped_simplex_fixture_loads():
 
 
 def test_shipped_fixture_matches_generator():
-    soc = parse_society(str(FIXTURES / "simplex.json"))
-    regenerated = simplex_counterexample(F(1, 4)).society
-    assert emit_society(soc) == emit_society(regenerated)
+    for name, bundle in (
+        ("simplex.json", simplex_counterexample(F(1, 4))),
+        ("sqrt_k10.json", sqrt_fixture(10, F(1, 2))),
+    ):
+        soc = parse_society(str(FIXTURES / name))
+        assert emit_society(soc) == emit_society(bundle.society), name
 
 
 def test_round_trip_is_byte_identical():

@@ -150,7 +150,9 @@ def test_proposition1_range_product_failure():
     report = proposition1_check(soc.space, dict(soc.base.tables), dict(soc.nm.tables))
     assert report.status == "hypothesis-failure"
     assert report.failed_hypothesis == "range-product"
-    assert report.failure_detail == f"witness profile {fixture.semi_separability_witness}"
+    assert report.hypothesis("range-product").detail == (
+        f"witness profile {fixture.semi_separability_witness}"
+    )
 
 
 def test_proposition1_two_nonconstant_failure():
@@ -160,6 +162,34 @@ def test_proposition1_two_nonconstant_failure():
     report = proposition1_check(soc.space, tables, tables)
     assert report.status == "hypothesis-failure"
     assert report.failed_hypothesis == "two-nonconstant-agents"
+
+
+def test_proposition1_records_its_three_gates_in_order():
+    soc, u1, u2 = _coordinate_society()
+    const = UtilityTable({s: F(7) for s in soc.space.states})
+    simplex = simplex_counterexample(F(1, 4)).society
+    cases = {
+        None: (soc.space, {"a1": u1, "a2": u2}, {"a1": u1, "a2": u2}),
+        "shared-agent-order": (
+            soc.space, {"a1": u1, "a2": u2}, {"a1": u1, "a2": u2.affine(F(-1), F(0))}
+        ),
+        "range-product": (simplex.space, dict(simplex.base.tables), dict(simplex.nm.tables)),
+        "two-nonconstant-agents": (soc.space, {"a1": u1, "a2": const}, {"a1": u1, "a2": const}),
+    }
+    for failing, args in cases.items():
+        report = proposition1_check(*args)
+        assert [r.name for r in report.hypotheses] == [
+            "shared-agent-order", "range-product", "two-nonconstant-agents"
+        ]
+        assert [r.name for r in report.hypotheses if not r.passed] == [failing] * bool(failing)
+        assert report.status == ("hypothesis-failure" if failing else "coincide")
+        assert bool(report.agents) == (failing is None)
+    report = proposition1_check(*cases["shared-agent-order"])
+    assert report.hypothesis("shared-agent-order").detail.startswith(
+        "agent 'a2' tables disagree on ("
+    )
+    report = proposition1_check(*cases["two-nonconstant-agents"])
+    assert report.hypothesis("two-nonconstant-agents").detail == "nonconstant agents: ['a1']"
 
 
 def test_proposition1_ethical_order_checked_after_verdicts():

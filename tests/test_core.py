@@ -67,6 +67,26 @@ def test_table_must_cover_space():
     space = letters_space(3)
     table = UtilityTable({"s0": F(1), "s1": F(2)})
     assert not table.covers(space)
+    exact = UtilityTable({s: F(1) for s in space.states})
+    assert exact.covers(space)
+    extra = UtilityTable({**exact.values, "zz": F(2)})
+    assert not extra.covers(space)
+
+
+def test_society_rejects_a_table_with_a_state_outside_the_space():
+    # Left in, the extra state makes a table constant on the space read as
+    # nonconstant, and reaches the weight recoveries from the ethical table.
+    space = letters_space(4)
+    u1 = UtilityTable({s: F(i) for i, s in enumerate(space.states)})
+    u2 = UtilityTable({s: F(7) for s in space.states})
+    v = linear_combination([u1, u2], [1, 1])
+
+    def widened(table):
+        return UtilityTable({**table.values, "zz": F(0)})
+
+    for agents, ethical in (({"a1": u1, "a2": widened(u2)}, v), ({"a1": u1, "a2": u2}, widened(v))):
+        with pytest.raises(ValueError, match="does not cover exactly the space"):
+            Society.from_tables(space, agents, ethical)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from conftest import letters_space, planted_society, primes, rand_fraction
 from gauss_jordan import dot, mat_vec, null_space, rank, rref, solve
 from utilcheck import (
     Analysis,
+    CheckResult,
     DependencyBasis,
     GridDim,
     Society,
@@ -31,7 +32,7 @@ from utilcheck import (
     witness_lotteries_for_sign,
 )
 from utilcheck import linalg
-from utilcheck.harsanyi import AxiomIResult, _perturbed_pair
+from utilcheck.harsanyi import _perturbed_pair
 
 F = Fraction
 PRIMES = primes(64)
@@ -338,7 +339,7 @@ def test_positive_reweighting_already_positive():
     basis = select_dependency_basis(soc.nm_side(), soc.agents, soc.space.states)
     out = positive_reweighting(soc, report, basis)
     assert out is not None
-    assert out.positive_variant == (weights, constant)
+    assert out == (weights, constant)
 
 
 def test_positive_reweighting_duplicate_agent():
@@ -352,7 +353,7 @@ def test_positive_reweighting_duplicate_agent():
     basis = select_dependency_basis(soc.nm_side(), soc.agents, soc.space.states)
     out = positive_reweighting(soc, report, basis)
     assert out is not None
-    new_weights, new_b = out.positive_variant
+    new_weights, new_b = out
     assert all(w > 0 for w in new_weights)
     assert (
         linear_combination([u1, u1], new_weights, new_b) == soc.base.ethical
@@ -401,8 +402,7 @@ def test_positive_reweighting_empty_basis():
     assert report.weights == (F(0), F(0)) and report.constant == F(5)
     basis = select_dependency_basis(soc.nm_side(), soc.agents, soc.space.states)
     assert basis.basis == ()
-    out = positive_reweighting(soc, report, basis)
-    assert out.positive_variant == ((1, 1), 2)
+    assert positive_reweighting(soc, report, basis) == ((1, 1), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -469,14 +469,14 @@ def rank_loop_independent_columns(matrix, k: int) -> list[int]:
     raise ValueError("matrix rows are dependent; no regular submatrix")
 
 
-def solve_axiom_i(soc) -> AxiomIResult:
+def solve_axiom_i(soc) -> CheckResult:
     """Membership by its own solve; the witness from the first violating null vector."""
     problem = SpanProblem.from_profile(soc.nm_side(), soc.agents, soc.space.states)
     rows = [list(r) for r in problem.matrix]
     if solve([list(c) for c in zip(*rows)], list(problem.target)) is not None:
-        return AxiomIResult(True)
+        return CheckResult(True)
     eta = next(eta for eta in null_space(rows) if dot(problem.target, eta) != 0)
-    return AxiomIResult(False, witness=_perturbed_pair(eta, problem.states))
+    return CheckResult(False, witness=_perturbed_pair(eta, problem.states))
 
 
 def regular_columns_witness(soc, agent):
