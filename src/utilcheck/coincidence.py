@@ -298,11 +298,15 @@ def proposition1_check(
     the per-agent ranges (``range-product``, by ``semi_separability``), and
     at least two agents must be nonconstant.  When all three pass, the
     per-agent verdicts are computed before the two plain table sums are
-    compared.
+    compared.  Raises ValueError unless every table covers exactly the space.
     """
     agents = tuple(u_tables)
     if tuple(u_star_tables) != agents:
         raise ValueError("profiles must cover the same agents in the same order")
+    for side, profile in (("u", u_tables), ("u*", u_star_tables)):
+        for a in agents:
+            if not profile[a].covers(space):
+                raise ValueError(f"{side} table for {a!r} does not cover exactly the space")
     tables = [u_tables[a] for a in agents]
     starred = [u_star_tables[a] for a in agents]
     states = space.states

@@ -1,19 +1,22 @@
-"""Exact row reduction by fraction-free integer elimination.
+"""Exact row reduction by incremental fraction-free Gauss-Jordan elimination.
 
 One kernel, ``reduce_rows``, answers every row-space question in the
-package.  Each row is multiplied by the LCM of its own denominators, which
-keeps the row space, so the reduced row echelon form and its pivots need no
-unscaling.  Bareiss elimination (Bareiss 1968, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination") then runs on ints,
-every division exact, taking the rows in order until every column has a
-pivot; back-substitution on those few rows gives the rref times one
-determinant.  The package's matrices are tall (one row per state), so its
-rows, and their LCMs, stay short.  Inputs are never mutated.
+package.  Each row is scaled by the LCM of its own denominators, which keeps
+the row space, so the rref and its pivots need no unscaling.  The rows are
+taken in order and the basis stays reduced: each basis row is ``det`` times
+its rref row, in ints, with ``det`` the pivot minor's determinant (Cramer's
+rule).  A row x is in the span iff ``det * x`` matches the basis rows
+weighted by x's pivot entries on every column without a pivot, so a
+dependent row costs one dot product per such column.  At the first column
+where they differ, x's residue joins the basis with its pivot there, each
+basis row is updated by one exact division, and ``det`` becomes that pivot,
+until every column has a pivot.  Inputs are never mutated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .rationals import scale_to_ints
@@ -36,36 +39,33 @@ class Reduction(NamedTuple):
 
 def reduce_rows(rows) -> Reduction:
     """Reduce a matrix given as rows of rationals (Fractions or ints)."""
-    basis: list[tuple[int, int, list[int]]] = []  # (origin, pivot column, Bareiss row)
+    det = 1
+    basis: list[tuple[int, int, list[int]]] = []  # (pivot column, origin, det * rref row)
+    free: dict[int, list[int]] = {}  # each column with no pivot: its basis entries
     for i, row in enumerate(rows):
         x = scale_to_ints(row)[1]
-        prev = 1
-        for _, c, b in basis:  # row i's Bareiss state after each earlier pivot step
-            p, f = b[c], x[c]
-            if f:
-                x = [(p * a - f * e) // prev for a, e in zip(x, b)]
-            else:
-                x = [p * a // prev for a in x]
-            prev = p
-        lead = next((j for j, a in enumerate(x) if a), None)
-        if lead is not None:
-            basis.append((i, lead, x))
-            if len(basis) == len(x):
+        if not basis:
+            free = {j: [] for j in range(len(x))}
+        lead = [x[c] for c, _, _ in basis]
+        for j, column in free.items():
+            if det * x[j] != sum(map(mul, lead, column)):
                 break
-    # The last Bareiss pivot is the determinant of the pivot minor, so it
-    # times each rref row is an int row (Cramer's rule); solve for those
-    # from the last pivot row up, every division exact.
-    det = basis[-1][2][basis[-1][1]] if basis else 1
-    done: list[tuple[int, list[int], int]] = []  # (pivot column, det * rref row, origin)
-    for origin, c, b in reversed(basis):
-        x = [det * a for a in b]
-        for c2, y, _ in done:
-            if f := b[c2]:
-                x = [a - f * e for a, e in zip(x, y)]
-        done.append((c, [a // b[c] for a in x], origin))
-    done.sort()
+        else:
+            continue  # x is in the span of the basis
+        y = [det * a for a in x]  # det * x minus its projection: 0 on every pivot column
+        for f, (_, _, b) in zip(lead, basis):
+            if f:
+                y = [a - f * e for a, e in zip(y, b)]
+        basis = [(c, o, [(y[j] * a - b[j] * e) // det for a, e in zip(b, y)]) for c, o, b in basis]
+        basis.append((j, i, y))
+        det = y[j]
+        del free[j]
+        if not free:
+            break
+        free = {k: [b[k] for _, _, b in basis] for k in free}
+    basis.sort()
     return Reduction(
-        pivots=[c for c, _, _ in done],
-        rows=[[Fraction(a, det) for a in y] for _, y, _ in done],
-        origins=[origin for _, _, origin in done],
+        pivots=[c for c, _, _ in basis],
+        rows=[[Fraction(a, det) for a in b] for _, _, b in basis],
+        origins=[o for _, o, _ in basis],
     )

@@ -55,5 +55,6 @@ def scale_to_ints(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     every equality of differences among the values: comparisons can run on
     them exactly and much faster than on Fractions.
     """
-    scale = lcm(*{v.denominator for v in values})
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*{d for _, d in ratios})
+    return scale, [n * (scale // d) for n, d in ratios]

@@ -192,6 +192,19 @@ def test_proposition1_records_its_three_gates_in_order():
     assert report.hypothesis("two-nonconstant-agents").detail == "nonconstant agents: ['a1']"
 
 
+def test_proposition1_rejects_a_table_that_does_not_cover_the_space():
+    space = StateSpace.explicit(["a", "b", "c", "d"])
+    u1 = UtilityTable({s: F(i) for i, s in enumerate(space.states)})
+    u2 = UtilityTable({s: F(i * i) for i, s in enumerate(space.states)})
+    missing = UtilityTable({s: F(1) for s in "abc"})
+    with pytest.raises(ValueError, match=r"^u\* table for 'a2' does not cover exactly the space$"):
+        proposition1_check(space, {"a1": u1, "a2": u2}, {"a1": u1, "a2": missing})
+    # Constant on the space: read as nonconstant, it would make the report coincide.
+    extra = UtilityTable({**{s: F(7) for s in space.states}, "e": F(8)})
+    with pytest.raises(ValueError, match=r"^u table for 'a2' does not cover exactly the space$"):
+        proposition1_check(space, {"a1": u1, "a2": extra}, {"a1": u1, "a2": extra})
+
+
 def test_proposition1_ethical_order_checked_after_verdicts():
     # Each agent pair is affine, but with different slopes the two sums
     # order states differently; that is reported as the failed hypothesis.

@@ -47,25 +47,55 @@ def matrices(draw):
     return rows
 
 
-def greedy_rows(rows) -> list[int]:
-    """Indices of the rows independent of the rows before them, by one rank each."""
+@st.composite
+def span_problems(draw):
+    """The matrix of ``SpanProblem``: rows [1 | u_1 ... u_n | v] for up to 100
+    states, some agents affine in an earlier one, v a combination of 1 and
+    the u_i, and sometimes one state's v bumped off that combination."""
+    n_rows, n_agents = draw(st.integers(0, 100)), draw(st.integers(1, 4))
+    value = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 7]))
+    agents: list[list[Fraction]] = []
+    for _ in range(n_agents):
+        if agents and draw(st.booleans()):
+            u, a, b = draw(st.sampled_from(agents)), draw(value), draw(value)
+            agents.append([a + b * x for x in u])
+        else:
+            agents.append(draw(st.lists(value, min_size=n_rows, max_size=n_rows)))
+    c, *weights = draw(st.lists(value, min_size=n_agents + 1, max_size=n_agents + 1))
+    v = [c + sum(w * u[s] for w, u in zip(weights, agents)) for s in range(n_rows)]
+    if n_rows and draw(st.booleans()):
+        v[draw(st.integers(0, n_rows - 1))] += draw(value.filter(bool))
+    return [[F(1), *(u[s] for u in agents), v[s]] for s in range(n_rows)]
+
+
+def greedy_pivots(rows) -> dict[int, int]:
+    """Each row independent of the rows before it, mapped to its pivot column.
+
+    Row i's pivot is the least c where the rank of rows[:i+1] on columns
+    [:c+1] exceeds the rank of rows[:i] on those columns.  The rows chosen
+    before i span rows[:i], so they stand in for it.
+    """
     chosen: list[list[Fraction]] = []
-    out = []
+    out = {}
     for i, row in enumerate(rows):
         if rank(chosen + [row]) > len(chosen):
+            out[i] = next(
+                c
+                for c in range(len(row))
+                if rank([r[: c + 1] for r in chosen + [row]]) > rank([r[: c + 1] for r in chosen])
+            )
             chosen.append(row)
-            out.append(i)
     return out
 
 
-@settings(max_examples=200, deadline=None)
-@given(matrices())
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrices(), span_problems()))
 def test_kernel_equals_fraction_gauss_jordan(rows):
     red = reduce_rows(rows)
     oracle, pivots = rref(rows)
     assert red.pivots == pivots
     assert red.rows == oracle[: len(pivots)]
-    assert sorted(red.origins) == greedy_rows(rows)
+    assert dict(zip(red.origins, red.pivots)) == greedy_pivots(rows)
 
 
 @settings(max_examples=200, deadline=None)
