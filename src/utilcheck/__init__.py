@@ -42,7 +42,6 @@ from .core import (
     mix,
 )
 from .harsanyi import (
-    DependencyBasis,
     LotteryWitnessPair,
     SpanProblem,
     WeightReport,
@@ -50,7 +49,6 @@ from .harsanyi import (
     express_in_span,
     positive_reweighting,
     recover_weights,
-    select_dependency_basis,
     witness_lotteries_for_sign,
 )
 from .harvey import (

@@ -42,7 +42,7 @@ from typing import Mapping
 from . import linalg
 from .alt import AltSystem
 from .core import StateKey, StateSpace, UtilityTable, WeakOrder, linear_combination
-from .harsanyi import check_axiom_i, positive_reweighting, recover_weights
+from .harsanyi import check_axiom_i, recover_weights
 from .harvey import Analysis, check_axiom_I
 from .nm import affine_relation
 from .society import (
@@ -152,9 +152,14 @@ def normalize_for_theorem3(
     With the recorded weights and constants, v = sum alt_i u_i + alt_constant
     and v* = sum nm_i u*_i + nm_constant; each recovery re-verifies its
     identity pointwise before returning.  The intensity-side weights are
-    positive by construction; the lottery-side weights must be positive for
-    every nonconstant agent, and when the canonical solution of a dependent
-    profile misses that, the positive reweighting is tried before giving up.
+    positive by construction; the lottery-side weights are the canonical
+    ones and must be positive for every nonconstant agent.  This assumes
+    the hypothesis battery passed: then the nonconstant agents' lottery
+    tables are independent together with 1 (matching gives each the
+    indifference classes of its base table, and semi-separability realizes
+    every combination of them), so their weights are unique and a
+    nonpositive one has no positive alternative.  On a society that fails
+    the battery it may raise where another solution is positive.
     ``analysis`` carries the intensity-side report and the lottery-side
     reduction of checks already run on ``soc``.
     """
@@ -170,26 +175,18 @@ def normalize_for_theorem3(
         raise NormalizationError(
             f"lottery-side recovery failed at state {nm_report.residual_witness}"
         )
-    nm_profile = soc.nm_side()
-    nm_weights, nm_constant = nm_report.weights, nm_report.constant
-    nonpositive = [
-        a
-        for a, w in zip(soc.agents, nm_weights)
-        if w <= 0 and not nm_profile.tables[a].is_constant()
-    ]
-    if nonpositive:
-        positive = positive_reweighting(soc, nm_report, analysis.span.dependency_basis)
-        if positive is None:
+    nm_tables = soc.nm_side().tables
+    for a, w in zip(soc.agents, nm_report.weights):
+        if w <= 0 and not nm_tables[a].is_constant():
             raise NormalizationError(
-                f"lottery-side weight for nonconstant agent {nonpositive[0]!r} is not positive"
+                f"lottery-side weight for nonconstant agent {a!r} is not positive"
             )
-        nm_weights, nm_constant = positive
     return NormalizationRecord(
         agents=soc.agents,
         alt_weights=alt_report.weights,
         alt_constant=alt_report.constant,
-        nm_weights=tuple(nm_weights),
-        nm_constant=nm_constant,
+        nm_weights=nm_report.weights,
+        nm_constant=nm_report.constant,
     )
 
 

@@ -5,12 +5,10 @@ indifference is exactly a row-space condition: stack the constant function
 1 and the agent tables as rows of a matrix A over the states, and the
 ethical table must be a linear combination of those rows.  Everything else
 follows constructively: a violating null vector yields a witness lottery
-pair, a regular submatrix yields sign-certifying lotteries, and a
-dependency basis lets nonpositive weights be traded away when the profile
-is linearly dependent.  One integer reduction per society
-(``SpanProblem.reduction``, shared through ``harvey.Analysis.span``) gives
-the span verdict, the weights, the dependency basis, the regular states
-and the first state that separates the ethical table; the witness
+pair, and a regular submatrix yields sign-certifying lotteries.  One
+integer reduction per society (``SpanProblem.reduction``, shared through
+``harvey.Analysis.span``) gives the span verdict, the weights, the regular
+states and the first state that separates the ethical table; the witness
 constructions add one reduction of at most n+1 rows each.
 """
 
@@ -62,14 +60,15 @@ class SpanProblem:
     ``reduction`` is the one ``linalg.reduce_rows`` of the |X| x (n+2)
     matrix with columns [1 | u_1 ... u_n | v], one row per state.  Its
     pivots are the greedy first-independent columns.  So v is in the span
-    (axiom (i)) iff its column is no pivot; the agent pivots are the greedy
-    dependency basis, and a non-basis agent's column in the pivot rows is
-    its expansion over 1 and the basis; v's column in the pivot rows is the
-    canonical solution (non-basis weights 0); the weights are unique iff
-    every column of [1 | u] is a pivot.  Its origins are the greedy
-    first-independent states: those with a pivot in [1 | u] are the regular
-    state columns of the profile matrix, and the one with v's pivot, if
-    any, is the first state that separates v.
+    (axiom (i)) iff its column is no pivot; the agent pivots are a greedy
+    maximal set of agents independent together with 1, and any other
+    agent's column in the pivot rows is its expansion over 1 and those
+    agents; v's column in the pivot rows is the canonical solution
+    (non-pivot weights 0); the weights are unique iff every column of
+    [1 | u] is a pivot.  Its origins are the greedy first-independent
+    states: those with a pivot in [1 | u] are the regular state columns of
+    the profile matrix, and the one with v's pivot, if any, is the first
+    state that separates v.
     """
 
     states: tuple[StateKey, ...]
@@ -79,7 +78,7 @@ class SpanProblem:
     @classmethod
     def from_profile(cls, profile: Profile, agents, states) -> "SpanProblem":
         states = tuple(states)
-        rows = [tuple(Fraction(1) for _ in states)]
+        rows = [(Fraction(1),) * len(states)]
         rows += [tuple(profile.tables[a][s] for s in states) for a in agents]
         target = tuple(profile.ethical[s] for s in states)
         return cls(states=states, matrix=tuple(rows), target=target)
@@ -104,17 +103,6 @@ class SpanProblem:
 
     def rows_independent(self) -> bool:
         return len(self.spanning_pivots) == len(self.matrix)
-
-    @cached_property
-    def dependency_basis(self) -> "DependencyBasis":
-        rows, pivots = self.reduction.rows, self.spanning_pivots
-        coefficients = {
-            c - 1: tuple(rows[r][c] for r in range(len(pivots)))
-            for c in range(1, len(self.matrix))
-            if c not in pivots
-        }
-        basis = tuple(c - 1 for c in pivots if c > 0)
-        return DependencyBasis(basis=basis, coefficients=coefficients)
 
     @cached_property
     def regular_states(self) -> list[int]:
@@ -171,18 +159,6 @@ class WeightReport:
     constant: Fraction | None = None
     unique: bool = False
     residual_witness: StateKey | None = None  # first state where the ethical table is nonzero
-
-
-@dataclass(frozen=True)
-class DependencyBasis:
-    """Greedy maximal independent agent set plus exact expansion coefficients.
-
-    ``coefficients[j]`` expresses agent j's table as c0 * 1 + sum over the
-    basis agents of c_i * u_i, for every j outside the basis.
-    """
-
-    basis: tuple[int, ...]
-    coefficients: dict[int, tuple[Fraction, ...]]  # j -> (c0, then one per basis agent)
 
 
 def _perturbed_pair(eta: list[Fraction], states) -> LotteryWitnessPair:
@@ -254,11 +230,6 @@ def _verify_identity(profile: Profile, agents, weights, constant) -> None:
         raise AssertionError("recovered identity failed pointwise re-verification")
 
 
-def select_dependency_basis(profile: Profile, agents, states) -> DependencyBasis:
-    """Greedy-by-index maximal set of agents independent together with 1."""
-    return SpanProblem.from_profile(profile, agents, states).dependency_basis
-
-
 def witness_lotteries_for_sign(
     soc: Society, agent: str, analysis: Analysis | None = None
 ) -> LotteryWitnessPair:
@@ -290,51 +261,50 @@ def witness_lotteries_for_sign(
 
 
 def positive_reweighting(
-    soc: Society, report: WeightReport, basis: DependencyBasis
+    soc: Society, report: WeightReport
 ) -> tuple[tuple[Fraction, ...], Fraction] | None:
-    """Trade weight from the basis onto dependent agents to make all weights positive.
+    """Trade weight from the pivot agents onto dependent agents to make all weights positive.
 
-    Returns all-positive (weights, constant) for the ethical table, or None.  The
+    Returns all-positive (weights, constant) for the lottery-side ethical
+    table, or None.  The pivot agents and each other agent's expansion over
+    1 and them are read from ``SpanProblem.of(soc).reduction``.  The
     construction is sufficient, not complete: it gives up whenever some
-    canonical weight of an independent profile, or some canonical basis
+    canonical weight of an independent profile, or some canonical pivot
     weight of a dependent one, is nonpositive.  The first case has no other
     solution; the second may (u3 = u1 - u2 and v = 3 u1 - u2 give canonical
     weights (3, -1, 0), yet v = u1 + u2 + 2 u3).
-    The transfer amount is eps = min basis weight / (2 * (1 + largest total
-    expansion magnitude)), small enough to keep every basis weight positive;
-    with an empty basis there is no weight to protect and eps = 1.
+    The transfer amount is eps = min pivot weight / (2 * (1 + largest total
+    expansion magnitude)), small enough to keep every pivot weight positive;
+    with no pivot agent there is no weight to protect and eps = 1.
     """
     if not report.success:
         raise ValueError("cannot reweight a failed recovery")
-    weights = list(report.weights)
-    if all(w > 0 for w in weights):
+    if all(w > 0 for w in report.weights):
         return report.weights, report.constant
     if report.unique:
         return None
-    if any(weights[i] <= 0 for i in basis.basis):
+    problem = SpanProblem.of(soc)
+    rows, pivots = problem.reduction.rows, problem.spanning_pivots
+    basis = [c - 1 for c in pivots[1:]]  # pivot row r + 1 belongs to basis[r]
+    new = list(report.weights)
+    if any(new[i] <= 0 for i in basis):
         return None
-    non_basis = [j for j in range(len(weights)) if j not in basis.basis]
+    dependent = [c for c in range(1, len(problem.matrix)) if c not in pivots]
     spread = max(
-        (
-            sum(abs(basis.coefficients[j][slot + 1]) for j in non_basis)
-            for slot in range(len(basis.basis))
-        ),
+        (sum(abs(rows[r][c]) for c in dependent) for r in range(1, len(pivots))),
         default=Fraction(0),
     )
-    if basis.basis:
-        eps = min(weights[i] for i in basis.basis) / (2 * (1 + spread))
+    if basis:
+        eps = min(new[i] for i in basis) / (2 * (1 + spread))
     else:
         eps = Fraction(1)
-    new = list(weights)
     new_b = report.constant
-    for j in non_basis:
-        new[j] = eps
-        coeffs = basis.coefficients[j]
-        new_b -= eps * coeffs[0]
-        for slot, i in enumerate(basis.basis):
-            new[i] -= eps * coeffs[slot + 1]
+    for c in dependent:
+        new[c - 1] = eps
+        new_b -= eps * rows[0][c]
+        for r, i in enumerate(basis, 1):
+            new[i] -= eps * rows[r][c]
     if any(w <= 0 for w in new):
         raise AssertionError("reweighting produced a nonpositive weight")
-    profile = soc.nm_side()
-    _verify_identity(profile, soc.agents, new, new_b)
+    _verify_identity(soc.nm_side(), soc.agents, new, new_b)
     return tuple(new), new_b

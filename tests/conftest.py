@@ -225,3 +225,23 @@ def negative_weight_society() -> Society:
         constant=Fraction(1, 2),
     )
     return dataclasses.replace(soc, metadata={"title": "negative-weight: a0 weighted -1, seed 0"})
+
+
+def negative_lottery_weight_society() -> Society:
+    """``fixtures/negative_lottery_weight.json``: lottery-side weights (-1, 1) on a 3 x 3 grid.
+
+    The lottery-side profile keeps the base tables and sums them as
+    -u0 + u1.  Every hypothesis holds, so the nonconstant agents' lottery
+    tables are independent together with 1 and the weight -1 on a0 is the
+    only one: the run ends in a recovery failure that names a0.
+    """
+    soc, _, _ = product_grid_society(random.Random(5), 2, sizes=(1, 1))
+    tables = soc.base.tables
+    nm_ethical = linear_combination([tables["a0"], tables["a1"]], [Fraction(-1), Fraction(1)])
+    return Society.from_tables(
+        soc.space,
+        tables,
+        soc.base.ethical,
+        nm=Profile(tables, nm_ethical),
+        metadata={"title": "negative-lottery-weight: lottery side weights a0 by -1, seed 5"},
+    )

@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     affine_grid_society,
     bent_component_society,
+    negative_lottery_weight_society,
     negative_weight_society,
     nonadditive_society,
     planted_coincidence_society,
@@ -378,19 +379,32 @@ def test_recover_harvey_text_names_the_constant_agents(tmp_path, capsys):
 
 
 def test_coincide_text_reports_a_recovery_failure(tmp_path, capsys):
-    # Every hypothesis holds, but the lottery-side ethical table weights the
-    # nonconstant agent a0 by -1 in an independent profile, so no positive
-    # reweighting exists.
-    soc, _, _ = product_grid_society(random.Random(5), 2, sizes=(1, 1))
-    tables = soc.base.tables
-    nm_ethical = linear_combination([tables["a0"], tables["a1"]], [F(-1), F(1)])
-    soc = Society.from_tables(soc.space, tables, soc.base.ethical, nm=Profile(tables, nm_ethical))
+    # Every hypothesis holds, so the nonconstant agents' lottery-side weights
+    # are unique, and the lottery-side ethical table weights a0 by -1.
+    soc = negative_lottery_weight_society()
     code, out = _text_report(tmp_path, capsys, soc, "coincide")
     assert code == 1
     lines = out.splitlines()
     assert lines[0] == "status: recovery-failure"
     assert all(line.startswith("PASS ") for line in lines[1:7])
     assert lines[7:] == ["lottery-side weight for nonconstant agent 'a0' is not positive"]
+
+
+def test_shipped_negative_lottery_weight_fixture_matches_generator():
+    soc = parse_society(str(FIXTURES / "negative_lottery_weight.json"))
+    assert emit_society(soc) == emit_society(negative_lottery_weight_society())
+
+
+def test_coincide_negative_lottery_weight_json_golden():
+    # The one golden whose battery passes and whose lottery-side recovery
+    # gives a nonconstant agent a nonpositive weight.
+    result = run_cli("coincide", str(FIXTURES / "negative_lottery_weight.json"), "--json")
+    assert result.returncode == 1
+    assert result.stdout == (GOLDEN / "coincide_negative_lottery_weight.json").read_text()
+    payload = json.loads(result.stdout)
+    assert payload["status"] == "recovery-failure"
+    assert payload["failed_hypothesis"] is None
+    assert payload["detail"] == "lottery-side weight for nonconstant agent 'a0' is not positive"
 
 
 def test_coincide_planted_affine_exit_zero(tmp_path):

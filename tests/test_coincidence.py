@@ -27,6 +27,7 @@ from utilcheck import (
     NormalizationError,
     Profile,
     Society,
+    SpanProblem,
     StateSpace,
     UtilityTable,
     affine_relation,
@@ -35,6 +36,7 @@ from utilcheck import (
     emit_society,
     linear_combination,
     normalize_for_theorem3,
+    positive_reweighting,
     proposition1_check,
     recover_weights,
     simplex_counterexample,
@@ -113,6 +115,89 @@ def test_normalize_propagates_axiom_i_failure():
     )
     with pytest.raises(NormalizationError, match="lottery-side"):
         normalize_for_theorem3(soc)
+
+
+def test_normalize_reads_the_canonical_lottery_weights():
+    # Lottery tables a1 = a2 = x fail matching, so nothing makes the weights
+    # unique: the canonical (2, 0) is read as it is and names a2, though
+    # trading weight from a1 onto a2 gives the positive (3/2, 1/2).
+    soc, u1, _ = _coordinate_society()
+    soc, _, _ = _coordinate_society(star=(u1, u1))
+    assert theorem3_pipeline(soc).failed_hypothesis == "matching"
+    with pytest.raises(NormalizationError, match="nonconstant agent 'a2' is not positive"):
+        normalize_for_theorem3(soc)
+    assert positive_reweighting(soc, recover_weights(soc)) == ((F(3, 2), F(1, 2)), F(0))
+
+
+@st.composite
+def lottery_weight_societies(draw):
+    """Separable grids with separate lottery-side and intensity-side tables.
+
+    Each agent's base table is constant or injective in its own coordinate.
+    Its intensity-side table is an increasing image of it, and so is its
+    lottery-side table, or that is an affine image of an earlier agent's
+    lottery-side table.  Each side's ethical table sums that side's tables
+    with weights from -3 to 5; the base ethical table is the intensity-side one.
+    """
+    n = draw(st.integers(2, 3))
+    dims = [GridDim(f"x{i}", F(0), F(1), F(1, 2 ** draw(st.integers(0, 1)))) for i in range(n)]
+    space = StateSpace.product_grid(dims)
+    small = st.integers(1, 3).map(F)
+
+    def increasing(levels):
+        kind = draw(st.sampled_from(["same", "affine", "cube"]))
+        if kind == "affine":
+            a, b = draw(small) / draw(small), F(draw(st.integers(-2, 2)))
+            return [a * x + b for x in levels]
+        return [x**3 for x in levels] if kind == "cube" else levels
+
+    base, alt, nm = {}, {}, {}
+    for i, dim in enumerate(dims):
+        points = dim.points()
+        if draw(st.integers(0, 3)) == 0:
+            levels = [F(draw(st.integers(-2, 2)))] * len(points)
+        else:
+            ints = st.lists(st.integers(-6, 6), min_size=len(points), max_size=len(points), unique=True)
+            levels = [F(k, 2) for k in draw(ints)]
+
+        def table(values):
+            by_point = dict(zip(points, values))
+            return UtilityTable({s: by_point[space.coords(s)[i]] for s in space.states})
+
+        name = f"a{i}"
+        base[name], alt[name] = table(levels), table(increasing(levels))
+        if nm and draw(st.integers(0, 3)) == 0:
+            earlier = nm[draw(st.sampled_from(sorted(nm)))]
+            nm[name] = earlier.affine(draw(small), F(draw(st.integers(-2, 2))))
+        else:
+            nm[name] = table(increasing(levels))
+
+    def ethical(tables):
+        weights = [F(draw(st.integers(-3, 5))) for _ in tables]
+        return linear_combination(list(tables.values()), weights, F(draw(st.integers(-2, 2))))
+
+    alt_ethical = ethical(alt)
+    return Society.from_tables(
+        space, base, alt_ethical, nm=Profile(nm, ethical(nm)), alt=Profile(alt, alt_ethical)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(lottery_weight_societies())
+def test_a_passing_battery_leaves_no_lottery_weight_to_trade(soc):
+    # Matching gives each lottery-side table its base table's indifference
+    # classes and semi-separability realizes every combination of them, so a
+    # relation c0 + sum c_i u*_i = 0 forces c_j = 0 for every nonconstant j.
+    analysis = harvey.Analysis(soc)
+    if not all(fn(soc, analysis).passed for _, fn in coincidence.HYPOTHESIS_CHECKS):
+        return
+    tables = soc.nm_side().tables
+    nonconstant = [i for i, a in enumerate(soc.agents) if not tables[a].is_constant()]
+    pivots = SpanProblem.of(soc).spanning_pivots
+    assert all(i + 1 in pivots for i in nonconstant)
+    report = recover_weights(soc)
+    if any(report.weights[i] <= 0 for i in nonconstant):
+        assert positive_reweighting(soc, report) is None
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from gauss_jordan import dot, mat_vec, null_space, rank, rref, solve
 from utilcheck import (
     Analysis,
     CheckResult,
-    DependencyBasis,
     GridDim,
     Society,
     SpanProblem,
@@ -28,7 +27,6 @@ from utilcheck import (
     linear_combination,
     positive_reweighting,
     recover_weights,
-    select_dependency_basis,
     witness_lotteries_for_sign,
 )
 from utilcheck import linalg
@@ -283,61 +281,14 @@ def test_witness_lotteries_dependent_profile_errors():
 
 
 # ---------------------------------------------------------------------------
-# Dependency basis and positive reweighting
-
-
-def test_basis_all_constant_agents():
-    space = letters_space(3)
-    c2 = UtilityTable({s: F(2) for s in space.states})
-    c5 = UtilityTable({s: F(5) for s in space.states})
-    soc = Society.from_tables(space, {"a1": c2, "a2": c5}, c2)
-    basis = select_dependency_basis(soc.base, soc.agents, soc.space.states)
-    assert basis.basis == ()
-    assert basis.coefficients[0] == (F(2),)
-    assert basis.coefficients[1] == (F(5),)
-
-
-def test_basis_affine_dependency():
-    space = letters_space(3)
-    u1 = UtilityTable({"s0": F(0), "s1": F(1), "s2": F(3)})
-    u2 = u1.affine(F(2), F(1))
-    soc = Society.from_tables(space, {"a1": u1, "a2": u2}, u1)
-    basis = select_dependency_basis(soc.base, soc.agents, soc.space.states)
-    assert basis.basis == (0,)
-    assert basis.coefficients[1] == (F(1), F(2))
-
-
-def test_basis_random_planted_dependency():
-    rng = random.Random(53)
-    for _ in range(10):
-        space = letters_space(6)
-        tables = {f"a{i}": UtilityTable({s: rand_fraction(rng) for s in space.states}) for i in range(3)}
-        dep = linear_combination(
-            list(tables.values()),
-            [rand_fraction(rng, 5, 3) for _ in range(3)],
-            rand_fraction(rng),
-        )
-        tables["a3"] = dep
-        soc = Society.from_tables(space, tables, dep)
-        basis = select_dependency_basis(soc.base, soc.agents, soc.space.states)
-        assert len(basis.basis) <= 3
-        # Re-verify every expansion pointwise.
-        names = list(soc.agents)
-        for j, coeffs in basis.coefficients.items():
-            combo = linear_combination(
-                [soc.base.tables[names[i]] for i in basis.basis],
-                coeffs[1:],
-                coeffs[0],
-            )
-            assert combo == soc.base.tables[names[j]]
+# Positive reweighting
 
 
 def test_positive_reweighting_already_positive():
     rng = random.Random(59)
     soc, weights, constant = planted_society(rng, 2, 5)
     report = recover_weights(soc)
-    basis = select_dependency_basis(soc.nm_side(), soc.agents, soc.space.states)
-    out = positive_reweighting(soc, report, basis)
+    out = positive_reweighting(soc, report)
     assert out is not None
     assert out == (weights, constant)
 
@@ -350,8 +301,7 @@ def test_positive_reweighting_duplicate_agent():
     )
     report = recover_weights(soc)
     assert report.weights == (F(2), F(0))
-    basis = select_dependency_basis(soc.nm_side(), soc.agents, soc.space.states)
-    out = positive_reweighting(soc, report, basis)
+    out = positive_reweighting(soc, report)
     assert out is not None
     new_weights, new_b = out
     assert all(w > 0 for w in new_weights)
@@ -369,8 +319,7 @@ def test_positive_reweighting_unique_zero_weight_is_none():
     soc = Society.from_tables(space, {"a1": u1, "a2": u2}, u1)  # v = u1 exactly
     report = recover_weights(soc)
     assert report.unique and report.weights == (F(1), F(0))
-    basis = select_dependency_basis(soc.nm_side(), soc.agents, soc.space.states)
-    assert positive_reweighting(soc, report, basis) is None
+    assert positive_reweighting(soc, report) is None
 
 
 def test_positive_reweighting_misses_a_positive_solution_of_a_dependent_profile():
@@ -385,9 +334,8 @@ def test_positive_reweighting_misses_a_positive_solution_of_a_dependent_profile(
     soc = Society.from_tables(space, {"a1": u1, "a2": u2, "a3": u3}, v)
     report = recover_weights(soc)
     assert not report.unique and report.weights == (F(3), F(-1), F(0))
-    basis = select_dependency_basis(soc.nm_side(), soc.agents, soc.space.states)
-    assert basis.basis == (0, 1)
-    assert positive_reweighting(soc, report, basis) is None
+    assert SpanProblem.of(soc).spanning_pivots == [0, 1, 2]  # 1, a1, a2
+    assert positive_reweighting(soc, report) is None
     assert linear_combination([u1, u2, u3], [F(1), F(1), F(2)]) == v
 
 
@@ -400,17 +348,21 @@ def test_positive_reweighting_empty_basis():
     soc = Society.from_tables(space, {"a": a, "b": b}, v)
     report = recover_weights(soc)
     assert report.weights == (F(0), F(0)) and report.constant == F(5)
-    basis = select_dependency_basis(soc.nm_side(), soc.agents, soc.space.states)
-    assert basis.basis == ()
-    assert positive_reweighting(soc, report, basis) == ((1, 1), 2)
+    assert SpanProblem.of(soc).spanning_pivots == [0]  # no pivot agent
+    assert positive_reweighting(soc, report) == ((1, 1), 2)
 
 
 # ---------------------------------------------------------------------------
 # Oracles: one elimination per question, as before the shared reduction
 
 
-def rank_loop_dependency_basis(profile, agents, states) -> DependencyBasis:
-    """Greedy basis by one rank per agent, expansions by one solve each."""
+def rank_loop_dependency_basis(profile, agents, states):
+    """Greedy basis by one rank per agent, expansions by one solve each.
+
+    Returns (basis, coefficients): the agents independent together with 1,
+    greedy by index, and for each other agent j its expansion
+    (c0, then one coefficient per basis agent) over 1 and the basis.
+    """
     states = tuple(states)
     chosen_rows = [[F(1)] * len(states)]
     basis: list[int] = []
@@ -424,15 +376,37 @@ def rank_loop_dependency_basis(profile, agents, states) -> DependencyBasis:
         if j not in basis:
             row = [profile.tables[name][s] for s in states]
             coefficients[j] = tuple(solve([list(c) for c in zip(*chosen_rows)], row))
-    return DependencyBasis(basis=tuple(basis), coefficients=coefficients)
+    return tuple(basis), coefficients
+
+
+def basis_trade(soc, report, basis, coefficients):
+    """Oracle for ``positive_reweighting``: the trade run on an explicit (basis, coefficients)."""
+    weights = list(report.weights)
+    if all(w > 0 for w in weights):
+        return report.weights, report.constant
+    if report.unique or any(weights[i] <= 0 for i in basis):
+        return None
+    non_basis = [j for j in range(len(weights)) if j not in basis]
+    spread = max(
+        (sum(abs(coefficients[j][slot + 1]) for j in non_basis) for slot in range(len(basis))),
+        default=F(0),
+    )
+    eps = min(weights[i] for i in basis) / (2 * (1 + spread)) if basis else F(1)
+    new, new_b = list(weights), report.constant
+    for j in non_basis:
+        new[j] = eps
+        new_b -= eps * coefficients[j][0]
+        for slot, i in enumerate(basis):
+            new[i] -= eps * coefficients[j][slot + 1]
+    return tuple(new), new_b
 
 
 def solve_and_fit_recover_weights(soc) -> WeightReport:
     """Solve on the basis rows; on failure fit the consistent part and report its first miss."""
     profile = soc.nm_side()
     problem = SpanProblem.from_profile(profile, soc.agents, soc.space.states)
-    basis = rank_loop_dependency_basis(profile, soc.agents, soc.space.states)
-    rows = [list(problem.matrix[i]) for i in [0] + [i + 1 for i in basis.basis]]
+    basis, _ = rank_loop_dependency_basis(profile, soc.agents, soc.space.states)
+    rows = [list(problem.matrix[i]) for i in [0] + [i + 1 for i in basis]]
     columns = [[row[j] for row in rows] for j in range(len(problem.states))]
     sol = solve(columns, list(problem.target))
     if sol is None:
@@ -449,7 +423,7 @@ def solve_and_fit_recover_weights(soc) -> WeightReport:
         )
         return WeightReport(success=False, agents=soc.agents, residual_witness=bad)
     weights = [F(0)] * soc.n
-    for slot, agent_index in enumerate(basis.basis):
+    for slot, agent_index in enumerate(basis):
         weights[agent_index] = sol[slot + 1]
     unique = rank([list(r) for r in problem.matrix]) == len(problem.matrix)
     return WeightReport(
@@ -541,11 +515,11 @@ def span_societies(draw):
 @settings(max_examples=400, deadline=None)
 @given(span_societies())
 def test_one_reduction_equals_separate_eliminations(soc):
-    profile = soc.nm_side()
-    basis = select_dependency_basis(profile, soc.agents, soc.space.states)
-    assert basis == rank_loop_dependency_basis(profile, soc.agents, soc.space.states)
     report = recover_weights(soc)
     assert report == solve_and_fit_recover_weights(soc)
+    if report.success:
+        basis = rank_loop_dependency_basis(soc.nm_side(), soc.agents, soc.space.states)
+        assert positive_reweighting(soc, report) == basis_trade(soc, report, *basis)
     assert recover_weights(soc, Analysis(soc)) == report
     axiom = check_axiom_i(soc)
     assert axiom == solve_axiom_i(soc) == check_axiom_i(soc, Analysis(soc))
