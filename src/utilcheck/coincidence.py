@@ -339,15 +339,17 @@ def _pareto_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
 
 
 def _pareto_certified(soc: Society, analysis: Analysis) -> bool:
-    """True when the intensity-side recovery proves the Pareto criterion.
+    """True when the base tables' linear certificate proves the Pareto criterion.
 
-    Without an ``alt_profile`` the recovery reads the base tables, and a
-    successful report is the identity v = sum a_i u_i + b verified at every
-    state, with a_i > 0 for every nonconstant agent.  If x dominates y, each
-    u_i(x) - u_i(y) is at least 0 and one is positive, for a nonconstant
-    agent (a constant one has only zero differences), so v(x) > v(y).
+    The certificate (``Analysis.base_certificate``) is the identity
+    v(x) - v(x0) = sum a_i (u_i(x) - u_i(x0)) checked at every state, with
+    each nonconstant agent's a_i read as a scaled slope (dE, dU).  If every
+    such a_i is positive and x dominates y, each u_i(x) - u_i(y) is at
+    least 0 and one is positive, for a nonconstant agent (a constant one has
+    only zero differences), so v(x) > v(y).
     """
-    return soc.alt is None and analysis.harvey.success
+    slopes = analysis.base_certificate
+    return slopes is not None and all(s is None or s[0] * s[1] > 0 for s in slopes)
 
 
 def _matching_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
@@ -420,10 +422,10 @@ def theorem3_pipeline(soc: Society) -> CoincidenceReport:
     Every hypothesis in ``HYPOTHESIS_CHECKS`` is evaluated, in that order
     (each gets a named record), before the pipeline decides.  The records
     are those ``validate`` reports: the pareto record is certified by the
-    intensity-side recovery when it can be and decided by the dominance loop
-    otherwise (``_pareto_record``), and normalization reads the same cached
-    recovery.  The passing battery already settles what the
-    per-agent analysis needs: matching gives each agent's two tables one
+    base tables' linear certificate when it can be and decided by the
+    dominance loop otherwise (``_pareto_record``), and normalization reads
+    the cached intensity-side recovery.  The passing battery already
+    settles what the per-agent analysis needs: matching gives each agent's two tables one
     order, semi-separability with matching fills the range product, and two
     agents are nonconstant.
     Verdicts are decided on the input tables, so a COINCIDE carries the

@@ -11,39 +11,52 @@ not implied: the slopes are read off and verified exhaustively instead of by
 a limit argument, and additivity separates an ``additivity:`` failure from a
 ``slopes`` failure.  Any failure is a hard error, never an approximation.
 
-One ordered-pair scan decides axiom (I) and tabulates F at once; an
-``Analysis`` object carries it from the first check that asks to the next,
-so a run scans each society's pairs once.  No chain-rule pass follows the
-map: with V(a) the ethical value at any state whose value vector is a (well
-defined because F(0) = 0), every tabulated value is F(b - a) = V(b) - V(a),
-so F(c' - c) + F(c'' - c') = F(c'' - c) telescopes and cannot fail.  Each
-component's linearity is decided once, in ints (``DifferenceMap.bends``):
-a linear component is additive, so only a bent one gets the quadratic
-additivity scan, and the slopes read the same decision.
+A pass is certified first.  If v = sum a_i u_i + b holds at every state,
+that identity proves axiom (I) and gives every component, F_i(c) = a_i * c.
+``_linear_certificate`` reads each a_i off one state that differs from the
+first state in agent i's value only and checks the identity in O(|X| n)
+int operations; a semi-separable society with a linear ethical table always
+has one.  Only without a certificate does one ordered-pair scan, O(|X|^2),
+decide axiom (I), name the first conflicting pair in state order, and
+tabulate F, bent components included.  An ``Analysis`` object carries the
+certificate and the scan from the first check that asks to the next, so a
+run scans each society's pairs at most once.  Either way the difference
+map keeps F on the axis vectors only, the one part anything reads.  No
+chain-rule pass follows the map: with V(a) the ethical value at any state
+whose value vector is a (well defined because F(0) = 0), every scanned
+value is F(b - a) = V(b) - V(a), so F(c' - c) + F(c'' - c') = F(c'' - c)
+telescopes and cannot fail.  Each component's linearity is decided once,
+in ints (``DifferenceMap.bends``): a linear component is additive, so only
+a bent one gets the quadratic additivity scan, and the slopes read the same
+decision.
 
-The scan runs over Python ints: each table's scaled form, its values times
-the LCM of its denominators (``UtilityTable.scaled``, shared with the
-other checks), is read once.  A positive per-table scale keeps "these two differences are equal" exactly, so the
-verdict, the first conflicting pair and its stored pair are those of a scan
-over the Fractions.  Each state's scaled vector is then packed into one int,
+Both paths run over Python ints: each table's scaled form, its values
+times the LCM of its denominators (``UtilityTable.scaled``, shared with the
+other checks), is read once.  A positive per-table scale keeps "these two
+differences are equal" exactly, so the verdict, the first conflicting pair
+and its stored pair are those of a scan over the Fractions.  Each state's
+scaled vector is then packed into one int,
 P(x) = sum of U_i(x) * R_i, with R_0 = 1 and R_{i+1} = R_i * (2 * span_i + 1),
 where span_i is max - min of agent i's scaled table.  Every component of a
 difference vector lies in [-span_i, span_i], so P(x) - P(y) is a balanced
 mixed-radix numeral with those components as digits and names the
-difference vector uniquely, so each pair costs one int subtraction and one
-int dict lookup.  Fractions are built for the slopes and the reports; the
-Fraction components are decoded only when something reads them.
+difference vector uniquely, so each scanned pair costs one int subtraction
+and one int dict lookup, and the certificate finds agent i's neighbour of a
+state by adding (t - u) * R_i to its key.  Fractions are built for the
+slopes and the reports; the Fraction components are decoded only when
+something reads them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .core import StateKey, is_combination
 from .harsanyi import SpanProblem
-from .society import CheckResult, Society, check_semi_separable
+from .society import CheckResult, Profile, Society, check_semi_separable
 
 
 class DifferenceMapError(ValueError):
@@ -58,12 +71,14 @@ class DifferenceMapError(ValueError):
 class PairScan:
     """Scaled ethical differences by packed difference vector, from one pass over the pairs.
 
-    Agent i's values are scaled by ``scales[i]`` and weighted by
-    ``radices[i]`` in each state's packed int; ethical values are scaled by
-    ``ethical_scale``.  ``conflict`` is the first pair, in state order,
-    whose ethical difference differs from the one stored for its vector,
-    together with the stored pair; the scan stops in that pair's row, so
-    the table is partial when it is set.
+    The full scan: every realized difference vector is a key.  It runs only
+    when no linear certificate decides axiom (I).  Agent i's values are
+    scaled by ``scales[i]`` and weighted by ``radices[i]`` in each state's
+    packed int; ethical values are scaled by ``ethical_scale``.
+    ``conflict`` is the first pair, in state order, whose ethical difference
+    differs from the one stored for its vector, together with the stored
+    pair; the scan stops in that pair's row, so the table is partial when it
+    is set.
     """
 
     table: dict[int, int]
@@ -75,11 +90,13 @@ class PairScan:
 
 @dataclass(frozen=True)
 class DifferenceMap(PairScan):
-    """A complete pair scan (``conflict`` is None) with each agent's difference grid.
+    """F on the axis vectors (``conflict`` is None), with each agent's difference grid.
 
     ``grids`` holds agent i's scaled grid in ascending order; its point c is
-    the axis vector keyed c * radices[i].  ``components`` and ``diff_grids``
-    are the same grids decoded to Fractions on first read.
+    the axis vector keyed c * radices[i], and ``table`` holds exactly those
+    keys, from the linear certificate or from a complete pair scan.
+    ``components`` and ``diff_grids`` are the same grids decoded to
+    Fractions on first read.
     """
 
     agents: tuple[str, ...]
@@ -123,20 +140,82 @@ class DifferenceMap(PairScan):
         return all(a < b for a, b in zip(values, values[1:]))
 
 
-def _scan_pairs(soc: Society) -> PairScan:
-    profile = soc.alt_side()
+@dataclass(frozen=True)
+class _Ints:
+    """One profile's tables in state order as scaled ints, and each state's packed vector.
+
+    ``columns[i]`` is agent i's scaled column and ``packed`` holds P(x) =
+    sum of U_i(x) * R_i; ``ethical`` is the scaled ethical column.
+    """
+
+    states: tuple[StateKey, ...]
+    columns: tuple[list[int], ...]
+    scales: tuple[int, ...]
+    radices: tuple[int, ...]
+    packed: list[int]
+    ethical_scale: int
+    ethical: list[int]
+
+
+def _pack(soc: Society, profile: Profile) -> _Ints:
     states = soc.space.states
     packed = [0] * len(states)
-    scales, radices, radix = [], [], 1
+    columns, scales, radices, radix = [], [], [], 1
     for a in soc.agents:
         scale, ints = profile.tables[a].scaled
         column = [ints[s] for s in states]
         packed = [p + u * radix for p, u in zip(packed, column)]
+        columns.append(column)
         scales.append(scale)
         radices.append(radix)
         radix *= 2 * (max(column) - min(column)) + 1
     ethical_scale, ethical_ints = profile.ethical.scaled
     ethical = [ethical_ints[s] for s in states]
+    return _Ints(
+        states, tuple(columns), tuple(scales), tuple(radices), packed, ethical_scale, ethical
+    )
+
+
+def _linear_certificate(ints: _Ints) -> tuple[tuple[int, int] | None, ...] | None:
+    """Each agent's scaled slope (dE, dU) if the ethical column is linear in the agents', else None.
+
+    With x0 the first state, agent i's slope is read off one neighbour: a
+    state whose vector differs from x0's in agent i's value only, found by
+    one lookup of P(x0) + (t - U_i(x0)) * R_i per value t of agent i.  Over
+    a common D, N_i = dE * D / dU, and the identity
+    (E(x) - E(x0)) * D == sum of N_i * (U_i(x) - U_i(x0)) is then checked
+    at every state, in O(|X| n) int operations.  It proves axiom (I), and
+    F_i(c) = c * dE / dU.  A constant agent's slope is None.  The result is
+    None when a nonconstant agent has no such neighbour or the identity
+    fails; semi-separability puts every neighbour in the space, so a
+    semi-separable society with a linear ethical table is always certified.
+    """
+    index = dict(zip(ints.packed, range(len(ints.states))))
+    p0, e0 = ints.packed[0], ints.ethical[0]
+    slopes: list[tuple[int, int] | None] = []
+    for column, radix in zip(ints.columns, ints.radices):
+        u0, values = column[0], dict.fromkeys(column)
+        if len(values) == 1:
+            slopes.append(None)
+            continue
+        keys = (p0 + (t - u0) * radix for t in values if t != u0)
+        j = next((index[key] for key in keys if key in index), None)
+        if j is None:
+            return None
+        slopes.append((ints.ethical[j] - e0, column[j] - u0))
+    d = math.lcm(*(du for _, du in filter(None, slopes)))
+    combination = [0] * len(ints.states)
+    for column, slope in zip(ints.columns, slopes):
+        if slope is not None:
+            n, u0 = slope[0] * (d // slope[1]), column[0]
+            combination = [r + n * (u - u0) for r, u in zip(combination, column)]
+    if [(e - e0) * d for e in ints.ethical] != combination:
+        return None
+    return tuple(slopes)
+
+
+def _scan_pairs(ints: _Ints) -> PairScan:
+    states, packed, ethical = ints.states, ints.packed, ints.ethical
     table: dict[int, int] = {}
     conflict = None
     # Row x at a time: setdefault stores each key's first difference in
@@ -150,7 +229,7 @@ def _scan_pairs(soc: Society) -> PairScan:
             j = next(j for j, (s, d) in enumerate(zip(stored, diffs)) if s != d)
             conflict = ((x, states[j]), _first_pair(states, packed, keys[j]))
             break
-    return PairScan(table, tuple(scales), tuple(radices), ethical_scale, conflict)
+    return PairScan(table, ints.scales, ints.radices, ints.ethical_scale, conflict)
 
 
 def _first_pair(
@@ -166,11 +245,14 @@ def _first_pair(
 class Analysis:
     """Results that several checks of one run need, each computed on first use.
 
-    That is the intensity side's pair scan, semi-separability results and
-    ``harvey`` recovery report, and the lottery side's ``span``, whose one
-    reduction every Harsanyi answer reads.  A command creates one per
-    society, passes it to its checks and drops it when it returns.  It is never stored on the society: a
-    long-lived society would otherwise keep its quadratic pair tables alive.
+    That is the intensity side's packed ints, linear certificate, pair scan
+    (read only when there is no certificate), semi-separability results and
+    ``harvey`` recovery report, the base tables' certificate for the Pareto
+    record, and the lottery side's ``span``, whose one reduction every
+    Harsanyi answer reads.  A command creates one per society, passes it to
+    its checks and drops it when it returns.  It is never stored on the
+    society: a long-lived society would otherwise keep a quadratic pair
+    table alive.
     """
 
     def __init__(self, soc: Society):
@@ -189,8 +271,24 @@ class Analysis:
         return check_semi_separable(self.soc, self.soc.alt)
 
     @cached_property
+    def _ints(self) -> _Ints:
+        return _pack(self.soc, self.soc.alt_side())
+
+    @cached_property
+    def certificate(self) -> tuple[tuple[int, int] | None, ...] | None:
+        """The intensity side's linear certificate (``_linear_certificate``), or None."""
+        return _linear_certificate(self._ints)
+
+    @cached_property
+    def base_certificate(self) -> tuple[tuple[int, int] | None, ...] | None:
+        """The same certificate on the base tables, which the Pareto record may read."""
+        if self.soc.alt is None:
+            return self.certificate
+        return _linear_certificate(_pack(self.soc, self.soc.base))
+
+    @cached_property
     def pair_scan(self) -> PairScan:
-        return _scan_pairs(self.soc)
+        return _scan_pairs(self._ints)
 
     @cached_property
     def span(self) -> SpanProblem:
@@ -198,19 +296,22 @@ class Analysis:
 
     @cached_property
     def harvey(self) -> HarveyReport:
-        """The intensity-side recovery, which Theorem 3 normalizes with and may certify Pareto by."""
+        """The intensity-side recovery, which Theorem 3 normalizes with."""
         return harvey_recover(self.soc, self)
 
 
 def check_axiom_I(soc: Society, analysis: Analysis | None = None) -> CheckResult:
     """Equal agent differences on all coordinates must give equal ethical differences.
 
-    Scans pairs grouped by their difference vector, which decides the same
-    condition as the quadruple formulation: a witness quadruple is two pairs
-    in one group with different ethical differences.
+    A linear certificate passes it outright.  Otherwise the pair scan groups
+    pairs by their difference vector, which decides the same condition as
+    the quadruple formulation: a witness quadruple is two pairs in one group
+    with different ethical differences.
     """
     if analysis is None:
         analysis = Analysis(soc)
+    if analysis.certificate is not None:
+        return CheckResult(True)
     conflict = analysis.pair_scan.conflict
     if conflict is None:
         return CheckResult(True)
@@ -219,33 +320,47 @@ def check_axiom_I(soc: Society, analysis: Analysis | None = None) -> CheckResult
 
 
 def build_difference_map(soc: Society, analysis: Analysis | None = None) -> DifferenceMap:
-    """Tabulate F on every realized difference vector, validating well-definedness.
+    """Tabulate F on the axis vectors, validating well-definedness.
 
     Semi-separability of the intensity-side tables is a hard precondition:
     it is what makes the realized difference vectors cover the full product
     of the per-agent grids, so a violation raises immediately rather than
-    producing a partial map.
+    producing a partial map.  The values come from the linear certificate
+    when there is one, and from the pair scan otherwise, which raises
+    ``DifferenceMapError`` on its first conflict.
     """
     if analysis is None:
         analysis = Analysis(soc)
     semi = analysis.alt_semi_separability
     if not semi:
         raise ValueError(f"society is not semi-separable (witness profile {semi.witness})")
-    scan = analysis.pair_scan
-    if scan.conflict is not None:
-        raise DifferenceMapError(*scan.conflict)
-    # The complete scan realizes every u_i(x) - u_i(y), so agent i's grid is
-    # its scaled range minus itself; the axis vector with scaled component c
-    # for agent i is the key c * R_i.
-    profile = soc.alt_side()
-    grids = []
-    for a, radix in zip(soc.agents, scan.radices):
-        values = set(profile.tables[a].scaled[1].values())
-        grid = tuple(sorted({x - y for x in values for y in values}))
-        if any(c * radix not in scan.table for c in grid):
+    ints, slopes = analysis._ints, analysis.certificate
+    # Agent i's grid is its scaled range minus itself, and the axis vector
+    # with scaled component c for agent i is the key c * R_i.
+    ranges = [set(column) for column in ints.columns]
+    grids = tuple(tuple(sorted({x - y for x in r for y in r})) for r in ranges)
+    keys = [
+        (c * radix, c, i) for i, (grid, radix) in enumerate(zip(grids, ints.radices)) for c in grid
+    ]
+    if slopes is None:
+        scan = analysis.pair_scan
+        if scan.conflict is not None:
+            raise DifferenceMapError(*scan.conflict)
+        if any(key not in scan.table for key, _, _ in keys):
             raise AssertionError("semi-separable map misses an axis vector")
-        grids.append(grid)
-    return DifferenceMap(**vars(scan), agents=soc.agents, grids=tuple(grids))
+        table = {key: scan.table[key] for key, _, _ in keys}
+    else:
+        # F_i(c) = c * dE / dU is the ethical difference of two states that
+        # realize the axis vector, so the division is exact.
+        table = {}
+        for key, c, i in keys:
+            de, du = slopes[i] or (0, 1)
+            table[key], rest = divmod(de * c, du)
+            if rest:
+                raise AssertionError("certified axis value is not an int")
+    return DifferenceMap(
+        table, ints.scales, ints.radices, ints.ethical_scale, None, agents=soc.agents, grids=grids
+    )
 
 
 def verify_component_additivity(dm: DifferenceMap, i: int) -> CheckResult:

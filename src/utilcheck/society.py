@@ -136,8 +136,8 @@ def check_pareto_criterion(soc: Society) -> CheckResult:
     of them, so the verdict and the witness are those of the same
     comparisons on the Fractions.  The loop is O(|X|^2 n); the pareto
     hypothesis record, which ``validate`` and ``coincide`` share, runs it
-    only when no successful intensity-side recovery of the base tables
-    certifies the criterion.
+    only when no linear certificate of the base tables with positive
+    slopes proves the criterion.
     """
     states = soc.space.states
     vectors = list(zip(*(_column(soc.base.tables[a], states) for a in soc.agents)))

@@ -603,17 +603,30 @@ def test_pipeline_constant_agent_verdict():
     assert (report.agents[1].alpha, report.agents[1].beta) == (F(1, 2), F(0))
 
 
+def cubed(table: UtilityTable) -> UtilityTable:
+    """A monotone image of ``table`` that is never affine on three or more values."""
+    return UtilityTable({s: v**3 for s, v in table.values.items()})
+
+
 def test_coincide_scans_the_pairs_once(tmp_path, monkeypatch, capsys):
-    # The battery's axiom-I record, the Harvey axiom check and the
-    # difference map all read one scan.
+    # A passing coincide is decided by the linear certificate and scans no
+    # pair; a failing axiom (I) has no certificate, and the battery's
+    # axiom-I record, the Harvey axiom check and the difference map then
+    # all read one scan.
     calls = []
     real = harvey._scan_pairs
-    monkeypatch.setattr(harvey, "_scan_pairs", lambda soc: calls.append(soc) or real(soc))
+    monkeypatch.setattr(harvey, "_scan_pairs", lambda ints: calls.append(ints) or real(ints))
     soc, _, _ = planted_coincidence_society(random.Random(97), 3)
     path = tmp_path / "planted.json"
     path.write_text(emit_society(soc), encoding="utf-8")
     assert cli.main(["coincide", str(path), "--json"]) == 0
     assert '"status": "coincide"' in capsys.readouterr().out
+    assert calls == []
+    bent = Profile(soc.base.tables, cubed(soc.base.ethical))
+    path.write_text(emit_society(dataclasses.replace(soc, base=bent)), encoding="utf-8")
+    assert cli.main(["coincide", str(path), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert {h["name"]: h["verdict"] for h in payload["hypotheses"]}["axiom-I"] == "FAIL"
     assert len(calls) == 1
 
 
@@ -704,17 +717,24 @@ def test_failed_intensity_recovery_runs_the_loop_once(monkeypatch):
 
 def test_an_alt_profile_runs_the_loop_once(monkeypatch):
     # The recovery then reads the intensity-side tables, which prove
-    # nothing about the base ones.
+    # nothing about the base ones; a cubed base ethical table orders states
+    # as the planted sum does but has no linear certificate of its own.
     calls = _count_pareto_loops(monkeypatch)
     soc, _, _ = planted_coincidence_society(random.Random(97), 3)
-    soc = dataclasses.replace(soc, alt=Profile(soc.base.tables, soc.base.ethical))
-    assert cli_report(soc)["status"] == "coincide"
+    soc = dataclasses.replace(
+        soc,
+        base=Profile(soc.base.tables, cubed(soc.base.ethical)),
+        alt=Profile(soc.base.tables, soc.base.ethical),
+    )
+    payload = cli_report(soc)
+    assert {h["name"]: h["verdict"] for h in payload["hypotheses"]}["pareto"] == "PASS"
     assert len(calls) == 1
 
 
 def test_validate_runs_the_loop_once(monkeypatch):
-    # At most once: the recovery certifies a passing base-only file, so the
-    # loop runs 0 times; a failed recovery or an alt_profile leaves it to decide.
+    # At most once: the base tables' linear certificate proves a passing
+    # file, with or without a separate alt_profile, so the loop runs 0
+    # times; a negative slope leaves it to decide.
     calls = _count_pareto_loops(monkeypatch)
     soc, _, _ = planted_coincidence_society(random.Random(97), 3)
     base_only = Society.from_tables(soc.space, soc.base.tables, soc.base.ethical)
@@ -724,9 +744,11 @@ def test_validate_runs_the_loop_once(monkeypatch):
     assert [c["name"] for c in checks if c["verdict"] == "FAIL"] == ["pareto"]
     assert len(calls) == 1
     calls.clear()
-    with_alt = dataclasses.replace(base_only, alt=Profile(soc.base.tables, soc.base.ethical))
+    alt_tables = {a: t.affine(F(2), F(-1)) for a, t in soc.base.tables.items()}
+    alt = Profile(alt_tables, soc.base.ethical.affine(F(3), F(1)))
+    with_alt = dataclasses.replace(base_only, alt=alt)
     assert cli_report(with_alt, "validate")["all_passed"] is True
-    assert len(calls) == 1
+    assert calls == []
 
 
 @st.composite

@@ -15,6 +15,7 @@ from conftest import bent_component_society, nonadditive_society, product_grid_s
 from utilcheck import (
     DifferenceMapError,
     GridDim,
+    Profile,
     Society,
     StateSpace,
     UtilityTable,
@@ -27,7 +28,8 @@ from utilcheck import (
     sqrt_fixture,
     verify_component_additivity,
 )
-from utilcheck import harvey
+from utilcheck import coincidence, harvey
+from utilcheck.society import check_pareto_criterion
 
 F = Fraction
 
@@ -56,6 +58,15 @@ def decoded_table(dm):
     return {decode(dm, key): F(value, dm.ethical_scale) for key, value in dm.table.items()}
 
 
+def on_axes(table):
+    """The entries of a Fraction-keyed table whose vector has at most one nonzero component.
+
+    A difference map tabulates only these axis vectors; the pair scan
+    tabulates every realized vector.
+    """
+    return {c: value for c, value in table.items() if sum(map(bool, c)) <= 1}
+
+
 def fraction_pair_scan(soc):
     """The former Fraction-keyed pair scan, kept as the oracle for the int kernel.
 
@@ -80,19 +91,21 @@ def fraction_pair_scan(soc):
     return table, None
 
 
-def chain_rule_violation(soc, dm):
+def chain_rule_violation(soc, scan):
     """Exhaustive oracle: the first value-vector triple (a, b, c), in sorted
     order, with F(b - a) + F(c - b) != F(c - a), or None.
 
-    The pipeline runs no such pass: on a map that builds, every tabulated
-    value is V(b) - V(a) for a realizing pair, so the sum telescopes.  The
-    scan stays here to check that argument on real maps.
+    ``scan`` is a full pair scan (``Analysis.pair_scan``): the difference
+    map keeps only the axis vectors.  The pipeline runs no such pass: on a
+    map that builds, every tabulated value is V(b) - V(a) for a realizing
+    pair, so the sum telescopes.  The check stays here to test that
+    argument on real societies.
     """
     profile = soc.alt_side()
     vectors = sorted(
         {tuple(profile.tables[a][s] for a in soc.agents) for s in soc.space.states}
     )
-    table = decoded_table(dm)
+    table = decoded_table(scan)
     fetched = [
         [table[tuple(x - y for x, y in zip(b, a))] for a in vectors] for b in vectors
     ]
@@ -202,7 +215,7 @@ def test_int_kernel_equals_fraction_pair_scan(soc):
         dm = build_difference_map(soc)
     except ValueError:
         return
-    assert decoded_table(dm) == table
+    assert decoded_table(dm) == on_axes(decoded_table(scan))
     for i, grid in enumerate(dm.diff_grids):
         axis = [tuple(c if j == i else F(0) for j in range(soc.n)) for c in grid]
         assert dm.components[i] == {v[i]: table[v] for v in axis}
@@ -219,15 +232,16 @@ def test_packed_keys_decode_at_the_span_edges():
     u3 = UtilityTable.on_coords(space, lambda x, y: F(5))
     v = linear_combination([u1, u2], [1, 2])
     soc = Society.from_tables(space, {"a1": u1, "a2": u2, "a3": u3}, v)
-    dm = build_difference_map(soc)
-    assert (dm.scales, dm.radices, dm.ethical_scale) == ((1, 2, 1), (1, 7, 49), 1)
+    scan = harvey.Analysis(soc).pair_scan
+    assert (scan.scales, scan.radices, scan.ethical_scale) == ((1, 2, 1), (1, 7, 49), 1)
     table, _ = fraction_pair_scan(soc)
-    assert decoded_table(dm) == table
+    assert decoded_table(scan) == table
+    assert decoded_table(build_difference_map(soc)) == on_axes(table)
     edges = {(s1 * F(3), s2 * F(3, 2), F(0)) for s1 in (-1, 1) for s2 in (-1, 1)}
     assert edges <= set(table)
     for vector in edges:
-        key = sum(int(c * s) * r for c, s, r in zip(vector, dm.scales, dm.radices))
-        assert decode(dm, key) == vector
+        key = sum(int(c * s) * r for c, s, r in zip(vector, scan.scales, scan.radices))
+        assert decode(scan, key) == vector
         assert abs(key) in (3 + 3 * 7, 3 * 7 - 3)
 
 
@@ -288,18 +302,18 @@ def test_difference_map_zero_and_symmetry_invariants():
 
 def test_chain_rule_additive_passes():
     soc = _grid_society(lambda x, y: 2 * x + 3 * y)
-    dm = build_difference_map(soc)
-    assert chain_rule_violation(soc, dm) is None
+    build_difference_map(soc)
+    assert chain_rule_violation(soc, harvey.Analysis(soc).pair_scan) is None
 
 
 def test_chain_rule_detects_corruption():
     # The oracle is not vacuous: a corrupted table fails it.
     soc = _grid_society(lambda x, y: x + y)
-    dm = build_difference_map(soc)
-    bumped = dict(dm.table)
+    scan = harvey.Analysis(soc).pair_scan
+    bumped = dict(scan.table)
     key = next(c for c in bumped if c)
     bumped[key] += 1
-    corrupted = dataclasses.replace(dm, table=bumped)
+    corrupted = dataclasses.replace(scan, table=bumped)
     assert chain_rule_violation(soc, corrupted) is not None
 
 
@@ -307,13 +321,14 @@ def test_chain_rule_random_planted_cross_checked():
     rng = random.Random(67)
     for n in (2, 2, 2, 3, 3):
         soc, _, _ = product_grid_society(rng, n)
-        dm = build_difference_map(soc)
-        assert chain_rule_violation(soc, dm) is None
+        build_difference_map(soc)
+        scan = harvey.Analysis(soc).pair_scan
+        assert chain_rule_violation(soc, scan) is None
         # Direct ethical-difference oracle: F composed with the difference
         # vector must reproduce v(x) - v(y) on every pair.
         profile = soc.alt_side()
         tables = [profile.tables[a] for a in soc.agents]
-        table = decoded_table(dm)
+        table = decoded_table(scan)
         for x in soc.space.states:
             for y in soc.space.states:
                 c = tuple(t[x] - t[y] for t in tables)
@@ -351,10 +366,10 @@ def test_chain_rule_holds_on_every_built_random_map(axes, data):
     )
     soc = Society.from_tables(StateSpace.explicit(states), tables, ethical)
     try:
-        dm = build_difference_map(soc)
+        build_difference_map(soc)
     except ValueError:
         return
-    assert chain_rule_violation(soc, dm) is None
+    assert chain_rule_violation(soc, harvey.Analysis(soc).pair_scan) is None
 
 
 def test_component_additivity_and_negation():
@@ -565,3 +580,110 @@ def test_component_monotonicity_under_dominance():
         dm = build_difference_map(soc)
         for i in range(2):
             assert dm.component_monotone(i)
+
+
+# ---------------------------------------------------------------------------
+# The linear certificate against the scan path
+
+
+class ScanOnly(harvey.Analysis):
+    """An ``Analysis`` with no certificate: every intensity-side answer reads the pair scan."""
+
+    certificate = None
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def certificate_societies(draw):
+    """Societies on which the certificate may or may not stand in for the scan.
+
+    2-4 agents with 1-3 levels each (one level is a constant agent), on a
+    full product of the levels, a holed one, or a line where every agent
+    moves with one parameter (not semi-separable).  The last agent may
+    duplicate the first.  The ethical table is linear with weights of every
+    sign, or has a bent additive component (a0 in {0, 2, 5} weighted
+    (0, 2, 4)), a nonadditive one (a0 in {0, 1, 3, 4} weighted
+    (0, 1, 5, 6)), a cubed component, a product term or one noisy state.  The
+    drawn profile may be a separate ``alt_profile``, next to base tables
+    that are affine images of it with the same or a cubed ethical table.
+    """
+    n = draw(st.integers(2, 4))
+    kind = draw(
+        st.sampled_from(["linear", "linear", "bent", "nonadditive", "cubed", "product", "noisy"])
+    )
+    levels = [draw(st.integers(1, 3)) for _ in range(n)]
+    values = [draw(st.lists(_values, min_size=k, max_size=k, unique=True)) for k in levels]
+    bends = {"bent": (0, 2, 5, 0, 2, 4), "nonadditive": (0, 1, 3, 4, 0, 1, 5, 6)}.get(kind)
+    if bends is not None:
+        k = len(bends) // 2
+        levels[0], values[0] = k, [F(c) for c in bends[:k]]
+        component = {F(c): F(f) for c, f in zip(bends[:k], bends[k:])}
+    shape = draw(st.sampled_from(["product", "holed", "line"]))
+    if shape == "line":
+        points = [tuple(min(t, k - 1) for k in levels) for t in range(max(levels))]
+    else:
+        points = list(itertools.product(*(range(k) for k in levels)))
+    if shape == "holed":
+        keep = draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
+        points = [p for p, k in zip(points, keep) if k] or points[:1]
+    if n > 2 and draw(st.booleans()):
+        levels[-1], values[-1] = levels[0], values[0]
+        points = list(dict.fromkeys(p[:-1] + (p[0],) for p in points))
+    weights = [draw(st.sampled_from([F(-2), F(-1), F(0), F(1, 2), F(1), F(3)])) for _ in range(n)]
+    constant = draw(_values)
+    noisy = draw(st.integers(0, len(points) - 1))
+
+    def ethical_at(j, vector):
+        terms = list(vector)
+        if bends is not None:
+            terms[0] = component[terms[0]]
+        elif kind == "cubed":
+            terms[0] = terms[0] ** 3
+        value = sum((w * t for w, t in zip(weights, terms)), constant)
+        if kind == "product":
+            value += vector[0] * vector[1]
+        return value + (kind == "noisy" and j == noisy)
+
+    states = [",".join(map(str, p)) for p in points]
+    vectors = [tuple(values[i][k] for i, k in enumerate(p)) for p in points]
+    tables = {
+        f"a{i}": UtilityTable({s: v[i] for s, v in zip(states, vectors)}) for i in range(n)
+    }
+    ethical = UtilityTable({s: ethical_at(j, v) for j, (s, v) in enumerate(zip(states, vectors))})
+    space = StateSpace.explicit(states)
+    if not draw(st.booleans()):
+        return Society.from_tables(space, tables, ethical)
+    base_tables = {a: t.affine(F(2), F(-1)) for a, t in tables.items()}
+    base_ethical = draw(
+        st.sampled_from([ethical, UtilityTable({s: v**3 for s, v in ethical.values.items()})])
+    )
+    return Society(
+        space, tuple(tables), Profile(base_tables, base_ethical), alt=Profile(tables, ethical)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(certificate_societies())
+def test_certificate_path_equals_the_scan(soc):
+    analysis, scan_only = harvey.Analysis(soc), ScanOnly(soc)
+    assert check_axiom_I(soc, analysis) == check_axiom_I(soc, scan_only)
+    built = _outcome(build_difference_map, soc, analysis)
+    assert built == _outcome(build_difference_map, soc, scan_only)
+    assert harvey_recover(soc, analysis) == harvey_recover(soc, scan_only)
+    if analysis.certificate is not None:
+        assert scan_only.pair_scan.conflict is None
+    elif isinstance(built, harvey.DifferenceMap):
+        # Complete: a semi-separable society whose components are all
+        # linear has a linear ethical table, which the certificate finds.
+        assert any(bend is not None for bend in built.bends)
+    # The pareto record, certified or not, is the dominance loop's.
+    loop = check_pareto_criterion(soc)
+    record = coincidence._pareto_record(soc, analysis)
+    detail = "" if loop else f"witness pair {loop.witness}"
+    assert (record.passed, record.detail) == (loop.passed, detail)
