@@ -42,15 +42,6 @@ def _weights_payload(agents, weights) -> dict[str, str] | None:
     return {a: format_rational(w) for a, w in zip(agents, weights)}
 
 
-def _load(path: str, max_states: int):
-    soc = parse_society(path)
-    if len(soc.space) > max_states:
-        raise SocietyFileError(
-            f"{len(soc.space)} states exceed --max-states {max_states}"
-        )
-    return soc
-
-
 def _emit(payload: dict, as_json: bool, render) -> None:
     """Print the payload as JSON, or the text lines ``render`` builds from it."""
     if as_json:
@@ -79,7 +70,7 @@ def _weights_lines(payload: dict) -> list[str]:
 
 
 def cmd_validate(args) -> int:
-    soc = _load(args.file, args.max_states)
+    soc = parse_society(args.file, args.max_states)
     by_name = dict(HYPOTHESIS_CHECKS)
     analysis = Analysis(soc)
     records = [by_name[name](soc, analysis) for name in VALIDATE_CHECKS]
@@ -112,7 +103,7 @@ def _harvey_lines(payload: dict) -> list[str]:
 
 
 def cmd_recover(args) -> int:
-    soc = _load(args.file, args.max_states)
+    soc = parse_society(args.file, args.max_states)
     if args.mode == "harsanyi":
         report = recover_weights(soc)
         payload = {
@@ -195,7 +186,7 @@ def _coincide_lines(payload: dict) -> list[str]:
 
 
 def cmd_coincide(args) -> int:
-    soc = _load(args.file, args.max_states)
+    soc = parse_society(args.file, args.max_states)
     report = theorem3_pipeline(soc)
     norm = report.normalization
     payload = {

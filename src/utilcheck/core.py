@@ -15,10 +15,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from operator import add, eq
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .rationals import format_rational, scale_to_ints
+from .rationals import format_rational, scale_ratios, scale_rows, scale_to_ints
 
 StateKey = str
 
@@ -43,9 +43,13 @@ class GridDim:
                 f"dimension {self.name!r}: (hi-lo)/step must be a power of two, got {ratio}"
             )
 
+    @property
+    def size(self) -> int:
+        """The number of points, (hi - lo) / step + 1."""
+        return ((self.hi - self.lo) / self.step).numerator + 1
+
     def points(self) -> list[Fraction]:
-        n = ((self.hi - self.lo) / self.step).numerator
-        return [self.lo + k * self.step for k in range(n + 1)]
+        return [self.lo + k * self.step for k in range(self.size)]
 
 
 @dataclass(frozen=True)
@@ -98,42 +102,53 @@ class StateSpace:
         return self._coords[self.index[key]]
 
 
-@dataclass(frozen=True)
 class UtilityTable:
     """Total map state -> exact rational value.
 
-    Equality is pointwise exact equality of the value maps.  Tables are
-    never changed, so ``scaled`` is computed on first use and kept.
+    A table has three views of its values: ``values`` maps each state to its
+    Fraction, ``ratios`` maps it to that Fraction's ints (p, q) in lowest
+    terms, and ``scaled`` is the LCM of the denominators with each state's
+    value times it as an int.  A table built from Fractions holds
+    ``values``; a parsed table arrives as ``ratios`` (``from_ratios``), so
+    no Fraction is built for it unless something reads ``values`` whole,
+    and ``__getitem__`` builds just the one it returns.  Every other view is
+    built on first read and kept, and tables are never changed.  ``states``,
+    ``covers`` and ``is_constant`` read the view the table holds.  Equality
+    is pointwise exact equality, decided on the canonical ratios.
     """
 
-    values: Mapping[StateKey, Fraction]
+    def __init__(self, values: Mapping[StateKey, Fraction]):
+        self.__dict__["values"] = dict(values)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", dict(self.values))
+    @classmethod
+    def from_ratios(cls, ratios: dict[StateKey, tuple[int, int]]) -> "UtilityTable":
+        """The table with value p / q at each state, for (p, q) = ratios[state].
+
+        Each (p, q) must be in lowest terms with q > 0, as a canonical
+        literal parses, so that equality can compare ratios.
+        """
+        table = cls.__new__(cls)
+        table.__dict__["ratios"] = ratios
+        return table
 
     @classmethod
     def on_coords(cls, space: StateSpace, fn: Callable[..., Fraction]) -> "UtilityTable":
         """Build from a function of the grid coordinates."""
         return cls({s: Fraction(fn(*space.coords(s))) for s in space.states})
 
-    def __getitem__(self, key: StateKey) -> Fraction:
-        return self.values[key]
+    def __setattr__(self, name, value):
+        raise AttributeError(f"UtilityTable is immutable: cannot set {name!r}")
 
-    def states(self):
-        return self.values.keys()
+    def __delattr__(self, name):
+        raise AttributeError(f"UtilityTable is immutable: cannot delete {name!r}")
 
-    def covers(self, space: StateSpace) -> bool:
-        """True iff the table's states are exactly the space's."""
-        return self.values.keys() == space.index.keys()
+    @cached_property
+    def values(self) -> dict[StateKey, Fraction]:
+        return {s: Fraction(p, q) for s, (p, q) in self.ratios.items()}
 
-    def is_constant(self) -> bool:
-        vals = iter(self.values.values())
-        first = next(vals)
-        return all(v == first for v in vals)
-
-    def affine(self, alpha: Fraction, beta: Fraction) -> "UtilityTable":
-        a, b = Fraction(alpha), Fraction(beta)
-        return UtilityTable({s: a * v + b for s, v in self.values.items()})
+    @cached_property
+    def ratios(self) -> dict[StateKey, tuple[int, int]]:
+        return {s: v.as_integer_ratio() for s, v in self.values.items()}
 
     @cached_property
     def scaled(self) -> tuple[int, dict[StateKey, int]]:
@@ -142,8 +157,42 @@ class UtilityTable:
         A positive scale keeps every order and every equality among values
         and among their differences, so the table checks compare these ints.
         """
-        scale, ints = scale_to_ints(list(self.values.values()))
-        return scale, dict(zip(self.values, ints))
+        scale, ints = scale_ratios(list(self.ratios.values()))
+        return scale, dict(zip(self.ratios, ints))
+
+    def _held(self) -> dict:
+        """The values or the ratios, whichever the table holds: same keys, same order."""
+        held = self.__dict__
+        return held["values"] if "values" in held else held["ratios"]
+
+    def __getitem__(self, key: StateKey) -> Fraction:
+        if "values" in self.__dict__:
+            return self.values[key]
+        return Fraction(*self.ratios[key])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UtilityTable):
+            return NotImplemented
+        return self.ratios == other.ratios
+
+    def __repr__(self) -> str:
+        return f"UtilityTable(values={self.values!r})"
+
+    def states(self):
+        return self._held().keys()
+
+    def covers(self, space: StateSpace) -> bool:
+        """True iff the table's states are exactly the space's."""
+        return self._held().keys() == space.index.keys()
+
+    def is_constant(self) -> bool:
+        vals = iter(self._held().values())
+        first = next(vals)
+        return all(v == first for v in vals)
+
+    def affine(self, alpha: Fraction, beta: Fraction) -> "UtilityTable":
+        a, b = Fraction(alpha), Fraction(beta)
+        return UtilityTable({s: a * v + b for s, v in self.values.items()})
 
 
 def linear_combination(
@@ -158,7 +207,7 @@ def linear_combination(
         raise ValueError("one weight per table")
     if not tables:
         raise ValueError("need at least one table")
-    keys = tables[0].values.keys()
+    keys = tables[0].states()
     out = {}
     for s in keys:
         out[s] = sum((w * t[s] for w, t in zip(weights, tables)), Fraction(constant))
@@ -170,21 +219,21 @@ def is_combination(target: UtilityTable, tables, weights, constant=Fraction(0)) 
 
     With the coefficients scaled to ints a_i, c over their common
     denominator m, each state is tested as m * target * d == sum(a_i * t_i
-    * d) + c * d in ints, d the LCM of its own values' denominators, so no
-    product grows with the number of states.
+    * d) + c * d in ints, d the LCM of its own values' denominators
+    (``rationals.scale_rows`` on the tables' ratios), so no product grows
+    with the number of states.
     """
     m, (c, *coefficients) = scale_to_ints([Fraction(constant), *map(Fraction, weights)])
-    columns = [t.values for t in tables]
-    if len(columns) != len(coefficients):
+    tables = list(tables)
+    if len(tables) != len(coefficients):
         raise ValueError("one weight per table")
-    for s, v in target.values.items():
-        p, q = v.as_integer_ratio()
-        pairs = [column[s].as_integer_ratio() for column in columns]
-        d = lcm(q, *[den for _, den in pairs])
-        terms = sum([a * num * (d // den) for a, (num, den) in zip(coefficients, pairs)])
-        if m * p * (d // q) != terms + c * d:
-            return False
-    return True
+    ratios = target.ratios
+    columns = [tuple(ratios.values()), *(tuple(map(t.ratios.__getitem__, ratios)) for t in tables)]
+    d, (v, *us) = scale_rows(columns)
+    total = map(c.__mul__, d)  # c * d + sum(a_i * t_i * d), state by state
+    for a, u in zip(coefficients, us):
+        total = map(add, total, map(a.__mul__, u))
+    return all(map(eq, map(m.__mul__, v), total))
 
 
 @dataclass(frozen=True)
@@ -244,7 +293,7 @@ def expectation(p: SimpleLottery, u: UtilityTable) -> Fraction:
     """Exact expected value of u under p."""
     total = Fraction(0)
     for s, pr in p.probs:
-        if s not in u.values:
+        if s not in u.states():
             raise KeyError(f"state {s!r} in lottery support but not in table")
         total += pr * u[s]
     return total
@@ -309,10 +358,15 @@ class WeakOrder:
             raise ValueError("weak order needs at least one item")
         #: The table ranking the items; ``from_utility`` keeps its own.
         self.table = values if isinstance(values, UtilityTable) else UtilityTable(values)
-        self._values = self.table.values
-        missing = [x for x in self.items if x not in self._values]
+        states = self.table.states()
+        missing = [x for x in self.items if x not in states]
         if missing:
             raise ValueError(f"no value for items: {missing[:3]}")
+
+    @cached_property
+    def _values(self) -> dict:
+        """The table's scaled ints, which rank the items as its values do."""
+        return self.table.scaled[1]
 
     @classmethod
     def from_utility(cls, table: UtilityTable, items=None) -> "WeakOrder":

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import linalg
 from .core import SimpleLottery, StateKey, expectation, is_combination
+from .rationals import scale_rows
 from .society import CheckResult, Profile, Society
 
 if TYPE_CHECKING:
@@ -57,57 +58,75 @@ def _solution(red: linalg.Reduction, n: int) -> list[Fraction] | None:
 class SpanProblem:
     """Stacked profile matrix: row 0 is constantly 1, row i is agent i's table.
 
-    ``reduction`` is the one ``linalg.reduce_rows`` of the |X| x (n+2)
-    matrix with columns [1 | u_1 ... u_n | v], one row per state.  Its
-    pivots are the greedy first-independent columns.  So v is in the span
-    (axiom (i)) iff its column is no pivot; the agent pivots are a greedy
-    maximal set of agents independent together with 1, and any other
-    agent's column in the pivot rows is its expansion over 1 and those
-    agents; v's column in the pivot rows is the canonical solution
-    (non-pivot weights 0); the weights are unique iff every column of
-    [1 | u] is a pivot.  Its origins are the greedy first-independent
-    states: those with a pivot in [1 | u] are the regular state columns of
-    the profile matrix, and the one with v's pivot, if any, is the first
-    state that separates v.
+    ``columns`` holds u_1 ... u_n and v in state order as each table's
+    ``ratios``, the ints (p, q) of every value.  ``reduction`` is the one
+    ``linalg.reduce_rows`` of the |X| x (n+2) matrix with columns
+    [1 | u_1 ... u_n | v], one row per state, each row built in ints over the
+    LCM of its own denominators (``rationals.scale_rows``), which keeps the row
+    space, so no Fraction is built for it.  Its pivots are the greedy
+    first-independent columns.  So v is in the span (axiom (i)) iff its
+    column is no pivot; the agent pivots are a greedy maximal set of agents
+    independent together with 1, and any other agent's column in the pivot
+    rows is its expansion over 1 and those agents; v's column in the pivot
+    rows is the canonical solution (non-pivot weights 0); the weights are
+    unique iff every column of [1 | u] is a pivot.  Its origins are the
+    greedy first-independent states: those with a pivot in [1 | u] are the
+    regular state columns of the profile matrix, and the one with v's pivot,
+    if any, is the first state that separates v.  ``matrix`` and ``target``,
+    the profile rows and v as Fractions, are built only when a witness
+    construction reads them.
     """
 
     states: tuple[StateKey, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
-    target: tuple[Fraction, ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
 
     @classmethod
     def from_profile(cls, profile: Profile, agents, states) -> "SpanProblem":
         states = tuple(states)
-        rows = [(Fraction(1),) * len(states)]
-        rows += [tuple(profile.tables[a][s] for s in states) for a in agents]
-        target = tuple(profile.ethical[s] for s in states)
-        return cls(states=states, matrix=tuple(rows), target=target)
+        tables = [*(profile.tables[a] for a in agents), profile.ethical]
+        columns = tuple(tuple(map(t.ratios.__getitem__, states)) for t in tables)
+        return cls(states=states, columns=columns)
 
     @classmethod
     def of(cls, soc: Society) -> "SpanProblem":
         """The lottery-side problem of a society."""
         return cls.from_profile(soc.nm_side(), soc.agents, soc.space.states)
 
+    @property
+    def size(self) -> int:
+        """The number of rows of the profile matrix, n + 1: v's column index."""
+        return len(self.columns)
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        ones = (Fraction(1),) * len(self.states)
+        return (ones, *(tuple(Fraction(p, q) for p, q in c) for c in self.columns[:-1]))
+
+    @cached_property
+    def target(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(p, q) for p, q in self.columns[-1])
+
     @cached_property
     def reduction(self) -> linalg.Reduction:
-        return linalg.reduce_rows(zip(*self.matrix, self.target))
+        d, columns = scale_rows(self.columns)
+        return linalg.reduce_rows(zip(d, *columns))
 
     @cached_property
     def spanning_pivots(self) -> list[int]:
         """Pivot columns of [1 | u] in order; pivot row r belongs to the r-th."""
-        return [c for c in self.reduction.pivots if c < len(self.matrix)]
+        return [c for c in self.reduction.pivots if c < self.size]
 
     @property
     def in_span(self) -> bool:
-        return len(self.matrix) not in self.reduction.pivots
+        return self.size not in self.reduction.pivots
 
     def rows_independent(self) -> bool:
-        return len(self.spanning_pivots) == len(self.matrix)
+        return len(self.spanning_pivots) == self.size
 
     @cached_property
     def regular_states(self) -> list[int]:
         """Indices of the first states, in order, whose profile columns are independent."""
-        red, k = self.reduction, len(self.matrix)
+        red, k = self.reduction, self.size
         return sorted(s for s, c in zip(red.origins, red.pivots) if c < k)
 
     def separating_null_vector(self) -> list[Fraction]:
@@ -131,7 +150,7 @@ class SpanProblem:
     @cached_property
     def regular_inverse(self) -> list[list[Fraction]]:
         """Inverse of the profile columns on ``regular_states``: one reduction of [A_S | I]."""
-        k, cols = len(self.matrix), self.regular_states
+        k, cols = self.size, self.regular_states
         square = [
             [*(row[c] for c in cols), *(int(i == j) for j in range(k))]
             for i, row in enumerate(self.matrix)
@@ -211,9 +230,9 @@ def recover_weights(soc: Society, analysis: Analysis | None = None) -> WeightRep
     """
     problem = SpanProblem.of(soc) if analysis is None else analysis.span
     if not problem.in_span:
-        bad = next(s for s, t in zip(problem.states, problem.target) if t != 0)
+        bad = next(s for s, (p, _) in zip(problem.states, problem.columns[-1]) if p)
         return WeightReport(success=False, agents=soc.agents, residual_witness=bad)
-    sol = _solution(problem.reduction, len(problem.matrix))
+    sol = _solution(problem.reduction, problem.size)
     report = WeightReport(
         success=True,
         agents=soc.agents,
@@ -289,7 +308,7 @@ def positive_reweighting(
     new = list(report.weights)
     if any(new[i] <= 0 for i in basis):
         return None
-    dependent = [c for c in range(1, len(problem.matrix)) if c not in pivots]
+    dependent = [c for c in range(1, problem.size) if c not in pivots]
     spread = max(
         (sum(abs(rows[r][c]) for c in dependent) for r in range(1, len(pivots))),
         default=Fraction(0),

@@ -164,7 +164,7 @@ def affine_relation(
     the returned pair.  Constant u: returns (1, shift) when w is constant
     too, else None.
     """
-    if u.values.keys() != w.values.keys():
+    if u.states() != w.states():
         raise ValueError("tables must share a domain")
     (u_scale, u_ints), (w_scale, w_ints) = u.scaled, w.scaled
     anchor = next(iter(u_ints))

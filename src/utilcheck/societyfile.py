@@ -10,21 +10,28 @@ writes (only ``metadata`` is free-form), so a misspelled block cannot be
 ignored.
 
 Parsing validates each distinct literal of a file once: one dict per file
-maps each literal string to its Fraction, and ``parse_rational`` stays the
+maps each literal string to its ints (p, q), and ``parse_ratio`` stays the
 only validator.  A value's location string is built only when the value is
 rejected, and a table covers the space exactly when its states, each known
-to the space, are as many as the space's.
+to the space, are as many as the space's.  Each table arrives as its
+literals' ints (``UtilityTable.from_ratios``), which are in lowest terms
+because every literal is canonical, and no Fraction is built for it.
+
+``max_states`` caps the declared size of the space, checked before any
+state is built: ``len(states)`` for an explicit space, and the product of
+(hi - lo) / step + 1 over the dimensions for a grid.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Any
 
 from .core import GridDim, StateSpace, UtilityTable
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_ratio
 from .society import Profile, Society
 
 
@@ -53,18 +60,23 @@ def _known(payload: dict, fields: tuple[str, ...], where: str) -> None:
             raise SocietyFileError(f"unknown field {key!r}", where)
 
 
-def _parse_scalar(text: Any, where: str) -> Fraction:
-    if not isinstance(text, str):
-        raise SocietyFileError(
-            f"rationals must be strings like \"1/4\", got {type(text).__name__}", where
-        )
+def _parse_scalar(text: Any, where: str, key: str) -> tuple[int, int]:
+    """The literal's ints (p, q), q = 1 for an integer; a rejection is located at where.key."""
     try:
-        return parse_rational(text)
+        return parse_ratio(text)
     except ValueError as exc:
-        raise SocietyFileError(str(exc), where) from None
+        message = str(exc)
+        if not isinstance(text, str):
+            message = f"rationals must be strings like \"1/4\", got {type(text).__name__}"
+        raise SocietyFileError(message, f"{where}.{key}") from None
 
 
-def _parse_space(payload: Any) -> StateSpace:
+def _check_size(size: int, max_states: int | None) -> None:
+    if max_states is not None and size > max_states:
+        raise SocietyFileError(f"{size} states exceed --max-states {max_states}")
+
+
+def _parse_space(payload: Any, max_states: int | None = None) -> StateSpace:
     where = "space"
     if not isinstance(payload, dict):
         raise SocietyFileError("must be an object", where)
@@ -74,6 +86,7 @@ def _parse_space(payload: Any) -> StateSpace:
         states = _need(payload, "states", list, where)
         if not states or not all(isinstance(s, str) for s in states):
             raise SocietyFileError("states must be a nonempty list of strings", where)
+        _check_size(len(states), max_states)
         try:
             return StateSpace.explicit(states)
         except ValueError as exc:
@@ -88,15 +101,15 @@ def _parse_space(payload: Any) -> StateSpace:
                 raise SocietyFileError("must be an object", dwhere)
             _known(dim, ("name", "min", "max", "resolution"), dwhere)
             name = _need(dim, "name", str, dwhere)
-            lo = _parse_scalar(_need(dim, "min", str, dwhere), dwhere + ".min")
-            hi = _parse_scalar(_need(dim, "max", str, dwhere), dwhere + ".max")
-            step = _parse_scalar(
-                _need(dim, "resolution", str, dwhere), dwhere + ".resolution"
+            lo, hi, step = (
+                Fraction(*_parse_scalar(_need(dim, key, str, dwhere), dwhere, key))
+                for key in ("min", "max", "resolution")
             )
             try:
                 dims.append(GridDim(name=name, lo=lo, hi=hi, step=step))
             except ValueError as exc:
                 raise SocietyFileError(str(exc), dwhere) from None
+        _check_size(math.prod(d.size for d in dims), max_states)
         try:
             return StateSpace.product_grid(dims)
         except ValueError as exc:
@@ -105,30 +118,30 @@ def _parse_space(payload: Any) -> StateSpace:
 
 
 def _parse_table(
-    payload: Any, space: StateSpace, where: str, literals: dict[str, Fraction]
+    payload: Any, space: StateSpace, where: str, literals: dict[str, tuple[int, int]]
 ) -> UtilityTable:
     if not isinstance(payload, dict):
         raise SocietyFileError("utility table must be an object", where)
     index = space.index
-    values = {}
+    ratios = []
     for state, text in payload.items():
         if state not in index:
             raise SocietyFileError(f"unknown state {state!r}", where)
-        value = literals.get(text) if isinstance(text, str) else None
-        if value is None:
-            value = literals[text] = _parse_scalar(text, f"{where}.{state}")
-        values[state] = value
-    if len(values) != len(index):
-        missing = next(s for s in space.states if s not in values)
+        ratio = literals.get(text) if isinstance(text, str) else None
+        if ratio is None:
+            ratio = literals[text] = _parse_scalar(text, where, state)
+        ratios.append(ratio)
+    if len(ratios) != len(index):
+        missing = next(s for s in space.states if s not in payload)
         raise SocietyFileError(f"missing states (first: {missing!r})", where)
-    return UtilityTable(values)
+    return UtilityTable.from_ratios(dict(zip(payload, ratios)))
 
 
 def _parse_profile(
     payload: Any,
     space: StateSpace,
     where: str,
-    literals: dict[str, Fraction],
+    literals: dict[str, tuple[int, int]],
     fields=("agents", "ethical"),
 ) -> tuple[list[str], Profile]:
     if not isinstance(payload, dict):
@@ -161,11 +174,11 @@ def _parse_profile(
 _TOP_LEVEL_FIELDS = ("metadata", "space", "agents", "ethical", "nm_profile", "alt_profile")
 
 
-def payload_to_society(payload: Any) -> Society:
+def payload_to_society(payload: Any, max_states: int | None = None) -> Society:
     if not isinstance(payload, dict):
         raise SocietyFileError("top level must be an object")
-    space = _parse_space(_need(payload, "space", dict, "$"))
-    literals: dict[str, Fraction] = {}
+    space = _parse_space(_need(payload, "space", dict, "$"), max_states)
+    literals: dict[str, tuple[int, int]] = {}
     base_names, base = _parse_profile(payload, space, "$", literals, _TOP_LEVEL_FIELDS)
     profiles: dict[str, Profile | None] = {"nm_profile": None, "alt_profile": None}
     for key in profiles:
@@ -200,13 +213,13 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
-def parse_society(path: str) -> Society:
+def parse_society(path: str, max_states: int | None = None) -> Society:
     with open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise SocietyFileError(f"invalid JSON: {exc}") from None
-    return payload_to_society(payload)
+    return payload_to_society(payload, max_states)
 
 
 def _table_payload(table: UtilityTable, space: StateSpace) -> dict[str, str]:

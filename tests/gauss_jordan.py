@@ -95,6 +95,26 @@ def null_space(rows) -> list[Vector]:
     return basis
 
 
+def greedy_pivots(rows) -> dict[int, int]:
+    """Each row independent of the rows before it, mapped to its pivot column.
+
+    Row i's pivot is the least c where the rank of rows[:i+1] on columns
+    [:c+1] exceeds the rank of rows[:i] on those columns.  The rows chosen
+    before i span rows[:i], so they stand in for it.
+    """
+    chosen: list[list[Fraction]] = []
+    out = {}
+    for i, row in enumerate(rows):
+        if rank(chosen + [row]) > len(chosen):
+            out[i] = next(
+                c
+                for c in range(len(row))
+                if rank([r[: c + 1] for r in chosen + [row]]) > rank([r[: c + 1] for r in chosen])
+            )
+            chosen.append(row)
+    return out
+
+
 def dot(a, b) -> Fraction:
     if len(a) != len(b):
         raise ValueError("length mismatch")

@@ -6,20 +6,42 @@ that value is rejected, decides a table's coverage by counting, and builds
 product-grid keys from each dimension's point labels.  Kept here: the
 parser that validated every value with its location string in hand,
 searched every table for missing states, and formatted every coordinate of
-every grid state.  Errors are the package's ``SocietyFileError``, so text
-and location compare directly.
+every grid state.  Its literal validator is the one the package had before
+``parse_ratio``: the same regular expression, then a checked ``Fraction``.
+Errors are the package's ``SocietyFileError``, so text and location compare
+directly.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
 from utilcheck import GridDim, Profile, Society, StateSpace, UtilityTable
-from utilcheck.rationals import format_rational, parse_rational
+from utilcheck.rationals import format_rational
 from utilcheck.societyfile import SocietyFileError, _known, _need, _unique_keys
+
+_RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/(0|[1-9][0-9]*))?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Canonical ``"p"`` or ``"p/q"`` as a Fraction, checked after building it."""
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"not a rational literal: {text!r}")
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    q = int(den)
+    if q == 0:
+        raise ValueError(f"zero denominator in rational literal: {text!r}")
+    value = Fraction(int(num), q)
+    if value.denominator != q or q == 1:
+        raise ValueError(f"rational literal not in canonical form: {text!r}")
+    return value
 
 
 def _parse_scalar(text: Any, where: str) -> Fraction:

@@ -530,6 +530,26 @@ def test_max_states_guard_exits_two():
     assert "max-states" in result.stderr
 
 
+@pytest.mark.parametrize("kind", ["product_grid", "explicit"])
+def test_max_states_is_checked_before_the_space_is_built(tmp_path, monkeypatch, capsys, kind):
+    # A declared 2**20 x 2**20 grid is refused from its dims alone, and an
+    # explicit space from its state count, before any table is read.
+    built = []
+    monkeypatch.setattr(StateSpace, "product_grid", lambda dims: built.append(dims))
+    if kind == "product_grid":
+        dim = {"min": "0", "max": "1", "resolution": f"1/{2**20}"}
+        space = {"kind": kind, "dims": [{"name": "x", **dim}, {"name": "y", **dim}]}
+        size = (2**20 + 1) ** 2
+    else:
+        space = {"kind": kind, "states": [f"s{i}" for i in range(65)]}
+        size = 65
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"space": space, "agents": [], "ethical": {}}), encoding="utf-8")
+    assert cli.main(["validate", str(path), "--max-states", "64"]) == 2
+    assert capsys.readouterr().err == f"error: {size} states exceed --max-states 64\n"
+    assert built == []
+
+
 def test_failed_reverification_exits_three(monkeypatch, capsys):
     # Skew the integer identity check the lottery-side recovery re-verifies with.
     real = harsanyi.is_combination

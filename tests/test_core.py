@@ -141,6 +141,23 @@ def test_lottery_validation():
         SimpleLottery.from_mapping({"a": F(3, 2), "b": F(-1, 2)})
 
 
+def test_tables_are_immutable_in_every_view():
+    # A parsed table holds its ratios and builds its Fractions on first
+    # read; neither can be reassigned, so no view falls out of step.
+    built = UtilityTable({"x": F(-1, 2), "y": F(3)})
+    parsed = UtilityTable.from_ratios({"x": (-1, 2), "y": (3, 1)})
+    assert built == parsed
+    assert parsed["x"] == F(-1, 2) and "values" not in vars(parsed)
+    for table in (built, parsed):
+        for view in ("values", "ratios", "scaled"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(table, view, {"x": F(0), "y": F(0)})
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(table, view)
+        assert table.values == {"x": F(-1, 2), "y": F(3)}
+        assert table.scaled == (2, {"x": -1, "y": 6})
+
+
 def test_expectation_dirac():
     u = UtilityTable({"x": F(7, 3), "y": F(0)})
     assert expectation(dirac("x"), u) == F(7, 3)

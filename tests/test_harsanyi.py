@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import letters_space, planted_society, primes, rand_fraction
-from gauss_jordan import dot, mat_vec, null_space, rank, rref, solve
+from gauss_jordan import dot, greedy_pivots, mat_vec, null_space, rank, rref, solve
 from utilcheck import (
     Analysis,
     CheckResult,
@@ -31,6 +31,7 @@ from utilcheck import (
 )
 from utilcheck import linalg
 from utilcheck.harsanyi import _perturbed_pair
+from utilcheck.societyfile import payload_to_society, society_to_payload
 
 F = Fraction
 PRIMES = primes(64)
@@ -530,6 +531,90 @@ def test_one_reduction_equals_separate_eliminations(soc):
             pair = regular_columns_witness(soc, agent)
             assert witness_lotteries_for_sign(soc, agent) == pair
             assert witness_lotteries_for_sign(soc, agent, analysis) == pair
+
+
+@st.composite
+def wide_scale_societies(draw):
+    """2-4 agents on 1-40 states with denominators up to 100, so one table's
+    scale can reach lcm(1..100), about 2**136: fresh, constant, and affine
+    agents, and an ethical table in the span, bumped off it at one state,
+    or fresh.  Half the draws go through the file format, so their tables
+    arrive from the parser as ratios."""
+    m = draw(st.integers(1, 40))
+    value = st.builds(F, st.integers(-100, 100), st.integers(1, 100))
+
+    def fresh():
+        return draw(st.lists(value, min_size=m, max_size=m))
+
+    def combination(rows):
+        c0, *coeffs = (draw(value) for _ in range(len(rows) + 1))
+        return [c0 + sum((c * r[s] for c, r in zip(coeffs, rows)), F(0)) for s in range(m)]
+
+    rows: list[list[Fraction]] = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(["fresh", "constant", "affine"] if rows else ["fresh"]))
+        if kind == "fresh":
+            rows.append(fresh())
+        elif kind == "constant":
+            rows.append([draw(value)] * m)
+        else:
+            rows.append(combination(rows))
+    target = draw(st.sampled_from(["span", "bumped", "fresh"]))
+    ethical = fresh() if target == "fresh" else combination(rows)
+    if target == "bumped":
+        ethical[draw(st.integers(0, m - 1))] += draw(value.filter(bool))
+    space = letters_space(m)
+    tables = {f"a{i}": UtilityTable(dict(zip(space.states, row))) for i, row in enumerate(rows)}
+    soc = Society.from_tables(space, tables, UtilityTable(dict(zip(space.states, ethical))))
+    return soc, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_scale_societies())
+def test_ratio_rows_equal_the_fraction_oracle(drawn):
+    # The oracle reads the Fraction tables of the drawn society; the
+    # package reduces int rows built from the tables' ratios, of the same
+    # society or of its parsed copy.
+    soc, parsed = drawn
+    states, profile = soc.space.states, soc.nm_side()
+    a_rows = [[F(1)] * len(states)] + [[profile.tables[a][s] for s in states] for a in soc.agents]
+    v = [profile.ethical[s] for s in states]
+    k = len(a_rows)
+    if parsed:
+        soc = payload_to_society(society_to_payload(soc))
+    problem = SpanProblem.of(soc)
+
+    matrix = [[*column, t] for *column, t in zip(*a_rows, v)]
+    red, pivots = rref(matrix)
+    assert problem.reduction.pivots == pivots
+    assert problem.reduction.rows == red[: len(pivots)]
+    assert dict(zip(problem.reduction.origins, pivots)) == greedy_pivots(matrix)
+    assert problem.regular_states == sorted(greedy_pivots([row[:k] for row in matrix]))
+    unique = rank(a_rows) == k
+    assert problem.rows_independent() == unique
+
+    sol = solve([row[:k] for row in matrix], v)
+    report = recover_weights(soc)
+    if sol is None:
+        assert not problem.in_span
+        eta = next(eta for eta in null_space(a_rows) if dot(v, eta) != 0)
+        assert problem.separating_null_vector() == eta
+        bad = next(s for s, t in zip(states, v) if t != 0)
+        assert report == WeightReport(success=False, agents=soc.agents, residual_witness=bad)
+    else:
+        assert problem.in_span
+        expected = WeightReport(True, soc.agents, tuple(sol[1:]), sol[0], unique)
+        assert report == expected
+        basis = rank_loop_dependency_basis(profile, soc.agents, states)
+        assert positive_reweighting(soc, report) == basis_trade(soc, expected, *basis)
+    if unique:
+        cols = problem.regular_states
+        square = [
+            [*(row[c] for c in cols), *(F(i == j) for j in range(k))]
+            for i, row in enumerate(a_rows)
+        ]
+        inverse, _ = rref(square)
+        assert problem.regular_inverse == [row[k:] for row in inverse]
 
 
 @pytest.mark.parametrize("n_agents", [2, 3])

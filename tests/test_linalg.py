@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import primes
-from gauss_jordan import rank, rref, solve
+from gauss_jordan import greedy_pivots, rref, solve
 from utilcheck import express_in_span
 from utilcheck.linalg import reduce_rows
 
@@ -66,26 +66,6 @@ def span_problems(draw):
     if n_rows and draw(st.booleans()):
         v[draw(st.integers(0, n_rows - 1))] += draw(value.filter(bool))
     return [[F(1), *(u[s] for u in agents), v[s]] for s in range(n_rows)]
-
-
-def greedy_pivots(rows) -> dict[int, int]:
-    """Each row independent of the rows before it, mapped to its pivot column.
-
-    Row i's pivot is the least c where the rank of rows[:i+1] on columns
-    [:c+1] exceeds the rank of rows[:i] on those columns.  The rows chosen
-    before i span rows[:i], so they stand in for it.
-    """
-    chosen: list[list[Fraction]] = []
-    out = {}
-    for i, row in enumerate(rows):
-        if rank(chosen + [row]) > len(chosen):
-            out[i] = next(
-                c
-                for c in range(len(row))
-                if rank([r[: c + 1] for r in chosen + [row]]) > rank([r[: c + 1] for r in chosen])
-            )
-            chosen.append(row)
-    return out
 
 
 @settings(max_examples=300, deadline=None)

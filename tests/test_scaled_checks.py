@@ -346,8 +346,9 @@ def test_order_keeps_its_table():
 
 def test_cli_paths_scale_each_table_once(tmp_path, monkeypatch, capsys):
     # A passing coincide reads each of its 2n + 2 tables scaled, each scaled
-    # once.  The lottery-side recovery's identity check tests each state on
-    # its own values, so it scales no table.  Neither builds a table sum.
+    # once.  The lottery-side recovery reduces and re-verifies on each
+    # state's own ratios, so it scales no table.  Parsed tables arrive as
+    # ratios, and neither command builds a table's values dict or a table sum.
     soc, _, _ = planted_coincidence_society(random.Random(97), 3)
     path = tmp_path / "planted.json"
     path.write_text(emit_society(soc), encoding="utf-8")
@@ -361,23 +362,24 @@ def test_cli_paths_scale_each_table_once(tmp_path, monkeypatch, capsys):
     for name, module in list(sys.modules.items()):
         if name.startswith("utilcheck") and vars(module).get("linear_combination") is real_sum:
             monkeypatch.setattr(module, "linear_combination", counted_sum)
-    scaled = []
-    real_scaled = UtilityTable.scaled.func
+    built = {"scaled": [], "values": []}
+    for attr, seen in built.items():
+        real = getattr(UtilityTable, attr).func
 
-    def counted_scaled(table):
-        scaled.append(id(table))
-        return real_scaled(table)
+        def counted(table, real=real, seen=seen):
+            seen.append(id(table))
+            return real(table)
 
-    prop = functools.cached_property(counted_scaled)
-    prop.__set_name__(UtilityTable, "scaled")
-    monkeypatch.setattr(UtilityTable, "scaled", prop)
+        prop = functools.cached_property(counted)
+        prop.__set_name__(UtilityTable, attr)
+        monkeypatch.setattr(UtilityTable, attr, prop)
 
     assert cli.main(["coincide", str(path), "--json"]) == 0
     assert '"status": "coincide"' in capsys.readouterr().out
-    assert sums == []
-    assert len(scaled) == len(set(scaled)) == 2 * 3 + 2
-    scaled.clear()
+    assert sums == built["values"] == []
+    assert len(built["scaled"]) == len(set(built["scaled"])) == 2 * 3 + 2
+    built["scaled"].clear()
     assert cli.main(["recover", str(path), "--mode", "harsanyi", "--json"]) == 0
     assert '"success": true' in capsys.readouterr().out
     assert sums == []
-    assert scaled == []
+    assert built == {"scaled": [], "values": []}

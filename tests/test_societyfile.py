@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 
 import reference_parser as oracle
 from utilcheck import GridDim, Profile, Society, StateSpace, UtilityTable, emit_society
+from utilcheck.rationals import parse_ratio
 from utilcheck.societyfile import (
     SocietyFileError,
+    _parse_scalar,
     parse_society,
     payload_to_society,
     society_to_payload,
@@ -59,6 +61,37 @@ def societies(draw):
     alt = profile() if draw(st.booleans()) else None
     metadata = draw(st.sampled_from([{}, {"title": "t", "n": 1}]))
     return Society(space, tuple(agents), base, nm=nm, alt=alt, metadata=metadata)
+
+
+#: Literal spellings: canonical values, their unreduced, signed, padded and
+#: decimal variants, and short strings over the literal alphabet.
+literal_texts = st.one_of(
+    st.builds(lambda p, q: str(F(p, q)), st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+    st.sampled_from(BAD_LITERALS),
+    st.builds(
+        lambda p, q, form: form.format(p=p, q=q),
+        st.sampled_from([0, 1, -1, 2]) | st.integers(-200, 200),
+        st.sampled_from([0, 1, 2, 4]) | st.integers(-3, 200),
+        st.sampled_from(["{p}/{q}", "+{p}", "0{p}", "{p}/0{q}", "{p}.0", " {p}", "{p}/{q}/1"]),
+    ),
+    st.text(alphabet="0123456789-/+. e\u0663", max_size=8),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(literal_texts, st.sampled_from(NON_STRINGS)))
+def test_parse_ratio_equals_the_reference_validator(text):
+    def outcome(parse, *args):
+        try:
+            value = parse(*args)
+        except SocietyFileError as exc:
+            return "error", str(exc), exc.where
+        except ValueError as exc:
+            return "error", str(exc)
+        return "ok", value if isinstance(value, F) else F(*value)
+
+    assert outcome(_parse_scalar, text, "$.x", "s") == outcome(oracle._parse_scalar, text, "$.x.s")
+    assert outcome(parse_ratio, text) == outcome(oracle.parse_rational, text)
 
 
 def _positions(node, path=()):
