@@ -45,6 +45,7 @@ from .core import StateKey, StateSpace, UtilityTable, WeakOrder, linear_combinat
 from .harsanyi import check_axiom_i, recover_weights
 from .harvey import Analysis, check_axiom_I
 from .nm import affine_relation
+from .rationals import scale_to_ints
 from .society import (
     Profile,
     Society,
@@ -580,7 +581,7 @@ def simplex_counterexample(resolution: Fraction) -> SimplexFixture:
     if affine_relation(u1, u1_star) is not None:
         raise AssertionError("agent 1 tables unexpectedly affine")
     for pair in ([u1, u2], [u1_star, u2_star]):
-        rows = [[t[s] for s in keys] for t in pair]
+        rows = [scale_to_ints([t[s] for s in keys])[1] for t in pair]
         if len(linalg.reduce_rows(rows).pivots) != 2:
             raise AssertionError("profile tables are linearly dependent")
 

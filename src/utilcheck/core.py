@@ -217,20 +217,29 @@ def linear_combination(
 def is_combination(target: UtilityTable, tables, weights, constant=Fraction(0)) -> bool:
     """True iff target = sum(w_i * t_i) + constant at every state of target.
 
-    With the coefficients scaled to ints a_i, c over their common
-    denominator m, each state is tested as m * target * d == sum(a_i * t_i
-    * d) + c * d in ints, d the LCM of its own values' denominators
-    (``rationals.scale_rows`` on the tables' ratios), so no product grows
-    with the number of states.
+    Each state's values are scaled to ints over the LCM of their own
+    denominators (``rationals.scale_rows`` on the tables' ratios), and
+    ``combination_holds`` tests every state on those ints, so no product
+    grows with the number of states.
     """
-    m, (c, *coefficients) = scale_to_ints([Fraction(constant), *map(Fraction, weights)])
-    tables = list(tables)
-    if len(tables) != len(coefficients):
-        raise ValueError("one weight per table")
     ratios = target.ratios
     columns = [tuple(ratios.values()), *(tuple(map(t.ratios.__getitem__, ratios)) for t in tables)]
     d, (v, *us) = scale_rows(columns)
-    total = map(c.__mul__, d)  # c * d + sum(a_i * t_i * d), state by state
+    return combination_holds(d, v, us, weights, constant)
+
+
+def combination_holds(d, v, us, weights, constant=Fraction(0)) -> bool:
+    """True iff v = sum(w_i * u_i) + constant on every row scaled to ints.
+
+    Row s holds d[s] times each value: v[s] for the target and u[s] for
+    each table in ``us``, as ``rationals.scale_rows`` returns them.  With
+    the coefficients scaled to ints a_i, c over their common denominator
+    m, each row is tested as m * v == sum(a_i * u_i) + c * d.
+    """
+    m, (c, *coefficients) = scale_to_ints([Fraction(constant), *map(Fraction, weights)])
+    if len(us) != len(coefficients):
+        raise ValueError("one weight per table")
+    total = map(c.__mul__, d)  # c * d + sum(a_i * u_i), row by row
     for a, u in zip(coefficients, us):
         total = map(add, total, map(a.__mul__, u))
     return all(map(eq, map(m.__mul__, v), total))

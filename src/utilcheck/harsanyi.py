@@ -20,8 +20,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .core import SimpleLottery, StateKey, expectation, is_combination
-from .rationals import scale_rows
+from .core import SimpleLottery, StateKey, combination_holds, expectation
+from .rationals import scale_rows, scale_to_ints
 from .society import CheckResult, Profile, Society
 
 if TYPE_CHECKING:
@@ -40,7 +40,8 @@ def express_in_span(f0, fs) -> tuple[Fraction, ...] | None:
     f0 = list(map(Fraction, f0))
     if any(len(f) != len(f0) for f in fs):
         raise ValueError("all vectors must share a dimension")
-    sol = _solution(linalg.reduce_rows(zip(*fs, f0)), len(fs))
+    rows = (scale_to_ints(row)[1] for row in zip(*fs, f0))
+    sol = _solution(linalg.reduce_rows(rows), len(fs))
     return tuple(sol) if sol is not None else None
 
 
@@ -59,11 +60,13 @@ class SpanProblem:
     """Stacked profile matrix: row 0 is constantly 1, row i is agent i's table.
 
     ``columns`` holds u_1 ... u_n and v in state order as each table's
-    ``ratios``, the ints (p, q) of every value.  ``reduction`` is the one
-    ``linalg.reduce_rows`` of the |X| x (n+2) matrix with columns
-    [1 | u_1 ... u_n | v], one row per state, each row built in ints over the
-    LCM of its own denominators (``rationals.scale_rows``), which keeps the row
-    space, so no Fraction is built for it.  Its pivots are the greedy
+    ``ratios``, the ints (p, q) of every value.  ``scaled`` is the one
+    scaling of its rows: each state's values times the LCM d of that
+    state's own denominators (``rationals.scale_rows``), which keeps the
+    row space, so no Fraction is built.  ``reduction`` and ``verify`` both
+    read these ints.  ``reduction`` is the one ``linalg.reduce_rows`` of
+    the |X| x (n+2) matrix with columns [1 | u_1 ... u_n | v], one row
+    [d | d u_1 ... d u_n | d v] per state.  Its pivots are the greedy
     first-independent columns.  So v is in the span (axiom (i)) iff its
     column is no pivot; the agent pivots are a greedy maximal set of agents
     independent together with 1, and any other agent's column in the pivot
@@ -72,9 +75,11 @@ class SpanProblem:
     unique iff every column of [1 | u] is a pivot.  Its origins are the
     greedy first-independent states: those with a pivot in [1 | u] are the
     regular state columns of the profile matrix, and the one with v's pivot,
-    if any, is the first state that separates v.  ``matrix`` and ``target``,
-    the profile rows and v as Fractions, are built only when a witness
-    construction reads them.
+    if any, is the first state that separates v.  ``verify`` re-checks a
+    recovered identity at every state on the scaled rows
+    (``core.combination_holds``).  ``matrix`` and ``target``, the profile
+    rows and v as Fractions, are built only when a witness construction
+    reads them.
     """
 
     states: tuple[StateKey, ...]
@@ -107,9 +112,20 @@ class SpanProblem:
         return tuple(Fraction(p, q) for p, q in self.columns[-1])
 
     @cached_property
+    def scaled(self) -> tuple[list[int], list[list[int]]]:
+        """The row LCMs d, and each column u_1 ... u_n, v times them, as ints."""
+        return scale_rows(self.columns)
+
+    @cached_property
     def reduction(self) -> linalg.Reduction:
-        d, columns = scale_rows(self.columns)
+        d, columns = self.scaled
         return linalg.reduce_rows(zip(d, *columns))
+
+    def verify(self, weights, constant) -> None:
+        """Re-check v = sum(w_i * u_i) + constant on every scaled row; a failure is a bug."""
+        d, (*us, v) = self.scaled
+        if not combination_holds(d, v, us, weights, constant):
+            raise AssertionError("recovered identity failed pointwise re-verification")
 
     @cached_property
     def spanning_pivots(self) -> list[int]:
@@ -152,7 +168,7 @@ class SpanProblem:
         """Inverse of the profile columns on ``regular_states``: one reduction of [A_S | I]."""
         k, cols = self.size, self.regular_states
         square = [
-            [*(row[c] for c in cols), *(int(i == j) for j in range(k))]
+            scale_to_ints([*(row[c] for c in cols), *(int(i == j) for j in range(k))])[1]
             for i, row in enumerate(self.matrix)
         ]
         return [row[k:] for row in linalg.reduce_rows(square).rows]
@@ -240,13 +256,8 @@ def recover_weights(soc: Society, analysis: Analysis | None = None) -> WeightRep
         constant=sol[0],
         unique=problem.rows_independent(),
     )
-    _verify_identity(soc.nm_side(), soc.agents, report.weights, report.constant)
+    problem.verify(report.weights, report.constant)
     return report
-
-
-def _verify_identity(profile: Profile, agents, weights, constant) -> None:
-    if not is_combination(profile.ethical, [profile.tables[a] for a in agents], weights, constant):
-        raise AssertionError("recovered identity failed pointwise re-verification")
 
 
 def witness_lotteries_for_sign(
@@ -325,5 +336,5 @@ def positive_reweighting(
             new[i] -= eps * rows[r][c]
     if any(w <= 0 for w in new):
         raise AssertionError("reweighting produced a nonpositive weight")
-    _verify_identity(soc.nm_side(), soc.agents, new, new_b)
+    problem.verify(new, new_b)
     return tuple(new), new_b

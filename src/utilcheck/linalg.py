@@ -1,16 +1,17 @@
 """Exact row reduction by incremental fraction-free Gauss-Jordan elimination.
 
 One kernel, ``reduce_rows``, answers every row-space question in the
-package.  Each row is scaled by the LCM of its own denominators, which keeps
-the row space, so the rref and its pivots need no unscaling.  The rows are
-taken in order and the basis stays reduced: each basis row is ``det`` times
-its rref row, in ints, with ``det`` the pivot minor's determinant (Cramer's
-rule).  A row x is in the span iff ``det * x`` matches the basis rows
-weighted by x's pivot entries on every column without a pivot, so a
-dependent row costs one dot product per such column.  At the first column
-where they differ, x's residue joins the basis with its pivot there, each
-basis row is updated by one exact division, and ``det`` becomes that pivot,
-until every column has a pivot.  Inputs are never mutated.
+package.  It takes rows of ints: a caller holding rationals scales each row
+by the LCM of its own denominators first, which keeps the row space, so the
+rref and its pivots need no unscaling.  The rows are taken in order and
+the basis stays reduced: each basis row is ``det`` times its rref row, in
+ints, with ``det`` the pivot minor's determinant (Cramer's rule).  A row x
+is in the span iff ``det * x`` matches the basis rows weighted by x's pivot
+entries on every column without a pivot, so a dependent row costs one dot
+product per such column.  At the first column where they differ, x's
+residue joins the basis with its pivot there, each basis row is updated by
+one exact division, and ``det`` becomes that pivot, until every column has
+a pivot.  The input rows are read, never mutated.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
-
-from .rationals import scale_to_ints
 
 
 class Reduction(NamedTuple):
@@ -38,12 +37,11 @@ class Reduction(NamedTuple):
 
 
 def reduce_rows(rows) -> Reduction:
-    """Reduce a matrix given as rows of rationals (Fractions or ints)."""
+    """Reduce a matrix given as rows of ints, each read as it is and left unchanged."""
     det = 1
     basis: list[tuple[int, int, list[int]]] = []  # (pivot column, origin, det * rref row)
     free: dict[int, list[int]] = {}  # each column with no pivot: its basis entries
-    for i, row in enumerate(rows):
-        x = scale_to_ints(row)[1]
+    for i, x in enumerate(rows):
         if not basis:
             free = {j: [] for j in range(len(x))}
         lead = [x[c] for c, _, _ in basis]

@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import floordiv, itemgetter, mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 #: Accepted wire syntax, ASCII digits only: "0" or a nonzero integer with no
 #: "+" and no leading zero, then optionally "/" and a denominator with no
@@ -78,14 +78,15 @@ def scale_to_ints(values: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 def scale_rows(
     columns: Sequence[Sequence[tuple[int, int]]],
-) -> tuple[list[int], list[Iterator[int]]]:
+) -> tuple[list[int], list[list[int]]]:
     """Scale each row of a matrix, given as columns of (p, q), by the LCM of its own denominators.
 
     Returns the row LCMs d and, for each column, its entries p * (d // q)
-    row by row, as a lazy iterator.  A row's ints stay as short as its own
+    row by row, as a list, so the row reduction and the identity check can
+    both read the same ints.  A row's ints stay as short as its own
     denominators however many rows there are, and a positive scale per row
     keeps the row space and every equation that holds on a row.
     """
     split = [(list(map(itemgetter(0), c)), list(map(itemgetter(1), c))) for c in columns]
     d = list(map(lcm, *(q for _, q in split)))
-    return d, [map(mul, p, map(floordiv, d, q)) for p, q in split]
+    return d, [list(map(mul, p, map(floordiv, d, q))) for p, q in split]

@@ -551,13 +551,14 @@ def test_max_states_is_checked_before_the_space_is_built(tmp_path, monkeypatch, 
 
 
 def test_failed_reverification_exits_three(monkeypatch, capsys):
-    # Skew the integer identity check the lottery-side recovery re-verifies with.
-    real = harsanyi.is_combination
+    # Skew the integer identity check the lottery-side recovery re-verifies
+    # its scaled rows with.
+    real = harsanyi.combination_holds
 
-    def skewed(target, tables, weights, constant=Fraction(0)):
-        return real(target, tables, weights, constant + 1)
+    def skewed(d, v, us, weights, constant=Fraction(0)):
+        return real(d, v, us, weights, constant + 1)
 
-    monkeypatch.setattr(harsanyi, "is_combination", skewed)
+    monkeypatch.setattr(harsanyi, "combination_holds", skewed)
     code = cli.main(["coincide", str(FIXTURES / "sqrt_k10.json"), "--json"])
     captured = capsys.readouterr()
     assert code == 3

@@ -1,18 +1,33 @@
-"""The integer reduction kernel against the Fraction Gauss-Jordan oracle."""
+"""The integer reduction kernel against the Fraction Gauss-Jordan oracle, and its int-row contract."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import primes
+from conftest import planted_society, primes
 from gauss_jordan import greedy_pivots, rref, solve
-from utilcheck import express_in_span
+from utilcheck import (
+    Society,
+    StateSpace,
+    UtilityTable,
+    check_axiom_i,
+    cli,
+    express_in_span,
+    linalg,
+    simplex_counterexample,
+    witness_lotteries_for_sign,
+)
 from utilcheck.linalg import reduce_rows
+from utilcheck.rationals import scale_to_ints
 
 F = Fraction
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 PRIMES = primes(400)
 
 
@@ -71,7 +86,8 @@ def span_problems(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(matrices(), span_problems()))
 def test_kernel_equals_fraction_gauss_jordan(rows):
-    red = reduce_rows(rows)
+    # The kernel reads each row scaled by its own LCM; the oracle reads the Fractions.
+    red = reduce_rows([scale_to_ints(row)[1] for row in rows])
     oracle, pivots = rref(rows)
     assert red.pivots == pivots
     assert red.rows == oracle[: len(pivots)]
@@ -97,7 +113,61 @@ def test_express_in_span_zero_dimensional():
 
 
 def test_kernel_reads_ints_and_keeps_its_input():
-    rows = [[2, F(4)], [1, 2], (0, F(1, 3))]
+    rows = [[2, 4], [1, 2], (0, 1)]
     red = reduce_rows(rows)
     assert red.pivots == [0, 1] and red.rows == [[1, 0], [0, 1]] and red.origins == [0, 2]
-    assert rows == [[2, F(4)], [1, 2], (0, F(1, 3))]
+    assert rows == [[2, 4], [1, 2], (0, 1)]
+
+
+@pytest.fixture
+def kernel_inputs(monkeypatch):
+    """Every matrix handed to ``linalg.reduce_rows`` while the test runs, as read."""
+    seen = []
+    real = linalg.reduce_rows
+
+    def recording(rows):
+        rows = [tuple(row) for row in rows]
+        seen.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "reduce_rows", recording)
+    return seen
+
+
+def _non_ints(matrices) -> list:
+    return [a for rows in matrices for row in rows for a in row if type(a) is not int]
+
+
+COMMANDS = (["validate"], ["recover", "--mode", "harsanyi"], ["recover", "--mode", "harvey"], ["coincide"])
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_every_command_hands_the_kernel_int_rows(kernel_inputs, capsys, fixture):
+    for name, *flags in COMMANDS:
+        assert cli.main([name, str(fixture), *flags, "--json"]) in (0, 1)
+    capsys.readouterr()
+    assert kernel_inputs
+    assert _non_ints(kernel_inputs) == []
+
+
+def test_witness_paths_hand_the_kernel_int_rows(kernel_inputs):
+    # A failed axiom (i) reduces [1 | u | v], then solves for its null
+    # vector; each sign witness reduces [1 | u | v] and inverts a regular
+    # square submatrix; the simplex fixture checks that each of its two
+    # profiles is independent and that it passes axiom (i).
+    space = StateSpace.explicit(["a", "b", "c", "d"])
+
+    def table(*values):
+        return UtilityTable(dict(zip(space.states, values)))
+
+    halves, thirds = table(F(0), F(1, 2), F(0), F(1, 2)), table(F(0), F(0), F(1, 3), F(1, 3))
+    product = Society.from_tables(space, {"x": halves, "y": thirds}, table(0, 0, 0, F(1, 7)))
+    assert not check_axiom_i(product).passed
+    assert len(kernel_inputs) == 2
+    soc, _, _ = planted_society(random.Random(43), 2, 5)
+    for agent in soc.agents:
+        witness_lotteries_for_sign(soc, agent)
+    assert len(kernel_inputs) == 6
+    simplex_counterexample(F(1, 4))
+    assert len(kernel_inputs) == 9
+    assert _non_ints(kernel_inputs) == []

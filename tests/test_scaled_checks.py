@@ -1,7 +1,9 @@
 """Integer table checks against their Fraction oracles, and the scaling count.
 
 The order, class and affinity checks read ``UtilityTable.scaled``, and the
-identity check tests each state with ints.  The differentials draw
+identity check tests each state with ints, both scaled from the tables'
+ratios and on a ``SpanProblem``'s cached rows after its reduction has read
+them.  The differentials draw
 2-4 agents with ties and constant agents, negative values, denominators 1,
 2, 3, 5 and 7 or a distinct prime under every value, tables whose key order
 differs from the state order, and identities off by one unit at a single
@@ -19,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -33,6 +36,7 @@ from utilcheck import (
     AltSystem,
     Profile,
     Society,
+    SpanProblem,
     StateSpace,
     UtilityTable,
     WeakOrder,
@@ -47,11 +51,12 @@ from utilcheck import (
     linear_combination,
     matches,
     order_disagreement,
+    recover_weights,
     same_weak_order,
     verify_component_additivity,
 )
 from utilcheck.coincidence import _agent_verdicts
-from utilcheck.core import is_combination
+from utilcheck.core import combination_holds, is_combination
 from utilcheck.society import semi_separability
 
 F = Fraction
@@ -241,9 +246,50 @@ def test_identity_check_matches_table_sum(soc, data):
     expected = oracle.is_combination(target, tables, weights, constant)
     assert expected is not bumped
     assert is_combination(target, tables, weights, constant) == expected
-    assert is_combination(target, tables[:1], weights[:1], constant) == oracle.is_combination(
-        target, tables[:1], weights[:1], constant
+    assert _cached_row_verdict(soc, target, tables, weights, constant) == expected
+    first = oracle.is_combination(target, tables[:1], weights[:1], constant)
+    assert is_combination(target, tables[:1], weights[:1], constant) == first
+    assert _cached_row_verdict(soc, target, tables[:1], weights[:1], constant) == first
+
+
+def _cached_row_verdict(soc, target, tables, weights, constant) -> bool:
+    """The identity check on a ``SpanProblem``'s cached rows, read after its reduction."""
+    agents = soc.agents[: len(tables)]
+    problem = SpanProblem.from_profile(
+        Profile(dict(zip(agents, tables)), target), agents, soc.space.states
     )
+    problem.reduction  # the reduction reads the same scaled rows first
+    d, (*us, v) = problem.scaled
+    return combination_holds(d, v, us, weights, constant)
+
+
+def test_identity_check_on_long_scale_tables():
+    # 4 agents on 64 states with a distinct prime under every agent value:
+    # each table's scale runs to hundreds of bits, yet every row of the
+    # lottery side is scaled by its own state's denominators only.
+    states = [f"s{j}" for j in range(64)]
+    under = iter(primes(4 * len(states)))
+    rng = random.Random(5)
+    tables = [
+        UtilityTable({s: F(rng.randint(-9, 9), next(under)) for s in states}) for _ in range(4)
+    ]
+    weights, constant = [F(1), F(-2, 3), F(5), F(1, 7)], F(3, 11)
+    target = linear_combination(tables, weights, constant)
+    soc = Society.from_tables(StateSpace.explicit(states), dict(zip("abcd", tables)), target)
+    problem = SpanProblem.of(soc)
+    assert min(t.scaled[0] for t in tables).bit_length() > 300
+    assert problem.scaled[0] == [
+        math.lcm(*(t[s].denominator for t in (*tables, target))) for s in states
+    ]
+    for state in (None, states[0], states[-1]):
+        bumped = UtilityTable(
+            {s: v + F(1, target[s].denominator) * (s == state) for s, v in target.values.items()}
+        )
+        expected = oracle.is_combination(bumped, tables, weights, constant)
+        assert expected is (state is None)
+        assert is_combination(bumped, tables, weights, constant) == expected
+        assert _cached_row_verdict(soc, bumped, tables, weights, constant) == expected
+    assert problem.in_span and recover_weights(soc).weights == tuple(weights)
 
 
 #: Level shapes of an intensity-side agent: a repeated difference (the
