@@ -256,18 +256,22 @@ class SimpleLottery:
     probs: tuple[tuple[StateKey, Fraction], ...]
 
     def __post_init__(self):
-        entries = tuple(sorted((s, Fraction(p)) for s, p in self.probs))
-        if any(p < 0 for _, p in entries):
+        entries = sorted((s, p if isinstance(p, Fraction) else Fraction(p)) for s, p in self.probs)
+        ratios = [p.as_integer_ratio() for _, p in entries]
+        if any(n < 0 for n, _ in ratios):
             raise ValueError("negative probability")
-        entries = tuple((s, p) for s, p in entries if p != 0)
+        if not all(n for n, _ in ratios):
+            entries = [e for e, (n, _) in zip(entries, ratios) if n]
+            ratios = [r for r in ratios if r[0]]
         if not entries:
             raise ValueError("empty lottery")
         if len({s for s, _ in entries}) != len(entries):
             raise ValueError("duplicate state in support")
-        total = sum((p for _, p in entries), Fraction(0))
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "probs", entries)
+        # The sum is decided in ints over the LCM of the denominators.
+        scale, ints = scale_ratios(ratios)
+        if sum(ints) != scale:
+            raise ValueError(f"probabilities sum to {Fraction(sum(ints), scale)}, not 1")
+        object.__setattr__(self, "probs", tuple(entries))
 
     @classmethod
     def from_mapping(cls, probs: Mapping[StateKey, Fraction]) -> "SimpleLottery":

@@ -9,7 +9,12 @@ pair, and a regular submatrix yields sign-certifying lotteries.  One
 integer reduction per society (``SpanProblem.reduction``, shared through
 ``harvey.Analysis.span``) gives the span verdict, the weights, the regular
 states and the first state that separates the ethical table; the witness
-constructions add one reduction of at most n+1 rows each.
+constructions add one reduction of at most n+1 rows each.  They read the
+ratios of only the states they need: a failed axiom (i) at most n+2, the
+origin of v's pivot and the regular states before it, where its null
+vector is nonzero.  Every witness pair is re-verified before return on
+the pair itself, over the states where p - q is nonzero: by linearity
+E_p[u] - E_q[u] is the sum of (p_s - q_s) u(s) over them.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .core import SimpleLottery, StateKey, combination_holds, expectation
-from .rationals import scale_rows, scale_to_ints
+from .core import SimpleLottery, StateKey, combination_holds
+from .rationals import scale_ratios, scale_rows, scale_to_ints
 from .society import CheckResult, Profile, Society
 
 if TYPE_CHECKING:
@@ -77,9 +82,10 @@ class SpanProblem:
     regular state columns of the profile matrix, and the one with v's pivot,
     if any, is the first state that separates v.  ``verify`` re-checks a
     recovered identity at every state on the scaled rows
-    (``core.combination_holds``).  ``matrix`` and ``target``, the profile
-    rows and v as Fractions, are built only when a witness construction
-    reads them.
+    (``core.combination_holds``).  The witness constructions build their
+    int rows from the ratios of the at most n+2 states they read
+    (``_profile_rows``).  ``matrix`` and ``target``, the profile rows and v
+    as Fractions over every state, are read only by tests and oracles.
     """
 
     states: tuple[StateKey, ...]
@@ -101,6 +107,16 @@ class SpanProblem:
     def size(self) -> int:
         """The number of rows of the profile matrix, n + 1: v's column index."""
         return len(self.columns)
+
+    def _profile_rows(self, states, extra=()) -> list[list[int]]:
+        """The profile matrix's columns at ``states``, then the columns ``extra``, as int rows.
+
+        They are read from the ratios, and each row is scaled by the LCM of
+        its own denominators, so no Fraction is built.
+        """
+        agents = self.columns[:-1]
+        columns = [*([(1, 1), *(u[s] for u in agents)] for s in states), *extra]
+        return [scale_ratios(row)[1] for row in zip(*columns)]
 
     @cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -155,8 +171,7 @@ class SpanProblem:
         """
         free = self.reduction.origins[-1]
         before = [s for s in self.regular_states if s < free]
-        column = [row[free] for row in self.matrix]
-        lam = express_in_span(column, [[row[s] for row in self.matrix] for s in before])
+        lam = _solution(linalg.reduce_rows(self._profile_rows([*before, free])), len(before))
         eta = [Fraction(0)] * len(self.states)
         eta[free] = Fraction(1)
         for s, a in zip(before, lam):
@@ -166,11 +181,9 @@ class SpanProblem:
     @cached_property
     def regular_inverse(self) -> list[list[Fraction]]:
         """Inverse of the profile columns on ``regular_states``: one reduction of [A_S | I]."""
-        k, cols = self.size, self.regular_states
-        square = [
-            scale_to_ints([*(row[c] for c in cols), *(int(i == j) for j in range(k))])[1]
-            for i, row in enumerate(self.matrix)
-        ]
+        k = self.size
+        identity = [[(int(i == j), 1) for i in range(k)] for j in range(k)]
+        square = self._profile_rows(self.regular_states, identity)
         return [row[k:] for row in linalg.reduce_rows(square).rows]
 
 
@@ -197,19 +210,67 @@ class WeightReport:
 
 
 def _perturbed_pair(eta: list[Fraction], states) -> LotteryWitnessPair:
-    """Uniform lottery pushed by +/- lambda * eta, with lambda = 1/(2m*max|eta|)."""
+    """Uniform lottery pushed by +/- lambda * eta, with lambda = 1/(2m*max|eta|).
+
+    Every state where eta is 0 shares one Fraction 1/m; arithmetic runs only
+    on eta's support.
+    """
     m = len(states)
-    biggest = max(abs(e) for e in eta)
-    if biggest == 0:
+    support = [(s, e) for s, e in zip(states, eta) if e]
+    if not support:
         raise ValueError("zero perturbation vector")
-    lam = Fraction(1, 2 * m) / biggest
-    p = SimpleLottery.from_mapping(
-        {s: Fraction(1, m) + lam * e for s, e in zip(states, eta)}
+    lam = Fraction(1, 2 * m) / max(abs(e) for _, e in support)
+    p = dict.fromkeys(states, Fraction(1, m))
+    q = dict(p)
+    for s, e in support:
+        step = lam * e
+        p[s] += step
+        q[s] -= step
+    return LotteryWitnessPair(
+        p=SimpleLottery.from_mapping(p), q=SimpleLottery.from_mapping(q), eta=tuple(eta), lam=lam
     )
-    q = SimpleLottery.from_mapping(
-        {s: Fraction(1, m) - lam * e for s, e in zip(states, eta)}
-    )
-    return LotteryWitnessPair(p=p, q=q, eta=tuple(eta), lam=lam)
+
+
+def _expectation_gaps(pair: LotteryWitnessPair, tables) -> list[Fraction]:
+    """E_p[t] - E_q[t] for each table t, summed over the states where p and q differ.
+
+    p - q is read from the two lotteries themselves, one comparison per
+    state; by linearity the sum over its support is the full difference of
+    expectations.
+    """
+    q = pair.q.as_dict()
+    gap = {}
+    for s, ps in pair.p.probs:
+        qs = q.pop(s, 0)
+        if ps is not qs and ps != qs:
+            gap[s] = ps - qs
+    gap.update((s, -qs) for s, qs in q.items())
+    return [sum((g * t[s] for s, g in gap.items()), Fraction(0)) for t in tables]
+
+
+def _verify_witness(soc: Society, pair: LotteryWitnessPair, agent: str | None = None) -> None:
+    """Re-check a witness lottery pair exactly; a failure is a bug and raises AssertionError.
+
+    With no ``agent`` the pair must leave every agent indifferent and the
+    ethical table not (axiom (i)).  With one it must raise that agent's
+    expected utility and leave every other agent's unchanged.  Only the
+    states where p and q differ are read (``_expectation_gaps``).
+    """
+    profile = soc.nm_side()
+    tables = [profile.tables[name] for name in soc.agents]
+    if agent is None:
+        *gaps, ethical = _expectation_gaps(pair, [*tables, profile.ethical])
+        if any(gaps):
+            raise AssertionError("witness pair fails agent indifference")
+        if not ethical:
+            raise AssertionError("witness pair fails ethical separation")
+        return
+    for name, gap in zip(soc.agents, _expectation_gaps(pair, tables)):
+        if name == agent:
+            if gap <= 0:
+                raise AssertionError("witness pair fails strict separation")
+        elif gap:
+            raise AssertionError("witness pair fails indifference for others")
 
 
 def check_axiom_i(soc: Society, analysis: Analysis | None = None) -> CheckResult:
@@ -218,20 +279,15 @@ def check_axiom_i(soc: Society, analysis: Analysis | None = None) -> CheckResult
     Passes iff the ethical table lies in the row space of the profile
     matrix.  On failure the certifying lottery pair (equal expectation for
     every agent, unequal for the ethical table) is constructed from the
-    first canonical null vector that v does not annihilate, and verified
-    before return.
+    first canonical null vector that v does not annihilate, which is
+    nonzero on at most n+2 states and is solved from their ratios alone.
+    The pair is verified before return on the states where p and q differ.
     """
     problem = SpanProblem.of(soc) if analysis is None else analysis.span
     if problem.in_span:
         return CheckResult(True)
-    profile = soc.nm_side()
     pair = _perturbed_pair(problem.separating_null_vector(), problem.states)
-    for name in soc.agents:
-        table = profile.tables[name]
-        if expectation(pair.p, table) != expectation(pair.q, table):
-            raise AssertionError("witness pair fails agent indifference")
-    if expectation(pair.p, profile.ethical) == expectation(pair.q, profile.ethical):
-        raise AssertionError("witness pair fails ethical separation")
+    _verify_witness(soc, pair)
     return CheckResult(False, witness=pair)
 
 
@@ -270,7 +326,6 @@ def witness_lotteries_for_sign(
     vector gives the perturbation.  Calls given the same ``analysis`` share
     the regular states and the inverse.
     """
-    profile = soc.nm_side()
     problem = SpanProblem.of(soc) if analysis is None else analysis.span
     if not problem.rows_independent():
         raise ValueError("profile is linearly dependent; no regular submatrix exists")
@@ -279,14 +334,7 @@ def witness_lotteries_for_sign(
     for c, row in zip(problem.regular_states, problem.regular_inverse):
         eta[c] = row[idx]
     pair = _perturbed_pair(eta, problem.states)
-    for j, name in enumerate(soc.agents):
-        table = profile.tables[name]
-        diff = expectation(pair.p, table) - expectation(pair.q, table)
-        if name == agent:
-            if diff <= 0:
-                raise AssertionError("witness pair fails strict separation")
-        elif diff != 0:
-            raise AssertionError("witness pair fails indifference for others")
+    _verify_witness(soc, pair, agent)
     return pair
 
 

@@ -24,6 +24,7 @@ from conftest import (
 from utilcheck import (
     GridDim,
     Profile,
+    SimpleLottery,
     Society,
     SocietyFileError,
     StateSpace,
@@ -252,6 +253,16 @@ def test_validate_simplex_json_golden():
     assert result.stdout == (GOLDEN / "validate_simplex.json").read_text()
 
 
+def test_validate_nonadditive_json_golden():
+    # The one golden with a failed axiom (i): its detail prints the witness
+    # lottery pair, so the pair's bytes are pinned.
+    result = run_cli("validate", str(FIXTURES / "nonadditive.json"), "--json")
+    assert result.returncode == 1
+    assert result.stdout == (GOLDEN / "validate_nonadditive.json").read_text()
+    failed = [c["name"] for c in json.loads(result.stdout)["checks"] if c["verdict"] == "FAIL"]
+    assert failed == ["axiom-i"]
+
+
 def test_coincide_sqrt_json_golden():
     result = run_cli("coincide", str(FIXTURES / "sqrt_k10.json"), "--json")
     assert result.returncode == 1  # violation
@@ -320,6 +331,7 @@ def test_coincide_simplex_json_golden():
         ("recover_affine_grid_harsanyi.txt", 0, ["recover", "affine_grid.json", "harsanyi"]),
         ("recover_nonadditive_harsanyi.txt", 1, ["recover", "nonadditive.json", "harsanyi"]),
         ("recover_nonadditive_harvey.txt", 1, ["recover", "nonadditive.json", "harvey"]),
+        ("validate_nonadditive.txt", 1, ["validate", "nonadditive.json"]),
     ],
 )
 def test_text_report_golden(golden, code, argv):
@@ -566,6 +578,26 @@ def test_failed_reverification_exits_three(monkeypatch, capsys):
     assert captured.err == (
         "internal error: recovered identity failed pointwise re-verification\n"
     )
+
+
+def test_tampered_axiom_i_witness_exits_three(monkeypatch, capsys):
+    # The witness is re-verified on the returned lotteries themselves: move
+    # p's mass at one state onto another and validate must fail as a bug.
+    real = harsanyi._perturbed_pair
+
+    def tampered(eta, states):
+        pair = real(eta, states)
+        probs = pair.p.as_dict()
+        probs["4,1"] += probs.pop("0,0")
+        p = SimpleLottery.from_mapping(probs)
+        return harsanyi.LotteryWitnessPair(p, pair.q, pair.eta, pair.lam)
+
+    monkeypatch.setattr(harsanyi, "_perturbed_pair", tampered)
+    code = cli.main(["validate", str(FIXTURES / "nonadditive.json"), "--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: witness pair fails agent indifference\n"
 
 
 @pytest.mark.parametrize("argv", [["recover", "--mode", "harvey"], ["coincide"]])

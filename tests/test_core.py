@@ -141,6 +141,38 @@ def test_lottery_validation():
         SimpleLottery.from_mapping({"a": F(3, 2), "b": F(-1, 2)})
 
 
+def test_lottery_sum_is_exact_over_large_coprime_denominators():
+    # The sum is decided in ints over the LCM of the denominators, here the
+    # product of pairwise coprime ints near 2**61; a total off by one part
+    # in such a product is rejected with the reduced Fraction in the message.
+    p1, p2, p3 = 2**61 - 1, 2**61 + 15, 2**61 + 21  # pairwise coprime
+    a, b = F(1, p1), F(1, p2)
+    rest = 1 - a - b
+    assert rest.denominator == p1 * p2
+    lottery = SimpleLottery.from_mapping({"a": a, "b": b, "c": rest})
+    assert lottery.as_dict() == {"a": a, "b": b, "c": rest}
+    off = rest + F(1, p3)
+    with pytest.raises(ValueError, match=f"probabilities sum to {1 + F(1, p3)}, not 1"):
+        SimpleLottery.from_mapping({"a": a, "b": b, "c": off})
+
+
+def test_lottery_bad_sum_message():
+    with pytest.raises(ValueError) as raised:
+        SimpleLottery.from_mapping({"a": F(1, 3), "b": F(1, 3)})
+    assert str(raised.value) == "probabilities sum to 2/3, not 1"
+    with pytest.raises(ValueError) as raised:
+        SimpleLottery((("a", 1), ("b", F(1, 2)), ("c", F(0))))  # ints are wrapped
+    assert str(raised.value) == "probabilities sum to 3/2, not 1"
+
+
+def test_lottery_keeps_fraction_entries_and_drops_zeros():
+    half = F(1, 2)
+    lottery = SimpleLottery((("b", half), ("z", F(0)), ("a", half)))
+    assert lottery.probs == (("a", half), ("b", half))
+    assert all(p is half for _, p in lottery.probs)
+    assert SimpleLottery((("a", 1),)).probs == (("a", F(1)),)
+
+
 def test_tables_are_immutable_in_every_view():
     # A parsed table holds its ratios and builds its Fractions on first
     # read; neither can be reassigned, so no view falls out of step.

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import letters_space, planted_society, primes, rand_fraction
@@ -15,6 +15,8 @@ from utilcheck import (
     Analysis,
     CheckResult,
     GridDim,
+    LotteryWitnessPair,
+    SimpleLottery,
     Society,
     SpanProblem,
     StateSpace,
@@ -29,8 +31,8 @@ from utilcheck import (
     recover_weights,
     witness_lotteries_for_sign,
 )
-from utilcheck import linalg
-from utilcheck.harsanyi import _perturbed_pair
+from utilcheck import core, harsanyi, linalg
+from utilcheck.harsanyi import _expectation_gaps, _perturbed_pair, _verify_witness
 from utilcheck.societyfile import payload_to_society, society_to_payload
 
 F = Fraction
@@ -630,3 +632,94 @@ def test_witness_lotteries_reduce_a_fixed_number_of_times(monkeypatch, n_agents)
     for agent in soc.agents:
         witness_lotteries_for_sign(soc, agent, analysis)
     assert len(calls) == 2
+
+
+@st.composite
+def off_span_societies(draw):
+    """2-4 agents with fresh tables on n+2 to 40 states, denominators up to
+    30, and the ethical table their planted combination bumped at one
+    state; drawn societies whose bump stays in the span are rejected."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n + 2, 40))
+    value = st.builds(F, st.integers(-30, 30), st.integers(1, 30))
+    rows = [draw(st.lists(value, min_size=m, max_size=m)) for _ in range(n)]
+    c0, *coeffs = (draw(value) for _ in range(n + 1))
+    ethical = [c0 + sum((c * r[s] for c, r in zip(coeffs, rows)), F(0)) for s in range(m)]
+    ethical[draw(st.integers(0, m - 1))] += draw(value.filter(bool))
+    space = letters_space(m)
+    tables = {f"a{i}": UtilityTable(dict(zip(space.states, row))) for i, row in enumerate(rows)}
+    soc = Society.from_tables(space, tables, UtilityTable(dict(zip(space.states, ethical))))
+    assume(not SpanProblem.of(soc).in_span)
+    return soc
+
+
+def moved_entry(lottery, source, target):
+    """The lottery with the probability of ``source`` moved onto ``target``."""
+    probs = lottery.as_dict()
+    probs[target] = probs.get(target, F(0)) + probs.pop(source)
+    return SimpleLottery.from_mapping(probs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(off_span_societies())
+def test_axiom_i_witness_verifier_equals_the_expectation_oracle(soc):
+    # The witness is verified on the states where p and q differ; the old
+    # full-support expectations must agree with that verdict, and moving
+    # one entry of p must make the verifier fail.
+    result = check_axiom_i(soc)
+    assert not result.passed
+    assert result == solve_axiom_i(soc)
+    pair, profile = result.witness, soc.nm_side()
+    for name in soc.agents:
+        table = profile.tables[name]
+        assert expectation(pair.p, table) == expectation(pair.q, table)
+    assert expectation(pair.p, profile.ethical) != expectation(pair.q, profile.ethical)
+
+    source = pair.p.support[0]
+    values = {s: [profile.tables[a][s] for a in soc.agents] for s in soc.space.states}
+    target = next((s for s in soc.space.states if values[s] != values[source]), None)
+    assume(target is not None)
+    tampered = LotteryWitnessPair(moved_entry(pair.p, source, target), pair.q, pair.eta, pair.lam)
+    with pytest.raises(AssertionError, match="agent indifference"):
+        _verify_witness(soc, tampered)
+    # The tampered p lacks a state of q's support; the gaps still equal the
+    # full-support differences of expectations.
+    tables = [*profile.tables.values(), profile.ethical]
+    assert _expectation_gaps(tampered, tables) == [
+        expectation(tampered.p, t) - expectation(tampered.q, t) for t in tables
+    ]
+
+
+def test_sign_witness_verifier_rejects_a_swapped_pair():
+    soc, _, _ = planted_society(random.Random(43), 2, 5)
+    pair = witness_lotteries_for_sign(soc, "a0")
+    _verify_witness(soc, pair, "a0")
+    swapped = LotteryWitnessPair(pair.q, pair.p, pair.eta, pair.lam)
+    with pytest.raises(AssertionError, match="strict separation"):
+        _verify_witness(soc, swapped, "a0")
+    with pytest.raises(AssertionError, match="indifference for others"):
+        _verify_witness(soc, pair, "a1")
+
+
+def test_failed_axiom_i_reads_only_the_witness_states(monkeypatch):
+    # Neither witness construction builds the Fraction profile matrix or
+    # runs a full-support expectation: the null vector and the square
+    # inverse read the ratios of their few states, and each pair is
+    # verified on the states where p and q differ.
+    def full_support_expectation(*args):
+        raise AssertionError("full-support expectation computed")
+
+    monkeypatch.setattr(core, "expectation", full_support_expectation)
+    monkeypatch.setattr(harsanyi, "expectation", full_support_expectation, raising=False)
+    soc, _, _ = planted_society(random.Random(67), 3, 30)
+    bumped = dict(soc.base.ethical.values)
+    bumped["s7"] += 1
+    soc = Society.from_tables(soc.space, soc.base.tables, UtilityTable(bumped))
+    analysis = Analysis(soc)
+    result = check_axiom_i(soc, analysis)
+    assert not result.passed
+    assert result == solve_axiom_i(soc)
+    for agent in soc.agents:
+        witness_lotteries_for_sign(soc, agent, analysis)
+    assert "matrix" not in analysis.span.__dict__
+    assert "target" not in analysis.span.__dict__
