@@ -46,7 +46,6 @@ from .harsanyi import (
     SpanProblem,
     WeightReport,
     check_axiom_i,
-    express_in_span,
     positive_reweighting,
     recover_weights,
     witness_lotteries_for_sign,

@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("file", help="society JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--max-states", type=int, default=64, help="brute-force state cap")
+        refuse = "refuse (exit 2) a file whose space declares more states than this"
+        p.add_argument("--max-states", type=int, default=64, help=refuse)
 
     p_validate = sub.add_parser("validate", help="run the axiom battery")
     common(p_validate)

@@ -18,7 +18,7 @@ from functools import cached_property
 from operator import add, eq
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .rationals import format_rational, scale_ratios, scale_rows, scale_to_ints
+from .rationals import format_rational, scale_ratios, scale_to_ints
 
 StateKey = str
 
@@ -214,25 +214,11 @@ def linear_combination(
     return UtilityTable(out)
 
 
-def is_combination(target: UtilityTable, tables, weights, constant=Fraction(0)) -> bool:
-    """True iff target = sum(w_i * t_i) + constant at every state of target.
-
-    Each state's values are scaled to ints over the LCM of their own
-    denominators (``rationals.scale_rows`` on the tables' ratios), and
-    ``combination_holds`` tests every state on those ints, so no product
-    grows with the number of states.
-    """
-    ratios = target.ratios
-    columns = [tuple(ratios.values()), *(tuple(map(t.ratios.__getitem__, ratios)) for t in tables)]
-    d, (v, *us) = scale_rows(columns)
-    return combination_holds(d, v, us, weights, constant)
-
-
 def combination_holds(d, v, us, weights, constant=Fraction(0)) -> bool:
     """True iff v = sum(w_i * u_i) + constant on every row scaled to ints.
 
     Row s holds d[s] times each value: v[s] for the target and u[s] for
-    each table in ``us``, as ``rationals.scale_rows`` returns them.  With
+    each table in ``us``, as ``SpanProblem.scaled`` holds them.  With
     the coefficients scaled to ints a_i, c over their common denominator
     m, each row is tested as m * v == sum(a_i * u_i) + c * d.
     """

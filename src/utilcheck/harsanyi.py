@@ -26,28 +26,11 @@ from typing import TYPE_CHECKING
 
 from . import linalg
 from .core import SimpleLottery, StateKey, combination_holds
-from .rationals import scale_ratios, scale_rows, scale_to_ints
+from .rationals import scale_ratios, scale_rows
 from .society import CheckResult, Profile, Society
 
 if TYPE_CHECKING:
     from .harvey import Analysis
-
-
-def express_in_span(f0, fs) -> tuple[Fraction, ...] | None:
-    """Coefficients a with f0 = sum(a_i * f_i), or None if f0 is outside the span.
-
-    Vectors are sampled values of functionals on a common finite domain.
-    Underdetermined systems return the solution with free coefficients 0.
-    """
-    fs = [list(map(Fraction, f)) for f in fs]
-    if not fs:
-        raise ValueError("need at least one spanning vector")
-    f0 = list(map(Fraction, f0))
-    if any(len(f) != len(f0) for f in fs):
-        raise ValueError("all vectors must share a dimension")
-    rows = (scale_to_ints(row)[1] for row in zip(*fs, f0))
-    sol = _solution(linalg.reduce_rows(rows), len(fs))
-    return tuple(sol) if sol is not None else None
 
 
 def _solution(red: linalg.Reduction, n: int) -> list[Fraction] | None:
@@ -82,10 +65,9 @@ class SpanProblem:
     regular state columns of the profile matrix, and the one with v's pivot,
     if any, is the first state that separates v.  ``verify`` re-checks a
     recovered identity at every state on the scaled rows
-    (``core.combination_holds``).  The witness constructions build their
-    int rows from the ratios of the at most n+2 states they read
-    (``_profile_rows``).  ``matrix`` and ``target``, the profile rows and v
-    as Fractions over every state, are read only by tests and oracles.
+    (``core.combination_holds``), as ``harvey.recover_constant`` does on the
+    intensity side's.  The witness constructions build their int rows from
+    the ratios of the at most n+2 states they read (``_profile_rows``).
     """
 
     states: tuple[StateKey, ...]
@@ -117,15 +99,6 @@ class SpanProblem:
         agents = self.columns[:-1]
         columns = [*([(1, 1), *(u[s] for u in agents)] for s in states), *extra]
         return [scale_ratios(row)[1] for row in zip(*columns)]
-
-    @cached_property
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        ones = (Fraction(1),) * len(self.states)
-        return (ones, *(tuple(Fraction(p, q) for p, q in c) for c in self.columns[:-1]))
-
-    @cached_property
-    def target(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(p, q) for p, q in self.columns[-1])
 
     @cached_property
     def scaled(self) -> tuple[list[int], list[list[int]]]:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import StateKey, is_combination
+from .core import StateKey, combination_holds
 from .harsanyi import SpanProblem
 from .society import CheckResult, Profile, Society, check_semi_separable
 
@@ -432,7 +432,8 @@ def recover_constant(soc: Society, slopes) -> Fraction:
     b = profile.ethical[anchor] - sum(
         (a * t[anchor] for a, t in zip(slopes, tables)), Fraction(0)
     )
-    if not is_combination(profile.ethical, tables, slopes, b):
+    d, (*us, v) = SpanProblem.from_profile(profile, soc.agents, soc.space.states).scaled
+    if not combination_holds(d, v, us, slopes, b):
         raise AssertionError("slopes and constant fail pointwise re-verification")
     return b
 

@@ -10,6 +10,9 @@ import random
 from fractions import Fraction
 
 from utilcheck import GridDim, Profile, Society, StateSpace, UtilityTable, linear_combination
+from utilcheck import linalg
+from utilcheck.harsanyi import _solution
+from utilcheck.rationals import scale_to_ints
 
 
 def rand_fraction(rng: random.Random, num: int = 100, den: int = 100) -> Fraction:
@@ -22,6 +25,25 @@ def rand_positive_fraction(rng: random.Random, num: int = 100, den: int = 100) -
 
 def rand_table(rng: random.Random, states, num: int = 100, den: int = 100) -> UtilityTable:
     return UtilityTable({s: rand_fraction(rng, num, den) for s in states})
+
+
+def express_in_span(f0, fs) -> tuple[Fraction, ...] | None:
+    """Coefficients a with f0 = sum(a_i * f_i), or None if f0 is outside the span.
+
+    Vectors are sampled values of functionals on a common finite domain.
+    Underdetermined systems return the solution with free coefficients 0.
+    It runs the package's kernel: ``linalg.reduce_rows`` on the rows scaled
+    to ints, read back by ``harsanyi._solution``.
+    """
+    fs = [list(map(Fraction, f)) for f in fs]
+    if not fs:
+        raise ValueError("need at least one spanning vector")
+    f0 = list(map(Fraction, f0))
+    if any(len(f) != len(f0) for f in fs):
+        raise ValueError("all vectors must share a dimension")
+    rows = (scale_to_ints(row)[1] for row in zip(*fs, f0))
+    sol = _solution(linalg.reduce_rows(rows), len(fs))
+    return tuple(sol) if sol is not None else None
 
 
 def letters_space(n: int) -> StateSpace:

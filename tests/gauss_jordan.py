@@ -4,7 +4,8 @@ Plain Gauss-Jordan elimination over Fractions, as the package ran it before
 ``utilcheck.linalg.reduce_rows``: with rational scalars every step is
 exact, so there is no pivoting strategy beyond "first nonzero" and no
 tolerance anywhere.  Matrices are lists of row lists; functions never
-mutate their arguments.
+mutate their arguments.  ``profile_rows`` and ``profile_target`` read a
+``utilcheck.SpanProblem`` as such a matrix and vector.
 """
 
 from __future__ import annotations
@@ -123,3 +124,14 @@ def dot(a, b) -> Fraction:
 
 def mat_vec(rows, v) -> Vector:
     return [dot(row, v) for row in rows]
+
+
+def profile_rows(problem) -> Matrix:
+    """A ``SpanProblem``'s profile matrix as Fractions: the constant row 1, then u_1 ... u_n."""
+    ones = [Fraction(1)] * len(problem.states)
+    return [ones, *([Fraction(p, q) for p, q in c] for c in problem.columns[:-1])]
+
+
+def profile_target(problem) -> Vector:
+    """A ``SpanProblem``'s ethical table v as Fractions, in state order."""
+    return [Fraction(p, q) for p, q in problem.columns[-1]]

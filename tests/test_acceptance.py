@@ -14,6 +14,7 @@ from fractions import Fraction
 import sympy
 
 from conftest import (
+    express_in_span,
     planted_coincidence_society,
     planted_society,
     product_grid_society,
@@ -27,7 +28,6 @@ from utilcheck import (
     check_pareto_criterion,
     check_semi_separable,
     expectation,
-    express_in_span,
     harvey_recover,
     proposition1_check,
     recover_weights,

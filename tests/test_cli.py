@@ -78,6 +78,19 @@ def test_shipped_fixture_matches_generator():
         assert emit_society(soc) == emit_society(bundle.society), name
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["sqrt", "--k", "10", "--eps", "1/2"], "sqrt_k10.json"),
+        (["simplex", "--resolution", "1/4"], "simplex.json"),
+    ],
+)
+def test_fixture_stdout_is_the_shipped_file(argv, name):
+    result = run_cli("fixture", *argv)
+    assert result.returncode == 0
+    assert result.stdout == (FIXTURES / name).read_text(encoding="utf-8")
+
+
 def test_round_trip_is_byte_identical():
     for bundle in (simplex_counterexample(F(1, 4)), sqrt_fixture(4, F(1, 2))):
         text = emit_society(bundle.society)
@@ -250,6 +263,7 @@ def test_validate_simplex_text_golden_is_the_readme_example():
 
 def test_validate_simplex_json_golden():
     result = run_cli("validate", str(FIXTURES / "simplex.json"), "--json")
+    assert result.returncode == 1
     assert result.stdout == (GOLDEN / "validate_simplex.json").read_text()
 
 
@@ -431,6 +445,46 @@ def test_coincide_planted_affine_exit_zero(tmp_path):
     assert all(a["verdict"] == "COINCIDE" for a in payload["agents"])
 
 
+@pytest.mark.parametrize("states", [["s"], ["s0", "s1"]], ids=["one-state", "two-state"])
+def test_degenerate_society_through_every_command(tmp_path, capsys, states):
+    # Every agent is constant: each battery check passes, the lottery-side
+    # weights are not unique, both agents' intensity-side slopes are fixed
+    # at 1, and coincide fails only for want of two nonconstant agents.
+    def constant(value):
+        return dict.fromkeys(states, value)
+
+    payload = {
+        "space": {"kind": "explicit", "states": states},
+        "agents": [
+            {"name": "a1", "utility": constant("1/2")},
+            {"name": "a2", "utility": constant("-3")},
+        ],
+        "ethical": constant("2"),
+    }
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+    def run(*argv):
+        code = cli.main([argv[0], str(path), *argv[1:], "--json"])
+        return code, json.loads(capsys.readouterr().out)
+
+    code, validate = run("validate")
+    assert code == 0 and validate["all_passed"] is True
+    code, lottery = run("recover", "--mode", "harsanyi")
+    assert code == 0
+    assert (lottery["success"], lottery["unique"]) == (True, False)
+    assert (lottery["weights"], lottery["constant"]) == ({"a1": "0", "a2": "0"}, "2")
+    code, intensity = run("recover", "--mode", "harvey")
+    assert code == 0
+    assert intensity["constant_agents"] == ["a1", "a2"]
+    assert (intensity["weights"], intensity["constant"]) == ({"a1": "1", "a2": "1"}, "9/2")
+    code, coincide = run("coincide")
+    assert code == 1
+    assert coincide["failed_hypothesis"] == "two-nonconstant-agents"
+    failed = [h["name"] for h in coincide["hypotheses"] if h["verdict"] == "FAIL"]
+    assert failed == ["two-nonconstant-agents"]
+
+
 def test_recover_harvey_on_sqrt_fixture():
     result = run_cli("recover", str(FIXTURES / "sqrt_k10.json"), "--mode", "harvey", "--json")
     assert result.returncode == 0
@@ -603,7 +657,7 @@ def test_tampered_axiom_i_witness_exits_three(monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [["recover", "--mode", "harvey"], ["coincide"]])
 def test_failed_harvey_reverification_exits_three(monkeypatch, capsys, argv):
     # A failed self-check of the intensity-side recovery is a bug, not a verdict.
-    monkeypatch.setattr(harvey, "is_combination", lambda *args: False)
+    monkeypatch.setattr(harvey, "combination_holds", lambda *args: False)
     code = cli.main([argv[0], str(FIXTURES / "sqrt_k10.json"), *argv[1:], "--json"])
     captured = capsys.readouterr()
     assert code == 3

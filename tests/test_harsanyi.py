@@ -9,8 +9,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import letters_space, planted_society, primes, rand_fraction
-from gauss_jordan import dot, greedy_pivots, mat_vec, null_space, rank, rref, solve
+from conftest import express_in_span, letters_space, planted_society, primes, rand_fraction
+from gauss_jordan import (
+    dot,
+    greedy_pivots,
+    mat_vec,
+    null_space,
+    profile_rows,
+    profile_target,
+    rank,
+    rref,
+    solve,
+)
 from utilcheck import (
     Analysis,
     CheckResult,
@@ -25,7 +35,6 @@ from utilcheck import (
     check_axiom_i,
     check_pareto_criterion,
     expectation,
-    express_in_span,
     linear_combination,
     positive_reweighting,
     recover_weights,
@@ -170,9 +179,9 @@ def test_axiom_i_product_witness():
     # so exactly one perturbation direction remains and the ethical table must
     # load on it.
     problem = SpanProblem.from_profile(profile, soc.agents, soc.space.states)
-    null_basis = null_space([list(r) for r in problem.matrix])
+    null_basis = null_space(profile_rows(problem))
     assert len(null_basis) == 1
-    assert dot(list(problem.target), null_basis[0]) != 0
+    assert dot(profile_target(problem), null_basis[0]) != 0
     assert list(pair.eta) == null_basis[0]
 
 
@@ -409,26 +418,27 @@ def solve_and_fit_recover_weights(soc) -> WeightReport:
     profile = soc.nm_side()
     problem = SpanProblem.from_profile(profile, soc.agents, soc.space.states)
     basis, _ = rank_loop_dependency_basis(profile, soc.agents, soc.space.states)
-    rows = [list(problem.matrix[i]) for i in [0] + [i + 1 for i in basis]]
+    matrix, target = profile_rows(problem), profile_target(problem)
+    rows = [matrix[i] for i in [0] + [i + 1 for i in basis]]
     columns = [[row[j] for row in rows] for j in range(len(problem.states))]
-    sol = solve(columns, list(problem.target))
+    sol = solve(columns, target)
     if sol is None:
         n_unknown = len(rows)
-        red, pivots = rref([col + [t] for col, t in zip(columns, problem.target)])
+        red, pivots = rref([col + [t] for col, t in zip(columns, target)])
         fit = [F(0)] * n_unknown
         for r, c in enumerate(pivots):
             if c < n_unknown:
                 fit[c] = red[r][n_unknown]
         bad = next(
             s
-            for s, col, want in zip(problem.states, columns, problem.target)
+            for s, col, want in zip(problem.states, columns, target)
             if dot(col, fit) != want
         )
         return WeightReport(success=False, agents=soc.agents, residual_witness=bad)
     weights = [F(0)] * soc.n
     for slot, agent_index in enumerate(basis):
         weights[agent_index] = sol[slot + 1]
-    unique = rank([list(r) for r in problem.matrix]) == len(problem.matrix)
+    unique = rank(matrix) == len(matrix)
     return WeightReport(
         success=True, agents=soc.agents, weights=tuple(weights), constant=sol[0], unique=unique
     )
@@ -449,21 +459,22 @@ def rank_loop_independent_columns(matrix, k: int) -> list[int]:
 def solve_axiom_i(soc) -> CheckResult:
     """Membership by its own solve; the witness from the first violating null vector."""
     problem = SpanProblem.from_profile(soc.nm_side(), soc.agents, soc.space.states)
-    rows = [list(r) for r in problem.matrix]
-    if solve([list(c) for c in zip(*rows)], list(problem.target)) is not None:
+    rows, target = profile_rows(problem), profile_target(problem)
+    if solve([list(c) for c in zip(*rows)], target) is not None:
         return CheckResult(True)
-    eta = next(eta for eta in null_space(rows) if dot(problem.target, eta) != 0)
+    eta = next(eta for eta in null_space(rows) if dot(target, eta) != 0)
     return CheckResult(False, witness=_perturbed_pair(eta, problem.states))
 
 
 def regular_columns_witness(soc, agent):
     """Sign-certifying pair from the rank-loop regular submatrix."""
     problem = SpanProblem.from_profile(soc.nm_side(), soc.agents, soc.space.states)
-    k = len(problem.matrix)
-    cols = rank_loop_independent_columns(problem.matrix, k)
+    matrix = profile_rows(problem)
+    k = len(matrix)
+    cols = rank_loop_independent_columns(matrix, k)
     target = [F(0)] * k
     target[soc.agents.index(agent) + 1] = F(1)
-    eta_small = solve([[problem.matrix[r][c] for c in cols] for r in range(k)], target)
+    eta_small = solve([[matrix[r][c] for c in cols] for r in range(k)], target)
     eta = [F(0)] * len(problem.states)
     for c, val in zip(cols, eta_small):
         eta[c] = val

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import planted_society, primes
+from conftest import express_in_span, planted_society, primes
 from gauss_jordan import greedy_pivots, rref, solve
 from utilcheck import (
     Society,
@@ -18,7 +18,6 @@ from utilcheck import (
     UtilityTable,
     check_axiom_i,
     cli,
-    express_in_span,
     linalg,
     simplex_counterexample,
     witness_lotteries_for_sign,
