@@ -420,11 +420,14 @@ def extract_slopes(dm: DifferenceMap) -> SlopeReport:
     return SlopeReport(slopes=tuple(slopes), constant_agents=tuple(constant_agents))
 
 
-def recover_constant(soc: Society, slopes) -> Fraction:
+def recover_constant(soc: Society, slopes, analysis: Analysis | None = None) -> Fraction:
     """The additive constant, fixed at the first state and re-verified pointwise.
 
-    The slopes passed the linearity decision, so a failed re-verification
-    is a bug, not a verdict: it raises ``AssertionError``.
+    The re-verification reads the profile's scaled rows, those of
+    ``analysis.span`` when the intensity side is the lottery side, so that
+    one run scales them once.  The slopes passed the linearity decision, so
+    a failed re-verification is a bug, not a verdict: it raises
+    ``AssertionError``.
     """
     profile = soc.alt_side()
     tables = [profile.tables[a] for a in soc.agents]
@@ -432,7 +435,11 @@ def recover_constant(soc: Society, slopes) -> Fraction:
     b = profile.ethical[anchor] - sum(
         (a * t[anchor] for a, t in zip(slopes, tables)), Fraction(0)
     )
-    d, (*us, v) = SpanProblem.from_profile(profile, soc.agents, soc.space.states).scaled
+    if analysis is not None and profile is soc.nm_side():
+        problem = analysis.span
+    else:
+        problem = SpanProblem.from_profile(profile, soc.agents, soc.space.states)
+    d, (*us, v) = problem.scaled
     if not combination_holds(d, v, us, slopes, b):
         raise AssertionError("slopes and constant fail pointwise re-verification")
     return b
@@ -479,6 +486,6 @@ def harvey_recover(soc: Society, analysis: Analysis | None = None) -> HarveyRepo
         True,
         soc.agents,
         weights=slope_report.slopes,
-        constant=recover_constant(soc, slope_report.slopes),
+        constant=recover_constant(soc, slope_report.slopes, analysis),
         constant_agents=slope_report.constant_agents,
     )

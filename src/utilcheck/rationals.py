@@ -11,22 +11,34 @@ The wire format for a rational is the canonical string ``"p"`` or
 ``str(Fraction)`` produces.  Emitting is trivial, and parsing rejects every
 other spelling (floats, decimals, zero denominators, signs, leading zeros,
 unreduced fractions), so whatever parses emits back unchanged.
-``parse_ratio`` is the one validator: it decides canonical form on the two
-ints and returns them, and ``parse_rational`` wraps its pair in a Fraction.
+``parse_ratio`` decides one literal on its two ints and returns them, or
+names it in its error; ``parse_rational`` wraps its pair in a Fraction.
+``parse_ratios`` decides many literals in one batch, from the same syntax,
+and only accepts: it gives None where any literal is rejected, and
+``parse_ratio`` then names the one at fault.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
+from itertools import starmap
 from math import gcd, lcm
 from operator import floordiv, itemgetter, mul
-from typing import Sequence
+from typing import Collection, Sequence
 
 #: Accepted wire syntax, ASCII digits only: "0" or a nonzero integer with no
 #: "+" and no leading zero, then optionally "/" and a denominator with no
 #: leading zero.  A denominator above 1 and lowest terms are checked after.
-_RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/(0|[1-9][0-9]*))?")
+_NUMERATOR = r"0|-?[1-9][0-9]*"
+_RATIONAL_RE = re.compile(rf"({_NUMERATOR})(?:/(0|[1-9][0-9]*))?")
+
+#: Canonical literals, one per line: the same numerator, and a denominator
+#: above 1, so that only lowest terms are left to check.
+_LITERAL = rf"(?:{_NUMERATOR})(?:/(?:[2-9]|[1-9][0-9]+))?"
+_LINES_RE = re.compile(rf"{_LITERAL}(?:\n{_LITERAL})*")
+_DECODER = json.JSONDecoder()
 
 
 def parse_ratio(text: str) -> tuple[int, int]:
@@ -48,6 +60,34 @@ def parse_ratio(text: str) -> tuple[int, int]:
     if q == 1 or gcd(p, q) != 1:
         raise ValueError(f"rational literal not in canonical form: {text!r}")
     return p, q
+
+
+def parse_ratios(texts: Collection[str]) -> list[tuple[int, int]] | None:
+    """Each literal's ints (p, q), as ``parse_ratio`` gives them, or None if any is rejected.
+
+    One match of the newline-joined literals decides their syntax, and a
+    count of the lines they make rejects a literal with a newline in it.
+    The ints are read in C, as a JSON array of one [p, 1] or [p, q, 1] per
+    literal, and one ``gcd`` pass checks lowest terms.  It never raises: a
+    non-string, or an int past the interpreter's digit limit, gives None.
+    """
+    if not texts:
+        return []
+    try:
+        lines = "\n".join(texts)
+    except TypeError:
+        return None
+    if _LINES_RE.fullmatch(lines) is None:
+        return None
+    body = lines.replace("/", ",").replace("\n", ",1],[")
+    try:
+        rows = _DECODER.raw_decode(f"[[{body},1]]")[0]
+    except ValueError:
+        return None
+    ratios = list(map(itemgetter(0, 1), rows))
+    if len(ratios) != len(texts) or set(starmap(gcd, ratios)) != {1}:
+        return None
+    return ratios
 
 
 def parse_rational(text: str) -> Fraction:

@@ -10,12 +10,15 @@ writes (only ``metadata`` is free-form), so a misspelled block cannot be
 ignored.
 
 Parsing validates each distinct literal of a file once: one dict per file
-maps each literal string to its ints (p, q), and ``parse_ratio`` stays the
-only validator.  A value's location string is built only when the value is
-rejected, and a table covers the space exactly when its states, each known
-to the space, are as many as the space's.  Each table arrives as its
-literals' ints (``UtilityTable.from_ratios``), which are in lowest terms
-because every literal is canonical, and no Fraction is built for it.
+maps each literal string to its ints (p, q).  A table is accepted in one
+batch: its states are checked with set operations (as many as the space's,
+each known to it), and the literals the dict has not seen are validated
+together by ``rationals.parse_ratios``.  Only a table that fails runs the
+per-state loop, which validates each value with ``parse_ratio`` and raises
+the first error with its location, so a location string is built only for
+a rejected value.  Each table arrives as its literals' ints
+(``UtilityTable.from_ratios``), which are in lowest terms because every
+literal is canonical, and no Fraction is built for it.
 
 ``max_states`` caps the declared size of the space, checked before any
 state is built: ``len(states)`` for an explicit space, and the product of
@@ -31,7 +34,7 @@ from fractions import Fraction
 from typing import Any
 
 from .core import GridDim, StateSpace, UtilityTable
-from .rationals import format_rational, parse_ratio
+from .rationals import format_rational, parse_ratio, parse_ratios
 from .society import Profile, Society
 
 
@@ -117,12 +120,30 @@ def _parse_space(payload: Any, max_states: int | None = None) -> StateSpace:
     raise SocietyFileError(f"unknown space kind {kind!r}", where)
 
 
+def _memoize(texts, literals: dict[str, tuple[int, int]]) -> bool:
+    """Whether every text is a canonical literal; those new to ``literals`` are added to it."""
+    try:
+        new = set(texts).difference(literals)
+    except TypeError:  # a JSON array or object
+        return False
+    ratios = parse_ratios(new)
+    if ratios is None:
+        return False
+    literals.update(zip(new, ratios))
+    return True
+
+
 def _parse_table(
     payload: Any, space: StateSpace, where: str, literals: dict[str, tuple[int, int]]
 ) -> UtilityTable:
     if not isinstance(payload, dict):
         raise SocietyFileError("utility table must be an object", where)
     index = space.index
+    values = payload.values()
+    covers = len(payload) == len(index) and payload.keys() <= index.keys()
+    if covers and _memoize(values, literals):
+        return UtilityTable.from_ratios(dict(zip(payload, map(literals.__getitem__, values))))
+    # Some value or state is rejected: the loop finds the first, with its location.
     ratios = []
     for state, text in payload.items():
         if state not in index:

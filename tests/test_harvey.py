@@ -21,6 +21,7 @@ from utilcheck import (
     UtilityTable,
     build_difference_map,
     check_axiom_I,
+    emit_society,
     extract_slopes,
     harvey_recover,
     linear_combination,
@@ -28,7 +29,7 @@ from utilcheck import (
     sqrt_fixture,
     verify_component_additivity,
 )
-from utilcheck import coincidence, harvey
+from utilcheck import cli, coincidence, harsanyi, harvey
 from utilcheck.society import check_pareto_criterion
 
 F = Fraction
@@ -479,6 +480,28 @@ def test_recover_constant_random_residual_zero():
             [soc.alt_side().tables[a] for a in soc.agents], report.weights, report.constant
         )
         assert combo == soc.alt_side().ethical
+
+
+def test_coincide_scales_a_base_only_profile_once(tmp_path, monkeypatch, capsys):
+    # With neither an nm_profile nor an alt_profile both sides read the base
+    # tables, so the constant's re-check reads the lottery side's scaled rows.
+    soc = product_grid_society(random.Random(3), 2, sizes=(2, 2))[0]
+    path = tmp_path / "grid.json"
+    path.write_text(emit_society(soc), encoding="utf-8")
+    calls = []
+    real = harsanyi.scale_rows
+
+    def counted(columns):
+        calls.append(len(columns[0]))
+        return real(columns)
+
+    monkeypatch.setattr(harsanyi, "scale_rows", counted)
+    assert cli.main(["coincide", str(path), "--json"]) == 0
+    assert '"status": "coincide"' in capsys.readouterr().out
+    assert calls == [25]
+    calls.clear()
+    assert harvey_recover(soc).success
+    assert calls == [25]
 
 
 # ---------------------------------------------------------------------------

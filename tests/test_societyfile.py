@@ -1,16 +1,20 @@
 """The society-file parser against the one it replaced, kept as an oracle.
 
-The package parses each distinct literal of a file once and builds a
-location string only for a rejected value; ``reference_parser`` validates
-every value with its location in hand.  On valid files and on single
-mutations of them, both must give equal societies, or the same error text
-and location.
+The package parses each distinct literal of a file once, validates a
+table's new literals in one batch, and runs its per-state loop, the one
+place a location string is built, only for a table the batch rejects;
+``reference_parser`` validates every value with its location in hand.  On
+valid files and on single mutations of them, both must give equal
+societies, or the same error text and location.  Tables of many distinct
+literals and the hazards below make the batch the path that runs.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +23,7 @@ from hypothesis import strategies as st
 
 import reference_parser as oracle
 from utilcheck import GridDim, Profile, Society, StateSpace, UtilityTable, emit_society
-from utilcheck.rationals import parse_ratio
+from utilcheck.rationals import parse_ratio, parse_ratios
 from utilcheck.societyfile import (
     SocietyFileError,
     _parse_scalar,
@@ -37,6 +41,36 @@ LITERALS = ("0", "1", "-1", "1/2", "-3/4", "5/3")
 NON_STRINGS = (1, 1.5, True, None, [], {})
 BAD_LITERALS = ("1.0", "2/4", "+1", "01", "1/0", "3/1", "-0", "", " 1", "1/-2", "x")
 
+#: Values the batch validator must reject, each then located by the per-state
+#: loop: a newline inside or after a literal, digit spellings ``int`` takes
+#: but the syntax does not, an unreduced zero, two JSON non-strings, and a
+#: numerator and a denominator past CPython's int digit limit (4300 digits).
+HAZARDS = (
+    "1\n2",
+    "1/2\n",
+    "1_0",
+    "٣",
+    "0/5",
+    1,
+    None,
+    "1" * 4301,
+    "1/" + "1" * 4301,
+)
+
+
+def _society(draw, space: StateSpace, table) -> Society:
+    """Two or three agents, with nm and alt profiles drawn or not; ``table()`` makes each table."""
+    agents = [f"a{i}" for i in range(draw(st.integers(2, 3)))]
+
+    def profile() -> Profile:
+        return Profile({a: table() for a in agents}, table())
+
+    base = profile()
+    nm = profile() if draw(st.booleans()) else None
+    alt = profile() if draw(st.booleans()) else None
+    metadata = draw(st.sampled_from([{}, {"title": "t", "n": 1}]))
+    return Society(space, tuple(agents), base, nm=nm, alt=alt, metadata=metadata)
+
 
 @st.composite
 def societies(draw):
@@ -49,24 +83,41 @@ def societies(draw):
     else:
         names = st.sampled_from(["a", "b", "c", "1/2,0", "x y", "1"])
         space = StateSpace.explicit(draw(st.lists(names, min_size=1, max_size=4, unique=True)))
-    agents = [f"a{i}" for i in range(draw(st.integers(2, 3)))]
     value = st.sampled_from(LITERALS).map(F)
+    return _society(draw, space, lambda: UtilityTable({s: draw(value) for s in space.states}))
 
-    def profile() -> Profile:
-        tables = {a: UtilityTable({s: draw(value) for s in space.states}) for a in agents}
-        return Profile(tables, UtilityTable({s: draw(value) for s in space.states}))
 
-    base = profile()
-    nm = profile() if draw(st.booleans()) else None
-    alt = profile() if draw(st.booleans()) else None
-    metadata = draw(st.sampled_from([{}, {"title": "t", "n": 1}]))
-    return Society(space, tuple(agents), base, nm=nm, alt=alt, metadata=metadata)
+#: Canonical literals, numerator and denominator up to 10**40.
+canonical_texts = st.builds(
+    lambda p, q: str(F(p, q)), st.integers(-10**40, 10**40), st.integers(1, 10**40)
+)
+
+
+@st.composite
+def many_literal_societies(draw):
+    """64 to 300 explicit states, each table's literals distinct and mostly new to its file.
+
+    One list of canonical literals is drawn; each table reads it rotated by
+    a drawn offset and shifted by the table's own count, so every table
+    validates a batch of many literals.
+    """
+    texts = draw(st.lists(canonical_texts, min_size=64, max_size=300, unique=True))
+    values = [F(t) for t in texts]
+    n = len(values)
+    space = StateSpace.explicit([f"s{i}" for i in range(n)])
+    shifts = itertools.count()
+
+    def table() -> UtilityTable:
+        k, offset = next(shifts), draw(st.integers(0, n - 1))
+        return UtilityTable({s: values[(i + offset) % n] + k for i, s in enumerate(space.states)})
+
+    return _society(draw, space, table)
 
 
 #: Literal spellings: canonical values, their unreduced, signed, padded and
 #: decimal variants, and short strings over the literal alphabet.
 literal_texts = st.one_of(
-    st.builds(lambda p, q: str(F(p, q)), st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+    canonical_texts,
     st.sampled_from(BAD_LITERALS),
     st.builds(
         lambda p, q, form: form.format(p=p, q=q),
@@ -92,6 +143,16 @@ def test_parse_ratio_equals_the_reference_validator(text):
 
     assert outcome(_parse_scalar, text, "$.x", "s") == outcome(oracle._parse_scalar, text, "$.x.s")
     assert outcome(parse_ratio, text) == outcome(oracle.parse_rational, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(literal_texts, st.sampled_from(NON_STRINGS + HAZARDS)), max_size=40))
+def test_a_batch_accepts_exactly_the_literals_parse_ratio_accepts(texts):
+    try:
+        single = list(map(parse_ratio, texts))
+    except ValueError:
+        single = None
+    assert parse_ratios(texts) == single
 
 
 def _positions(node, path=()):
@@ -122,7 +183,7 @@ def mutations(draw, payload):
     parent, key = _at(payload, path[:-1]), path[-1]
     kind = draw(st.sampled_from(["replace", "replace", "drop", "add", "rename"]))
     if kind == "replace":
-        bad = st.sampled_from(NON_STRINGS + BAD_LITERALS)
+        bad = st.sampled_from(NON_STRINGS + BAD_LITERALS + HAZARDS)
         parent[key] = draw(st.one_of(bad, st.sampled_from(LITERALS + ("7/2",))))
     elif kind == "drop":
         del parent[key]
@@ -148,7 +209,7 @@ def _outcome(parse, payload):
 
 
 @settings(max_examples=150, deadline=None)
-@given(societies())
+@given(st.one_of(societies(), many_literal_societies()))
 def test_valid_files_parse_alike_and_round_trip(soc):
     payload = society_to_payload(soc)
     got = _outcome(payload_to_society, payload)
@@ -159,7 +220,7 @@ def test_valid_files_parse_alike_and_round_trip(soc):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.data(), societies())
+@given(st.data(), st.one_of(societies(), many_literal_societies()))
 def test_single_mutations_parse_or_fail_alike(data, soc):
     payload = data.draw(mutations(society_to_payload(soc)))
     assert _outcome(payload_to_society, payload) == _outcome(oracle.payload_to_society, payload)
@@ -222,3 +283,27 @@ def test_grid_keys_match_the_per_coordinate_format():
     space = StateSpace.product_grid(dims)
     assert space == oracle._product_grid(dims)
     assert space.states[:3] == ("-1/2,0", "-1/2,3/2", "-1/2,3")
+
+
+def _distinct_literal_payload(n: int = 80) -> dict:
+    """Two agents and the ethical table over n states, every literal of a table distinct."""
+    space = StateSpace.explicit([f"s{i}" for i in range(n)])
+    tables = [
+        UtilityTable({s: F(i + k, 2 * i + 1) for i, s in enumerate(space.states)})
+        for k in (1, 2, 3)
+    ]
+    soc = Society.from_tables(space, {"a": tables[0], "b": tables[1]}, tables[2])
+    return society_to_payload(soc)
+
+
+@pytest.mark.parametrize("position", [0, 40, 79], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", HAZARDS, ids=lambda v: repr(v)[:12])
+def test_a_hazard_in_a_table_of_distinct_literals_fails_alike(bad, position):
+    for table in ("agents", "ethical"):
+        payload = _distinct_literal_payload()
+        values = payload["ethical"] if table == "ethical" else payload["agents"][1]["utility"]
+        values[f"s{position}"] = bad
+        got = _outcome(payload_to_society, payload)
+        assert got == _outcome(oracle.payload_to_society, payload)
+        # Only an interpreter without the int digit limit accepts the long ints.
+        assert got[0] == "error" or not hasattr(sys, "get_int_max_str_digits")
