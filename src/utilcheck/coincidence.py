@@ -50,6 +50,7 @@ from .society import (
     Profile,
     Society,
     check_pareto_criterion,
+    check_pareto_on_lattice,
     check_semi_separable,
     matches,
     order_disagreement,
@@ -329,14 +330,23 @@ def proposition1_check(
 
 
 def _pareto_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
-    """PASS when ``_pareto_certified`` holds; otherwise the dominance loop decides.
+    """PASS when ``_pareto_certified`` holds; otherwise the first dominated pair not ranked above.
 
-    The loop is O(|X|^2 n) and names the first dominated pair that is not
-    ethically better.
+    Without a certificate, a semi-separable society is decided on its
+    product lattice (``check_pareto_on_lattice``) in O(|X| n).  The
+    dominance loop, O(|X|^2 n), decides the rest: a nonpositive slope read
+    off a single-agent neighbour proves a failure, which the loop meets by
+    that neighbour's row, and a society that is not semi-separable may have
+    many more lattice points than states.  Either way the witness is the
+    loop's first.
     """
     if _pareto_certified(soc, analysis):
         return HypothesisRecord("pareto", True)
-    return _check_record("pareto", check_pareto_criterion(soc), "witness pair")
+    if analysis.base_certificate is None and analysis.semi_separability:
+        result = check_pareto_on_lattice(soc)
+    else:
+        result = check_pareto_criterion(soc)
+    return _check_record("pareto", result, "witness pair")
 
 
 def _pareto_certified(soc: Society, analysis: Analysis) -> bool:
@@ -344,10 +354,12 @@ def _pareto_certified(soc: Society, analysis: Analysis) -> bool:
 
     The certificate (``Analysis.base_certificate``) is the identity
     v(x) - v(x0) = sum a_i (u_i(x) - u_i(x0)) checked at every state, with
-    each nonconstant agent's a_i read as a scaled slope (dE, dU).  If every
-    such a_i is positive and x dominates y, each u_i(x) - u_i(y) is at
-    least 0 and one is positive, for a nonconstant agent (a constant one has
-    only zero differences), so v(x) > v(y).
+    each nonconstant agent's a_i read as a scaled slope (dE, dU), off a
+    single-agent neighbour or, on a space without one, off the base
+    profile's reduction as the canonical weight.  If every such a_i is
+    positive and x dominates y, each u_i(x) - u_i(y) is at least 0 and one
+    is positive, for a nonconstant agent (a constant one has only zero
+    differences), so v(x) > v(y).
     """
     slopes = analysis.base_certificate
     return slopes is not None and all(s is None or s[0] * s[1] > 0 for s in slopes)

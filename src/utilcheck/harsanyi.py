@@ -125,6 +125,14 @@ class SpanProblem:
     def in_span(self) -> bool:
         return self.size not in self.reduction.pivots
 
+    @cached_property
+    def solution(self) -> list[Fraction] | None:
+        """The canonical [constant, w_1 ... w_n] with v = constant + sum w_i u_i, or None.
+
+        Read off v's column in the pivot rows; a non-pivot weight is 0.
+        """
+        return _solution(self.reduction, self.size)
+
     def rows_independent(self) -> bool:
         return len(self.spanning_pivots) == self.size
 
@@ -277,7 +285,7 @@ def recover_weights(soc: Society, analysis: Analysis | None = None) -> WeightRep
     if not problem.in_span:
         bad = next(s for s, (p, _) in zip(problem.states, problem.columns[-1]) if p)
         return WeightReport(success=False, agents=soc.agents, residual_witness=bad)
-    sol = _solution(problem.reduction, problem.size)
+    sol = problem.solution
     report = WeightReport(
         success=True,
         agents=soc.agents,

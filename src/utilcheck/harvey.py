@@ -14,20 +14,22 @@ a limit argument, and additivity separates an ``additivity:`` failure from a
 A pass is certified first.  If v = sum a_i u_i + b holds at every state,
 that identity proves axiom (I) and gives every component, F_i(c) = a_i * c.
 ``_linear_certificate`` reads each a_i off one state that differs from the
-first state in agent i's value only and checks the identity in O(|X| n)
-int operations; a semi-separable society with a linear ethical table always
-has one.  Only without a certificate does one ordered-pair scan, O(|X|^2),
+first state in agent i's value only and checks the identity in O(|X| n) int
+operations; a semi-separable society with a linear ethical table always has
+one.  A space where some agent has no such state reads the canonical a_i off
+the profile's one reduction of [1 | u | v] instead, which the lottery side
+shares.  Only without a certificate does one ordered-pair scan, O(|X|^2),
 decide axiom (I), name the first conflicting pair in state order, and
 tabulate F, bent components included.  An ``Analysis`` object carries the
 certificate and the scan from the first check that asks to the next, so a
-run scans each society's pairs at most once.  Either way the difference
-map keeps F on the axis vectors only, the one part anything reads.  No
+run scans each society's pairs at most once.  Either way the difference map
+keeps F on the axis vectors only, the one part anything reads.  No
 chain-rule pass follows the map: with V(a) the ethical value at any state
-whose value vector is a (well defined because F(0) = 0), every scanned
-value is F(b - a) = V(b) - V(a), so F(c' - c) + F(c'' - c') = F(c'' - c)
-telescopes and cannot fail.  Each component's linearity is decided once,
-in ints (``DifferenceMap.bends``): a linear component is additive, so only
-a bent one gets the quadratic additivity scan, and the slopes read the same
+whose value vector is a (well defined because F(0) = 0), every scanned value
+is F(b - a) = V(b) - V(a), so F(c' - c) + F(c'' - c') = F(c'' - c)
+telescopes and cannot fail.  Each component's linearity is decided once, in
+ints (``DifferenceMap.bends``): a linear component is additive, so only a
+bent one gets the quadratic additivity scan, and the slopes read the same
 decision.
 
 Both paths run over Python ints: each table's scaled form, its values
@@ -52,7 +54,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 from .core import StateKey, combination_holds
 from .harsanyi import SpanProblem
@@ -176,7 +179,9 @@ def _pack(soc: Society, profile: Profile) -> _Ints:
     )
 
 
-def _linear_certificate(ints: _Ints) -> tuple[tuple[int, int] | None, ...] | None:
+def _linear_certificate(
+    ints: _Ints, span: Callable[[], SpanProblem]
+) -> tuple[tuple[int, int] | None, ...] | None:
     """Each agent's scaled slope (dE, dU) if the ethical column is linear in the agents', else None.
 
     With x0 the first state, agent i's slope is read off one neighbour: a
@@ -185,10 +190,14 @@ def _linear_certificate(ints: _Ints) -> tuple[tuple[int, int] | None, ...] | Non
     a common D, N_i = dE * D / dU, and the identity
     (E(x) - E(x0)) * D == sum of N_i * (U_i(x) - U_i(x0)) is then checked
     at every state, in O(|X| n) int operations.  It proves axiom (I), and
-    F_i(c) = c * dE / dU.  A constant agent's slope is None.  The result is
-    None when a nonconstant agent has no such neighbour or the identity
-    fails; semi-separability puts every neighbour in the space, so a
-    semi-separable society with a linear ethical table is always certified.
+    F_i(c) = c * dE / dU.  A constant agent's slope is None.  A failed
+    identity gives None: a linear ethical table would have shown each
+    neighbour its weight.  Only when a nonconstant agent has no such
+    neighbour does ``span()``, the profile's one reduction of [1 | u | v]
+    (``SpanProblem``), decide instead (``_span_certificate``).
+    Semi-separability puts every neighbour in the space, so a
+    semi-separable society never reaches the reduction, and one with a
+    linear ethical table is always certified by its neighbours.
     """
     index = dict(zip(ints.packed, range(len(ints.states))))
     p0, e0 = ints.packed[0], ints.ethical[0]
@@ -201,7 +210,7 @@ def _linear_certificate(ints: _Ints) -> tuple[tuple[int, int] | None, ...] | Non
         keys = (p0 + (t - u0) * radix for t in values if t != u0)
         j = next((index[key] for key in keys if key in index), None)
         if j is None:
-            return None
+            return _span_certificate(ints, span())
         slopes.append((ints.ethical[j] - e0, column[j] - u0))
     d = math.lcm(*(du for _, du in filter(None, slopes)))
     combination = [0] * len(ints.states)
@@ -212,6 +221,25 @@ def _linear_certificate(ints: _Ints) -> tuple[tuple[int, int] | None, ...] | Non
     if [(e - e0) * d for e in ints.ethical] != combination:
         return None
     return tuple(slopes)
+
+
+def _span_certificate(
+    ints: _Ints, problem: SpanProblem
+) -> tuple[tuple[int, int] | None, ...] | None:
+    """The canonical weights of v over [1 | u] as scaled slopes, or None if v is off the span.
+
+    Weight w_i of the unscaled tables is the scaled slope
+    (w_i * ethical_scale, scale_i).  A constant agent's slope is None, and a
+    nonconstant agent outside the greedy basis has weight 0.
+    """
+    weights = problem.solution
+    if weights is None:
+        return None
+    e_scale = ints.ethical_scale
+    return tuple(
+        None if min(column) == max(column) else (w.numerator * e_scale, w.denominator * scale)
+        for column, scale, w in zip(ints.columns, ints.scales, weights[1:])
+    )
 
 
 def _scan_pairs(ints: _Ints) -> PairScan:
@@ -248,15 +276,32 @@ class Analysis:
     That is the intensity side's packed ints, linear certificate, pair scan
     (read only when there is no certificate), semi-separability results and
     ``harvey`` recovery report, the base tables' certificate for the Pareto
-    record, and the lottery side's ``span``, whose one reduction every
-    Harsanyi answer reads.  A command creates one per society, passes it to
-    its checks and drops it when it returns.  It is never stored on the
-    society: a long-lived society would otherwise keep a quadratic pair
-    table alive.
+    record, and one ``SpanProblem`` per profile (``span_of``), whose one
+    reduction answers every span question on that profile: the lottery
+    side's (``span``) every Harsanyi answer, a certificate whose profile
+    lacks a single-agent neighbour, and the intensity side's constant
+    re-check.  A society with no separate profiles reduces its rows once.
+    A command creates one per society, passes it to its checks and drops it
+    when it returns.  It is never stored on the society: a long-lived
+    society would otherwise keep a quadratic pair table alive.
     """
 
     def __init__(self, soc: Society):
         self.soc = soc
+        self._spans: dict[int, SpanProblem] = {}
+
+    def span_of(self, profile: Profile) -> SpanProblem:
+        """The span problem of one of the society's profiles, built once per profile."""
+        problem = self._spans.get(id(profile))
+        if problem is None:
+            problem = SpanProblem.from_profile(profile, self.soc.agents, self.soc.space.states)
+            self._spans[id(profile)] = problem
+        return problem
+
+    @property
+    def span(self) -> SpanProblem:
+        """The lottery side's span problem."""
+        return self.span_of(self.soc.nm_side())
 
     @cached_property
     def semi_separability(self) -> CheckResult:
@@ -277,22 +322,19 @@ class Analysis:
     @cached_property
     def certificate(self) -> tuple[tuple[int, int] | None, ...] | None:
         """The intensity side's linear certificate (``_linear_certificate``), or None."""
-        return _linear_certificate(self._ints)
+        return _linear_certificate(self._ints, partial(self.span_of, self.soc.alt_side()))
 
     @cached_property
     def base_certificate(self) -> tuple[tuple[int, int] | None, ...] | None:
         """The same certificate on the base tables, which the Pareto record may read."""
         if self.soc.alt is None:
             return self.certificate
-        return _linear_certificate(_pack(self.soc, self.soc.base))
+        ints = _pack(self.soc, self.soc.base)
+        return _linear_certificate(ints, partial(self.span_of, self.soc.base))
 
     @cached_property
     def pair_scan(self) -> PairScan:
         return _scan_pairs(self._ints)
-
-    @cached_property
-    def span(self) -> SpanProblem:
-        return SpanProblem.of(self.soc)
 
     @cached_property
     def harvey(self) -> HarveyReport:
@@ -303,10 +345,12 @@ class Analysis:
 def check_axiom_I(soc: Society, analysis: Analysis | None = None) -> CheckResult:
     """Equal agent differences on all coordinates must give equal ethical differences.
 
-    A linear certificate passes it outright.  Otherwise the pair scan groups
-    pairs by their difference vector, which decides the same condition as
-    the quadruple formulation: a witness quadruple is two pairs in one group
-    with different ethical differences.
+    A linear certificate passes it outright, whether read off single-agent
+    neighbours or, on a profile that lacks one, off the profile's
+    reduction.  Otherwise the pair scan groups pairs by their difference
+    vector, which decides the same condition as the quadruple formulation:
+    a witness quadruple is two pairs in one group with different ethical
+    differences, and the first one in state order is reported.
     """
     if analysis is None:
         analysis = Analysis(soc)
@@ -423,23 +467,21 @@ def extract_slopes(dm: DifferenceMap) -> SlopeReport:
 def recover_constant(soc: Society, slopes, analysis: Analysis | None = None) -> Fraction:
     """The additive constant, fixed at the first state and re-verified pointwise.
 
-    The re-verification reads the profile's scaled rows, those of
-    ``analysis.span`` when the intensity side is the lottery side, so that
-    one run scales them once.  The slopes passed the linearity decision, so
-    a failed re-verification is a bug, not a verdict: it raises
+    The re-verification reads the intensity side's scaled rows through
+    ``analysis.span_of``, so that a run which also reduces that profile
+    scales its rows once.  The slopes passed the linearity decision, so a
+    failed re-verification is a bug, not a verdict: it raises
     ``AssertionError``.
     """
+    if analysis is None:
+        analysis = Analysis(soc)
     profile = soc.alt_side()
     tables = [profile.tables[a] for a in soc.agents]
     anchor = soc.space.states[0]
     b = profile.ethical[anchor] - sum(
         (a * t[anchor] for a, t in zip(slopes, tables)), Fraction(0)
     )
-    if analysis is not None and profile is soc.nm_side():
-        problem = analysis.span
-    else:
-        problem = SpanProblem.from_profile(profile, soc.agents, soc.space.states)
-    d, (*us, v) = problem.scaled
+    d, (*us, v) = analysis.span_of(profile).scaled
     if not combination_holds(d, v, us, slopes, b):
         raise AssertionError("slopes and constant fail pointwise re-verification")
     return b

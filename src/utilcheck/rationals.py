@@ -10,9 +10,11 @@ The wire format for a rational is the canonical string ``"p"`` or
 ``"p/q"`` with ``q > 0`` and ``gcd(|p|, q) = 1``, which is exactly what
 ``str(Fraction)`` produces.  Emitting is trivial, and parsing rejects every
 other spelling (floats, decimals, zero denominators, signs, leading zeros,
-unreduced fractions), so whatever parses emits back unchanged.
-``parse_ratio`` decides one literal on its two ints and returns them, or
-names it in its error; ``parse_rational`` wraps its pair in a Fraction.
+unreduced fractions), so whatever parses emits back unchanged, and a
+numerator or denominator of more than ``MAX_DIGITS`` digits, with one
+message on every interpreter.  ``parse_ratio`` decides one literal on its
+two ints and returns them, or names it in its error (an over-long one only
+by its length); ``parse_rational`` wraps its pair in a Fraction.
 ``parse_ratios`` decides many literals in one batch, from the same syntax,
 and only accepts: it gives None where any literal is rejected, and
 ``parse_ratio`` then names the one at fault.
@@ -40,17 +42,26 @@ _LITERAL = rf"(?:{_NUMERATOR})(?:/(?:[2-9]|[1-9][0-9]+))?"
 _LINES_RE = re.compile(rf"{_LITERAL}(?:\n{_LITERAL})*")
 _DECODER = json.JSONDecoder()
 
+#: The most digits a literal's numerator or denominator may have.  It is
+#: CPython's default limit for converting a string to an int, checked here
+#: first so that every interpreter rejects a longer one alike, with or
+#: without that limit.
+MAX_DIGITS = 4300
+
 
 def parse_ratio(text: str) -> tuple[int, int]:
     """Parse canonical ``"p"`` or ``"p/q"`` into the ints (p, q), q = 1 for ``"p"``.
 
-    ``q`` must exceed 1 and share no factor with ``p``.  Raises ValueError
-    for anything else, including ``"1/0"``, ``"2/4"``, ``"3/1"``, decimal
-    notation and negative denominators.
+    ``q`` must exceed 1 and share no factor with ``p``, and neither may
+    have more than ``MAX_DIGITS`` digits.  Raises ValueError for anything
+    else, including ``"1/0"``, ``"2/4"``, ``"3/1"``, decimal notation and
+    negative denominators; an over-long literal's message does not repeat it.
     """
     match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
+    if _over_long(text):
+        raise ValueError(f"rational literal has an integer of more than {MAX_DIGITS} digits")
     num, den = match.groups()
     if den is None:
         return int(num), 1
@@ -67,9 +78,10 @@ def parse_ratios(texts: Collection[str]) -> list[tuple[int, int]] | None:
 
     One match of the newline-joined literals decides their syntax, and a
     count of the lines they make rejects a literal with a newline in it.
-    The ints are read in C, as a JSON array of one [p, 1] or [p, q, 1] per
-    literal, and one ``gcd`` pass checks lowest terms.  It never raises: a
-    non-string, or an int past the interpreter's digit limit, gives None.
+    Only a literal longer than ``MAX_DIGITS`` characters is looked at
+    alone, and one with a longer int gives None.  The ints are read in C,
+    as a JSON array of one [p, 1] or [p, q, 1] per literal, and one ``gcd``
+    pass checks lowest terms.  It never raises: a non-string gives None.
     """
     if not texts:
         return []
@@ -78,6 +90,9 @@ def parse_ratios(texts: Collection[str]) -> list[tuple[int, int]] | None:
     except TypeError:
         return None
     if _LINES_RE.fullmatch(lines) is None:
+        return None
+    longest = max(map(len, texts)) if len(lines) > MAX_DIGITS else 0
+    if longest > MAX_DIGITS and any(map(_over_long, texts)):
         return None
     body = lines.replace("/", ",").replace("\n", ",1],[")
     try:
@@ -88,6 +103,12 @@ def parse_ratios(texts: Collection[str]) -> list[tuple[int, int]] | None:
     if len(ratios) != len(texts) or set(starmap(gcd, ratios)) != {1}:
         return None
     return ratios
+
+
+def _over_long(text: str) -> bool:
+    """Whether a literal's numerator or denominator has more than ``MAX_DIGITS`` digits."""
+    parts = text.split("/") if len(text) > MAX_DIGITS else ()
+    return any(len(part.lstrip("-")) > MAX_DIGITS for part in parts)
 
 
 def parse_rational(text: str) -> Fraction:

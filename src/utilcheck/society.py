@@ -134,10 +134,14 @@ def check_pareto_criterion(soc: Society) -> CheckResult:
     vectors differ and x's is weakly greater in every coordinate.  The
     comparisons run on the scaled tables; a positive scale keeps every one
     of them, so the verdict and the witness are those of the same
-    comparisons on the Fractions.  The loop is O(|X|^2 n); the pareto
-    hypothesis record, which ``validate`` and ``coincide`` share, runs it
-    only when no linear certificate of the base tables with positive
-    slopes proves the criterion.
+    comparisons on the Fractions.  The loop is O(|X|^2 n), and it stops at
+    the first witness.  The pareto hypothesis record, which ``validate``
+    and ``coincide`` share, runs it only when a linear certificate of the
+    base tables has a nonpositive slope, or when there is no certificate
+    and the society is not semi-separable.  A slope read off the first
+    state's single-agent neighbour makes that pair a witness, so the loop
+    stops by the neighbour's row.  A semi-separable society without a
+    certificate is decided by ``check_pareto_on_lattice``.
     """
     states = soc.space.states
     vectors = list(zip(*(_column(soc.base.tables[a], states) for a in soc.agents)))
@@ -145,12 +149,69 @@ def check_pareto_criterion(soc: Society) -> CheckResult:
     for x, cx, vx in zip(states, vectors, ethical):
         for y, cy, vy in zip(states, vectors, ethical):
             if vx <= vy and cx != cy and all(map(ge, cx, cy)):
-                return CheckResult(
-                    False,
-                    witness=(x, y),
-                    description=f"{x!r} dominates {y!r} but is not ethically better",
-                )
+                return _dominance_failure(x, y)
     return CheckResult(True)
+
+
+def check_pareto_on_lattice(soc: Society) -> CheckResult:
+    """``check_pareto_criterion``'s verdict and first witness, from the product of the classes.
+
+    A state's rank vector c(x) holds each agent's rank of its value among
+    that agent's distinct values, so x dominates y exactly when c(y) < c(x)
+    in the product order.  With G(c) the largest ethical value over the
+    states whose rank vector is at most c (the largest at c itself, then
+    prefix maxima along one axis after another), the largest value over
+    the vectors strictly below c is D(c) = max_i G(c - e_i).  So some state
+    x dominates is valued at least E(x) exactly when D(c(x)) >= E(x): the
+    first such x in state order is the loop's, and one pass over the states
+    finds its first y.  The lattice has as many points as the product of
+    the agents' class counts, and a point no state realizes holds a value
+    below every ethical value; on a semi-separable society every point is
+    realized, so the work is O(|X| n).
+    """
+    states = soc.space.states
+    columns = [_column(soc.base.tables[a], states) for a in soc.agents]
+    ethical = _column(soc.base.ethical, states)
+    # Each state's lattice point as a flat index, the last agent's rank
+    # varying fastest; ``axes`` holds each agent's stride and class count,
+    # last agent first.
+    points = [0] * len(states)
+    axes = []
+    size = 1
+    for column in reversed(columns):
+        levels = sorted(set(column))
+        offsets = {u: r * size for r, u in enumerate(levels)}
+        points = [k + offsets[u] for k, u in zip(points, column)]
+        axes.append((size, len(levels)))
+        size *= len(levels)
+    best = [min(ethical) - 1] * size
+    for k, e in zip(points, ethical):
+        if e > best[k]:
+            best[k] = e
+    for stride, count in axes:
+        block = stride * count
+        for start in range(0, size, block):
+            for k in range(start + stride, start + block):
+                if best[k - stride] > best[k]:
+                    best[k] = best[k - stride]
+    for j, (k, e) in enumerate(zip(points, ethical)):
+        if any(k // stride % count and best[k - stride] >= e for stride, count in axes):
+            break
+    else:
+        return CheckResult(True)
+    cx = tuple(column[j] for column in columns)
+    y = next(
+        y
+        for y, cy, vy in zip(states, zip(*columns), ethical)
+        if e <= vy and cy != cx and all(map(ge, cx, cy))
+    )
+    return _dominance_failure(states[j], y)
+
+
+def _dominance_failure(x: StateKey, y: StateKey) -> CheckResult:
+    return CheckResult(
+        False, witness=(x, y), description=f"{x!r} dominates {y!r} but is not ethically better"
+    )
 
 
 def _column(table: UtilityTable, states: Sequence[StateKey]) -> list[int]:

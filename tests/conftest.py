@@ -249,6 +249,42 @@ def negative_weight_society() -> Society:
     return dataclasses.replace(soc, metadata={"title": "negative-weight: a0 weighted -1, seed 0"})
 
 
+def cube_society() -> Society:
+    """A 3-agent, 45-state product grid whose ethical table is the cube of a planted sum.
+
+    Semi-separable, and Pareto holds (the cube is increasing).  The ethical
+    table is not linear in the agents' tables, so there is no linear
+    certificate: the product lattice decides Pareto, and axiom (i) and
+    axiom (I) fail.
+    """
+    soc, _, _ = product_grid_society(random.Random(7), 3, sizes=(1, 1, 2))
+    ethical = UtilityTable({s: v**3 for s, v in soc.base.ethical.values.items()})
+    return Society.from_tables(soc.space, soc.base.tables, ethical, metadata={"title": "cube"})
+
+
+def capped_sum_society() -> Society:
+    """``fixtures/capped_sum.json``: v = min(u1 + u2, 3/2) on the 3 x 3 grid {0, 1/2, 1}^2.
+
+    u1 and u2 are the coordinates, so the tables fill the product of their
+    classes (semi-separable), and the cap makes the ethical table nonlinear
+    in them.  It fails the Pareto criterion only at the last state: "1,1"
+    dominates "1/2,1" and "1,1/2", and all three are capped at 3/2.  Every
+    earlier dominated pair is ranked strictly, so the first witness is
+    ("1,1", "1/2,1").  Axiom (i) and axiom (I) fail as well.
+    """
+    zero, half, one = Fraction(0), Fraction(1, 2), Fraction(1)
+    space = StateSpace.product_grid([GridDim("x", zero, one, half), GridDim("y", zero, one, half)])
+    u1 = UtilityTable.on_coords(space, lambda x, y: x)
+    u2 = UtilityTable.on_coords(space, lambda x, y: y)
+    v = UtilityTable.on_coords(space, lambda x, y: min(x + y, Fraction(3, 2)))
+    return Society.from_tables(
+        space,
+        {"a1": u1, "a2": u2},
+        v,
+        metadata={"title": "capped-sum: v = min(u1 + u2, 3/2) on a 3 x 3 grid"},
+    )
+
+
 def negative_lottery_weight_society() -> Society:
     """``fixtures/negative_lottery_weight.json``: lottery-side weights (-1, 1) on a 3 x 3 grid.
 

@@ -7,7 +7,10 @@ product-grid keys from each dimension's point labels.  Kept here: the
 parser that validated every value with its location string in hand,
 searched every table for missing states, and formatted every coordinate of
 every grid state.  Its literal validator is the one the package had before
-``parse_ratio``: the same regular expression, then a checked ``Fraction``.
+``parse_ratio``: the same regular expression, then a checked ``Fraction``,
+with the package's one rule added: an int of more than 4300 digits (CPython's
+default conversion limit) is rejected before any int is built, with one
+message on every interpreter.
 Errors are the package's ``SocietyFileError``, so text and location compare
 directly.
 """
@@ -33,6 +36,8 @@ def parse_rational(text: str) -> Fraction:
     if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
     num, den = match.groups()
+    if len(num.lstrip("-")) > 4300 or len(den or "") > 4300:
+        raise ValueError("rational literal has an integer of more than 4300 digits")
     if den is None:
         return Fraction(int(num))
     q = int(den)

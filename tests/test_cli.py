@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     affine_grid_society,
     bent_component_society,
+    capped_sum_society,
     negative_lottery_weight_society,
     negative_weight_society,
     nonadditive_society,
@@ -328,6 +329,23 @@ def test_coincide_negative_weight_json_golden():
     payload = json.loads(result.stdout)
     assert payload["failed_hypothesis"] == "pareto"
     assert [h["name"] for h in payload["hypotheses"] if h["verdict"] == "FAIL"] == ["pareto"]
+
+
+def test_shipped_capped_sum_fixture_matches_generator():
+    soc = parse_society(str(FIXTURES / "capped_sum.json"))
+    assert emit_society(soc) == emit_society(capped_sum_society())
+
+
+def test_validate_capped_sum_json_golden():
+    # A semi-separable fixture with a nonlinear ethical table that fails
+    # Pareto: no certificate exists, so the product lattice names the pair,
+    # which is the dominance loop's first, in the last state's row.
+    result = run_cli("validate", str(FIXTURES / "capped_sum.json"), "--json")
+    assert result.returncode == 1
+    assert result.stdout == (GOLDEN / "validate_capped_sum.json").read_text()
+    checks = {c["name"]: c for c in json.loads(result.stdout)["checks"]}
+    assert checks["semi-separability"]["verdict"] == "PASS"
+    assert checks["pareto"]["detail"] == "witness pair ('1,1', '1/2,1')"
 
 
 def test_coincide_simplex_json_golden():

@@ -1,0 +1,274 @@
+"""The O(|X| n) deciders against the quadratic passes they stand in for.
+
+Pareto on a semi-separable society without a linear certificate is decided
+on the product lattice of the agents' classes
+(``society.check_pareto_on_lattice``), and a linear ethical table on a
+space where some agent has no single-agent neighbour of the first state is
+certified by the profile's reduction of [1 | u | v]
+(``harvey._span_certificate``).  The dominance loop and the pair scan stay
+as the oracles: both fast paths must give their verdict and their first
+witness.  The CLI runs below make the loop and the scan raise, and the
+reports must still be the goldens, pinned before the fast paths existed.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from conftest import capped_sum_society, cube_society
+from utilcheck import Profile, Society, StateSpace, UtilityTable, cli, emit_society, linalg
+from utilcheck import coincidence, harvey
+from utilcheck.harvey import check_axiom_I, harvey_recover
+from utilcheck.society import check_pareto_criterion, check_pareto_on_lattice
+
+F = Fraction
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class ScanOnly(harvey.Analysis):
+    """An ``Analysis`` with no certificate: every intensity-side answer reads the pair scan."""
+
+    certificate = None
+
+
+def _society(vectors, ethical, order) -> Society:
+    states = [f"s{k}" for k in range(len(vectors))]
+    vectors = [vectors[k] for k in order]
+    ethical = [ethical[k] for k in order]
+    n = len(vectors[0])
+    tables = {
+        f"a{i}": UtilityTable({s: F(v[i]) for s, v in zip(states, vectors)}) for i in range(n)
+    }
+    values = UtilityTable({s: F(e) for s, e in zip(states, ethical)})
+    return Society.from_tables(StateSpace.explicit(states), tables, values)
+
+
+@st.composite
+def lattice_societies(draw):
+    """Semi-separable societies: every combination of the agents' classes, some repeated.
+
+    2-4 agents with 1-3 classes each (one class is a constant agent), each
+    combination realized by one or two states in a drawn order.  The
+    ethical table is increasing in a weighted sum of the classes (weights
+    of every sign), that sum cubed, or drawn value by value, plus an
+    optional bump of a few states, so many tables fail Pareto and some
+    only late in state order.
+    """
+    n = draw(st.integers(2, 4))
+    classes = st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True)
+    levels = [draw(classes) for _ in range(n)]
+    points = list(itertools.product(*levels))
+    copies = draw(st.lists(st.integers(1, 2), min_size=len(points), max_size=len(points)))
+    vectors = [p for p, c in zip(points, copies) for _ in range(c)]
+    kind = draw(st.sampled_from(["sum", "sum", "cubed", "drawn"]))
+    if kind == "drawn":
+        ethical = draw(st.lists(st.integers(-3, 3), min_size=len(vectors), max_size=len(vectors)))
+    else:
+        weights = [draw(st.sampled_from([-1, 0, 1, 1, 2, 3])) for _ in range(n)]
+        ethical = [sum(w * u for w, u in zip(weights, v)) for v in vectors]
+        if kind == "cubed":
+            ethical = [e**3 for e in ethical]
+    for k in draw(st.lists(st.integers(0, len(vectors) - 1), max_size=2)):
+        ethical[k] += draw(st.sampled_from([-5, -1, 1]))
+    order = draw(st.permutations(range(len(vectors))))
+    return _society(vectors, ethical, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_societies())
+def test_lattice_gives_the_loop_verdict_and_witness(soc):
+    expected = check_pareto_criterion(soc)
+    event("pass" if expected else "fail")
+    assert harvey.Analysis(soc).semi_separability.passed
+    assert check_pareto_on_lattice(soc) == expected
+    # The record without the loop: certificate, then lattice.
+    record = coincidence._pareto_record(soc, harvey.Analysis(soc))
+    assert (record.passed, record.detail) == (
+        expected.passed, "" if expected else f"witness pair {expected.witness}"
+    )
+
+
+def test_lattice_on_a_society_that_is_not_semi_separable():
+    # Unrealized points hold a value below every ethical value, so the
+    # lattice stays exact off a full product; it is only larger than |X|.
+    soc = _society([(0, 0), (1, 1), (2, 0), (0, 2)], [0, 1, 0, 5], range(4))
+    assert not harvey.Analysis(soc).semi_separability
+    assert check_pareto_on_lattice(soc) == check_pareto_criterion(soc)
+    assert check_pareto_criterion(soc).witness == ("s2", "s0")
+
+
+@st.composite
+def unseparated_societies(draw):
+    """Societies whose vectors rarely fill the product of the classes.
+
+    2-4 agents on 3-12 states; each agent is drawn, a constant, or an
+    affine image or a sum of earlier agents, so agents may be dependent.
+    The ethical table is linear (weights -2 to 3, zero included) or not: a
+    product term, a square, or one bumped state.
+    """
+    n = draw(st.integers(2, 4))
+    size = draw(st.integers(3, 12))
+    columns: list[list[int]] = []
+    for i in range(n):
+        how = draw(st.sampled_from(["drawn", "drawn", "drawn", "constant", "image", "sum"]))
+        if not columns and how in ("image", "sum"):
+            how = "drawn"
+        if how == "drawn":
+            columns.append(draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)))
+        elif how == "constant":
+            columns.append([draw(st.integers(-2, 2))] * size)
+        elif how == "image":
+            a, b = draw(st.sampled_from([-2, -1, 2, 3])), draw(st.integers(-2, 2))
+            columns.append([a * u + b for u in columns[draw(st.integers(0, i - 1))]])
+        else:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            columns.append([u + w for u, w in zip(columns[j], columns[k])])
+    weights = [draw(st.sampled_from([-2, -1, 0, 0, 1, 2, 3])) for _ in range(n)]
+    ethical = [sum(w * c[k] for w, c in zip(weights, columns)) for k in range(size)]
+    kind = draw(st.sampled_from(["linear", "linear", "product", "square", "bumped"]))
+    if kind == "product":
+        ethical = [e + columns[0][k] * columns[1][k] for k, e in enumerate(ethical)]
+    elif kind == "square":
+        ethical = [e + columns[0][k] ** 2 for k, e in enumerate(ethical)]
+    elif kind == "bumped":
+        ethical[draw(st.integers(0, size - 1))] += 1
+    vectors = list(zip(*columns))
+    soc = _society(vectors, ethical, range(size))
+    if draw(st.booleans()):
+        # The drawn tables as a separate intensity side, next to base tables
+        # whose ethical table is cubed: the two certificates then differ.
+        cubed = UtilityTable({s: v**3 for s, v in soc.base.ethical.values.items()})
+        soc = Society(soc.space, soc.agents, Profile(soc.base.tables, cubed), alt=soc.base)
+    return soc
+
+
+@settings(max_examples=400, deadline=None)
+@given(unseparated_societies())
+def test_span_certificate_gives_the_scan_and_loop_verdicts(soc):
+    analysis, scan_only = harvey.Analysis(soc), ScanOnly(soc)
+    axiom = check_axiom_I(soc, analysis)
+    event("reduced" if analysis._spans else "read off neighbours")
+    assert axiom == check_axiom_I(soc, scan_only)
+    assert harvey_recover(soc, analysis) == harvey_recover(soc, scan_only)
+    if analysis.certificate is not None:
+        assert scan_only.pair_scan.conflict is None
+    # v in the intensity side's span certifies axiom (I), whichever path read it.
+    in_span = analysis.span_of(soc.alt_side()).in_span
+    if in_span:
+        assert analysis.certificate is not None
+    event(f"in span: {in_span}, axiom (I): {axiom.passed}")
+    loop = check_pareto_criterion(soc)
+    record = coincidence._pareto_record(soc, harvey.Analysis(soc))
+    assert (record.passed, record.detail) == (
+        loop.passed, "" if loop else f"witness pair {loop.witness}"
+    )
+
+
+def test_span_certificate_weights_and_constant_agents():
+    # On the curve u2 = u1^2 no state is a single-agent neighbour of
+    # another, so the reduction certifies v = u1 + u2 with both weights
+    # positive; a constant third agent has no slope, and a dependent copy of
+    # u1 gets the canonical weight 0, which certifies axiom (I) but not Pareto.
+    curve, ethical = [(0, 0), (1, 1), (2, 4), (3, 9)], [0, 2, 6, 12]
+    soc = _society(curve, ethical, range(4))
+    assert harvey.Analysis(soc).base_certificate == ((1, 1), (1, 1))
+    with_constant = _society([(a, b, 7) for a, b in curve], ethical, range(4))
+    assert harvey.Analysis(with_constant).base_certificate == ((1, 1), (1, 1), None)
+    with_copy = _society([(a, b, a) for a, b in curve], ethical, range(4))
+    analysis = harvey.Analysis(with_copy)
+    assert analysis.base_certificate == ((1, 1), (1, 1), (0, 1))
+    assert check_axiom_I(with_copy, analysis)
+    assert not coincidence._pareto_certified(with_copy, analysis)
+
+
+# ---------------------------------------------------------------------------
+# The CLI with the quadratic passes made to raise
+
+
+def _forbid_loop(monkeypatch):
+    def loop(soc):
+        raise AssertionError("the dominance loop ran")
+
+    monkeypatch.setattr(coincidence, "check_pareto_criterion", loop)
+
+
+def _forbid_scan(monkeypatch):
+    def scan(ints):
+        raise AssertionError("the pair scan ran")
+
+    monkeypatch.setattr(harvey, "_scan_pairs", scan)
+
+
+def _stdout(capsys, *argv) -> tuple[int, str]:
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_simplex_runs_no_loop_and_no_scan(monkeypatch, capsys):
+    _forbid_loop(monkeypatch)
+    _forbid_scan(monkeypatch)
+    simplex = str(FIXTURES / "simplex.json")
+    assert _stdout(capsys, "validate", simplex, "--json") == (
+        1, (GOLDEN / "validate_simplex.json").read_text()
+    )
+    text = (GOLDEN / "validate_simplex.txt").read_text()
+    assert _stdout(capsys, "validate", simplex) == (1, text)
+    assert _stdout(capsys, "recover", simplex, "--mode", "harvey", "--json") == (
+        1, (GOLDEN / "recover_simplex_harvey.json").read_text()
+    )
+    assert _stdout(capsys, "coincide", simplex, "--json") == (
+        1, (GOLDEN / "coincide_simplex.json").read_text()
+    )
+
+
+@pytest.mark.parametrize(
+    "society, golden",
+    [(cube_society, "validate_cube.json"), (capped_sum_society, "validate_capped_sum.json")],
+    ids=["cube", "capped-sum"],
+)
+def test_semi_separable_validate_runs_no_loop(monkeypatch, capsys, tmp_path, society, golden):
+    # Neither has a linear certificate, so axiom (I) still scans its pairs
+    # (and fails); the lattice decides Pareto.
+    _forbid_loop(monkeypatch)
+    path = tmp_path / "society.json"
+    path.write_text(emit_society(society()), encoding="utf-8")
+    assert _stdout(capsys, "validate", str(path), "--json") == (1, (GOLDEN / golden).read_text())
+
+
+def test_one_reduction_per_profile(monkeypatch, capsys):
+    # The simplex fixture's base tables are its intensity side: one
+    # reduction certifies both their Pareto record and axiom (I), and a
+    # second, of the lottery side, decides axiom (i).
+    calls = []
+    real = linalg.reduce_rows
+    monkeypatch.setattr(linalg, "reduce_rows", lambda rows: calls.append(rows) or real(rows))
+    simplex = str(FIXTURES / "simplex.json")
+    code, out = _stdout(capsys, "validate", simplex, "--json")
+    assert code == 1
+    assert [c["name"] for c in json.loads(out)["checks"] if c["verdict"] == "FAIL"] == [
+        "semi-separability"
+    ]
+    assert len(calls) == 2
+    calls.clear()
+    assert _stdout(capsys, "recover", simplex, "--mode", "harvey")[0] == 1
+    assert len(calls) == 1
+
+
+def test_span_of_is_one_problem_per_profile():
+    soc = cube_society()
+    analysis = harvey.Analysis(soc)
+    assert analysis.span is analysis.span_of(soc.base) is analysis.span_of(soc.alt_side())
+    alt = Profile(soc.base.tables, soc.base.ethical)
+    with_alt = Society(soc.space, soc.agents, soc.base, alt=alt)
+    analysis = harvey.Analysis(with_alt)
+    assert analysis.span is analysis.span_of(with_alt.base)
+    assert analysis.span_of(alt) is analysis.span_of(with_alt.alt_side()) is not analysis.span

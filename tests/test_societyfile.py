@@ -14,7 +14,6 @@ from __future__ import annotations
 import copy
 import itertools
 import json
-import sys
 from fractions import Fraction
 
 import pytest
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 
 import reference_parser as oracle
 from utilcheck import GridDim, Profile, Society, StateSpace, UtilityTable, emit_society
-from utilcheck.rationals import parse_ratio, parse_ratios
+from utilcheck.rationals import MAX_DIGITS, parse_ratio, parse_ratios
 from utilcheck.societyfile import (
     SocietyFileError,
     _parse_scalar,
@@ -44,7 +43,8 @@ BAD_LITERALS = ("1.0", "2/4", "+1", "01", "1/0", "3/1", "-0", "", " 1", "1/-2", 
 #: Values the batch validator must reject, each then located by the per-state
 #: loop: a newline inside or after a literal, digit spellings ``int`` takes
 #: but the syntax does not, an unreduced zero, two JSON non-strings, and a
-#: numerator and a denominator past CPython's int digit limit (4300 digits).
+#: numerator and a denominator past the package's digit limit
+#: (``rationals.MAX_DIGITS``, CPython's default of 4300).
 HAZARDS = (
     "1\n2",
     "1/2\n",
@@ -305,5 +305,18 @@ def test_a_hazard_in_a_table_of_distinct_literals_fails_alike(bad, position):
         values[f"s{position}"] = bad
         got = _outcome(payload_to_society, payload)
         assert got == _outcome(oracle.payload_to_society, payload)
-        # Only an interpreter without the int digit limit accepts the long ints.
-        assert got[0] == "error" or not hasattr(sys, "get_int_max_str_digits")
+        assert got[0] == "error"
+
+
+def test_an_over_long_literal_is_rejected_alike_on_every_interpreter():
+    # CPython's own limit is absent before 3.10.7 and words its message
+    # differently from one version to the next; the package checks first.
+    message = f"rational literal has an integer of more than {MAX_DIGITS} digits"
+    for text in ("1" * 4301, "-" + "1" * 4301, "1/" + "1" * 4301, "1" * 4301 + "/2"):
+        with pytest.raises(ValueError) as err:
+            parse_ratio(text)
+        assert str(err.value) == message
+        assert parse_ratios(["1/2", text]) is None
+    p, q = "9" * MAX_DIGITS, "1" + "0" * (MAX_DIGITS - 1)
+    longest = f"-{p}/{q}"
+    assert parse_ratio(longest) == parse_ratios([longest])[0] == (-int(p), int(q))
