@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .core import StateKey, UtilityTable, first_disagreement, same_ranking
+from .core import Record, StateKey, UtilityTable, first_disagreement, same_ranking
 from .rationals import scale_to_ints
 from .society import CheckResult
 
@@ -153,8 +152,7 @@ def alt_represents(u: UtilityTable, a: AltSystem) -> CheckResult:
     return CheckResult(False, witness=tuple(a.states[k] for k in (*divmod(i, n), *divmod(j, n))))
 
 
-@dataclass(frozen=True)
-class StandardSequence:
+class StandardSequence(Record):
     """Equally spaced calibration states between (and beyond) two anchors.
 
     ``entries`` maps dyadic value s (in units where the anchors sit at 0 and

@@ -33,15 +33,15 @@ grids stand in for connectedness throughout.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
 from .alt import AltSystem
-from .core import StateKey, StateSpace, UtilityTable, WeakOrder, linear_combination
+from .core import (
+    Record, StateKey, StateSpace, UtilityTable, WeakOrder, linear_combination, replace,
+)
 from .harsanyi import check_axiom_i, recover_weights
 from .harvey import Analysis, check_axiom_I
 from .nm import affine_relation
@@ -68,8 +68,7 @@ class NormalizationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class StepWitness:
+class StepWitness(Record):
     """One single-coordinate grid step with its increment on both scales."""
 
     lo_state: StateKey
@@ -78,8 +77,7 @@ class StepWitness:
     starred_increment: Fraction
 
 
-@dataclass(frozen=True)
-class ViolationWitness:
+class ViolationWitness(Record):
     """Two steps whose starred-per-base increment ratios differ.
 
     ``increments`` lists (base, starred) increment pairs for every
@@ -91,8 +89,7 @@ class ViolationWitness:
     increments: tuple[tuple[Fraction, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class AgentVerdict:
+class AgentVerdict(Record):
     agent: str
     kind: str  # COINCIDE | VIOLATION | CONSTANT
     alpha: Fraction | None = None
@@ -100,15 +97,13 @@ class AgentVerdict:
     witness: ViolationWitness | None = None
 
 
-@dataclass(frozen=True)
-class HypothesisRecord:
+class HypothesisRecord(Record):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class NormalizationRecord:
+class NormalizationRecord(Record):
     agents: tuple[str, ...]
     alt_weights: tuple[Fraction, ...]
     alt_constant: Fraction
@@ -120,8 +115,7 @@ class NormalizationRecord:
     slopes: tuple[Fraction | None, ...] | None = None
 
 
-@dataclass(frozen=True)
-class CoincidenceReport:
+class CoincidenceReport(Record):
     """One theorem's verdict: its hypothesis records, then the per-agent verdicts.
 
     A failing record carries its own detail; ``detail`` holds only a
@@ -267,7 +261,7 @@ def _affinity_report(
             v.alpha * w_nm / w_alt if v.kind == COINCIDE else None
             for v, w_alt, w_nm in zip(verdicts, norm.alt_weights, norm.nm_weights)
         )
-        norm = dataclasses.replace(norm, slopes=slopes)
+        norm = replace(norm, slopes=slopes)
     return CoincidenceReport(status, records, verdicts, norm)
 
 
@@ -471,8 +465,7 @@ def theorem3_pipeline(soc: Society) -> CoincidenceReport:
 # Worked fixtures
 
 
-@dataclass(frozen=True)
-class SqrtFixture:
+class SqrtFixture(Record):
     """Society whose two scales differ by a square root on the first coordinate."""
 
     society: Society
@@ -546,8 +539,7 @@ def sqrt_fixture(kmax: int, eps: Fraction, *, degenerate_second_agent: bool = Fa
     )
 
 
-@dataclass(frozen=True)
-class SimplexFixture:
+class SimplexFixture(Record):
     """Society on the line x1 + x2 = 1 where only semi-separability fails."""
 
     society: Society

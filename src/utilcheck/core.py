@@ -1,5 +1,8 @@
 """Finite state spaces, utility tables, simple lotteries, and weak orders.
 
+Every fixed-field value type of the package (spaces, lotteries, profiles,
+reports, witnesses) derives from ``Record``.
+
 States are identified by strings.  A space is either an explicit list of
 identifiers or the full Cartesian product of per-dimension dyadic grids, in
 which case a state key is the comma-joined canonical form of its
@@ -12,9 +15,9 @@ exactly on a state.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import add, eq
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -23,8 +26,87 @@ from .rationals import format_rational, scale_ratios, scale_to_ints
 StateKey = str
 
 
-@dataclass(frozen=True)
-class GridDim:
+class Record:
+    """An immutable record of named fields, compared, hashed and shown by their values.
+
+    As in a frozen data class, a subclass's annotations, after its bases',
+    are its fields, and a class attribute is a field's default.  ``__init__``
+    takes the fields by position or keyword and then calls ``__post_init__``,
+    which may set a field through ``object.__setattr__``; any other
+    assignment or deletion raises.  ``==``, ``hash`` and ``repr``
+    (``Name(field=value, ...)``) read the field tuple.  Instances keep a
+    ``__dict__``, so ``functools.cached_property`` works on them.
+    """
+
+    _fields, _defaults = (), {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = (*cls._fields, *(f for f in cls.__annotations__ if f not in cls._fields))
+        own = {f: cls.__dict__[f] for f in cls.__annotations__ if f in cls.__dict__}
+        cls._defaults, cls._names = {**cls._defaults, **own}, frozenset(cls._fields)
+        n, tail = len(cls._fields), tuple(cls._defaults.values())
+        if cls._fields[n - len(tail) :] != tuple(cls._defaults):
+            raise TypeError(f"{cls.__name__}: a field without a default follows a default")
+        # A positional call of k arguments takes the last n - k defaults.
+        cls._tails = {n - i: tail[len(tail) - i :] for i in range(len(tail) + 1)}
+
+    def __init__(self, *args, **kwargs):
+        fields, held = self._fields, self.__dict__
+        if kwargs:
+            held.update(self._defaults)
+            if args:
+                if len(args) > len(fields) or not kwargs.keys().isdisjoint(fields[: len(args)]):
+                    raise self._call_error(args, kwargs)
+                held.update(zip(fields, args))
+            held.update(kwargs)
+            if held.keys() != self._names:
+                raise self._call_error(args, kwargs)
+        else:
+            tail = self._tails.get(len(args))
+            if tail is None:
+                raise self._call_error(args, kwargs)
+            held.update(zip(fields, args + tail))
+        self.__post_init__()
+
+    def _call_error(self, args, kwargs) -> TypeError:
+        return TypeError(
+            f"{type(self).__name__}() takes the fields {', '.join(self._fields)}, got"
+            f" {len(args)} positional arguments and the keywords {', '.join(kwargs) or 'none'}"
+        )
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+def replace(record: Record, /, **changes) -> Record:
+    """A copy of ``record`` with the given fields changed; its ``__post_init__`` runs again."""
+    held = record.__dict__
+    return type(record)(**{**{f: held[f] for f in record._fields}, **changes})
+
+
+class GridDim(Record):
     """One dyadic coordinate axis: points lo, lo+step, ..., hi."""
 
     name: str
@@ -51,14 +133,22 @@ class GridDim:
     def points(self) -> list[Fraction]:
         return [self.lo + k * self.step for k in range(self.size)]
 
+    def labels(self) -> list[str]:
+        """Each point's canonical string, as ``format_rational`` writes it, computed in ints."""
+        (a, b), (c, d) = self.lo.as_integer_ratio(), self.step.as_integer_ratio()
+        q = b * d
+        labels = []
+        for p in range(a * d, a * d + self.size * b * c, b * c):
+            g = gcd(p, q)
+            labels.append(str(p // g) if g == q else f"{p // g}/{q // g}")
+        return labels
 
-@dataclass(frozen=True)
-class StateSpace:
+
+class StateSpace(Record):
     """Ordered finite set of states, optionally with product-grid structure."""
 
     states: tuple[StateKey, ...]
     dims: tuple[GridDim, ...] | None = None
-    _coords: tuple[tuple[Fraction, ...], ...] | None = None
 
     def __post_init__(self):
         if not self.states:
@@ -76,11 +166,8 @@ class StateSpace:
         dims = tuple(dims)
         if not dims:
             raise ValueError("product grid needs at least one dimension")
-        points = [d.points() for d in dims]
-        coords = tuple(itertools.product(*points))
-        labels = [[format_rational(p) for p in axis] for axis in points]
-        keys = tuple(map(",".join, itertools.product(*labels)))
-        return cls(states=keys, dims=dims, _coords=coords)
+        keys = tuple(map(",".join, itertools.product(*(d.labels() for d in dims))))
+        return cls(states=keys, dims=dims)
 
     @property
     def kind(self) -> str:
@@ -96,8 +183,13 @@ class StateSpace:
     def index(self) -> dict[StateKey, int]:
         return {s: i for i, s in enumerate(self.states)}
 
+    @cached_property
+    def _coords(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(itertools.product(*(d.points() for d in self.dims)))
+
     def coords(self, key: StateKey) -> tuple[Fraction, ...]:
-        if self._coords is None:
+        """A grid state's coordinates, all built on the first call."""
+        if self.dims is None:
             raise ValueError("explicit spaces carry no coordinates")
         return self._coords[self.index[key]]
 
@@ -170,6 +262,12 @@ class UtilityTable:
             return self.values[key]
         return Fraction(*self.ratios[key])
 
+    def literals(self, states: Iterable[StateKey]) -> list[str]:
+        """Each state's value as its canonical literal, written from the view the table holds."""
+        if "values" in self.__dict__:
+            return list(map(format_rational, map(self.values.__getitem__, states)))
+        return [str(p) if q == 1 else f"{p}/{q}" for p, q in map(self.ratios.__getitem__, states)]
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UtilityTable):
             return NotImplemented
@@ -231,8 +329,7 @@ def combination_holds(d, v, us, weights, constant=Fraction(0)) -> bool:
     return all(map(eq, map(m.__mul__, v), total))
 
 
-@dataclass(frozen=True)
-class SimpleLottery:
+class SimpleLottery(Record):
     """Finite-support probability vector over states.
 
     Canonical: entries sorted by state key, strictly positive, summing to

@@ -19,13 +19,12 @@ E_p[u] - E_q[u] is the sum of (p_s - q_s) u(s) over them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .core import SimpleLottery, StateKey, combination_holds
+from .core import Record, SimpleLottery, StateKey, combination_holds
 from .rationals import scale_ratios, scale_rows
 from .society import CheckResult, Profile, Society
 
@@ -43,8 +42,7 @@ def _solution(red: linalg.Reduction, n: int) -> list[Fraction] | None:
     return sol
 
 
-@dataclass(frozen=True)
-class SpanProblem:
+class SpanProblem(Record):
     """Stacked profile matrix: row 0 is constantly 1, row i is agent i's table.
 
     ``columns`` holds u_1 ... u_n and v in state order as each table's
@@ -168,8 +166,7 @@ class SpanProblem:
         return [row[k:] for row in linalg.reduce_rows(square).rows]
 
 
-@dataclass(frozen=True)
-class LotteryWitnessPair:
+class LotteryWitnessPair(Record):
     """Two full-support lotteries built from a perturbation of the uniform one."""
 
     p: SimpleLottery
@@ -178,8 +175,7 @@ class LotteryWitnessPair:
     lam: Fraction
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(Record):
     """Outcome of weight recovery; the identity is re-verified before return."""
 
     success: bool

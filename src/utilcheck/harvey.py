@@ -52,12 +52,11 @@ something reads them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable
 
-from .core import StateKey, combination_holds
+from .core import Record, StateKey, combination_holds
 from .harsanyi import SpanProblem
 from .society import CheckResult, Profile, Society, check_semi_separable
 
@@ -70,8 +69,7 @@ class DifferenceMapError(ValueError):
         self.conflict = (first, second)
 
 
-@dataclass(frozen=True)
-class PairScan:
+class PairScan(Record):
     """Scaled ethical differences by packed difference vector, from one pass over the pairs.
 
     The full scan: every realized difference vector is a key.  It runs only
@@ -91,7 +89,6 @@ class PairScan:
     conflict: tuple[tuple[StateKey, StateKey], tuple[StateKey, StateKey]] | None
 
 
-@dataclass(frozen=True)
 class DifferenceMap(PairScan):
     """F on the axis vectors (``conflict`` is None), with each agent's difference grid.
 
@@ -143,8 +140,7 @@ class DifferenceMap(PairScan):
         return all(a < b for a, b in zip(values, values[1:]))
 
 
-@dataclass(frozen=True)
-class _Ints:
+class _Ints(Record):
     """One profile's tables in state order as scaled ints, and each state's packed vector.
 
     ``columns[i]`` is agent i's scaled column and ``packed`` holds P(x) =
@@ -431,8 +427,7 @@ def verify_component_additivity(dm: DifferenceMap, i: int) -> CheckResult:
     return CheckResult(True)
 
 
-@dataclass(frozen=True)
-class SlopeReport:
+class SlopeReport(Record):
     slopes: tuple[Fraction, ...]
     constant_agents: tuple[str, ...]  # agents with a trivial grid, slope fixed at 1
 
@@ -487,8 +482,7 @@ def recover_constant(soc: Society, slopes, analysis: Analysis | None = None) -> 
     return b
 
 
-@dataclass(frozen=True)
-class HarveyReport:
+class HarveyReport(Record):
     success: bool
     agents: tuple[str, ...]
     weights: tuple[Fraction, ...] | None = None

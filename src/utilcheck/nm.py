@@ -17,17 +17,16 @@ for it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
 from .core import (
-    SimpleLottery, StateSpace, UtilityTable, WeakOrder, dirac, expectation, mix, same_ranking,
+    Record, SimpleLottery, StateSpace, UtilityTable, WeakOrder, dirac, expectation, mix,
+    same_ranking,
 )
 
 
-@dataclass(frozen=True)
-class LotteryOrderSample:
+class LotteryOrderSample(Record):
     """Finite lottery list with a weak order over it and a mixture depth."""
 
     lotteries: tuple[SimpleLottery, ...]
@@ -49,8 +48,7 @@ class LotteryOrderSample:
         return [Fraction(k, 2**self.depth) for k in range(2**self.depth)]
 
 
-@dataclass(frozen=True)
-class IndependenceResult:
+class IndependenceResult(Record):
     passed: bool
     witness: tuple | None = None  # (P, Q, R, t)
     escapes: tuple = ()  # (P, Q, R, t) whose mixtures left the sample

@@ -118,7 +118,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Canonical string form, inverse of parse_rational."""
-    return str(Fraction(q))
+    return str(q if type(q) is Fraction else Fraction(q))
 
 
 def scale_ratios(ratios: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:

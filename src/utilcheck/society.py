@@ -13,20 +13,19 @@ the first witness in state order, so results are reproducible byte for byte.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import ge
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
-    StateKey, StateSpace, UtilityTable, WeakOrder, dirac, first_disagreement, same_ranking,
+    Record, StateKey, StateSpace, UtilityTable, WeakOrder, dirac, first_disagreement,
+    same_ranking,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from .alt import AltSystem
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """PASS, or a witness demonstrating failure."""
 
     passed: bool
@@ -37,8 +36,7 @@ class CheckResult:
         return self.passed
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Record):
     """Named agent tables plus one ethical table on a common space."""
 
     tables: dict[str, UtilityTable]
@@ -48,16 +46,18 @@ class Profile:
         object.__setattr__(self, "tables", dict(self.tables))
 
 
-@dataclass(frozen=True)
-class Society:
+class Society(Record):
     space: StateSpace
     agents: tuple[str, ...]
     base: Profile
     nm: Profile | None = None
     alt: Profile | None = None
-    metadata: dict = field(default_factory=dict)
+    #: Free-form; each society gets its own empty dict when none is given.
+    metadata: dict | None = None
 
     def __post_init__(self):
+        if self.metadata is None:
+            object.__setattr__(self, "metadata", {})
         if len(self.agents) < 2:
             raise ValueError("a society needs at least two individuals")
         if len(set(self.agents)) != len(self.agents):

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Any
 
 from .core import GridDim, StateSpace, UtilityTable
-from .rationals import format_rational, parse_ratio, parse_ratios
+from .rationals import MAX_DIGITS, format_rational, parse_ratio, parse_ratios
 from .society import Profile, Society
 
 
@@ -234,17 +234,24 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
+def _parse_int(text: str) -> int:
+    """A JSON int; past ``MAX_DIGITS`` digits it is refused alike on every interpreter."""
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise SocietyFileError(f"invalid JSON: an integer has more than {MAX_DIGITS} digits")
+    return int(text)
+
+
 def parse_society(path: str, max_states: int | None = None) -> Society:
     with open(path, encoding="utf-8") as handle:
         try:
-            payload = json.load(handle, object_pairs_hook=_unique_keys)
+            payload = json.load(handle, object_pairs_hook=_unique_keys, parse_int=_parse_int)
         except json.JSONDecodeError as exc:
             raise SocietyFileError(f"invalid JSON: {exc}") from None
     return payload_to_society(payload, max_states)
 
 
 def _table_payload(table: UtilityTable, space: StateSpace) -> dict[str, str]:
-    return {s: format_rational(table[s]) for s in space.states}
+    return dict(zip(space.states, table.literals(space.states)))
 
 
 def _profile_payload(agents, profile: Profile, space: StateSpace) -> dict:

@@ -5,12 +5,11 @@ Everything is seeded; no test depends on global RNG state.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 
 from utilcheck import GridDim, Profile, Society, StateSpace, UtilityTable, linear_combination
-from utilcheck import linalg
+from utilcheck import core, linalg
 from utilcheck.harsanyi import _solution
 from utilcheck.rationals import scale_to_ints
 
@@ -193,7 +192,7 @@ def affine_grid_society() -> Society:
     intensity-side ones.
     """
     soc, _, _ = planted_coincidence_society(random.Random(0), 3, sizes=(1, 1, 2))
-    return dataclasses.replace(soc, metadata={"title": "affine-grid: planted coincidence, seed 0"})
+    return core.replace(soc, metadata={"title": "affine-grid: planted coincidence, seed 0"})
 
 
 def bent_component_society() -> Society:
@@ -246,7 +245,7 @@ def negative_weight_society() -> Society:
         random.Random(0), 2, sizes=(1, 1), weights=(Fraction(-1), Fraction(3, 2)),
         constant=Fraction(1, 2),
     )
-    return dataclasses.replace(soc, metadata={"title": "negative-weight: a0 weighted -1, seed 0"})
+    return core.replace(soc, metadata={"title": "negative-weight: a0 weighted -1, seed 0"})
 
 
 def cube_society() -> Society:

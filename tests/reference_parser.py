@@ -9,8 +9,8 @@ searched every table for missing states, and formatted every coordinate of
 every grid state.  Its literal validator is the one the package had before
 ``parse_ratio``: the same regular expression, then a checked ``Fraction``,
 with the package's one rule added: an int of more than 4300 digits (CPython's
-default conversion limit) is rejected before any int is built, with one
-message on every interpreter.
+default conversion limit), in a literal or as a JSON number, is rejected
+before any int is built, with one message on every interpreter.
 Errors are the package's ``SocietyFileError``, so text and location compare
 directly.
 """
@@ -66,7 +66,7 @@ def _product_grid(dims) -> StateSpace:
         raise ValueError("product grid needs at least one dimension")
     coords = tuple(itertools.product(*(d.points() for d in dims)))
     keys = tuple(",".join(format_rational(c) for c in point) for point in coords)
-    return StateSpace(states=keys, dims=dims, _coords=coords)
+    return StateSpace(states=keys, dims=dims)
 
 
 def _parse_space(payload: Any) -> StateSpace:
@@ -180,10 +180,16 @@ def payload_to_society(payload: Any) -> Society:
         raise SocietyFileError(str(exc)) from None
 
 
+def _parse_int(text: str) -> int:
+    if len(text.lstrip("-")) > 4300:
+        raise SocietyFileError("invalid JSON: an integer has more than 4300 digits")
+    return int(text)
+
+
 def parse_society(path: str) -> Society:
     with open(path, encoding="utf-8") as handle:
         try:
-            payload = json.load(handle, object_pairs_hook=_unique_keys)
+            payload = json.load(handle, object_pairs_hook=_unique_keys, parse_int=_parse_int)
         except json.JSONDecodeError as exc:
             raise SocietyFileError(f"invalid JSON: {exc}") from None
     return payload_to_society(payload)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import itertools
 import json
@@ -43,7 +42,7 @@ from utilcheck import (
     sqrt_fixture,
     theorem3_pipeline,
 )
-from utilcheck import cli, coincidence, harvey, linalg
+from utilcheck import cli, coincidence, core, harvey, linalg
 
 F = Fraction
 
@@ -623,7 +622,7 @@ def test_coincide_scans_the_pairs_once(tmp_path, monkeypatch, capsys):
     assert '"status": "coincide"' in capsys.readouterr().out
     assert calls == []
     bent = Profile(soc.base.tables, cubed(soc.base.ethical))
-    path.write_text(emit_society(dataclasses.replace(soc, base=bent)), encoding="utf-8")
+    path.write_text(emit_society(core.replace(soc, base=bent)), encoding="utf-8")
     assert cli.main(["coincide", str(path), "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert {h["name"]: h["verdict"] for h in payload["hypotheses"]}["axiom-I"] == "FAIL"
@@ -727,7 +726,7 @@ def test_an_alt_profile_runs_no_dominance_loop(monkeypatch):
         coincidence, "check_pareto_on_lattice", lambda soc: lattices.append(soc) or real(soc)
     )
     soc, _, _ = planted_coincidence_society(random.Random(97), 3)
-    soc = dataclasses.replace(
+    soc = core.replace(
         soc,
         base=Profile(soc.base.tables, cubed(soc.base.ethical)),
         alt=Profile(soc.base.tables, soc.base.ethical),
@@ -753,7 +752,7 @@ def test_validate_runs_the_loop_once(monkeypatch):
     calls.clear()
     alt_tables = {a: t.affine(F(2), F(-1)) for a, t in soc.base.tables.items()}
     alt = Profile(alt_tables, soc.base.ethical.affine(F(3), F(1)))
-    with_alt = dataclasses.replace(base_only, alt=alt)
+    with_alt = core.replace(base_only, alt=alt)
     assert cli_report(with_alt, "validate")["all_passed"] is True
     assert calls == []
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -29,7 +28,7 @@ from utilcheck import (
     sqrt_fixture,
     verify_component_additivity,
 )
-from utilcheck import cli, coincidence, harsanyi, harvey
+from utilcheck import cli, coincidence, core, harsanyi, harvey
 from utilcheck.society import check_pareto_criterion
 
 F = Fraction
@@ -314,7 +313,7 @@ def test_chain_rule_detects_corruption():
     bumped = dict(scan.table)
     key = next(c for c in bumped if c)
     bumped[key] += 1
-    corrupted = dataclasses.replace(scan, table=bumped)
+    corrupted = core.replace(scan, table=bumped)
     assert chain_rule_violation(soc, corrupted) is not None
 
 
@@ -391,7 +390,7 @@ def test_component_additivity_detects_corruption():
     bumped = dict(dm.table)
     bumped[dm.radices[1]] += 1
     bumped[-dm.radices[1]] -= 1
-    corrupted = dataclasses.replace(dm, table=bumped)
+    corrupted = core.replace(dm, table=bumped)
     assert corrupted.components[1][F(1, 2)] == F(1)
     result = verify_component_additivity(corrupted, 1)
     assert not result.passed

@@ -18,7 +18,6 @@ pipeline.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -372,7 +371,7 @@ def test_component_additivity_matches_fraction_oracle(soc, data):
             key = data.draw(st.sampled_from(points)) * dm.radices[i]
             table[key] += delta
             table[-key] -= delta if corruption == "axis" else 0
-        dm = dataclasses.replace(dm, table=table)
+        dm = core.replace(dm, table=table)
     for k in range(soc.n):
         assert verify_component_additivity(dm, k) == oracle.verify_component_additivity(dm, k)
         assert dm.component_monotone(k) == oracle.component_monotone(dm, k)

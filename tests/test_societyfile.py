@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_parser as oracle
-from utilcheck import GridDim, Profile, Society, StateSpace, UtilityTable, emit_society
+from utilcheck import GridDim, Profile, Society, StateSpace, UtilityTable, cli, emit_society
 from utilcheck.rationals import MAX_DIGITS, parse_ratio, parse_ratios
 from utilcheck.societyfile import (
     SocietyFileError,
@@ -278,11 +278,50 @@ def test_files_parse_or_fail_alike(tmp_path, text):
     )
 
 
+def test_an_over_long_json_int_is_rejected_alike_on_every_interpreter(tmp_path, capsys):
+    # json.load would raise CPython's own digit-limit error, worded by version.
+    message = f"invalid JSON: an integer has more than {MAX_DIGITS} digits"
+    payload = _repeated_literal_payload()
+    path = tmp_path / "society.json"
+    for n in ("1" * 4301, "-" + "9" * 4301, f"[0, {'1' * 4301}]"):
+        text = json.dumps({"metadata": {"n": 0}, **payload}).replace('"n": 0', f'"n": {n}')
+        path.write_text(text, encoding="utf-8")
+        for parse in (parse_society, oracle.parse_society):
+            with pytest.raises(SocietyFileError) as err:
+                parse(str(path))
+            assert str(err.value) == message
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    longest = -int("9" * MAX_DIGITS)
+    path.write_text(json.dumps({"metadata": {"n": longest}, **payload}), encoding="utf-8")
+    assert parse_society(str(path)).metadata == {"n": longest}
+
+
 def test_grid_keys_match_the_per_coordinate_format():
     dims = [GridDim("x", F(-1, 2), F(1, 2), F(1, 4)), GridDim("y", F(0), F(3), F(3, 2))]
     space = StateSpace.product_grid(dims)
     assert space == oracle._product_grid(dims)
     assert space.states[:3] == ("-1/2,0", "-1/2,3/2", "-1/2,3")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-20, max_value=20, max_denominator=60),
+            st.fractions(min_value=F(1, 90), max_value=9, max_denominator=90),
+            st.integers(0, 3),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_grid_labels_and_coordinates_equal_the_formatted_points(axes):
+    dims = [GridDim(f"x{i}", lo, lo + step * 2**m, step) for i, (lo, step, m) in enumerate(axes)]
+    space = StateSpace.product_grid(dims)
+    points = list(itertools.product(*(d.points() for d in dims)))
+    assert space.states == oracle._product_grid(dims).states
+    assert [space.coords(s) for s in space.states] == points
 
 
 def _distinct_literal_payload(n: int = 80) -> dict:
