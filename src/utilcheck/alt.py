@@ -101,7 +101,7 @@ def check_consistency(a: AltSystem) -> CheckResult:
         for x, y, z in itertools.product(range(n), repeat=3)
         if (columns[y][x] >= columns[y][y]) != (columns[z][x] >= columns[z][y])
     )
-    return CheckResult(False, witness=(a.states[x], a.states[y], a.states[z]))
+    return CheckResult(False, (a.states[x], a.states[y], a.states[z]))
 
 
 def check_crossover(a: AltSystem) -> CheckResult:
@@ -132,7 +132,7 @@ def check_crossover(a: AltSystem) -> CheckResult:
     )
     if first is None:
         return CheckResult(True)
-    return CheckResult(False, witness=tuple(a.states[k] for k in first))
+    return CheckResult(False, tuple(a.states[k] for k in first))
 
 
 def alt_represents(u: UtilityTable, a: AltSystem) -> CheckResult:
@@ -149,7 +149,7 @@ def alt_represents(u: UtilityTable, a: AltSystem) -> CheckResult:
     if found is None:
         return CheckResult(True)
     (i, j), n = found, len(a.states)
-    return CheckResult(False, witness=tuple(a.states[k] for k in (*divmod(i, n), *divmod(j, n))))
+    return CheckResult(False, tuple(a.states[k] for k in (*divmod(i, n), *divmod(j, n))))
 
 
 class StandardSequence(Record):

@@ -37,7 +37,6 @@ import itertools
 from fractions import Fraction
 from typing import Mapping
 
-from . import linalg
 from .alt import AltSystem
 from .core import (
     Record, StateKey, StateSpace, UtilityTable, WeakOrder, linear_combination, replace,
@@ -45,13 +44,11 @@ from .core import (
 from .harsanyi import check_axiom_i, recover_weights
 from .harvey import Analysis, check_axiom_I
 from .nm import affine_relation
-from .rationals import scale_to_ints
 from .society import (
     Profile,
     Society,
     check_pareto_criterion,
     check_pareto_on_lattice,
-    check_semi_separable,
     matches,
     order_disagreement,
     semi_separability,
@@ -448,7 +445,7 @@ def theorem3_pipeline(soc: Society) -> CoincidenceReport:
     try:
         norm = normalize_for_theorem3(soc, analysis)
     except NormalizationError as exc:
-        return CoincidenceReport(RECOVERY_FAILURE, records, detail=str(exc))
+        return CoincidenceReport(status=RECOVERY_FAILURE, hypotheses=records, detail=str(exc))
     alt, nm = soc.alt_side(), soc.nm_side()
     return _affinity_report(
         records,
@@ -552,16 +549,21 @@ def simplex_counterexample(resolution: Fraction) -> SimplexFixture:
     """Both profiles on the budget line, sharing every order but never affine.
 
     States are (x1, 1 - x1) with sqrt(x1) running over the dyadic grid of
-    the given resolution, so both sqrt(x1) and x1**2 are exact.  The
-    construction verifies its own advertised facts: the starred ethical
-    table collapses to 2*x1 pointwise, the profiles are linearly
-    independent, agent 1's two tables are not affinely related, and the
-    society fails semi-separability (with the first witness profile) while
-    every other aggregation hypothesis holds.
+    the given resolution, a unit fraction in (0, 1/2], so both sqrt(x1) and
+    x1**2 are exact (at resolution 1 the two states make any two tables
+    affine).  The construction verifies its own advertised facts: the
+    starred ethical table collapses to 2*x1 pointwise, agent 1's two tables
+    are not affinely related, and of the ``HYPOTHESIS_CHECKS`` battery that
+    ``validate`` prints, run on one ``Analysis``, only semi-separability
+    fails (its first witness profile is kept).  The battery reduces each
+    profile's rows once, the base one for the Pareto certificate (no state
+    of the line has a single-agent neighbour) and the lottery one for axiom
+    (i); those two reductions show each profile independent together with
+    the constant row.
     """
     resolution = Fraction(resolution)
-    if not (0 < resolution <= 1) or resolution.numerator != 1:
-        raise ValueError("resolution must be a unit fraction in (0, 1]")
+    if resolution.numerator != 1 or resolution.denominator == 1:
+        raise ValueError("resolution must be a unit fraction in (0, 1/2]")
     den = resolution.denominator
     if den & (den - 1):
         raise ValueError("resolution must be a negative power of two")
@@ -584,10 +586,6 @@ def simplex_counterexample(resolution: Fraction) -> SimplexFixture:
             raise AssertionError("starred ethical table is not 2*x1")
     if affine_relation(u1, u1_star) is not None:
         raise AssertionError("agent 1 tables unexpectedly affine")
-    for pair in ([u1, u2], [u1_star, u2_star]):
-        rows = [scale_to_ints([t[s] for s in keys])[1] for t in pair]
-        if len(linalg.reduce_rows(rows).pivots) != 2:
-            raise AssertionError("profile tables are linearly dependent")
 
     society = Society.from_tables(
         space,
@@ -596,19 +594,16 @@ def simplex_counterexample(resolution: Fraction) -> SimplexFixture:
         nm=Profile({"agent1": u1_star, "agent2": u2_star}, v_star),
         metadata={"title": f"simplex-fixture resolution={resolution}"},
     )
-    semi = check_semi_separable(society)
-    if semi.passed:
-        raise AssertionError("fixture unexpectedly semi-separable")
-    for name, result in (
-        ("pareto", check_pareto_criterion(society)),
-        ("axiom-I", check_axiom_I(society)),
-        ("axiom-i", check_axiom_i(society)),
-    ):
-        if not result:
-            raise AssertionError(f"fixture unexpectedly fails {name}")
+    analysis = Analysis(society)
+    failed = [name for name, check in HYPOTHESIS_CHECKS if not check(society, analysis).passed]
+    if failed != ["semi-separability"]:
+        raise AssertionError(f"fixture fails {failed}, not semi-separability alone")
+    for profile in (society.base, society.nm):
+        if not analysis.span_of(profile).rows_independent():
+            raise AssertionError("profile tables are linearly dependent")
     return SimplexFixture(
         society=society,
         resolution=resolution,
         x1_values=tuple(x1_values),
-        semi_separability_witness=tuple(semi.witness),
+        semi_separability_witness=tuple(analysis.semi_separability.witness),
     )

@@ -265,7 +265,7 @@ def check_axiom_i(soc: Society, analysis: Analysis | None = None) -> CheckResult
         return CheckResult(True)
     pair = _perturbed_pair(problem.separating_null_vector(), problem.states)
     _verify_witness(soc, pair)
-    return CheckResult(False, witness=pair)
+    return CheckResult(False, pair)
 
 
 def recover_weights(soc: Society, analysis: Analysis | None = None) -> WeightReport:

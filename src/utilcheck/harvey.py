@@ -356,7 +356,7 @@ def check_axiom_I(soc: Society, analysis: Analysis | None = None) -> CheckResult
     if conflict is None:
         return CheckResult(True)
     pair, stored = conflict
-    return CheckResult(False, witness=pair + stored)
+    return CheckResult(False, pair + stored)
 
 
 def build_difference_map(soc: Society, analysis: Analysis | None = None) -> DifferenceMap:
@@ -399,7 +399,7 @@ def build_difference_map(soc: Society, analysis: Analysis | None = None) -> Diff
             if rest:
                 raise AssertionError("certified axis value is not an int")
     return DifferenceMap(
-        table, ints.scales, ints.radices, ints.ethical_scale, None, agents=soc.agents, grids=grids
+        table, ints.scales, ints.radices, ints.ethical_scale, None, soc.agents, grids
     )
 
 
@@ -415,15 +415,14 @@ def verify_component_additivity(dm: DifferenceMap, i: int) -> CheckResult:
     scale, radix = dm.scales[i], dm.radices[i]
     f = {c: dm.table[c * radix] for c in dm.grids[i]}
     if f[0] != 0:
-        return CheckResult(False, witness=(Fraction(0), Fraction(0)), description="F_i(0) != 0")
+        return CheckResult(False, (Fraction(0), Fraction(0)))
     for c in f:
         if f[-c] != -f[c]:
-            witness = (Fraction(c, scale), Fraction(-c, scale))
-            return CheckResult(False, witness=witness, description="F_i(-c) != -F_i(c)")
+            return CheckResult(False, (Fraction(c, scale), Fraction(-c, scale)))
     for c in f:
         for c1 in f:
             if c + c1 in f and f[c] + f[c1] != f[c + c1]:
-                return CheckResult(False, witness=(Fraction(c, scale), Fraction(c1, scale)))
+                return CheckResult(False, (Fraction(c, scale), Fraction(c1, scale)))
     return CheckResult(True)
 
 
@@ -499,28 +498,30 @@ def harvey_recover(soc: Society, analysis: Analysis | None = None) -> HarveyRepo
     """
     if analysis is None:
         analysis = Analysis(soc)
+
+    def failure(stage: str, witness) -> HarveyReport:
+        return HarveyReport(success=False, agents=soc.agents, failed_stage=stage, witness=witness)
+
     axiom = check_axiom_I(soc, analysis)
     if not axiom:
-        return HarveyReport(False, soc.agents, failed_stage="axiom-I", witness=axiom.witness)
+        return failure("axiom-I", axiom.witness)
     try:
         dm = build_difference_map(soc, analysis)
     except ValueError as exc:  # the axiom-I pass leaves only semi-separability to fail
-        return HarveyReport(False, soc.agents, failed_stage="semi-separability", witness=str(exc))
+        return failure("semi-separability", str(exc))
     for i, (name, bend) in enumerate(zip(soc.agents, dm.bends)):
         if bend is None:
             continue
         add = verify_component_additivity(dm, i)
         if not add:
-            return HarveyReport(
-                False, soc.agents, failed_stage=f"additivity:{name}", witness=add.witness
-            )
+            return failure(f"additivity:{name}", add.witness)
     try:
         slope_report = extract_slopes(dm)
     except ValueError as exc:
-        return HarveyReport(False, soc.agents, failed_stage="slopes", witness=str(exc))
+        return failure("slopes", str(exc))
     return HarveyReport(
-        True,
-        soc.agents,
+        success=True,
+        agents=soc.agents,
         weights=slope_report.slopes,
         constant=recover_constant(soc, slope_report.slopes, analysis),
         constant_agents=slope_report.constant_agents,

@@ -138,10 +138,8 @@ def check_independence(sample: LotteryOrderSample) -> IndependenceResult:
                         escapes.append((p, q, r, t))
                         continue
                     if not order.strict(mp, mq):
-                        return IndependenceResult(
-                            False, witness=(p, q, r, t), escapes=tuple(escapes)
-                        )
-    return IndependenceResult(True, escapes=tuple(escapes))
+                        return IndependenceResult(False, (p, q, r, t), tuple(escapes))
+    return IndependenceResult(passed=True, escapes=tuple(escapes))
 
 
 def nm_represents(u: UtilityTable, sample: LotteryOrderSample) -> bool:

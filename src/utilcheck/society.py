@@ -26,11 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class CheckResult(Record):
-    """PASS, or a witness demonstrating failure."""
+    """PASS, or a witness demonstrating failure; a caller words the failure (a record's detail)."""
 
     passed: bool
     witness: object = None
-    description: str = ""
 
     def __bool__(self) -> bool:
         return self.passed
@@ -130,26 +129,27 @@ def pareto_dominates(soc: Society, x: StateKey, y: StateKey) -> bool:
 def check_pareto_criterion(soc: Society) -> CheckResult:
     """Every dominated pair must be ranked strictly by the ethical order.
 
-    Each state's value vector is read once; x dominates y exactly when the
-    vectors differ and x's is weakly greater in every coordinate.  The
-    comparisons run on the scaled tables; a positive scale keeps every one
-    of them, so the verdict and the witness are those of the same
-    comparisons on the Fractions.  The loop is O(|X|^2 n), and it stops at
-    the first witness.  The pareto hypothesis record, which ``validate``
-    and ``coincide`` share, runs it only when a linear certificate of the
-    base tables has a nonpositive slope, or when there is no certificate
-    and the society is not semi-separable.  A slope read off the first
-    state's single-agent neighbour makes that pair a witness, so the loop
-    stops by the neighbour's row.  A semi-separable society without a
-    certificate is decided by ``check_pareto_on_lattice``.
+    The witness is the first (x, y) in state order with x dominating y and
+    v(x) <= v(y): for each x in turn, ``_first_dominated``, the dominance
+    test ``check_pareto_on_lattice`` shares, scans for y.  The comparisons
+    run on the scaled tables; a positive scale keeps every one of them, so
+    the verdict and the witness are those on the Fractions.  The loop is
+    O(|X|^2 n), and it stops at the first witness.  The pareto hypothesis
+    record, which ``validate``, ``coincide`` and the simplex fixture's
+    self-check share, runs it only when a linear certificate of the base
+    tables has a nonpositive slope, or when there is no certificate and the
+    society is not semi-separable.  A slope read off the first state's
+    single-agent neighbour makes that pair a witness, so the loop stops by
+    the neighbour's row.  A semi-separable society without a certificate is
+    decided by ``check_pareto_on_lattice``.
     """
     states = soc.space.states
     vectors = list(zip(*(_column(soc.base.tables[a], states) for a in soc.agents)))
     ethical = _column(soc.base.ethical, states)
     for x, cx, vx in zip(states, vectors, ethical):
-        for y, cy, vy in zip(states, vectors, ethical):
-            if vx <= vy and cx != cy and all(map(ge, cx, cy)):
-                return _dominance_failure(x, y)
+        y = _first_dominated(states, vectors, ethical, cx, vx)
+        if y is not None:
+            return CheckResult(False, (x, y))
     return CheckResult(True)
 
 
@@ -200,18 +200,18 @@ def check_pareto_on_lattice(soc: Society) -> CheckResult:
     else:
         return CheckResult(True)
     cx = tuple(column[j] for column in columns)
-    y = next(
-        y
-        for y, cy, vy in zip(states, zip(*columns), ethical)
-        if e <= vy and cy != cx and all(map(ge, cx, cy))
-    )
-    return _dominance_failure(states[j], y)
+    return CheckResult(False, (states[j], _first_dominated(states, zip(*columns), ethical, cx, e)))
 
 
-def _dominance_failure(x: StateKey, y: StateKey) -> CheckResult:
-    return CheckResult(
-        False, witness=(x, y), description=f"{x!r} dominates {y!r} but is not ethically better"
-    )
+def _first_dominated(states, vectors, ethical, cx, vx) -> StateKey | None:
+    """The first y in state order that cx dominates and whose ethical value is >= vx, or None.
+
+    cx dominates cy when they differ and cx is at least cy in every coordinate.
+    """
+    for y, cy, vy in zip(states, vectors, ethical):
+        if vx <= vy and cx != cy and all(map(ge, cx, cy)):
+            return y
+    return None
 
 
 def _column(table: UtilityTable, states: Sequence[StateKey]) -> list[int]:
@@ -248,11 +248,7 @@ def semi_separability(tables: Sequence[UtilityTable], states: Sequence[StateKey]
         k = next(k for k, c in enumerate(column) if extending[prefix + (c,)] < completions[j + 1])
         prefix += (column[k],)
         witness.append(states[k])
-    return CheckResult(
-        False,
-        witness=tuple(witness),
-        description="no single state is indifferent to this profile agent-wise",
-    )
+    return CheckResult(False, tuple(witness))
 
 
 def check_semi_separable(soc: Society, profile: Profile | None = None) -> CheckResult:

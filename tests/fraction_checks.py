@@ -165,11 +165,7 @@ def semi_separability(tables, states) -> CheckResult:
         state = next(s for s in states if extending[prefix + (t[s],)] < completions[j + 1])
         prefix += (t[state],)
         witness.append(state)
-    return CheckResult(
-        False,
-        witness=tuple(witness),
-        description="no single state is indifferent to this profile agent-wise",
-    )
+    return CheckResult(False, witness=tuple(witness))
 
 
 def is_combination(target, tables, weights, constant=Fraction(0)) -> bool:
@@ -308,10 +304,10 @@ def verify_component_additivity(dm, i: int) -> CheckResult:
     grid = dm.diff_grids[i]
     zero = Fraction(0)
     if comp[zero] != 0:
-        return CheckResult(False, witness=(zero, zero), description="F_i(0) != 0")
+        return CheckResult(False, witness=(zero, zero))
     for c in grid:
         if comp[-c] != -comp[c]:
-            return CheckResult(False, witness=(c, -c), description="F_i(-c) != -F_i(c)")
+            return CheckResult(False, witness=(c, -c))
     grid_set = set(grid)
     for c in grid:
         for c1 in grid:

@@ -92,6 +92,14 @@ def test_fixture_stdout_is_the_shipped_file(argv, name):
     assert result.stdout == (FIXTURES / name).read_text(encoding="utf-8")
 
 
+def test_fixture_simplex_at_resolution_one_is_an_input_error():
+    # The line's two states make any two tables affine: no fixture exists.
+    result = run_cli("fixture", "simplex", "--resolution", "1")
+    assert result.returncode == 2
+    assert result.stderr == "error: resolution must be a unit fraction in (0, 1/2]\n"
+    assert result.stdout == ""
+
+
 def test_round_trip_is_byte_identical():
     for bundle in (simplex_counterexample(F(1, 4)), sqrt_fixture(4, F(1, 2))):
         text = emit_society(bundle.society)

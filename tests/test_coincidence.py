@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import random
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -478,11 +479,35 @@ def test_simplex_fixture_pipeline_fails_only_semi_separability():
         assert rec.passed == (rec.name != "semi-separability")
 
 
+@pytest.mark.parametrize("flipped", [name for name, _ in coincidence.HYPOTHESIS_CHECKS])
+def test_simplex_fixture_rejects_any_battery_but_semi_separability_alone(monkeypatch, flipped):
+    # Flip one record's verdict: the builder must refuse, naming what failed.
+    def flip(fn):
+        def record(soc, analysis):
+            rec = fn(soc, analysis)
+            return core.replace(rec, passed=not rec.passed)
+
+        return record
+
+    checks = tuple(
+        (name, flip(fn) if name == flipped else fn) for name, fn in coincidence.HYPOTHESIS_CHECKS
+    )
+    monkeypatch.setattr(coincidence, "HYPOTHESIS_CHECKS", checks)
+    failed = [n for n, _ in checks if (n == "semi-separability") != (n == flipped)]
+    with pytest.raises(AssertionError, match=re.escape(f"fixture fails {failed},")):
+        simplex_counterexample(F(1, 4))
+
+
 def test_simplex_fixture_resolution_validation():
     with pytest.raises(ValueError):
         simplex_counterexample(F(1, 3))
     with pytest.raises(ValueError):
         simplex_counterexample(F(2, 4 + 1))
+    # Two states make any two tables affine, so resolution 1 has no fixture.
+    for resolution in (F(1), F(0), F(-1, 2), F(2)):
+        with pytest.raises(ValueError, match=r"unit fraction in \(0, 1/2\]"):
+            simplex_counterexample(resolution)
+    assert len(simplex_counterexample(F(1, 2)).society.space) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ reports must still be the goldens, pinned before the fast paths existed.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -228,6 +229,27 @@ def test_simplex_runs_no_loop_and_no_scan(monkeypatch, capsys):
     assert _stdout(capsys, "coincide", simplex, "--json") == (
         1, (GOLDEN / "coincide_simplex.json").read_text()
     )
+
+
+#: sha256 of ``fixture simplex --resolution 1/512``'s stdout, taken before the
+#: builder certified itself with the hypothesis battery.
+SIMPLEX_512_SHA256 = "7fddbc8c66ae9b4795e0145820e92ca99d7cefba2cf65369de8697de6d6ab68e"
+
+
+def test_simplex_builder_runs_no_loop_no_scan_and_two_reductions(monkeypatch, capsys):
+    # Its battery reduces each profile once, and no other reduction runs.
+    _forbid_loop(monkeypatch)
+    _forbid_scan(monkeypatch)
+    calls = []
+    real = linalg.reduce_rows
+    monkeypatch.setattr(linalg, "reduce_rows", lambda rows: calls.append(rows) or real(rows))
+    coincidence.simplex_counterexample(F(1, 4))
+    assert len(calls) == 2
+    assert _stdout(capsys, "fixture", "simplex", "--resolution", "1/4") == (
+        0, (FIXTURES / "simplex.json").read_text()
+    )
+    code, out = _stdout(capsys, "fixture", "simplex", "--resolution", "1/512")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == SIMPLEX_512_SHA256
 
 
 @pytest.mark.parametrize(

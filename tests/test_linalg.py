@@ -152,10 +152,11 @@ def test_every_command_hands_the_kernel_int_rows(kernel_inputs, capsys, fixture)
 def test_witness_paths_hand_the_kernel_int_rows(kernel_inputs):
     # A failed axiom (i) reduces [1 | u | v], then solves for its null
     # vector; each sign witness reduces [1 | u | v] and inverts a regular
-    # square submatrix; the simplex fixture checks that each of its two
-    # profiles is independent and that it passes axiom (i) and axiom (I),
-    # which reduces the intensity side, since no state of the budget line
-    # has a single-agent neighbour.
+    # square submatrix; the simplex fixture's battery reduces each of its
+    # two profiles once: the base side for the Pareto record's and axiom
+    # (I)'s certificate, since no state of the budget line has a
+    # single-agent neighbour, and the lottery side for axiom (i).  The same
+    # two reductions show both profiles independent.
     space = StateSpace.explicit(["a", "b", "c", "d"])
 
     def table(*values):
@@ -170,5 +171,5 @@ def test_witness_paths_hand_the_kernel_int_rows(kernel_inputs):
         witness_lotteries_for_sign(soc, agent)
     assert len(kernel_inputs) == 6
     simplex_counterexample(F(1, 4))
-    assert len(kernel_inputs) == 10
+    assert len(kernel_inputs) == 8
     assert _non_ints(kernel_inputs) == []
