@@ -39,7 +39,6 @@ from .core import (
     expectation,
     first_disagreement,
     linear_combination,
-    mix,
 )
 from .harsanyi import (
     LotteryWitnessPair,
@@ -62,23 +61,13 @@ from .harvey import (
     recover_constant,
     verify_component_additivity,
 )
-from .nm import (
-    LotteryOrderSample,
-    affine_relation,
-    check_independence,
-    dyadic_mixture_lotteries,
-    nm_represents,
-    random_dyadic_lotteries,
-    sample_from_ranking,
-    sample_from_utility,
-)
+from .nm import affine_relation
 from .rationals import format_rational, parse_rational
 from .society import (
     CheckResult,
     Profile,
     Society,
     check_pareto_criterion,
-    check_probabilistic_extension,
     check_semi_separable,
     matches,
     order_disagreement,

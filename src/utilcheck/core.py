@@ -200,17 +200,27 @@ class UtilityTable:
     A table has three views of its values: ``values`` maps each state to its
     Fraction, ``ratios`` maps it to that Fraction's ints (p, q) in lowest
     terms, and ``scaled`` is the LCM of the denominators with each state's
-    value times it as an int.  A table built from Fractions holds
-    ``values``; a parsed table arrives as ``ratios`` (``from_ratios``), so
-    no Fraction is built for it unless something reads ``values`` whole,
-    and ``__getitem__`` builds just the one it returns.  Every other view is
-    built on first read and kept, and tables are never changed.  ``states``,
-    ``covers`` and ``is_constant`` read the view the table holds.  Equality
-    is pointwise exact equality, decided on the canonical ratios.
+    value times it as an int.  A table built from Fractions or ints holds
+    ``values``, each int as its Fraction; any other value, a float
+    included, raises TypeError naming its state.  A parsed table arrives as
+    ``ratios`` (``from_ratios``), so no Fraction is built for it unless
+    something reads ``values`` whole, and ``__getitem__`` builds just the
+    one it returns.  Every other view is built on first read and kept, and
+    tables are never changed.  ``states``, ``covers`` and ``is_constant``
+    read the view the table holds.  Equality is pointwise exact equality,
+    decided on the canonical ratios.
     """
 
-    def __init__(self, values: Mapping[StateKey, Fraction]):
-        self.__dict__["values"] = dict(values)
+    def __init__(self, values: Mapping[StateKey, Fraction | int]):
+        values = dict(values)
+        if not {*map(type, values.values())} <= {Fraction}:
+            for s, v in values.items():
+                if isinstance(v, int):
+                    values[s] = Fraction(v)
+                elif not isinstance(v, Fraction):
+                    kind = type(v).__name__
+                    raise TypeError(f"state {s!r}: {kind} {v!r} is not an int or a Fraction")
+        self.__dict__["values"] = values
 
     @classmethod
     def from_ratios(cls, ratios: dict[StateKey, tuple[int, int]]) -> "UtilityTable":
@@ -225,8 +235,8 @@ class UtilityTable:
 
     @classmethod
     def on_coords(cls, space: StateSpace, fn: Callable[..., Fraction]) -> "UtilityTable":
-        """Build from a function of the grid coordinates."""
-        return cls({s: Fraction(fn(*space.coords(s))) for s in space.states})
+        """Build from a function of the grid coordinates, which returns an int or a Fraction."""
+        return cls({s: fn(*space.coords(s)) for s in space.states})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"UtilityTable is immutable: cannot set {name!r}")
@@ -372,19 +382,6 @@ def dirac(state: StateKey) -> SimpleLottery:
     return SimpleLottery(((state, Fraction(1)),))
 
 
-def mix(p: SimpleLottery, q: SimpleLottery, t: Fraction) -> SimpleLottery:
-    """The compound lottery (1-t)p + tq, support pruned of zeros."""
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise ValueError(f"mixture weight {t} outside [0, 1]")
-    out: dict[StateKey, Fraction] = {}
-    for s, pr in p.probs:
-        out[s] = (1 - t) * pr
-    for s, pr in q.probs:
-        out[s] = out.get(s, Fraction(0)) + t * pr
-    return SimpleLottery.from_mapping(out)
-
-
 def expectation(p: SimpleLottery, u: UtilityTable) -> Fraction:
     """Exact expected value of u under p."""
     total = Fraction(0)
@@ -468,10 +465,6 @@ class WeakOrder:
     def from_utility(cls, table: UtilityTable, items=None) -> "WeakOrder":
         items = tuple(items) if items is not None else tuple(table.states())
         return cls(items, table)
-
-    @classmethod
-    def from_values(cls, items, values: Mapping) -> "WeakOrder":
-        return cls(items, values)
 
     @classmethod
     def from_pairs(cls, items, geq_pairs) -> "WeakOrder":

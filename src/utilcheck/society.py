@@ -17,8 +17,7 @@ from operator import ge
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
-    Record, StateKey, StateSpace, UtilityTable, WeakOrder, dirac, first_disagreement,
-    same_ranking,
+    Record, StateKey, StateSpace, UtilityTable, WeakOrder, first_disagreement, same_ranking,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -258,16 +257,6 @@ def check_semi_separable(soc: Society, profile: Profile | None = None) -> CheckR
     """
     profile = soc.base if profile is None else profile
     return semi_separability([profile.tables[a] for a in soc.agents], soc.space.states)
-
-
-def check_probabilistic_extension(ext: WeakOrder, base: WeakOrder) -> bool:
-    """True iff ext agrees with base on all point-mass lotteries."""
-    points = [dirac(x) for x in base.items]
-    lotteries = set(ext.items)
-    for x, p in zip(base.items, points):
-        if p not in lotteries:
-            raise KeyError(f"point-mass lottery for {x!r} missing from the extension")
-    return same_ranking([base.table[x] for x in base.items], [ext.table[p] for p in points])
 
 
 def order_disagreement(

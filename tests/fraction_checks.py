@@ -15,9 +15,8 @@ check on those components.
 
 Order agreement is one sort in the package (``core.same_ranking``), which
 ``core.first_disagreement`` runs before its search, and a weak order is one
-table.  Kept here: the brute-force pair scan, the weak order stored as its
-set of weakly-preferred pairs, and the pair loops of the
-probabilistic-extension and NM-representation checks.
+table.  Kept here: the brute-force pair scan and the weak order stored as
+its set of weakly-preferred pairs.
 
 The intensity-system checks decide on an ``AltSystem``'s int pair ranks
 (``AltSystem.ranks``): consistency by one sort per rank column, crossover
@@ -40,8 +39,6 @@ from utilcheck import (
     build_difference_map,
     check_axiom_I,
     linear_combination,
-    dirac,
-    expectation,
     recover_constant,
 )
 from utilcheck.coincidence import (
@@ -129,26 +126,6 @@ class PairWeakOrder:
                 out[x] = len(reps_list)
                 reps_list.append(x)
         return out
-
-
-def check_probabilistic_extension(ext, base) -> bool:
-    for x in base.items:
-        if dirac(x) not in ext.items:
-            raise KeyError(f"point-mass lottery for {x!r} missing from the extension")
-    for x in base.items:
-        for y in base.items:
-            if base.geq(x, y) != ext.geq(dirac(x), dirac(y)):
-                return False
-    return True
-
-
-def nm_represents(u, sample) -> bool:
-    ev = {lot: expectation(lot, u) for lot in sample.lotteries}
-    for p in sample.lotteries:
-        for q in sample.lotteries:
-            if sample.order.geq(p, q) != (ev[p] >= ev[q]):
-                return False
-    return True
 
 
 def semi_separability(tables, states) -> CheckResult:

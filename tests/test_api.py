@@ -1,0 +1,55 @@
+"""The package's public names, and what its modules may import.
+
+``utilcheck.__all__`` is pinned, so that any change to the public API shows
+up in a diff of this file.  No module imports ``random``: every verdict is
+decided exactly, and none may rest on a sample.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import utilcheck
+
+SRC = Path(utilcheck.__file__).resolve().parent
+
+PUBLIC_NAMES = [
+    "AgentVerdict", "AltSystem", "Analysis", "CheckResult", "CoincidenceReport", "DifferenceMap",
+    "DifferenceMapError", "GridDim", "HarveyReport", "LotteryWitnessPair",
+    "MissingGridPointError", "NormalizationError", "Profile", "SimpleLottery", "SimplexFixture",
+    "Society", "SocietyFileError", "SpanProblem", "SqrtFixture", "StandardSequence",
+    "StateSpace", "UtilityTable", "ViolationWitness", "WeakOrder", "WeightReport",
+    "affine_relation", "alt", "alt_represents", "build_difference_map",
+    "build_standard_sequence", "check_axiom_I", "check_axiom_i", "check_consistency",
+    "check_crossover", "check_pareto_criterion", "check_semi_separable", "coincidence", "core",
+    "dirac", "emit_society", "expectation", "extract_slopes", "first_disagreement",
+    "format_rational", "harsanyi", "harvey", "harvey_recover", "linalg", "linear_combination",
+    "matches", "nm", "normalize_for_theorem3", "order_disagreement", "pareto_dominates",
+    "parse_rational", "parse_society", "positive_reweighting", "proposition1_check",
+    "rationals", "reconstruct_alt_utility", "recover_constant", "recover_weights",
+    "same_weak_order", "simplex_counterexample", "society", "society_to_payload",
+    "societyfile", "sqrt_fixture", "theorem3_pipeline", "verify_component_additivity",
+    "witness_lotteries_for_sign",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(utilcheck.__all__) == PUBLIC_NAMES
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The top-level name of every absolute module the file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_random():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert [p.name for p in modules if "random" in _imported_modules(p)] == []

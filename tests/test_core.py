@@ -21,13 +21,12 @@ from utilcheck import (
     UtilityTable,
     WeakOrder,
     check_pareto_criterion,
-    check_probabilistic_extension,
     check_semi_separable,
     dirac,
     expectation,
+    harvey_recover,
     linear_combination,
     matches,
-    mix,
     parse_rational,
     pareto_dominates,
     same_weak_order,
@@ -73,6 +72,36 @@ def test_table_must_cover_space():
     assert not extra.covers(space)
 
 
+def test_tables_hold_ints_as_fractions():
+    table = UtilityTable({"a": 3, "b": F(1, 2), "c": -1})
+    assert table.values == {"a": F(3), "b": F(1, 2), "c": F(-1)}
+    assert all(type(v) is Fraction for v in table.values.values())
+    assert table == UtilityTable({"a": F(3), "b": F(1, 2), "c": F(-1)})
+    assert table.literals(["a", "b", "c"]) == ["3", "1/2", "-1"]
+    space = StateSpace.product_grid([GridDim("x", F(0), F(1), F(1, 2))])
+    doubled = UtilityTable.on_coords(space, lambda x: 2 * x if x else 0)
+    assert doubled.values == {"0": F(0), "1/2": F(1), "1": F(2)}
+    assert type(doubled["0"]) is Fraction
+
+
+def test_tables_refuse_inexact_values():
+    # A float kept in a table turned the arithmetic on it float: a grid
+    # society with E = 0.1 * x + y failed Harvey's recovery and the pipeline.
+    with pytest.raises(TypeError, match=r"state 'b': float 0\.1 is not an int or a Fraction"):
+        UtilityTable({"a": F(0), "b": 0.1})
+    with pytest.raises(TypeError, match=r"state 'a': str '1/2' is not an int or a Fraction"):
+        UtilityTable({"a": "1/2"})
+    space = StateSpace.product_grid(
+        [GridDim("x", F(0), F(1), F(1, 2)), GridDim("y", F(0), F(1), F(1))]
+    )
+    with pytest.raises(TypeError, match=r"state '0,0': float 0\.0 is not"):
+        UtilityTable.on_coords(space, lambda x, y: 0.1 * x + y)
+    exact = UtilityTable.on_coords(space, lambda x, y: F(1, 10) * x + y)
+    u1 = UtilityTable.on_coords(space, lambda x, y: x)
+    u2 = UtilityTable.on_coords(space, lambda x, y: y)
+    assert harvey_recover(Society.from_tables(space, {"a1": u1, "a2": u2}, exact)).success
+
+
 def test_society_rejects_a_table_with_a_state_outside_the_space():
     # Left in, the extra state makes a table constant on the space read as
     # nonconstant, and reaches the weight recoveries from the ethical table.
@@ -90,48 +119,7 @@ def test_society_rejects_a_table_with_a_state_outside_the_space():
 
 
 # ---------------------------------------------------------------------------
-# Lotteries: mix and expectation
-
-
-def test_mix_at_zero_is_identity():
-    p = SimpleLottery.from_mapping({"a": F(1, 4), "b": F(3, 4)})
-    q = dirac("c")
-    assert mix(p, q, F(0)) == p
-    assert mix(p, q, F(1)) == q
-
-
-def test_mix_of_diracs_half():
-    out = mix(dirac("a"), dirac("b"), F(1, 2))
-    assert out.as_dict() == {"a": F(1, 2), "b": F(1, 2)}
-
-
-def test_mix_three_support_at_three_eighths():
-    # Oracle: each coordinate expanded by hand as (5/8) * p + (3/8) * q.
-    p = SimpleLottery.from_mapping({"a": F(1, 2), "b": F(1, 3), "c": F(1, 6)})
-    q = SimpleLottery.from_mapping({"b": F(1, 4), "c": F(1, 4), "d": F(1, 2)})
-    out = mix(p, q, F(3, 8))
-    assert out.as_dict() == {
-        "a": F(5, 16),  # 5/8 * 1/2
-        "b": F(29, 96),  # 5/8 * 1/3 + 3/8 * 1/4 = 20/96 + 9/96
-        "c": F(19, 96),  # 5/8 * 1/6 + 3/8 * 1/4 = 10/96 + 9/96
-        "d": F(3, 16),  # 3/8 * 1/2
-    }
-
-
-def test_mix_prunes_zero_entries():
-    p = dirac("a")
-    q = SimpleLottery.from_mapping({"a": F(1, 2), "b": F(1, 2)})
-    out = mix(p, q, F(1))  # equals q; no stray zero entries
-    assert out.support == ("a", "b")
-    out2 = mix(dirac("a"), dirac("b"), F(1))
-    assert out2.support == ("b",)
-
-
-def test_mix_rejects_weight_outside_unit_interval():
-    with pytest.raises(ValueError):
-        mix(dirac("a"), dirac("b"), F(3, 2))
-    with pytest.raises(ValueError):
-        mix(dirac("a"), dirac("b"), F(-1, 8))
+# Lotteries and expectation
 
 
 def test_lottery_validation():
@@ -215,30 +203,6 @@ def test_expectation_missing_state():
     u = UtilityTable({"a": F(1)})
     with pytest.raises(KeyError):
         expectation(dirac("b"), u)
-
-
-@given(
-    st.lists(fractions_st, min_size=3, max_size=3),
-    st.lists(fractions_st, min_size=3, max_size=3),
-    st.integers(min_value=0, max_value=16),
-)
-def test_mix_expectation_linearity(uvals, pvals, k):
-    # expectation(mix(P,Q,t), u) = (1-t) E_P[u] + t E_Q[u], exactly.
-    t = F(k, 16)
-    states = ["a", "b", "c"]
-    u = UtilityTable(dict(zip(states, uvals)))
-    p = SimpleLottery.from_mapping({"a": F(1, 2), "b": F(1, 2)})
-    q = SimpleLottery.from_mapping(dict(zip(states, pvals_to_probs(pvals))))
-    left = expectation(mix(p, q, t), u)
-    right = (1 - t) * expectation(p, u) + t * expectation(q, u)
-    assert left == right
-
-
-def pvals_to_probs(vals):
-    """Turn arbitrary fractions into a strictly positive probability vector."""
-    shifted = [v - min(vals) + 1 for v in vals]
-    total = sum(shifted)
-    return [v / total for v in shifted]
 
 
 # ---------------------------------------------------------------------------
@@ -505,55 +469,7 @@ def test_semi_separable_large_society_has_no_cap():
 
 
 # ---------------------------------------------------------------------------
-# Probabilistic extension and matching
-
-
-def _lottery_order_from(u, lotteries):
-    values = {lot: expectation(lot, u) for lot in lotteries}
-    return WeakOrder.from_values(tuple(lotteries), values)
-
-
-def test_probabilistic_extension_consistent():
-    space = letters_space(3)
-    u = UtilityTable({"s0": F(0), "s1": F(1), "s2": F(5)})
-    lots = [dirac(s) for s in space.states]
-    lots.append(mix(dirac("s0"), dirac("s2"), F(1, 2)))
-    ext = _lottery_order_from(u, lots)
-    base = WeakOrder.from_utility(u)
-    assert check_probabilistic_extension(ext, base)
-
-
-def test_probabilistic_extension_reversed_pair():
-    space = letters_space(2)
-    u = UtilityTable({"s0": F(0), "s1": F(1)})
-    w = UtilityTable({"s0": F(1), "s1": F(0)})
-    lots = [dirac(s) for s in space.states]
-    ext = _lottery_order_from(u, lots)
-    base = WeakOrder.from_utility(w)
-    assert not check_probabilistic_extension(ext, base)
-
-
-def test_probabilistic_extension_missing_dirac():
-    u = UtilityTable({"s0": F(0), "s1": F(1)})
-    ext = _lottery_order_from(u, [dirac("s0")])
-    base = WeakOrder.from_utility(u)
-    with pytest.raises(KeyError):
-        check_probabilistic_extension(ext, base)
-
-
-def test_probabilistic_extension_random_agrees_with_bruteforce():
-    rng = random.Random(5)
-    for _ in range(10):
-        states = [f"s{i}" for i in range(4)]
-        u = UtilityTable({s: rand_fraction(rng) for s in states})
-        w = UtilityTable({s: rand_fraction(rng) for s in states})
-        lots = [dirac(s) for s in states]
-        ext = _lottery_order_from(u, lots)
-        base = WeakOrder.from_utility(w)
-        oracle = all(
-            (w[x] >= w[y]) == (u[x] >= u[y]) for x in states for y in states
-        )
-        assert check_probabilistic_extension(ext, base) == oracle
+# Matching
 
 
 def test_matches_same_generator():

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import capped_sum_society, cube_society
+from conftest import capped_sum_society, cube_society, planted_coincidence_society
 from utilcheck import Profile, Society, StateSpace, UtilityTable, cli, emit_society, linalg
 from utilcheck import coincidence, harvey
 from utilcheck.harvey import check_axiom_I, harvey_recover
@@ -294,3 +294,52 @@ def test_span_of_is_one_problem_per_profile():
     analysis = harvey.Analysis(with_alt)
     assert analysis.span is analysis.span_of(with_alt.base)
     assert analysis.span_of(alt) is analysis.span_of(with_alt.alt_side()) is not analysis.span
+
+
+# ---------------------------------------------------------------------------
+# Invariance under positive affine maps
+#
+# Each table is an NM or Alt utility, unique up to a positive affine map,
+# and every fast path above reads state order, ranks or scaled ints.  So
+# mapping every table on every side, each by its own map, may change no
+# record of the battery, witnesses included, and no agent verdict's kind.
+
+
+@st.composite
+def planted_societies(draw):
+    """Planted coincidences on small product grids, one agent perhaps distorted."""
+    n = draw(st.integers(2, 3))
+    distort = draw(st.sampled_from([None, None, *range(n)]))
+    soc, _, _ = planted_coincidence_society(draw(st.randoms()), n, distort_agent=distort)
+    return soc
+
+
+positive_slopes = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
+shifts = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+def _battery(soc) -> list[tuple[str, bool, str]]:
+    analysis = harvey.Analysis(soc)
+    return [
+        (record.name, record.passed, record.detail)
+        for record in (check(soc, analysis) for _, check in coincidence.HYPOTHESIS_CHECKS)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(lattice_societies(), unseparated_societies(), planted_societies()), st.data())
+def test_battery_and_verdicts_are_invariant_under_positive_affine_maps(soc, data):
+    def image(table):
+        return table.affine(data.draw(positive_slopes), data.draw(shifts))
+
+    def mapped(profile):
+        if profile is None:
+            return None
+        return Profile({a: image(t) for a, t in profile.tables.items()}, image(profile.ethical))
+
+    moved = Society(soc.space, soc.agents, mapped(soc.base), mapped(soc.nm), mapped(soc.alt))
+    assert _battery(moved) == _battery(soc)
+    before, after = coincidence.theorem3_pipeline(soc), coincidence.theorem3_pipeline(moved)
+    event(before.status)
+    assert after.status == before.status
+    assert [v.kind for v in after.agents] == [v.kind for v in before.agents]

@@ -5,9 +5,7 @@ searches for the first pair only after it fails, in O(N log N);
 ``fraction_checks.first_pair`` is the plain pair scan.  The bool checks
 stop after the sort.  A weak order is one table: ``from_pairs`` ranks each
 item by how many items it is weakly preferred to, and the pair-set order it
-replaced is kept as ``fraction_checks.PairWeakOrder``.  The
-probabilistic-extension and NM-representation checks are compared with
-their former pair loops.
+replaced is kept as ``fraction_checks.PairWeakOrder``.
 """
 
 from __future__ import annotations
@@ -21,15 +19,10 @@ from hypothesis import strategies as st
 import fraction_checks as oracle
 from utilcheck import (
     AltSystem,
-    LotteryOrderSample,
     UtilityTable,
     WeakOrder,
-    check_probabilistic_extension,
-    dirac,
     first_disagreement,
     matches,
-    mix,
-    nm_represents,
     same_weak_order,
     society,
 )
@@ -76,8 +69,6 @@ def test_failing_bool_checks_stop_after_the_sort(monkeypatch):
     t2 = UtilityTable({s: F(j) for j, s in enumerate(swapped)})
     assert same_weak_order(t1, t2, states) is False
     assert matches(WeakOrder.from_utility(t1, items=states), AltSystem.from_utility(t2)) is False
-    ext = WeakOrder.from_values([dirac(s) for s in states], {dirac(s): t2[s] for s in states})
-    assert check_probabilistic_extension(ext, WeakOrder.from_utility(t1)) is False
 
 
 @st.composite
@@ -122,39 +113,3 @@ def test_from_pairs_matches_pair_set_order(relation):
     assert got[0] == "ok"
     assert _semantics(got[1]) == _semantics(expected[1])
     assert got[1].table is not None
-
-
-values_st = st.lists(st.integers(-2, 2), min_size=1, max_size=5)
-
-
-@settings(max_examples=300, deadline=None)
-@given(values_st, st.data())
-def test_probabilistic_extension_matches_pair_loop(base_values, data):
-    states = [f"s{i}" for i in range(len(base_values))]
-    base = WeakOrder.from_utility(UtilityTable(dict(zip(states, map(F, base_values)))))
-    lotteries = [dirac(s) for s in states]
-    if len(states) > 1:
-        lotteries.append(mix(dirac(states[0]), dirac(states[-1]), F(1, 2)))
-    if len(states) > 1 and data.draw(st.integers(0, 4)) == 0:
-        lotteries.pop(data.draw(st.integers(0, len(states) - 1)))
-    ext_values = {p: F(data.draw(st.integers(-2, 2))) for p in lotteries}
-    ext = WeakOrder.from_values(lotteries, ext_values)
-    expected = _outcome(oracle.check_probabilistic_extension, ext, base)
-    assert _outcome(check_probabilistic_extension, ext, base) == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(values_st, st.data())
-def test_nm_represents_matches_pair_loop(u_values, data):
-    states = [f"s{i}" for i in range(len(u_values))]
-    u = UtilityTable(dict(zip(states, map(F, u_values))))
-    lotteries = [dirac(s) for s in states]
-    lotteries += [mix(dirac(x), dirac(y), F(1, 2)) for x, y in zip(states, states[1:])]
-    if data.draw(st.booleans()):
-        ranks = {p: F(data.draw(st.integers(-2, 2))) for p in lotteries}
-    else:  # ranked by expected u: represents unless a rank is bumped
-        ranks = {p: sum((q * u[s] for s, q in p.probs), F(0)) for p in lotteries}
-        if data.draw(st.booleans()):
-            ranks[data.draw(st.sampled_from(lotteries))] += F(1, 4)
-    sample = LotteryOrderSample(tuple(lotteries), WeakOrder.from_values(lotteries, ranks), 1)
-    assert nm_represents(u, sample) == oracle.nm_represents(u, sample)

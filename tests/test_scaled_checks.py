@@ -382,7 +382,7 @@ def test_order_keeps_its_table():
     order = WeakOrder.from_utility(u, items=("a", "b"))
     assert order.table is u
     assert order.geq("b", "a") and not order.geq("a", "b")
-    by_values = WeakOrder.from_values(("a", "b"), {"a": F(1), "b": F(1)})
+    by_values = WeakOrder(("a", "b"), {"a": F(1), "b": F(1)})
     assert by_values.table == UtilityTable({"a": F(1), "b": F(1)})
 
 
