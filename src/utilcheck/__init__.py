@@ -34,7 +34,6 @@ from .core import (
     SimpleLottery,
     StateSpace,
     UtilityTable,
-    WeakOrder,
     dirac,
     expectation,
     first_disagreement,
@@ -72,7 +71,6 @@ from .society import (
     matches,
     order_disagreement,
     pareto_dominates,
-    same_weak_order,
 )
 from .societyfile import SocietyFileError, emit_society, parse_society, society_to_payload
 

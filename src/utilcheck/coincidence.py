@@ -37,10 +37,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping
 
-from .alt import AltSystem
-from .core import (
-    Record, StateKey, StateSpace, UtilityTable, WeakOrder, linear_combination, replace,
-)
+from .core import Record, StateKey, StateSpace, UtilityTable, linear_combination, replace
 from .harsanyi import check_axiom_i, recover_weights
 from .harvey import Analysis, check_axiom_I
 from .nm import affine_relation
@@ -369,11 +366,7 @@ def _matching_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
     pairs += [(name, soc.base.tables[name], alt_profile.tables[name]) for name in soc.agents]
     pairs.append(("ethical", soc.base.ethical, alt_profile.ethical))
     for name, order_table, alt_table in pairs:
-        if order_table is alt_table:
-            continue
-        system = AltSystem.from_utility(alt_table)
-        order = WeakOrder.from_utility(order_table, items=soc.space.states)
-        if not matches(order, system):
+        if order_table is not alt_table and not matches(order_table, alt_table, soc.space.states):
             return HypothesisRecord(
                 "matching", False, f"order for {name!r} does not match its intensity system"
             )

@@ -1,4 +1,4 @@
-"""Finite state spaces, utility tables, simple lotteries, and weak orders.
+"""Finite state spaces, utility tables, simple lotteries, and order agreement.
 
 Every fixed-field value type of the package (spaces, lotteries, profiles,
 reports, witnesses) derives from ``Record``.
@@ -194,6 +194,15 @@ class StateSpace(Record):
         return self._coords[self.index[key]]
 
 
+def _exact(value: Fraction | int, name: str) -> Fraction:
+    """``value`` as a Fraction; anything but an int or a Fraction, a float included, raises."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"{name}: {type(value).__name__} {value!r} is not an int or a Fraction")
+
+
 class UtilityTable:
     """Total map state -> exact rational value.
 
@@ -215,11 +224,7 @@ class UtilityTable:
         values = dict(values)
         if not {*map(type, values.values())} <= {Fraction}:
             for s, v in values.items():
-                if isinstance(v, int):
-                    values[s] = Fraction(v)
-                elif not isinstance(v, Fraction):
-                    kind = type(v).__name__
-                    raise TypeError(f"state {s!r}: {kind} {v!r} is not an int or a Fraction")
+                values[s] = _exact(v, f"state {s!r}")
         self.__dict__["values"] = values
 
     @classmethod
@@ -298,19 +303,20 @@ class UtilityTable:
         first = next(vals)
         return all(v == first for v in vals)
 
-    def affine(self, alpha: Fraction, beta: Fraction) -> "UtilityTable":
-        a, b = Fraction(alpha), Fraction(beta)
+    def affine(self, alpha: Fraction | int, beta: Fraction | int) -> "UtilityTable":
+        a, b = _exact(alpha, "alpha"), _exact(beta, "beta")
         return UtilityTable({s: a * v + b for s, v in self.values.items()})
 
 
 def linear_combination(
     tables: Iterable[UtilityTable],
-    weights: Iterable[Fraction],
-    constant: Fraction = Fraction(0),
+    weights: Iterable[Fraction | int],
+    constant: Fraction | int = 0,
 ) -> UtilityTable:
     """Pointwise sum(w_i * t_i) + constant over the common domain."""
     tables = list(tables)
-    weights = [Fraction(w) for w in weights]
+    weights = [_exact(w, f"weight {i}") for i, w in enumerate(weights)]
+    constant = _exact(constant, "constant")
     if len(tables) != len(weights):
         raise ValueError("one weight per table")
     if not tables:
@@ -318,7 +324,7 @@ def linear_combination(
     keys = tables[0].states()
     out = {}
     for s in keys:
-        out[s] = sum((w * t[s] for w, t in zip(weights, tables)), Fraction(constant))
+        out[s] = sum((w * t[s] for w, t in zip(weights, tables)), constant)
     return UtilityTable(out)
 
 
@@ -349,7 +355,9 @@ class SimpleLottery(Record):
     probs: tuple[tuple[StateKey, Fraction], ...]
 
     def __post_init__(self):
-        entries = sorted((s, p if isinstance(p, Fraction) else Fraction(p)) for s, p in self.probs)
+        entries = sorted(
+            (s, p if isinstance(p, Fraction) else _exact(p, f"state {s!r}")) for s, p in self.probs
+        )
         ratios = [p.as_integer_ratio() for _, p in entries]
         if any(n < 0 for n, _ in ratios):
             raise ValueError("negative probability")
@@ -434,69 +442,3 @@ def first_disagreement(keys1: Sequence, keys2: Sequence) -> tuple[int, int] | No
     return i, next(
         j for j, (b1, b2) in enumerate(zip(keys1, keys2)) if (a1 >= b1) != (a2 >= b2)
     )
-
-
-class WeakOrder:
-    """Complete transitive relation over a finite item list, ranked by a table.
-
-    x >= y exactly when table[x] >= table[y].  ``from_pairs`` validates an
-    explicit relation and ranks each item by its score, the number of items
-    it is weakly preferred to: in a weak order x >= y exactly when x's score
-    is at least y's.
-    """
-
-    def __init__(self, items, values):
-        self.items: tuple = tuple(items)
-        if not self.items:
-            raise ValueError("weak order needs at least one item")
-        #: The table ranking the items; ``from_utility`` keeps its own.
-        self.table = values if isinstance(values, UtilityTable) else UtilityTable(values)
-        states = self.table.states()
-        missing = [x for x in self.items if x not in states]
-        if missing:
-            raise ValueError(f"no value for items: {missing[:3]}")
-
-    @cached_property
-    def _values(self) -> dict:
-        """The table's scaled ints, which rank the items as its values do."""
-        return self.table.scaled[1]
-
-    @classmethod
-    def from_utility(cls, table: UtilityTable, items=None) -> "WeakOrder":
-        items = tuple(items) if items is not None else tuple(table.states())
-        return cls(items, table)
-
-    @classmethod
-    def from_pairs(cls, items, geq_pairs) -> "WeakOrder":
-        """The order whose weakly-preferred pairs are ``geq_pairs``, after validating them."""
-        items, geq = tuple(items), frozenset(geq_pairs)
-        for x in items:
-            if (x, x) not in geq:
-                raise ValueError(f"relation not reflexive at {x!r}")
-            for y in items:
-                if (x, y) not in geq and (y, x) not in geq:
-                    raise ValueError(f"relation not complete on ({x!r}, {y!r})")
-        for x in items:
-            for y in items:
-                if (x, y) not in geq:
-                    continue
-                for z in items:
-                    if (y, z) in geq and (x, z) not in geq:
-                        raise ValueError(
-                            f"relation not transitive on ({x!r}, {y!r}, {z!r})"
-                        )
-        return cls(items, {x: Fraction(sum((x, y) in geq for y in items)) for x in items})
-
-    def geq(self, x, y) -> bool:
-        return self._values[x] >= self._values[y]
-
-    def strict(self, x, y) -> bool:
-        return self.geq(x, y) and not self.geq(y, x)
-
-    def indiff(self, x, y) -> bool:
-        return self.geq(x, y) and self.geq(y, x)
-
-    def indifference_class_ids(self) -> dict:
-        """Map item -> id of its indifference class, ids in item order."""
-        reps: dict = {}
-        return {x: reps.setdefault(self._values[x], len(reps)) for x in self.items}

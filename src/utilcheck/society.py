@@ -14,14 +14,9 @@ from __future__ import annotations
 
 from collections import Counter
 from operator import ge
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .core import (
-    Record, StateKey, StateSpace, UtilityTable, WeakOrder, first_disagreement, same_ranking,
-)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .alt import AltSystem
+from .core import Record, StateKey, StateSpace, UtilityTable, first_disagreement, same_ranking
 
 
 class CheckResult(Record):
@@ -102,12 +97,6 @@ class Society(Record):
     def alt_side(self) -> Profile:
         """Tables feeding the intensity theorems (u, v)."""
         return self.alt if self.alt is not None else self.base
-
-    def order(self, agent: str) -> WeakOrder:
-        return WeakOrder.from_utility(self.base.tables[agent], items=self.space.states)
-
-    def orders(self) -> list[WeakOrder]:
-        return [self.order(a) for a in self.agents]
 
 
 def pareto_dominates(soc: Society, x: StateKey, y: StateKey) -> bool:
@@ -270,22 +259,11 @@ def order_disagreement(
     return None if pair is None else (states[pair[0]], states[pair[1]])
 
 
-def same_weak_order(t1: UtilityTable, t2: UtilityTable, states: Sequence[StateKey]) -> bool:
-    """True iff t1[x] >= t1[y] exactly when t2[x] >= t2[y], for all states x, y."""
-    return same_ranking(_column(t1, states), _column(t2, states))
+def matches(t1: UtilityTable, t2: UtilityTable, states: Sequence[StateKey]) -> bool:
+    """True iff t1[x] >= t1[y] exactly when t2[x] >= t2[y], for all states x, y.
 
-
-def matches(order: WeakOrder, alt: "AltSystem") -> bool:
-    """True iff x >= y in the order exactly when [x,y] >= [y,y] in the system.
-
-    When the system comes from a table, [x,y] >= [y,y] reads t(x) >= t(y),
-    so the question is decided by ``same_weak_order``; a system without a
-    table has no per-state key and is compared pair by pair.
+    ``core.same_ranking`` on the two scaled tables in state order.  An
+    order matches the intensity system of a table exactly when it is that
+    table's order, since [x,y] >= [y,y] reads t(x) >= t(y).
     """
-    if alt.table is not None:
-        return same_weak_order(order.table, alt.table, order.items)
-    for x in order.items:
-        for y in order.items:
-            if order.geq(x, y) != alt.geq((x, y), (y, y)):
-                return False
-    return True
+    return same_ranking(_column(t1, states), _column(t2, states))

@@ -14,9 +14,8 @@ extraction each test F_i(c) = a * c on the decoded Fraction components, and
 check on those components.
 
 Order agreement is one sort in the package (``core.same_ranking``), which
-``core.first_disagreement`` runs before its search, and a weak order is one
-table.  Kept here: the brute-force pair scan and the weak order stored as
-its set of weakly-preferred pairs.
+``society.matches`` runs and ``core.first_disagreement`` runs before its
+search.  Kept here: the value-pair sort and the brute-force pair scan.
 
 The intensity-system checks decide on an ``AltSystem``'s int pair ranks
 (``AltSystem.ranks``): consistency by one sort per rank column, crossover
@@ -80,52 +79,6 @@ def first_pair(keys1, keys2):
         ),
         None,
     )
-
-
-class PairWeakOrder:
-    """A weak order stored as its explicit set of weakly-preferred pairs."""
-
-    def __init__(self, items, geq_pairs):
-        self.items = tuple(items)
-        self._geq = frozenset(geq_pairs)
-        geq = self._geq
-        for x in self.items:
-            if (x, x) not in geq:
-                raise ValueError(f"relation not reflexive at {x!r}")
-            for y in self.items:
-                if (x, y) not in geq and (y, x) not in geq:
-                    raise ValueError(f"relation not complete on ({x!r}, {y!r})")
-        for x in self.items:
-            for y in self.items:
-                if (x, y) not in geq:
-                    continue
-                for z in self.items:
-                    if (y, z) in geq and (x, z) not in geq:
-                        raise ValueError(
-                            f"relation not transitive on ({x!r}, {y!r}, {z!r})"
-                        )
-
-    def geq(self, x, y) -> bool:
-        return (x, y) in self._geq
-
-    def strict(self, x, y) -> bool:
-        return self.geq(x, y) and not self.geq(y, x)
-
-    def indiff(self, x, y) -> bool:
-        return self.geq(x, y) and self.geq(y, x)
-
-    def indifference_class_ids(self) -> dict:
-        reps_list: list = []
-        out = {}
-        for x in self.items:
-            for i, r in enumerate(reps_list):
-                if self.indiff(x, r):
-                    out[x] = i
-                    break
-            else:
-                out[x] = len(reps_list)
-                reps_list.append(x)
-        return out
 
 
 def semi_separability(tables, states) -> CheckResult:

@@ -2,7 +2,8 @@
 
 ``utilcheck.__all__`` is pinned, so that any change to the public API shows
 up in a diff of this file.  No module imports ``random``: every verdict is
-decided exactly, and none may rest on a sample.
+decided exactly, and none may rest on a sample.  ``coincidence`` imports
+nothing from ``alt``: the pipeline decides matching on the tables.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ PUBLIC_NAMES = [
     "DifferenceMapError", "GridDim", "HarveyReport", "LotteryWitnessPair",
     "MissingGridPointError", "NormalizationError", "Profile", "SimpleLottery", "SimplexFixture",
     "Society", "SocietyFileError", "SpanProblem", "SqrtFixture", "StandardSequence",
-    "StateSpace", "UtilityTable", "ViolationWitness", "WeakOrder", "WeightReport",
+    "StateSpace", "UtilityTable", "ViolationWitness", "WeightReport",
     "affine_relation", "alt", "alt_represents", "build_difference_map",
     "build_standard_sequence", "check_axiom_I", "check_axiom_i", "check_consistency",
     "check_crossover", "check_pareto_criterion", "check_semi_separable", "coincidence", "core",
@@ -28,7 +29,7 @@ PUBLIC_NAMES = [
     "matches", "nm", "normalize_for_theorem3", "order_disagreement", "pareto_dominates",
     "parse_rational", "parse_society", "positive_reweighting", "proposition1_check",
     "rationals", "reconstruct_alt_utility", "recover_constant", "recover_weights",
-    "same_weak_order", "simplex_counterexample", "society", "society_to_payload",
+    "simplex_counterexample", "society", "society_to_payload",
     "societyfile", "sqrt_fixture", "theorem3_pipeline", "verify_component_additivity",
     "witness_lotteries_for_sign",
 ]
@@ -53,3 +54,25 @@ def test_no_module_imports_random():
     modules = sorted(SRC.glob("*.py"))
     assert modules
     assert [p.name for p in modules if "random" in _imported_modules(p)] == []
+
+
+def _package_imports(path: Path) -> set[str]:
+    """Every module of the package that the file imports, by its name in the package."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found |= {a.name[10:] for a in node.names if a.name.startswith("utilcheck.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "utilcheck":
+                    continue
+                module = module[10:]
+            found |= {module} if module else {alias.name for alias in node.names}
+    return found
+
+
+def test_coincidence_imports_nothing_from_alt():
+    imported = _package_imports(SRC / "coincidence.py")
+    assert {"core", "society"} <= imported
+    assert "alt" not in imported

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -43,9 +44,11 @@ from utilcheck import (
     sqrt_fixture,
     theorem3_pipeline,
 )
-from utilcheck import cli, coincidence, core, harvey, linalg
+from utilcheck import alt, cli, coincidence, core, harvey, linalg
 
 F = Fraction
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _coordinate_society(v_fn=None, star=None):
@@ -693,6 +696,71 @@ def test_matching_skips_a_table_compared_with_itself(tmp_path, monkeypatch, caps
     checks = {c["name"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert checks["matching"] == "PASS"
     assert calls == []
+
+
+def _rescaled_society_with_a_reversed_ethical_side() -> Society:
+    """A planted coincidence whose intensity side rescales each agent's table and
+    negates the ethical one: every compared pair but the ethical one matches."""
+    soc, _, _ = planted_coincidence_society(random.Random(97), 3)
+    tables = {a: t.affine(2, 1) for a, t in soc.base.tables.items()}
+    return core.replace(soc, alt=Profile(tables, soc.base.ethical.affine(-1, 0)))
+
+
+#: sha256 of the exit codes, stdouts and stderrs of each command's text and
+#: ``--json`` runs, as they were when the matching record built an intensity
+#: system and a weak order for every compared pair.
+MATCHING_DETOUR_DIGESTS = {
+    "validate affine_grid.json": "fd076af9c6bd27da012273aa302c47def90eab56379fec1ed5c7663ba8ccff1f",
+    "coincide affine_grid.json": "ecc5c379a07c3a1a960b8d6cdf8e0edfdd68c49be4aa614d8bb087ef6b90a7b2",
+    "validate capped_sum.json": "34332084b505e42d5c9e9dbfa7af838e9086615913e7874d8eeb64432e711841",
+    "coincide capped_sum.json": "9e0cfbe0bf7b2c3c84794c632bc6faf5a565d977637d08fcb73e12c7285ee17a",
+    "validate negative_lottery_weight.json": "624cd6610efe0771e9d625cfee51c2c51eb957086d9bc7361d02a8d8dd5a77d4",
+    "coincide negative_lottery_weight.json": "6352900414e1b1a1707aed1768817260c9225544f9b0414a57940a3720bf5fc3",
+    "validate negative_weight.json": "9a654c3950c8e2e2e46c532e7a003d72b3ddffa1a908c6181a46db97286f0171",
+    "coincide negative_weight.json": "3c2f477fb6127fe6c776da1ada7ce5e878d83c1bde305ec516b6312400a5192c",
+    "validate nonadditive.json": "56072e7dcd5f6071112dde69abfd1567a935bd738f7435ac884d929fcd5a4418",
+    "coincide nonadditive.json": "030cd7e067f7016d39b5f69b95ce605a1c5354251df23f8d9c34988a91490a4f",
+    "validate simplex.json": "e88a18f7375c31f7704f3d4aae5178dc3891037c72bd3289db81c5596bce4b89",
+    "coincide simplex.json": "8eb57f6cec0822d9d9bd6e87563fa73e2b83dde24765a6ead6ac2ad039dae3b4",
+    "validate sqrt_k10.json": "d983ceb131b33a7d9800ad185b0eef531258f25aaa2b800caaf49f69c221e27c",
+    "coincide sqrt_k10.json": "c59e1f60c5edca2451d5cab565b4cb767618bb6e51a1f9eccd50925c73a8bca7",
+    "validate reversed_ethical.json": "7b8a5ed562ec3bb44e2440bad0453bb6fcb77e9ff2803241584b74676264ccde",
+    "coincide reversed_ethical.json": "ee2453d93968fa0a481a3db69ceac332c3030a148bcfdc0136fc94e32577f502",
+}
+
+
+def test_pipeline_decides_matching_without_an_intensity_system(tmp_path, monkeypatch):
+    def refuse(cls, table):
+        raise RuntimeError("the pipeline built an intensity system")
+
+    monkeypatch.setattr(alt.AltSystem, "from_utility", classmethod(refuse))
+    planted = tmp_path / "reversed_ethical.json"
+    planted.write_text(emit_society(_rescaled_society_with_a_reversed_ethical_side()), "utf-8")
+    digests = {}
+    for path in [*sorted(FIXTURES.glob("*.json")), planted]:
+        for command in ("validate", "coincide"):
+            runs = []
+            for extra in ([], ["--json"]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main([command, str(path), "--max-states", "4096", *extra])
+                runs.append((code, out.getvalue(), err.getvalue()))
+            digests[f"{command} {path.name}"] = hashlib.sha256(repr(runs).encode()).hexdigest()
+    assert digests == MATCHING_DETOUR_DIGESTS
+
+
+def test_sqrt_fixture_matches_each_agent_but_not_the_ethical_orders():
+    # Each agent's lottery-side table is an increasing image of its base
+    # table, yet the base and lottery-side ethical tables rank the states
+    # differently; the matching record never compares those two.
+    soc = sqrt_fixture(10, F(1, 2)).society
+    states = soc.space.states
+    for a in soc.agents:
+        assert coincidence.matches(soc.base.tables[a], soc.nm.tables[a], states)
+    assert not coincidence.matches(soc.base.ethical, soc.nm.ethical, states)
+    assert coincidence.order_disagreement(soc.base.ethical, soc.nm.ethical, states) is not None
+    records = {r.name: r.passed for r in theorem3_pipeline(soc).hypotheses}
+    assert records["matching"]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_checks as oracle
 from conftest import letters_space, planted_society, rand_fraction
 from utilcheck import (
     AltSystem,
@@ -19,7 +20,6 @@ from utilcheck import (
     Society,
     StateSpace,
     UtilityTable,
-    WeakOrder,
     check_pareto_criterion,
     check_semi_separable,
     dirac,
@@ -29,7 +29,6 @@ from utilcheck import (
     matches,
     parse_rational,
     pareto_dominates,
-    same_weak_order,
 )
 
 F = Fraction
@@ -102,6 +101,23 @@ def test_tables_refuse_inexact_values():
     assert harvey_recover(Society.from_tables(space, {"a1": u1, "a2": u2}, exact)).success
 
 
+def test_table_arithmetic_refuses_inexact_scalars():
+    # Wrapped in Fraction(), the float 0.1 became 3602879701896397/36028797018963968.
+    u = UtilityTable({"a": F(0), "b": F(1)})
+    with pytest.raises(TypeError, match=r"alpha: float 0\.1 is not an int or a Fraction"):
+        u.affine(0.1, 0)
+    with pytest.raises(TypeError, match=r"beta: float 2\.0 is not an int or a Fraction"):
+        u.affine(1, 2.0)
+    with pytest.raises(TypeError, match=r"weight 1: float 0\.1 is not an int or a Fraction"):
+        linear_combination([u, u], [F(1, 2), 0.1])
+    with pytest.raises(TypeError, match=r"constant: float 0\.5 is not an int or a Fraction"):
+        linear_combination([u], [1], 0.5)
+    with pytest.raises(TypeError, match=r"weight 0: str '1/10' is not an int or a Fraction"):
+        linear_combination([u], ["1/10"])
+    assert u.affine(F(1, 10), 3) == UtilityTable({"a": F(3), "b": F(31, 10)})
+    assert linear_combination([u, u], [F(1, 10), 2], -1) == UtilityTable({"a": F(-1), "b": F(11, 10)})
+
+
 def test_society_rejects_a_table_with_a_state_outside_the_space():
     # Left in, the extra state makes a table constant on the space read as
     # nonconstant, and reaches the weight recoveries from the ethical table.
@@ -161,6 +177,18 @@ def test_lottery_keeps_fraction_entries_and_drops_zeros():
     assert SimpleLottery((("a", 1),)).probs == (("a", F(1)),)
 
 
+def test_lotteries_refuse_inexact_probabilities():
+    # Wrapped in Fraction(), 0.1 + 0.9 summed to 36028797018963969/36028797018963968,
+    # and the error named neither the float nor its state.
+    with pytest.raises(TypeError, match=r"state 'a': float 0\.1 is not an int or a Fraction"):
+        SimpleLottery.from_mapping({"a": 0.1, "b": 0.9})
+    with pytest.raises(TypeError, match=r"state 'b': float 0\.5 is not an int or a Fraction"):
+        SimpleLottery((("a", F(1, 2)), ("b", 0.5)))
+    with pytest.raises(TypeError, match=r"state 'a': str '1' is not an int or a Fraction"):
+        SimpleLottery((("a", "1"),))
+    assert SimpleLottery.from_mapping({"a": 0, "b": 1}).probs == (("b", F(1)),)
+
+
 def test_tables_are_immutable_in_every_view():
     # A parsed table holds its ratios and builds its Fractions on first
     # read; neither can be reassigned, so no view falls out of step.
@@ -203,28 +231,6 @@ def test_expectation_missing_state():
     u = UtilityTable({"a": F(1)})
     with pytest.raises(KeyError):
         expectation(dirac("b"), u)
-
-
-# ---------------------------------------------------------------------------
-# Weak orders
-
-
-def test_weak_order_from_pairs_validates():
-    items = ("a", "b")
-    with pytest.raises(ValueError):  # incomplete
-        WeakOrder.from_pairs(items, {("a", "a"), ("b", "b")})
-    items3 = ("a", "b", "c")
-    cyclic = {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c"), ("c", "a")}
-    with pytest.raises(ValueError):  # a >= b >= c but c >= a breaks transitivity
-        WeakOrder.from_pairs(items3, cyclic)
-
-
-def test_weak_order_strict_and_indiff():
-    u = UtilityTable({"a": F(2), "b": F(2), "c": F(0)})
-    order = WeakOrder.from_utility(u)
-    assert order.indiff("a", "b")
-    assert order.strict("a", "c")
-    assert not order.strict("a", "b")
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +369,9 @@ def test_semi_separable_production_economy_shape():
     result = check_semi_separable(soc)
     assert result.passed
 
-    orders = soc.orders()
+    tables = (u1, u2)
     for profile in itertools.product(space.states, repeat=2):
-        assert any(
-            all(order.indiff(x, xi) for order, xi in zip(orders, profile))
-            for x in space.states
-        )
+        assert any(all(t[x] == t[xi] for t, xi in zip(tables, profile)) for x in space.states)
 
 
 def test_semi_separable_failure_witness_is_first():
@@ -387,12 +390,9 @@ def test_semi_separable_matches_bruteforce_random():
     for _ in range(15):
         soc, _, _ = planted_society(rng, 2, 4)
         got = check_semi_separable(soc)
-        orders = soc.orders()
+        tables = [soc.base.tables[a] for a in soc.agents]
         expected = all(
-            any(
-                all(order.indiff(x, xi) for order, xi in zip(orders, profile))
-                for x in soc.space.states
-            )
+            any(all(t[x] == t[xi] for t, xi in zip(tables, profile)) for x in soc.space.states)
             for profile in itertools.product(soc.space.states, repeat=2)
         )
         assert got.passed == expected
@@ -401,10 +401,10 @@ def test_semi_separable_matches_bruteforce_random():
 def first_unmatched_profile(soc):
     """Brute-force oracle: the first profile in state order whose class
     combination no state realizes, or None.  |X|**n profiles."""
-    class_ids = [o.indifference_class_ids() for o in soc.orders()]
-    realized = {tuple(ids[s] for ids in class_ids) for s in soc.space.states}
+    tables = [soc.base.tables[a] for a in soc.agents]
+    realized = {tuple(t[s] for t in tables) for s in soc.space.states}
     for profile in itertools.product(soc.space.states, repeat=soc.n):
-        if tuple(ids[s] for ids, s in zip(class_ids, profile)) not in realized:
+        if tuple(t[s] for t, s in zip(tables, profile)) not in realized:
             return profile
     return None
 
@@ -474,43 +474,47 @@ def test_semi_separable_large_society_has_no_cap():
 
 def test_matches_same_generator():
     u = UtilityTable({"a": F(0), "b": F(2), "c": F(5)})
-    assert matches(WeakOrder.from_utility(u), AltSystem.from_utility(u))
+    assert matches(u, u, ("a", "b", "c"))
 
 
 def test_matches_negated_generator():
     u = UtilityTable({"a": F(0), "b": F(2), "c": F(5)})
-    neg = u.affine(F(-1), F(0))
-    assert not matches(WeakOrder.from_utility(u), AltSystem.from_utility(neg))
+    assert not matches(u, u.affine(F(-1), F(0)), ("a", "b", "c"))
 
 
 def test_matches_affine_generator_bruteforce():
+    # An order matches the intensity system of a table when x >= y exactly
+    # when [x,y] >= [y,y] in the system.
     u = UtilityTable({"a": F(0), "b": F(2), "c": F(5), "d": F(-1)})
     scaled = u.affine(F(3), F(7))
-    order = WeakOrder.from_utility(u)
     system = AltSystem.from_utility(scaled)
-    assert matches(order, system)
+    assert matches(u, scaled, tuple(u.states()))
     for x in u.states():
         for y in u.states():
-            assert order.geq(x, y) == system.geq((x, y), (y, y))
+            assert (u[x] >= u[y]) == system.geq((x, y), (y, y))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=9
-    )
-)
-def test_same_weak_order_equals_matches(values):
-    # Few distinct values, so ties are common in both tables.
+#: Few distinct values, so ties are common in both tables.
+tied_values = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_values, st.sampled_from(["drawn", "constant", "equal"]))
+def test_matches_equals_fraction_oracle(values, kind):
     states = [f"s{i}" for i in range(len(values))]
     t1 = UtilityTable({s: F(a) for s, (a, _) in zip(states, values)})
-    t2 = UtilityTable({s: F(b) for s, (_, b) in zip(states, values)})
-    order = WeakOrder.from_utility(t1, items=states)
-    # A pair ranking carries no table, so matches compares pair by pair.
-    expected = matches(order, AltSystem.from_pair_ranking(states, lambda x, y: t2[x] - t2[y]))
-    assert same_weak_order(t1, t2, states) == expected
-    assert same_weak_order(t2, t1, states) == expected
-    assert matches(order, AltSystem.from_utility(t2)) == expected
+    if kind == "drawn":
+        t2 = UtilityTable({s: F(b, 3) for s, (_, b) in zip(states, values)})
+    elif kind == "constant":
+        t2 = UtilityTable({s: F(values[0][1]) for s in states})
+    else:
+        t2 = UtilityTable(dict(t1.values))
+    expected = oracle.same_weak_order(t1, t2, states)
+    assert matches(t1, t2, states) == matches(t2, t1, states) == expected
+    # A system ranked pair by pair, with no table, agrees with the tables' verdict.
+    system = AltSystem.from_pair_ranking(states, lambda x, y: t2[x] - t2[y])
+    assert expected == all((t1[x] >= t1[y]) == system.geq((x, y), (y, y)) for x in states for y in states)
+    assert matches(t1, t1, states)
 
 
 # ---------------------------------------------------------------------------

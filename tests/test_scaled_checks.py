@@ -32,13 +32,11 @@ from hypothesis import strategies as st
 import fraction_checks as oracle
 from conftest import planted_coincidence_society, primes
 from utilcheck import (
-    AltSystem,
     Profile,
     Society,
     SpanProblem,
     StateSpace,
     UtilityTable,
-    WeakOrder,
     affine_relation,
     build_difference_map,
     check_semi_separable,
@@ -51,7 +49,6 @@ from utilcheck import (
     matches,
     order_disagreement,
     recover_weights,
-    same_weak_order,
     verify_component_additivity,
 )
 from utilcheck.coincidence import _agent_verdicts
@@ -125,9 +122,7 @@ def test_order_agreement_matches_fraction_oracle(soc):
     for a in soc.agents:
         t, t_star = soc.base.tables[a], soc.nm.tables[a]
         expected = oracle.same_weak_order(t, t_star, states)
-        assert same_weak_order(t, t_star, states) == expected
-        order = WeakOrder.from_utility(t, items=states)
-        assert matches(order, AltSystem.from_utility(t_star)) == expected
+        assert matches(t, t_star, states) == expected
         first = None if expected else oracle.first_disagreement(t, t_star, states)
         assert order_disagreement(t, t_star, states) == first
 
@@ -375,15 +370,6 @@ def test_component_additivity_matches_fraction_oracle(soc, data):
     for k in range(soc.n):
         assert verify_component_additivity(dm, k) == oracle.verify_component_additivity(dm, k)
         assert dm.component_monotone(k) == oracle.component_monotone(dm, k)
-
-
-def test_order_keeps_its_table():
-    u = UtilityTable({"b": F(1, 3), "a": F(-2)})
-    order = WeakOrder.from_utility(u, items=("a", "b"))
-    assert order.table is u
-    assert order.geq("b", "a") and not order.geq("a", "b")
-    by_values = WeakOrder(("a", "b"), {"a": F(1), "b": F(1)})
-    assert by_values.table == UtilityTable({"a": F(1), "b": F(1)})
 
 
 def test_cli_paths_scale_each_table_once(tmp_path, monkeypatch, capsys):
