@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .core import Record, StateKey, UtilityTable, first_disagreement, same_ranking
+from .core import Record, StateKey, UtilityTable, _exact, first_disagreement, same_ranking
 from .rationals import scale_to_ints
 from .society import CheckResult
 
@@ -53,7 +53,7 @@ class AltSystem:
 
     @classmethod
     def from_utility(cls, table: UtilityTable) -> "AltSystem":
-        system = cls(tuple(table.states()), lambda pair: table[pair[0]] - table[pair[1]])
+        system = cls(table.states(), lambda pair: table[pair[0]] - table[pair[1]])
         system.table = table
         return system
 
@@ -61,8 +61,8 @@ class AltSystem:
     def from_pair_ranking(
         cls, states: Sequence[StateKey], fn: Callable[[StateKey, StateKey], Fraction]
     ) -> "AltSystem":
-        """Rank pairs by an exact value; the result is automatically a weak order."""
-        return cls(states, lambda pair: Fraction(fn(pair[0], pair[1])))
+        """Rank pairs by an int or Fraction value, always a weak order; a float raises TypeError."""
+        return cls(states, lambda pair: _exact(fn(*pair), f"pair {pair!r}"))
 
     @cached_property
     def ranks(self) -> list[int]:
@@ -143,8 +143,7 @@ def alt_represents(u: UtilityTable, a: AltSystem) -> CheckResult:
     O(n**2 log n).  Its (i, j) search order is the (x, y, z, w) order, so a
     failure names the first quadruple in state order.
     """
-    values = u.scaled[1]
-    column = [values[s] for s in a.states]
+    column = u.column(a.states)
     found = first_disagreement([vx - vy for vx in column for vy in column], a.ranks)
     if found is None:
         return CheckResult(True)

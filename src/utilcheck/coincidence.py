@@ -192,7 +192,7 @@ def _agent_verdicts(agents, tables, starred, states) -> tuple[AgentVerdict, ...]
     the agent's axis (the others pinned at the first state) with its two
     values, else the first with them.
     """
-    ints = [t.scaled[1] for t in tables]
+    columns = [t.column(states) for t in tables]
     verdicts: list[AgentVerdict] = []
     for i, name in enumerate(agents):
         if tables[i].is_constant():
@@ -202,15 +202,14 @@ def _agent_verdicts(agents, tables, starred, states) -> tuple[AgentVerdict, ...]
         if relation is not None:
             verdicts.append(AgentVerdict(name, COINCIDE, *relation))
             continue
-        base, (base_scale, _), (star_scale, image) = ints[i], tables[i].scaled, starred[i].scaled
-        others = [(column, column[states[0]]) for k, column in enumerate(ints) if k != i]
+        base, image = columns[i], starred[i].column(states)
+        others = [(column, column[0]) for k, column in enumerate(columns) if k != i]
         first: dict[int, tuple[int, StateKey]] = {}
         axis: dict[int, StateKey] = {}
-        for s in states:
-            t = base[s]
+        for j, (s, t) in enumerate(zip(states, base)):
             if t not in first:
-                first[t] = (image[s], s)
-            if t not in axis and all(column[s] == pin for column, pin in others):
+                first[t] = (image[j], s)
+            if t not in axis and all(column[j] == pin for column, pin in others):
                 axis[t] = s
         grid = sorted(first)
         images = [first[t][0] for t in grid]
@@ -223,7 +222,7 @@ def _agent_verdicts(agents, tables, starred, states) -> tuple[AgentVerdict, ...]
                 raise AssertionError("shared order should force a positive slope")
             raise AssertionError("affine verdict failed pointwise re-verification")
         steps = [
-            StepWitness(lo, hi, Fraction(db, base_scale), Fraction(ds, star_scale))
+            StepWitness(lo, hi, Fraction(db, tables[i].scale), Fraction(ds, starred[i].scale))
             for lo, hi, (db, ds) in zip(exemplars, exemplars[1:], rises)
         ]
         increments = tuple((st.base_increment, st.starred_increment) for st in steps)
@@ -517,7 +516,7 @@ def sqrt_fixture(kmax: int, eps: Fraction, *, degenerate_second_agent: bool = Fa
         for k in range(kmax):
             a = f"{x1_values[k + 1]},{low}"
             b = f"{x1_values[k]},{high}"
-            if v_star[a] != v_star[b]:
+            if v_star.values[a] != v_star.values[b]:
                 raise AssertionError("starred indifference chain failed")
             chain.append((a, b))
     increments = tuple(b - a for a, b in zip(x1_values, x1_values[1:]))
@@ -575,7 +574,7 @@ def simplex_counterexample(resolution: Fraction) -> SimplexFixture:
     v_star = linear_combination([u1_star, u2_star], [1, 1])
 
     for s in keys:
-        if v_star[s] != 2 * x1[s]:
+        if v_star.values[s] != 2 * x1[s]:
             raise AssertionError("starred ethical table is not 2*x1")
     if affine_relation(u1, u1_star) is not None:
         raise AssertionError("agent 1 tables unexpectedly affine")

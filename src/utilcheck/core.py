@@ -9,7 +9,8 @@ which case a state key is the comma-joined canonical form of its
 coordinates (e.g. ``"1/4,0"``).  Dyadic product grids are the finite
 stand-in for the connected spaces that the calibration constructions need:
 their step structure lets every halving step of a standard sequence land
-exactly on a state.
+exactly on a state.  Only this module lays a utility table out in state
+order: every check elsewhere reads ``UtilityTable.column``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import add, eq
+from operator import add, eq, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .rationals import format_rational, scale_ratios, scale_to_ints
+from .rationals import scale_ratios, scale_to_ints
 
 StateKey = str
 
@@ -107,7 +108,11 @@ def replace(record: Record, /, **changes) -> Record:
 
 
 class GridDim(Record):
-    """One dyadic coordinate axis: points lo, lo+step, ..., hi."""
+    """One dyadic coordinate axis: points lo, lo+step, ..., hi; ``size`` counts them.
+
+    The bounds and the step are ints or Fractions, held as Fractions, and
+    are checked in ints; a float raises TypeError naming the field.
+    """
 
     name: str
     lo: Fraction
@@ -115,20 +120,20 @@ class GridDim(Record):
     step: Fraction
 
     def __post_init__(self):
-        if self.hi <= self.lo:
-            raise ValueError(f"dimension {self.name!r}: need hi > lo")
-        if self.step <= 0:
-            raise ValueError(f"dimension {self.name!r}: step must be positive")
-        ratio = (self.hi - self.lo) / self.step
-        if ratio.denominator != 1 or ratio.numerator & (ratio.numerator - 1):
-            raise ValueError(
-                f"dimension {self.name!r}: (hi-lo)/step must be a power of two, got {ratio}"
-            )
-
-    @property
-    def size(self) -> int:
-        """The number of points, (hi - lo) / step + 1."""
-        return ((self.hi - self.lo) / self.step).numerator + 1
+        where = f"dimension {self.name!r}"
+        for field in ("lo", "hi", "step"):
+            object.__setattr__(self, field, _exact(self.__dict__[field], f"{where}: {field}"))
+        (a, b), (c, d), (e, f) = map(Fraction.as_integer_ratio, (self.lo, self.hi, self.step))
+        if c * b <= a * d:
+            raise ValueError(f"{where}: need hi > lo")
+        if e <= 0:
+            raise ValueError(f"{where}: step must be positive")
+        span, unit = (c * b - a * d) * f, b * d * e  # (hi - lo) / step = span / unit
+        count, rest = divmod(span, unit)
+        if rest or count & (count - 1):
+            ratio = Fraction(span, unit)
+            raise ValueError(f"{where}: (hi-lo)/step must be a power of two, got {ratio}")
+        object.__setattr__(self, "size", count + 1)
 
     def points(self) -> list[Fraction]:
         return [self.lo + k * self.step for k in range(self.size)]
@@ -204,20 +209,21 @@ def _exact(value: Fraction | int, name: str) -> Fraction:
 
 
 class UtilityTable:
-    """Total map state -> exact rational value.
+    """Total map state -> exact rational value, held as one state-ordered column.
 
-    A table has three views of its values: ``values`` maps each state to its
-    Fraction, ``ratios`` maps it to that Fraction's ints (p, q) in lowest
-    terms, and ``scaled`` is the LCM of the denominators with each state's
-    value times it as an int.  A table built from Fractions or ints holds
-    ``values``, each int as its Fraction; any other value, a float
-    included, raises TypeError naming its state.  A parsed table arrives as
-    ``ratios`` (``from_ratios``), so no Fraction is built for it unless
-    something reads ``values`` whole, and ``__getitem__`` builds just the
-    one it returns.  Every other view is built on first read and kept, and
-    tables are never changed.  ``states``, ``covers`` and ``is_constant``
-    read the view the table holds.  Equality is pointwise exact equality,
-    decided on the canonical ratios.
+    A table holds its states in order and, in that order, its values'
+    numerators and denominators q > 0, in lowest terms, as two int
+    columns; a parsed table's order is its space's.  Every check reads
+    ``column(states)``, the values times ``scale`` (the LCM of the
+    denominators) as ints, or ``ratio_column``, the two int columns, in the
+    order it asks for; in the table's own order both are kept.  A positive
+    scale keeps every order and equality among values and differences.
+    The views by state, ``values`` (Fractions), ``ratios`` ((p, q)) and
+    ``scaled``, are built on first read and kept, and ``__getitem__``
+    builds one Fraction.  A table built from Fractions or ints keeps their
+    order, and the Fractions, each int as its own, as its ``values``; any
+    other value, a float included, raises TypeError naming its state.
+    Tables are never changed, and equality is pointwise.
     """
 
     def __init__(self, values: Mapping[StateKey, Fraction | int]):
@@ -225,17 +231,18 @@ class UtilityTable:
         if not {*map(type, values.values())} <= {Fraction}:
             for s, v in values.items():
                 values[s] = _exact(v, f"state {s!r}")
-        self.__dict__["values"] = values
+        ratios = [v.as_integer_ratio() for v in values.values()]
+        nums, dens = tuple(map(itemgetter(0), ratios)), tuple(map(itemgetter(1), ratios))
+        self.__dict__.update(_states=tuple(values), _nums=nums, _dens=dens, values=values)
 
     @classmethod
-    def from_ratios(cls, ratios: dict[StateKey, tuple[int, int]]) -> "UtilityTable":
-        """The table with value p / q at each state, for (p, q) = ratios[state].
+    def from_ratios(cls, states: Sequence[StateKey], nums, dens) -> "UtilityTable":
+        """The table with value nums[k] / dens[k] at states[k], in lowest terms with dens[k] > 0.
 
-        Each (p, q) must be in lowest terms with q > 0, as a canonical
-        literal parses, so that equality can compare ratios.
+        Tuples are held as they are, so the tables of one space share its states.
         """
         table = cls.__new__(cls)
-        table.__dict__["ratios"] = ratios
+        table.__dict__.update(_states=tuple(states), _nums=tuple(nums), _dens=tuple(dens))
         return table
 
     @classmethod
@@ -250,38 +257,51 @@ class UtilityTable:
         raise AttributeError(f"UtilityTable is immutable: cannot delete {name!r}")
 
     @cached_property
+    def _index(self) -> dict[StateKey, int]:
+        return {s: k for k, s in enumerate(self._states)}
+
+    @cached_property
+    def _scaled(self) -> tuple[int, list[int]]:
+        return scale_ratios(self._nums, self._dens)
+
+    @property
+    def scale(self) -> int:
+        return self._scaled[0]
+
+    def column(self, states: Sequence[StateKey] | None = None) -> list[int]:
+        """The values times ``scale`` in the order ``states``; in the table's own, one kept list."""
+        ints = self._scaled[1]
+        if states is None or states is self._states or states == self._states:
+            return ints
+        return [ints[k] for k in map(self._index.__getitem__, states)]
+
+    def ratio_column(self, states: Sequence[StateKey]) -> tuple[Sequence[int], Sequence[int]]:
+        """The numerators and the denominators in the order ``states``; in its own, as held."""
+        nums, dens = self._nums, self._dens
+        if states is self._states or states == self._states:
+            return nums, dens
+        at = list(map(self._index.__getitem__, states))
+        return [nums[k] for k in at], [dens[k] for k in at]
+
+    @cached_property
     def values(self) -> dict[StateKey, Fraction]:
-        return {s: Fraction(p, q) for s, (p, q) in self.ratios.items()}
+        return {s: Fraction(p, q) for s, p, q in zip(self._states, self._nums, self._dens)}
 
     @cached_property
     def ratios(self) -> dict[StateKey, tuple[int, int]]:
-        return {s: v.as_integer_ratio() for s, v in self.values.items()}
+        return dict(zip(self._states, zip(self._nums, self._dens)))
 
     @cached_property
     def scaled(self) -> tuple[int, dict[StateKey, int]]:
-        """The LCM of the denominators, and each state's value times it as an int.
-
-        A positive scale keeps every order and every equality among values
-        and among their differences, so the table checks compare these ints.
-        """
-        scale, ints = scale_ratios(list(self.ratios.values()))
-        return scale, dict(zip(self.ratios, ints))
-
-    def _held(self) -> dict:
-        """The values or the ratios, whichever the table holds: same keys, same order."""
-        held = self.__dict__
-        return held["values"] if "values" in held else held["ratios"]
+        return self.scale, dict(zip(self._states, self.column()))
 
     def __getitem__(self, key: StateKey) -> Fraction:
-        if "values" in self.__dict__:
-            return self.values[key]
-        return Fraction(*self.ratios[key])
+        k = self._index[key]
+        return Fraction(self._nums[k], self._dens[k])
 
-    def literals(self, states: Iterable[StateKey]) -> list[str]:
-        """Each state's value as its canonical literal, written from the view the table holds."""
-        if "values" in self.__dict__:
-            return list(map(format_rational, map(self.values.__getitem__, states)))
-        return [str(p) if q == 1 else f"{p}/{q}" for p, q in map(self.ratios.__getitem__, states)]
+    def literals(self, states: Sequence[StateKey]) -> list[str]:
+        """Each state's value as its canonical literal, in the order ``states``."""
+        return [str(p) if q == 1 else f"{p}/{q}" for p, q in zip(*self.ratio_column(states))]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UtilityTable):
@@ -291,17 +311,15 @@ class UtilityTable:
     def __repr__(self) -> str:
         return f"UtilityTable(values={self.values!r})"
 
-    def states(self):
-        return self._held().keys()
+    def states(self) -> tuple[StateKey, ...]:
+        return self._states
 
     def covers(self, space: StateSpace) -> bool:
         """True iff the table's states are exactly the space's."""
-        return self._held().keys() == space.index.keys()
+        return self._states is space.states or space.index.keys() == set(self._states)
 
     def is_constant(self) -> bool:
-        vals = iter(self._held().values())
-        first = next(vals)
-        return all(v == first for v in vals)
+        return len(set(self._nums)) == len(set(self._dens)) == 1
 
     def affine(self, alpha: Fraction | int, beta: Fraction | int) -> "UtilityTable":
         a, b = _exact(alpha, "alpha"), _exact(beta, "beta")
@@ -321,11 +339,9 @@ def linear_combination(
         raise ValueError("one weight per table")
     if not tables:
         raise ValueError("need at least one table")
-    keys = tables[0].states()
-    out = {}
-    for s in keys:
-        out[s] = sum((w * t[s] for w, t in zip(weights, tables)), constant)
-    return UtilityTable(out)
+    terms = [(w, t.values) for w, t in zip(weights, tables)]
+    states = tables[0].states()
+    return UtilityTable({s: sum((w * v[s] for w, v in terms), constant) for s in states})
 
 
 def combination_holds(d, v, us, weights, constant=Fraction(0)) -> bool:
@@ -369,7 +385,7 @@ class SimpleLottery(Record):
         if len({s for s, _ in entries}) != len(entries):
             raise ValueError("duplicate state in support")
         # The sum is decided in ints over the LCM of the denominators.
-        scale, ints = scale_ratios(ratios)
+        scale, ints = scale_ratios(*zip(*ratios))
         if sum(ints) != scale:
             raise ValueError(f"probabilities sum to {Fraction(sum(ints), scale)}, not 1")
         object.__setattr__(self, "probs", tuple(entries))
@@ -394,7 +410,7 @@ def expectation(p: SimpleLottery, u: UtilityTable) -> Fraction:
     """Exact expected value of u under p."""
     total = Fraction(0)
     for s, pr in p.probs:
-        if s not in u.states():
+        if s not in u._index:
             raise KeyError(f"state {s!r} in lottery support but not in table")
         total += pr * u[s]
     return total

@@ -10,22 +10,23 @@ integer reduction per society (``SpanProblem.reduction``, shared through
 ``harvey.Analysis.span``) gives the span verdict, the weights, the regular
 states and the first state that separates the ethical table; the witness
 constructions add one reduction of at most n+1 rows each.  They read the
-ratios of only the states they need: a failed axiom (i) at most n+2, the
-origin of v's pivot and the regular states before it, where its null
-vector is nonzero.  Every witness pair is re-verified before return on
-the pair itself, over the states where p - q is nonzero: by linearity
-E_p[u] - E_q[u] is the sum of (p_s - q_s) u(s) over them.
+reduction's scaled rows at only the states they need: a failed axiom (i)
+at most n+2, the origin of v's pivot and the regular states before it,
+where its null vector is nonzero.  Every witness pair is re-verified
+before return on the pair itself, over the states where p - q is
+nonzero: by linearity E_p[u] - E_q[u] is the sum of (p_s - q_s) u(s)
+over them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from . import linalg
 from .core import Record, SimpleLottery, StateKey, combination_holds
-from .rationals import scale_ratios, scale_rows
+from .rationals import scale_rows
 from .society import CheckResult, Profile, Society
 
 if TYPE_CHECKING:
@@ -46,7 +47,7 @@ class SpanProblem(Record):
     """Stacked profile matrix: row 0 is constantly 1, row i is agent i's table.
 
     ``columns`` holds u_1 ... u_n and v in state order as each table's
-    ``ratios``, the ints (p, q) of every value.  ``scaled`` is the one
+    ``ratio_column``, its numerators and denominators.  ``scaled`` is the one
     scaling of its rows: each state's values times the LCM d of that
     state's own denominators (``rationals.scale_rows``), which keeps the
     row space, so no Fraction is built.  ``reduction`` and ``verify`` both
@@ -64,18 +65,18 @@ class SpanProblem(Record):
     if any, is the first state that separates v.  ``verify`` re-checks a
     recovered identity at every state on the scaled rows
     (``core.combination_holds``), as ``harvey.recover_constant`` does on the
-    intensity side's.  The witness constructions build their int rows from
-    the ratios of the at most n+2 states they read (``_profile_rows``).
+    intensity side's columns.  The witness constructions read the same
+    rows, d_s times the profile column at state s, at the states they need.
     """
 
     states: tuple[StateKey, ...]
-    columns: tuple[tuple[tuple[int, int], ...], ...]
+    columns: tuple[tuple[Sequence[int], Sequence[int]], ...]
 
     @classmethod
     def from_profile(cls, profile: Profile, agents, states) -> "SpanProblem":
         states = tuple(states)
         tables = [*(profile.tables[a] for a in agents), profile.ethical]
-        columns = tuple(tuple(map(t.ratios.__getitem__, states)) for t in tables)
+        columns = tuple(t.ratio_column(states) for t in tables)
         return cls(states=states, columns=columns)
 
     @classmethod
@@ -87,16 +88,6 @@ class SpanProblem(Record):
     def size(self) -> int:
         """The number of rows of the profile matrix, n + 1: v's column index."""
         return len(self.columns)
-
-    def _profile_rows(self, states, extra=()) -> list[list[int]]:
-        """The profile matrix's columns at ``states``, then the columns ``extra``, as int rows.
-
-        They are read from the ratios, and each row is scaled by the LCM of
-        its own denominators, so no Fraction is built.
-        """
-        agents = self.columns[:-1]
-        columns = [*([(1, 1), *(u[s] for u in agents)] for s in states), *extra]
-        return [scale_ratios(row)[1] for row in zip(*columns)]
 
     @cached_property
     def scaled(self) -> tuple[list[int], list[list[int]]]:
@@ -146,24 +137,32 @@ class SpanProblem(Record):
         That of a free state f is 1 at f and, at each regular state before
         f, minus that state's coefficient in f's profile column.  The first
         free state with a nonzero v-product is the origin of v's pivot (the
-        last pivot), so v must be outside the span.
+        last pivot), so v must be outside the span.  Solved on the scaled
+        rows, a coefficient a is a * d_s / d_f on the profile columns.
         """
         free = self.reduction.origins[-1]
         before = [s for s in self.regular_states if s < free]
-        lam = _solution(linalg.reduce_rows(self._profile_rows([*before, free])), len(before))
+        d, columns = self.scaled
+        rows = [[row[s] for s in [*before, free]] for row in (d, *columns[:-1])]
         eta = [Fraction(0)] * len(self.states)
         eta[free] = Fraction(1)
-        for s, a in zip(before, lam):
-            eta[s] = -a
+        for s, a in zip(before, _solution(linalg.reduce_rows(rows), len(before))):
+            eta[s] = -a * d[s] / d[free]
         return eta
 
     @cached_property
     def regular_inverse(self) -> list[list[Fraction]]:
-        """Inverse of the profile columns on ``regular_states``: one reduction of [A_S | I]."""
-        k = self.size
-        identity = [[(int(i == j), 1) for i in range(k)] for j in range(k)]
-        square = self._profile_rows(self.regular_states, identity)
-        return [row[k:] for row in linalg.reduce_rows(square).rows]
+        """Inverse of the profile columns A_S on ``regular_states``, from one reduction.
+
+        The scaled rows hold A_S D with D = diag(d_s), and reducing [A_S D | I]
+        gives (A_S D)^-1, whose row for state s is that of A_S^-1 over d_s.
+        """
+        d, columns = self.scaled
+        k, regular = self.size, self.regular_states
+        identity = [[int(r == j) for j in range(k)] for r in range(k)]
+        square = [[row[s] for s in regular] + e for row, e in zip((d, *columns[:-1]), identity)]
+        inverse = linalg.reduce_rows(square).rows
+        return [[d[s] * x for x in row[k:]] for s, row in zip(regular, inverse)]
 
 
 class LotteryWitnessPair(Record):
@@ -257,7 +256,7 @@ def check_axiom_i(soc: Society, analysis: Analysis | None = None) -> CheckResult
     matrix.  On failure the certifying lottery pair (equal expectation for
     every agent, unequal for the ethical table) is constructed from the
     first canonical null vector that v does not annihilate, which is
-    nonzero on at most n+2 states and is solved from their ratios alone.
+    nonzero on at most n+2 states and is solved from their scaled rows alone.
     The pair is verified before return on the states where p and q differ.
     """
     problem = SpanProblem.of(soc) if analysis is None else analysis.span
@@ -279,7 +278,7 @@ def recover_weights(soc: Society, analysis: Analysis | None = None) -> WeightRep
     """
     problem = SpanProblem.of(soc) if analysis is None else analysis.span
     if not problem.in_span:
-        bad = next(s for s, (p, _) in zip(problem.states, problem.columns[-1]) if p)
+        bad = next(s for s, p in zip(problem.states, problem.columns[-1][0]) if p)
         return WeightReport(success=False, agents=soc.agents, residual_witness=bad)
     sol = problem.solution
     report = WeightReport(

@@ -32,12 +32,13 @@ ints (``DifferenceMap.bends``): a linear component is additive, so only a
 bent one gets the quadratic additivity scan, and the slopes read the same
 decision.
 
-Both paths run over Python ints: each table's scaled form, its values
-times the LCM of its denominators (``UtilityTable.scaled``, shared with the
-other checks), is read once.  A positive per-table scale keeps "these two
-differences are equal" exactly, so the verdict, the first conflicting pair
-and its stored pair are those of a scan over the Fractions.  Each state's
-scaled vector is then packed into one int,
+Both paths run over Python ints: each table's column, its values in
+state order times the LCM of its denominators (``UtilityTable.column``,
+the list every other check reads too), is packed once per profile, and
+the constant is re-verified on the same columns.  A positive per-table
+scale keeps "these two differences are equal" exactly, so the verdict,
+the first conflicting pair and its stored pair are those of a scan over
+the Fractions.  Each state's scaled vector is then packed into one int,
 P(x) = sum of U_i(x) * R_i, with R_0 = 1 and R_{i+1} = R_i * (2 * span_i + 1),
 where span_i is max - min of agent i's scaled table.  Every component of a
 difference vector lies in [-span_i, span_i], so P(x) - P(y) is a balanced
@@ -158,20 +159,16 @@ class _Ints(Record):
 
 def _pack(soc: Society, profile: Profile) -> _Ints:
     states = soc.space.states
-    packed = [0] * len(states)
-    columns, scales, radices, radix = [], [], [], 1
-    for a in soc.agents:
-        scale, ints = profile.tables[a].scaled
-        column = [ints[s] for s in states]
+    tables = [profile.tables[a] for a in soc.agents]
+    columns = tuple(t.column(states) for t in tables)
+    packed, radices, radix = [0] * len(states), [], 1
+    for column in columns:
         packed = [p + u * radix for p, u in zip(packed, column)]
-        columns.append(column)
-        scales.append(scale)
         radices.append(radix)
         radix *= 2 * (max(column) - min(column)) + 1
-    ethical_scale, ethical_ints = profile.ethical.scaled
-    ethical = [ethical_ints[s] for s in states]
+    scales, ethical = tuple(t.scale for t in tables), profile.ethical
     return _Ints(
-        states, tuple(columns), tuple(scales), tuple(radices), packed, ethical_scale, ethical
+        states, columns, scales, tuple(radices), packed, ethical.scale, ethical.column(states)
     )
 
 
@@ -274,9 +271,9 @@ class Analysis:
     ``harvey`` recovery report, the base tables' certificate for the Pareto
     record, and one ``SpanProblem`` per profile (``span_of``), whose one
     reduction answers every span question on that profile: the lottery
-    side's (``span``) every Harsanyi answer, a certificate whose profile
-    lacks a single-agent neighbour, and the intensity side's constant
-    re-check.  A society with no separate profiles reduces its rows once.
+    side's (``span``) every Harsanyi answer, and a certificate whose
+    profile lacks a single-agent neighbour.  A society with no separate
+    profiles reduces its rows once.
     A command creates one per society, passes it to its checks and drops it
     when it returns.  It is never stored on the society: a long-lived
     society would otherwise keep a quadratic pair table alive.
@@ -461,24 +458,20 @@ def extract_slopes(dm: DifferenceMap) -> SlopeReport:
 def recover_constant(soc: Society, slopes, analysis: Analysis | None = None) -> Fraction:
     """The additive constant, fixed at the first state and re-verified pointwise.
 
-    The re-verification reads the intensity side's scaled rows through
-    ``analysis.span_of``, so that a run which also reduces that profile
-    scales its rows once.  The slopes passed the linearity decision, so a
-    failed re-verification is a bug, not a verdict: it raises
-    ``AssertionError``.
+    Both read the intensity side's scaled columns (``Analysis._ints``), the
+    ints the difference map was built from.  With E the ethical column over
+    scale e and U_i agent i's over s_i, v = sum a_i u_i + b reads
+    E = sum (a_i * e / s_i) U_i + b * e at every state.  The slopes passed
+    the linearity decision, so a failed re-verification is a bug, not a
+    verdict: it raises ``AssertionError``.
     """
-    if analysis is None:
-        analysis = Analysis(soc)
-    profile = soc.alt_side()
-    tables = [profile.tables[a] for a in soc.agents]
-    anchor = soc.space.states[0]
-    b = profile.ethical[anchor] - sum(
-        (a * t[anchor] for a, t in zip(slopes, tables)), Fraction(0)
-    )
-    d, (*us, v) = analysis.span_of(profile).scaled
-    if not combination_holds(d, v, us, slopes, b):
+    ints = (Analysis(soc) if analysis is None else analysis)._ints
+    e = ints.ethical_scale
+    weights = [a * Fraction(e, s) for a, s in zip(slopes, ints.scales)]
+    b = ints.ethical[0] - sum((w * u[0] for w, u in zip(weights, ints.columns)), Fraction(0))
+    if not combination_holds([1] * len(ints.states), ints.ethical, ints.columns, weights, b):
         raise AssertionError("slopes and constant fail pointwise re-verification")
-    return b
+    return b / e
 
 
 class HarveyReport(Record):

@@ -20,27 +20,26 @@ def affine_relation(
 ) -> tuple[Fraction, Fraction] | None:
     """The unique (alpha > 0, beta) with w = alpha*u + beta, or None.
 
-    Decided on the two tables' scaled ints U and W.  From the first state a
-    and the first state o where u differs, run = U(o) - U(a) and lift =
-    W(o) - W(a) must have one sign, and every state s must satisfy run *
-    (W(s) - W(a)) == lift * (U(s) - U(a)).  Fractions are built only for
-    the returned pair.  Constant u: returns (1, shift) when w is constant
-    too, else None.
+    Decided on the two tables' columns U and W, in u's state order.  From
+    the first state a and the first state o where u differs, run = U(o) -
+    U(a) and lift = W(o) - W(a) must have one sign, and every state s must
+    satisfy run * (W(s) - W(a)) == lift * (U(s) - U(a)).  Fractions are
+    built only for u(a), w(a) and the returned pair.  Constant u: returns
+    (1, shift) when w is constant too, else None.
     """
-    if u.states() != w.states():
+    states = u.states()
+    if states != w.states() and set(states) != set(w.states()):
         raise ValueError("tables must share a domain")
-    (u_scale, u_ints), (w_scale, w_ints) = u.scaled, w.scaled
-    anchor = next(iter(u_ints))
-    other = next((s for s in u_ints if u_ints[s] != u_ints[anchor]), None)
+    us, ws = u.column(), w.column(states)
+    u0, w0 = us[0], ws[0]
+    at_u, at_w = Fraction(u0, u.scale), Fraction(w0, w.scale)  # u(a) and w(a)
+    other = next((k for k, x in enumerate(us) if x != u0), None)
     if other is None:
-        if w.is_constant():
-            return Fraction(1), w[anchor] - u[anchor]
-        return None
-    u0, w0 = u_ints[anchor], w_ints[anchor]
-    run, lift = u_ints[other] - u0, w_ints[other] - w0
+        return (Fraction(1), at_w - at_u) if w.is_constant() else None
+    run, lift = us[other] - u0, ws[other] - w0
     g = gcd(run, lift)  # the ratio in lowest terms keeps the products short
     run, lift = run // g, lift // g
-    if run * lift <= 0 or any(run * (w_ints[s] - w0) != lift * (u_ints[s] - u0) for s in u_ints):
+    if run * lift <= 0 or any(run * (y - w0) != lift * (x - u0) for x, y in zip(us, ws)):
         return None
-    alpha = Fraction(lift * u_scale, run * w_scale)
-    return alpha, w[anchor] - alpha * u[anchor]
+    alpha = Fraction(lift * u.scale, run * w.scale)
+    return alpha, at_w - alpha * at_u

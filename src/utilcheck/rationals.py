@@ -3,8 +3,9 @@
 Every numeric quantity in this package is exact; nothing is ever rounded.
 A value is a ``fractions.Fraction``, the ints (p, q) of one in lowest
 terms, or an int numerator over a positive int scale shared by a whole
-table.  A parsed table keeps each value as its literal's (p, q), and a
-Fraction is built only when a value is read for output or for a witness.
+table.  A table keeps its values' numerators and denominators as two
+columns, and a Fraction is built only when a value is read for output or
+for a witness.
 
 The wire format for a rational is the canonical string ``"p"`` or
 ``"p/q"`` with ``q > 0`` and ``gcd(|p|, q) = 1``, which is exactly what
@@ -121,10 +122,10 @@ def format_rational(q: Fraction) -> str:
     return str(q if type(q) is Fraction else Fraction(q))
 
 
-def scale_ratios(ratios: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
-    """The LCM of the denominators q, and each p/q times it, as ints."""
-    scale = lcm(*{q for _, q in ratios})
-    return scale, [p * (scale // q) for p, q in ratios]
+def scale_ratios(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, list[int]]:
+    """The LCM of the denominators, and each nums[k] / dens[k] times it, as ints."""
+    scale = lcm(*set(dens))
+    return scale, [p * (scale // q) for p, q in zip(nums, dens)]
 
 
 def scale_to_ints(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -134,20 +135,20 @@ def scale_to_ints(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     every equality of differences among the values: comparisons can run on
     them exactly and much faster than on Fractions.
     """
-    return scale_ratios([v.as_integer_ratio() for v in values])
+    return scale_ratios([v.numerator for v in values], [v.denominator for v in values])
 
 
 def scale_rows(
-    columns: Sequence[Sequence[tuple[int, int]]],
+    columns: Sequence[tuple[Sequence[int], Sequence[int]]],
 ) -> tuple[list[int], list[list[int]]]:
-    """Scale each row of a matrix, given as columns of (p, q), by the LCM of its own denominators.
+    """Scale each row of a matrix, given as columns (p, q) of numerators and denominators.
 
-    Returns the row LCMs d and, for each column, its entries p * (d // q)
-    row by row, as a list, so the row reduction and the identity check can
-    both read the same ints.  A row's ints stay as short as its own
-    denominators however many rows there are, and a positive scale per row
-    keeps the row space and every equation that holds on a row.
+    Each row is scaled by the LCM of its own denominators.  Returns the row
+    LCMs d and, for each column, its entries p * (d // q) row by row, as a
+    list, so the row reduction and the identity check can both read the
+    same ints.  A row's ints stay as short as its own denominators however
+    many rows there are, and a positive scale per row keeps the row space
+    and every equation that holds on a row.
     """
-    split = [(list(map(itemgetter(0), c)), list(map(itemgetter(1), c))) for c in columns]
-    d = list(map(lcm, *(q for _, q in split)))
-    return d, [list(map(mul, p, map(floordiv, d, q))) for p, q in split]
+    d = list(map(lcm, *(q for _, q in columns)))
+    return d, [list(map(mul, p, map(floordiv, d, q))) for p, q in columns]

@@ -5,9 +5,10 @@ space, all given here as utility tables.  Coincidence runs carry two extra
 table profiles: a lottery-side profile (u*, v*) and an intensity-side
 profile (u, v); either defaults to the base profile when absent.
 
-The checks compare each table's scaled ints (``UtilityTable.scaled``),
-which keep every order and equality of the values.  Failing checks return
-the first witness in state order, so results are reproducible byte for byte.
+The checks compare each table's scaled ints in state order
+(``UtilityTable.column``), which keep every order and equality of the
+values.  Failing checks return the first witness in state order, so
+results are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ def check_pareto_criterion(soc: Society) -> CheckResult:
     decided by ``check_pareto_on_lattice``.
     """
     states = soc.space.states
-    vectors = list(zip(*(_column(soc.base.tables[a], states) for a in soc.agents)))
-    ethical = _column(soc.base.ethical, states)
+    vectors = list(zip(*(soc.base.tables[a].column(states) for a in soc.agents)))
+    ethical = soc.base.ethical.column(states)
     for x, cx, vx in zip(states, vectors, ethical):
         y = _first_dominated(states, vectors, ethical, cx, vx)
         if y is not None:
@@ -158,8 +159,8 @@ def check_pareto_on_lattice(soc: Society) -> CheckResult:
     realized, so the work is O(|X| n).
     """
     states = soc.space.states
-    columns = [_column(soc.base.tables[a], states) for a in soc.agents]
-    ethical = _column(soc.base.ethical, states)
+    columns = [soc.base.tables[a].column(states) for a in soc.agents]
+    ethical = soc.base.ethical.column(states)
     # Each state's lattice point as a flat index, the last agent's rank
     # varying fastest; ``axes`` holds each agent's stride and class count,
     # last agent first.
@@ -202,12 +203,6 @@ def _first_dominated(states, vectors, ethical, cx, vx) -> StateKey | None:
     return None
 
 
-def _column(table: UtilityTable, states: Sequence[StateKey]) -> list[int]:
-    """The table's scaled values in state order."""
-    ints = table.scaled[1]
-    return [ints[s] for s in states]
-
-
 def semi_separability(tables: Sequence[UtilityTable], states: Sequence[StateKey]) -> CheckResult:
     """For every profile (x_1..x_n) some single state must be i-indifferent to x_i.
 
@@ -222,7 +217,7 @@ def semi_separability(tables: Sequence[UtilityTable], states: Sequence[StateKey]
     exactly when fewer realized combinations extend it than the remaining
     tables' class counts allow.
     """
-    columns = [_column(t, states) for t in tables]
+    columns = [t.column(states) for t in tables]
     realized = set(zip(*columns))
     completions = [1] * (len(tables) + 1)
     for j in range(len(tables) - 1, -1, -1):
@@ -255,7 +250,7 @@ def order_disagreement(
 
     ``core.first_disagreement`` on the two scaled tables in state order.
     """
-    pair = first_disagreement(_column(t1, states), _column(t2, states))
+    pair = first_disagreement(t1.column(states), t2.column(states))
     return None if pair is None else (states[pair[0]], states[pair[1]])
 
 
@@ -266,4 +261,4 @@ def matches(t1: UtilityTable, t2: UtilityTable, states: Sequence[StateKey]) -> b
     order matches the intensity system of a table exactly when it is that
     table's order, since [x,y] >= [y,y] reads t(x) >= t(y).
     """
-    return same_ranking(_column(t1, states), _column(t2, states))
+    return same_ranking(t1.column(states), t2.column(states))

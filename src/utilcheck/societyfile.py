@@ -16,9 +16,12 @@ each known to it), and the literals the dict has not seen are validated
 together by ``rationals.parse_ratios``.  Only a table that fails runs the
 per-state loop, which validates each value with ``parse_ratio`` and raises
 the first error with its location, so a location string is built only for
-a rejected value.  Each table arrives as its literals' ints
-(``UtilityTable.from_ratios``), which are in lowest terms because every
-literal is canonical, and no Fraction is built for it.
+a rejected value.  Each table arrives as its literals' ints in the
+space's state order, whatever order the file lists them in
+(``UtilityTable.from_ratios`` on ``space.states``), so every table of a
+parsed society shares its space's states and every check reads its
+column as held.  The ints are in lowest terms because every literal is
+canonical, and no Fraction is built for them.
 
 ``max_states`` caps the declared size of the space, checked before any
 state is built: ``len(states)`` for an explicit space, and the product of
@@ -139,23 +142,19 @@ def _parse_table(
     if not isinstance(payload, dict):
         raise SocietyFileError("utility table must be an object", where)
     index = space.index
-    values = payload.values()
     covers = len(payload) == len(index) and payload.keys() <= index.keys()
-    if covers and _memoize(values, literals):
-        return UtilityTable.from_ratios(dict(zip(payload, map(literals.__getitem__, values))))
-    # Some value or state is rejected: the loop finds the first, with its location.
-    ratios = []
-    for state, text in payload.items():
-        if state not in index:
-            raise SocietyFileError(f"unknown state {state!r}", where)
-        ratio = literals.get(text) if isinstance(text, str) else None
-        if ratio is None:
-            ratio = literals[text] = _parse_scalar(text, where, state)
-        ratios.append(ratio)
-    if len(ratios) != len(index):
-        missing = next(s for s in space.states if s not in payload)
-        raise SocietyFileError(f"missing states (first: {missing!r})", where)
-    return UtilityTable.from_ratios(dict(zip(payload, ratios)))
+    if not (covers and _memoize(payload.values(), literals)):
+        # Some value or state is rejected: the loop finds the first, with its location.
+        for state, text in payload.items():
+            if state not in index:
+                raise SocietyFileError(f"unknown state {state!r}", where)
+            if not (isinstance(text, str) and text in literals):
+                literals[text] = _parse_scalar(text, where, state)
+        if len(payload) != len(index):
+            missing = next(s for s in space.states if s not in payload)
+            raise SocietyFileError(f"missing states (first: {missing!r})", where)
+    nums, dens = zip(*map(literals.__getitem__, map(payload.__getitem__, space.states)))
+    return UtilityTable.from_ratios(space.states, nums, dens)
 
 
 def _parse_profile(

@@ -129,9 +129,9 @@ def mat_vec(rows, v) -> Vector:
 def profile_rows(problem) -> Matrix:
     """A ``SpanProblem``'s profile matrix as Fractions: the constant row 1, then u_1 ... u_n."""
     ones = [Fraction(1)] * len(problem.states)
-    return [ones, *([Fraction(p, q) for p, q in c] for c in problem.columns[:-1])]
+    return [ones, *([Fraction(p, q) for p, q in zip(*c)] for c in problem.columns[:-1])]
 
 
 def profile_target(problem) -> Vector:
     """A ``SpanProblem``'s ethical table v as Fractions, in state order."""
-    return [Fraction(p, q) for p, q in problem.columns[-1]]
+    return [Fraction(p, q) for p, q in zip(*problem.columns[-1])]

@@ -36,6 +36,17 @@ def table_system(values: dict) -> tuple[UtilityTable, AltSystem]:
     return table, AltSystem.from_utility(table)
 
 
+def test_pair_rankings_refuse_inexact_ranks():
+    # Wrapped in Fraction(), the rank 0.1 became 3602879701896397/36028797018963968.
+    system = AltSystem.from_pair_ranking(("a", "b"), lambda x, y: 0.1 if x != y else 0)
+    with pytest.raises(TypeError, match=r"pair \('a', 'b'\): float 0\.1 is not an int"):
+        system.geq(("a", "b"), ("a", "a"))
+    with pytest.raises(TypeError, match="float 0.1"):
+        check_consistency(system)
+    exact = AltSystem.from_pair_ranking(("a", "b"), lambda x, y: F(1, 10) if x != y else 0)
+    assert exact.ranks == [0, 1, 1, 0]
+
+
 # ---------------------------------------------------------------------------
 # Consistency and crossover
 

@@ -3,7 +3,9 @@
 ``utilcheck.__all__`` is pinned, so that any change to the public API shows
 up in a diff of this file.  No module imports ``random``: every verdict is
 decided exactly, and none may rest on a sample.  ``coincidence`` imports
-nothing from ``alt``: the pipeline decides matching on the tables.
+nothing from ``alt``: the pipeline decides matching on the tables.  Only
+``core`` lays a table out in state order: every other module reads
+``UtilityTable.column``, never a table's ``ratios`` or ``scaled`` view by state.
 """
 
 from __future__ import annotations
@@ -76,3 +78,25 @@ def test_coincidence_imports_nothing_from_alt():
     imported = _package_imports(SRC / "coincidence.py")
     assert {"core", "society"} <= imported
     assert "alt" not in imported
+
+
+def _table_layouts(path: Path) -> list[str]:
+    """Each read of a ``.ratios`` view, and of a ``.scaled`` view not on ``self``, as ``file:line``.
+
+    A ``SpanProblem`` reads its own scaled rows as ``self.scaled``.
+    """
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Attribute):
+            continue
+        on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+        if node.attr == "ratios" or (node.attr == "scaled" and not on_self):
+            found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    return found
+
+
+def test_only_core_lays_out_a_table_in_state_order():
+    assert _table_layouts(SRC / "core.py")  # the scan sees core's own reads
+    others = sorted(p for p in SRC.glob("*.py") if p.name != "core.py")
+    assert others
+    assert [hit for p in others for hit in _table_layouts(p)] == []

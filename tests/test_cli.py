@@ -583,6 +583,40 @@ def test_fixture_emit_round_trips(tmp_path):
     assert stdout_emit.stdout == text
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_a_file_with_shuffled_table_keys_reads_as_the_canonical_one(name, tmp_path, capsys):
+    # The parser lays each table out in the space's state order, so the
+    # order a file lists a table's states in changes no output.
+    canonical = FIXTURES / name
+    payload = json.loads(canonical.read_text(encoding="utf-8"))
+    rng = random.Random(name)
+
+    def shuffled(table: dict) -> dict:
+        items = list(table.items())
+        rng.shuffle(items)
+        return dict(items)
+
+    for key in (None, "nm_profile", "alt_profile"):
+        profile = payload if key is None else payload.get(key)
+        if profile is not None:
+            for agent in profile["agents"]:
+                agent["utility"] = shuffled(agent["utility"])
+            profile["ethical"] = shuffled(profile["ethical"])
+    path = tmp_path / name
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    assert path.read_text(encoding="utf-8") != canonical.read_text(encoding="utf-8")
+    assert emit_society(parse_society(str(path))) == canonical.read_text(encoding="utf-8")
+    commands = (["validate"], ["recover", "--mode", "harsanyi"], ["recover", "--mode", "harvey"],
+                ["coincide"])
+    for command in commands:
+        for flags in ([], ["--json"]):
+            outcomes = []
+            for file in (canonical, path):
+                code = cli.main([*command, str(file), *flags])
+                outcomes.append((code, *capsys.readouterr()))
+            assert outcomes[0] == outcomes[1], (command, flags)
+
+
 def test_malformed_json_exits_two(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

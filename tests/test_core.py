@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from utilcheck import (
     parse_rational,
     pareto_dominates,
 )
+from utilcheck.societyfile import payload_to_society
 
 F = Fraction
 
@@ -59,6 +61,30 @@ def test_product_grid_states_and_coords():
 def test_grid_requires_power_of_two_step():
     with pytest.raises(ValueError):
         GridDim("x", F(0), F(1), F(1, 3))
+
+
+def test_grid_dims_refuse_inexact_bounds_and_keep_their_messages():
+    # A float bound once failed with AttributeError: 'float' object has no
+    # attribute 'denominator'.
+    with pytest.raises(TypeError, match=r"dimension 'x': hi: float 0\.1 is not an int or"):
+        GridDim("x", 0, 0.1, 0.025)
+    with pytest.raises(TypeError, match=r"dimension 'y': step: float 0\.5 is not an int"):
+        GridDim("y", F(0), F(1), 0.5)
+    for bounds, message in (
+        ((F(1), F(1), F(1, 2)), "need hi > lo"),
+        ((F(0), F(1), F(0)), "step must be positive"),
+        ((F(0), F(1), F(-1, 2)), "step must be positive"),
+        ((F(0), F(1), F(1, 3)), "(hi-lo)/step must be a power of two, got 3"),
+        ((F(0), F(1), F(2, 5)), "(hi-lo)/step must be a power of two, got 5/2"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            GridDim("x", *bounds)
+        assert str(caught.value) == f"dimension 'x': {message}"
+    dim = GridDim("x", -1, 1, F(1, 2))
+    assert (dim.lo, dim.hi, dim.size) == (F(-1), F(1), 5)
+    assert type(dim.lo) is type(dim.hi) is Fraction
+    assert dim.labels() == ["-1", "-1/2", "0", "1/2", "1"]
+    assert dim == GridDim("x", F(-1), F(1), F(1, 2))
 
 
 def test_table_must_cover_space():
@@ -190,10 +216,10 @@ def test_lotteries_refuse_inexact_probabilities():
 
 
 def test_tables_are_immutable_in_every_view():
-    # A parsed table holds its ratios and builds its Fractions on first
-    # read; neither can be reassigned, so no view falls out of step.
+    # A table holds its numerators and denominators and builds its
+    # Fractions when read; no view can be reassigned or fall out of step.
     built = UtilityTable({"x": F(-1, 2), "y": F(3)})
-    parsed = UtilityTable.from_ratios({"x": (-1, 2), "y": (3, 1)})
+    parsed = UtilityTable.from_ratios(("x", "y"), (-1, 3), (2, 1))
     assert built == parsed
     assert parsed["x"] == F(-1, 2) and "values" not in vars(parsed)
     for table in (built, parsed):
@@ -204,6 +230,42 @@ def test_tables_are_immutable_in_every_view():
                 delattr(table, view)
         assert table.values == {"x": F(-1, 2), "y": F(3)}
         assert table.scaled == (2, {"x": -1, "y": 6})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(fractions_st, min_size=1, max_size=8), st.randoms(use_true_random=False))
+def test_every_construction_holds_one_state_ordered_column(values, rng):
+    # From Fractions, from ints where a value is whole, from ratios, and by
+    # parsing a file whose table lists the states shuffled.
+    states = tuple(f"s{i}" for i in range(len(values)))
+    shuffled = list(zip(states, map(str, values)))
+    rng.shuffle(shuffled)
+    payload = {
+        "space": {"kind": "explicit", "states": list(states)},
+        "agents": [{"name": a, "utility": dict(shuffled)} for a in ("a", "b")],
+        "ethical": dict(shuffled),
+    }
+    parsed = payload_to_society(payload)
+    tables = [
+        UtilityTable(dict(zip(states, values))),
+        UtilityTable({s: v.numerator if v.denominator == 1 else v for s, v in zip(states, values)}),
+        UtilityTable.from_ratios(
+            states, [v.numerator for v in values], [v.denominator for v in values]
+        ),
+        parsed.base.tables["a"],
+    ]
+    assert parsed.base.tables["a"].states() is parsed.space.states
+    scale = math.lcm(*(v.denominator for v in values))
+    order = [s for s, _ in shuffled]
+    for table in tables:
+        assert table == tables[0]
+        assert table.states() == states
+        assert table.column() is table.column(states) == [int(v * scale) for v in values]
+        assert table.column(order) == [int(F(text) * scale) for _, text in shuffled]
+        assert list(table.values.items()) == list(zip(states, values))
+        assert table.scaled == (scale, dict(zip(states, table.column())))
+        assert table.literals(order) == [text for _, text in shuffled]
+        assert table.literals(states) == list(map(str, values))
 
 
 def test_expectation_dirac():

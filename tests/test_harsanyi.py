@@ -715,7 +715,7 @@ def test_sign_witness_verifier_rejects_a_swapped_pair():
 def test_failed_axiom_i_reads_only_the_witness_states(monkeypatch):
     # Neither witness construction builds the Fraction profile matrix or
     # runs a full-support expectation: the null vector and the square
-    # inverse read the ratios of their few states, and each pair is
+    # inverse read the scaled rows of their few states, and each pair is
     # verified on the states where p and q differ.
     def full_support_expectation(*args):
         raise AssertionError("full-support expectation computed")

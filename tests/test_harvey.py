@@ -483,7 +483,8 @@ def test_recover_constant_random_residual_zero():
 
 def test_coincide_scales_a_base_only_profile_once(tmp_path, monkeypatch, capsys):
     # With neither an nm_profile nor an alt_profile both sides read the base
-    # tables, so the constant's re-check reads the lottery side's scaled rows.
+    # tables.  Only the lottery side scales rows: the intensity side's
+    # constant is re-checked on the columns its difference map was built from.
     soc = product_grid_society(random.Random(3), 2, sizes=(2, 2))[0]
     path = tmp_path / "grid.json"
     path.write_text(emit_society(soc), encoding="utf-8")
@@ -491,7 +492,7 @@ def test_coincide_scales_a_base_only_profile_once(tmp_path, monkeypatch, capsys)
     real = harsanyi.scale_rows
 
     def counted(columns):
-        calls.append(len(columns[0]))
+        calls.append(len(columns[0][0]))
         return real(columns)
 
     monkeypatch.setattr(harsanyi, "scale_rows", counted)
@@ -500,7 +501,7 @@ def test_coincide_scales_a_base_only_profile_once(tmp_path, monkeypatch, capsys)
     assert calls == [25]
     calls.clear()
     assert harvey_recover(soc).success
-    assert calls == [25]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -391,7 +391,8 @@ def test_cli_paths_scale_each_table_once(tmp_path, monkeypatch, capsys):
         if name.startswith("utilcheck") and vars(module).get("linear_combination") is real_sum:
             monkeypatch.setattr(module, "linear_combination", counted_sum)
     built = {"scaled": [], "values": []}
-    for attr, seen in built.items():
+    # A table scales its values once, into the cached column ``_scaled``.
+    for attr, seen in zip(("_scaled", "values"), built.values()):
         real = getattr(UtilityTable, attr).func
 
         def counted(table, real=real, seen=seen):
