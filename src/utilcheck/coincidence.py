@@ -151,7 +151,7 @@ def normalize_for_theorem3(
     nonpositive one has no positive alternative.  On a society that fails
     the battery it may raise where another solution is positive.
     ``analysis`` carries the intensity-side report and the lottery-side
-    reduction of checks already run on ``soc``.
+    certificate or reduction of checks already run on ``soc``.
     """
     if analysis is None:
         analysis = Analysis(soc)
@@ -341,7 +341,7 @@ def _pareto_certified(soc: Society, analysis: Analysis) -> bool:
 
     The certificate (``Analysis.base_certificate``) is the identity
     v(x) - v(x0) = sum a_i (u_i(x) - u_i(x0)) checked at every state, with
-    each nonconstant agent's a_i read as a scaled slope (dE, dU), off a
+    each nonconstant agent's a_i an int pair (p, q) read off a
     single-agent neighbour or, on a space without one, off the base
     profile's reduction as the canonical weight.  If every such a_i is
     positive and x dominates y, each u_i(x) - u_i(y) is at least 0 and one

@@ -5,9 +5,14 @@ indifference is exactly a row-space condition: stack the constant function
 1 and the agent tables as rows of a matrix A over the states, and the
 ethical table must be a linear combination of those rows.  Everything else
 follows constructively: a violating null vector yields a witness lottery
-pair, and a regular submatrix yields sign-certifying lotteries.  One
-integer reduction per society (``SpanProblem.reduction``, shared through
-``harvey.Analysis.span``) gives the span verdict, the weights, the regular
+pair, and a regular submatrix yields sign-certifying lotteries.
+
+Given a run's ``harvey.Analysis``, axiom (i) and the weights read the
+lottery profile's linear certificate first (``Analysis.certificate_of``),
+and a certificate read off single-agent neighbours reduces no rows.
+Otherwise, and in ``recover --mode harsanyi``, one integer reduction of
+the profile (``SpanProblem.reduction``, shared through
+``Analysis.span_of``) gives the span verdict, the weights, the regular
 states and the first state that separates the ethical table; the witness
 constructions add one reduction of at most n+1 rows each.  They read the
 reduction's scaled rows at only the states they need: a failed axiom (i)
@@ -67,6 +72,8 @@ class SpanProblem(Record):
     (``core.combination_holds``), as ``harvey.recover_constant`` does on the
     intensity side's columns.  The witness constructions read the same
     rows, d_s times the profile column at state s, at the states they need.
+    A run's ``harvey.Analysis`` builds one only where the profile's linear
+    certificate lacks a neighbour or v is off the span.
     """
 
     states: tuple[StateKey, ...]
@@ -253,12 +260,15 @@ def check_axiom_i(soc: Society, analysis: Analysis | None = None) -> CheckResult
     """Unanimous lottery indifference must force ethical indifference.
 
     Passes iff the ethical table lies in the row space of the profile
-    matrix.  On failure the certifying lottery pair (equal expectation for
-    every agent, unequal for the ethical table) is constructed from the
+    matrix.  Given an ``analysis``, the lottery profile's linear certificate
+    decides a pass first.  On failure the certifying lottery pair (equal expectation for every agent,
+    unequal for the ethical table) is constructed from the reduction's
     first canonical null vector that v does not annihilate, which is
     nonzero on at most n+2 states and is solved from their scaled rows alone.
     The pair is verified before return on the states where p and q differ.
     """
+    if analysis is not None and analysis.certificate_of(soc.nm_side()) is not None:
+        return CheckResult(True)
     problem = SpanProblem.of(soc) if analysis is None else analysis.span
     if problem.in_span:
         return CheckResult(True)
@@ -274,8 +284,16 @@ def recover_weights(soc: Society, analysis: Analysis | None = None) -> WeightRep
     get the canonical solution: coefficients of non-basis agents are pinned
     to 0 and the basis carries everything.  If the row-space condition
     fails, the report carries the first state where the ethical table is
-    nonzero (the zero table is always in the span).
+    nonzero (the zero table is always in the span).  Given an ``analysis``
+    whose lottery profile has a certificate and no reduction, that is one
+    read off neighbours, the report is the certificate's
+    (``_certified_weights``).  Every report is re-verified before return.
     """
+    if analysis is not None:
+        profile = soc.nm_side()
+        slopes = analysis.certificate_of(profile)
+        if slopes is not None and not analysis.reduced(profile):
+            return _certified_weights(soc, slopes)
     problem = SpanProblem.of(soc) if analysis is None else analysis.span
     if not problem.in_span:
         bad = next(s for s, p in zip(problem.states, problem.columns[-1][0]) if p)
@@ -290,6 +308,33 @@ def recover_weights(soc: Society, analysis: Analysis | None = None) -> WeightRep
     )
     problem.verify(report.weights, report.constant)
     return report
+
+
+def _certified_weights(soc: Society, slopes) -> WeightReport:
+    """The report of a lottery-side certificate read off single-agent neighbours.
+
+    Those make the nonconstant agents independent together with 1, so the
+    weights are the canonical ones (a constant agent's 0), unique exactly
+    when no agent is constant.  The constant is fixed at the first state
+    and the identity re-verified on the scaled columns, E over scale e and
+    U_i over s_i: E = sum (w_i * e / s_i) U_i + b * e.  A failure is a bug.
+    """
+    profile, states = soc.nm_side(), soc.space.states
+    tables = [profile.tables[a] for a in soc.agents]
+    weights = tuple(Fraction(0) if w is None else Fraction(*w) for w in slopes)
+    e = profile.ethical.scale
+    coefficients = [w * Fraction(e, t.scale) for w, t in zip(weights, tables)]
+    v, us = profile.ethical.column(states), [t.column(states) for t in tables]
+    b = v[0] - sum((c * u[0] for c, u in zip(coefficients, us)), Fraction(0))
+    if not combination_holds([1] * len(states), v, us, coefficients, b):
+        raise AssertionError("recovered identity failed pointwise re-verification")
+    return WeightReport(
+        success=True,
+        agents=soc.agents,
+        weights=weights,
+        constant=b / e,
+        unique=None not in slopes,
+    )
 
 
 def witness_lotteries_for_sign(

@@ -13,41 +13,41 @@ a limit argument, and additivity separates an ``additivity:`` failure from a
 
 A pass is certified first.  If v = sum a_i u_i + b holds at every state,
 that identity proves axiom (I) and gives every component, F_i(c) = a_i * c.
-``_linear_certificate`` reads each a_i off one state that differs from the
-first state in agent i's value only and checks the identity in O(|X| n) int
+``_linear_certificate`` finds, on the tables' numerators and denominators,
+one state that differs from the first state in agent i's value only, reads
+a_i off it and checks the identity on the scaled columns in O(|X| n) int
 operations; a semi-separable society with a linear ethical table always has
-one.  A space where some agent has no such state reads the canonical a_i off
-the profile's one reduction of [1 | u | v] instead, which the lottery side
-shares.  Only without a certificate does one ordered-pair scan, O(|X|^2),
-decide axiom (I), name the first conflicting pair in state order, and
-tabulate F, bent components included.  An ``Analysis`` object carries the
-certificate and the scan from the first check that asks to the next, so a
-run scans each society's pairs at most once.  Either way the difference map
-keeps F on the axis vectors only, the one part anything reads.  No
-chain-rule pass follows the map: with V(a) the ethical value at any state
-whose value vector is a (well defined because F(0) = 0), every scanned value
-is F(b - a) = V(b) - V(a), so F(c' - c) + F(c'' - c') = F(c'' - c)
-telescopes and cannot fail.  Each component's linearity is decided once, in
-ints (``DifferenceMap.bends``): a linear component is additive, so only a
-bent one gets the quadratic additivity scan, and the slopes read the same
-decision.
+one.  A profile where some agent has no such state reads the canonical a_i
+off its one reduction of [1 | u | v] instead.  ``Analysis.certificate_of``
+computes the certificate once per profile, and the lottery side's axiom (i)
+and weights and the Pareto record read it too.  Only without a certificate
+does one ordered-pair scan, O(|X|^2), decide axiom (I), name the first
+conflicting pair in state order, and tabulate F, bent components included.
+An ``Analysis`` object carries the certificate and the scan from the first
+check that asks to the next, so a run scans each society's pairs at most
+once.  Either way the difference map keeps F on the axis vectors only, the
+one part anything reads.  No chain-rule pass follows the map: with V(a) the
+ethical value at any state whose value vector is a (well defined because
+F(0) = 0), every scanned value is F(b - a) = V(b) - V(a), so
+F(c' - c) + F(c'' - c') = F(c'' - c) telescopes and cannot fail.  Each
+component's linearity is decided once, in ints (``DifferenceMap.bends``): a
+linear component is additive, so only a bent one gets the quadratic
+additivity scan, and the slopes read the same decision.
 
-Both paths run over Python ints: each table's column, its values in
-state order times the LCM of its denominators (``UtilityTable.column``,
-the list every other check reads too), is packed once per profile, and
-the constant is re-verified on the same columns.  A positive per-table
-scale keeps "these two differences are equal" exactly, so the verdict,
-the first conflicting pair and its stored pair are those of a scan over
-the Fractions.  Each state's scaled vector is then packed into one int,
-P(x) = sum of U_i(x) * R_i, with R_0 = 1 and R_{i+1} = R_i * (2 * span_i + 1),
-where span_i is max - min of agent i's scaled table.  Every component of a
-difference vector lies in [-span_i, span_i], so P(x) - P(y) is a balanced
-mixed-radix numeral with those components as digits and names the
-difference vector uniquely, so each scanned pair costs one int subtraction
-and one int dict lookup, and the certificate finds agent i's neighbour of a
-state by adding (t - u) * R_i to its key.  Fractions are built for the
-slopes and the reports; the Fraction components are decoded only when
-something reads them.
+Both paths run over Python ints, each table's column: its values in state
+order times the LCM of its denominators (``UtilityTable.column``, the list
+every other check reads too), on which the constant is re-verified as well.
+A positive per-table scale keeps "these two differences are equal" exactly,
+so the verdict, the first conflicting pair and its stored pair are those of
+a scan over the Fractions.  For the pair scan alone, each state's scaled
+vector is packed into one int, P(x) = sum of U_i(x) * R_i, with R_0 = 1 and
+R_{i+1} = R_i * (2 * span_i + 1), where span_i is max - min of agent i's
+scaled table.  Every component of a difference vector lies in
+[-span_i, span_i], so P(x) - P(y) is a balanced mixed-radix numeral with
+those components as digits and names the difference vector uniquely, so
+each scanned pair costs one int subtraction and one int dict lookup.
+Fractions are built for the slopes and the reports; the Fraction components
+are decoded only when something reads them.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import repeat
+from operator import ne, sub
 from typing import Callable
 
 from .core import Record, StateKey, combination_holds
@@ -142,97 +144,111 @@ class DifferenceMap(PairScan):
 
 
 class _Ints(Record):
-    """One profile's tables in state order as scaled ints, and each state's packed vector.
+    """One profile's tables in state order as scaled ints, and their radices.
 
-    ``columns[i]`` is agent i's scaled column and ``packed`` holds P(x) =
-    sum of U_i(x) * R_i; ``ethical`` is the scaled ethical column.
+    ``columns[i]`` is agent i's scaled column and ``ethical`` the scaled
+    ethical column.  Each state's packed vector P(x) = sum of U_i(x) * R_i
+    (``packed``) is built on first read, by the pair scan alone.
     """
 
     states: tuple[StateKey, ...]
     columns: tuple[list[int], ...]
     scales: tuple[int, ...]
     radices: tuple[int, ...]
-    packed: list[int]
     ethical_scale: int
     ethical: list[int]
+
+    @cached_property
+    def packed(self) -> list[int]:
+        packed = [0] * len(self.states)
+        for column, radix in zip(self.columns, self.radices):
+            packed = [p + u * radix for p, u in zip(packed, column)]
+        return packed
 
 
 def _pack(soc: Society, profile: Profile) -> _Ints:
     states = soc.space.states
     tables = [profile.tables[a] for a in soc.agents]
     columns = tuple(t.column(states) for t in tables)
-    packed, radices, radix = [0] * len(states), [], 1
+    radices, radix = [], 1
     for column in columns:
-        packed = [p + u * radix for p, u in zip(packed, column)]
         radices.append(radix)
         radix *= 2 * (max(column) - min(column)) + 1
     scales, ethical = tuple(t.scale for t in tables), profile.ethical
-    return _Ints(
-        states, columns, scales, tuple(radices), packed, ethical.scale, ethical.column(states)
-    )
+    return _Ints(states, columns, scales, tuple(radices), ethical.scale, ethical.column(states))
+
+
+Slopes = tuple[tuple[int, int] | None, ...]
 
 
 def _linear_certificate(
-    ints: _Ints, span: Callable[[], SpanProblem]
-) -> tuple[tuple[int, int] | None, ...] | None:
-    """Each agent's scaled slope (dE, dU) if the ethical column is linear in the agents', else None.
+    profile: Profile, agents, states, span: Callable[[], SpanProblem]
+) -> Slopes | None:
+    """v's exact weights over [1 | u] on one profile, or None if v is off their span.
 
-    With x0 the first state, agent i's slope is read off one neighbour: a
-    state whose vector differs from x0's in agent i's value only, found by
-    one lookup of P(x0) + (t - U_i(x0)) * R_i per value t of agent i.  Over
-    a common D, N_i = dE * D / dU, and the identity
-    (E(x) - E(x0)) * D == sum of N_i * (U_i(x) - U_i(x0)) is then checked
-    at every state, in O(|X| n) int operations.  It proves axiom (I), and
-    F_i(c) = c * dE / dU.  A constant agent's slope is None.  A failed
-    identity gives None: a linear ethical table would have shown each
-    neighbour its weight.  Only when a nonconstant agent has no such
-    neighbour does ``span()``, the profile's one reduction of [1 | u | v]
-    (``SpanProblem``), decide instead (``_span_certificate``).
-    Semi-separability puts every neighbour in the space, so a
-    semi-separable society never reaches the reduction, and one with a
-    linear ethical table is always certified by its neighbours.
+    Weight a_i is an int pair (numerator, denominator), None for a constant
+    agent, whose weight is 0.  With x0 the first state, a_i is read off a
+    neighbour, a state where only agent i's value differs from x0's, found
+    on the tables' numerators and denominators, so a profile without
+    neighbours scales no table.  On the scaled columns, with each slope
+    dE / dU, D the LCM of the dU and N_i = dE * D / dU, E(x) * D minus the
+    sum of N_i * U_i(x) must be the same at every state (C-level ``map``
+    passes); then a_i = (dE * s_i) / (dU * e).  A failed identity gives
+    None: a neighbour for every nonconstant agent makes them independent
+    together with 1, so a v in their span shows each neighbour its weight.
+    Without a neighbour ``span()``, the profile's one reduction of
+    [1 | u | v], decides (``_span_certificate``); a semi-separable society
+    never gets there.
     """
-    index = dict(zip(ints.packed, range(len(ints.states))))
-    p0, e0 = ints.packed[0], ints.ethical[0]
-    slopes: list[tuple[int, int] | None] = []
-    for column, radix in zip(ints.columns, ints.radices):
-        u0, values = column[0], dict.fromkeys(column)
-        if len(values) == 1:
+    tables = [profile.tables[a] for a in agents]
+    # Each agent's moves as one int whose byte j is 1 where the value at
+    # state j differs from x0's: the neighbours are the bytes where exactly
+    # one agent moves, and agent i's first is the lowest byte set in both.
+    moves = []
+    for p, q in (t.ratio_column(states) for t in tables):
+        p_moves = int.from_bytes(bytes(map(ne, p, repeat(p[0]))), "little")
+        moves.append(p_moves | int.from_bytes(bytes(map(ne, q, repeat(q[0]))), "little"))
+    once = twice = 0
+    for m in moves:
+        twice |= once & m
+        once |= m
+    constant = [not m for m in moves]
+    picks = []
+    for m in moves:
+        hit = m & once & ~twice
+        if m and not hit:
+            return _span_certificate(span(), constant)
+        picks.append((hit & -hit).bit_length() // 8 if m else None)
+    ethical, e = profile.ethical.column(states), profile.ethical.scale
+    e0 = ethical[0]
+    slopes, rises = [], []
+    for t, j in zip(tables, picks):
+        if j is None:
             slopes.append(None)
             continue
-        keys = (p0 + (t - u0) * radix for t in values if t != u0)
-        j = next((index[key] for key in keys if key in index), None)
-        if j is None:
-            return _span_certificate(ints, span())
-        slopes.append((ints.ethical[j] - e0, column[j] - u0))
-    d = math.lcm(*(du for _, du in filter(None, slopes)))
-    combination = [0] * len(ints.states)
-    for column, slope in zip(ints.columns, slopes):
-        if slope is not None:
-            n, u0 = slope[0] * (d // slope[1]), column[0]
-            combination = [r + n * (u - u0) for r, u in zip(combination, column)]
-    if [(e - e0) * d for e in ints.ethical] != combination:
-        return None
-    return tuple(slopes)
+        column = t.column(states)
+        de, du = ethical[j] - e0, column[j] - column[0]
+        slopes.append((de * t.scale, du * e))
+        rises.append((de, du, column))
+    d = math.lcm(*(du for _, du, _ in rises))
+    total, k0 = map(d.__mul__, ethical), d * e0
+    for de, du, column in rises:
+        n = de * (d // du)
+        total = map(sub, total, map(n.__mul__, column))
+        k0 -= n * column[0]
+    return tuple(slopes) if all(map(k0.__eq__, total)) else None
 
 
-def _span_certificate(
-    ints: _Ints, problem: SpanProblem
-) -> tuple[tuple[int, int] | None, ...] | None:
-    """The canonical weights of v over [1 | u] as scaled slopes, or None if v is off the span.
+def _span_certificate(problem: SpanProblem, constant: list[bool]) -> Slopes | None:
+    """The canonical weights of v over [1 | u] as int pairs, or None if v is off the span.
 
-    Weight w_i of the unscaled tables is the scaled slope
-    (w_i * ethical_scale, scale_i).  A constant agent's slope is None, and a
-    nonconstant agent outside the greedy basis has weight 0.
+    A constant agent's weight is None, and a nonconstant agent outside the
+    greedy basis has weight 0.
     """
     weights = problem.solution
     if weights is None:
         return None
-    e_scale = ints.ethical_scale
-    return tuple(
-        None if min(column) == max(column) else (w.numerator * e_scale, w.denominator * scale)
-        for column, scale, w in zip(ints.columns, ints.scales, weights[1:])
-    )
+    return tuple(None if c else w.as_integer_ratio() for c, w in zip(constant, weights[1:]))
 
 
 def _scan_pairs(ints: _Ints) -> PairScan:
@@ -266,14 +282,14 @@ def _first_pair(
 class Analysis:
     """Results that several checks of one run need, each computed on first use.
 
-    That is the intensity side's packed ints, linear certificate, pair scan
-    (read only when there is no certificate), semi-separability results and
-    ``harvey`` recovery report, the base tables' certificate for the Pareto
-    record, and one ``SpanProblem`` per profile (``span_of``), whose one
-    reduction answers every span question on that profile: the lottery
-    side's (``span``) every Harsanyi answer, and a certificate whose
-    profile lacks a single-agent neighbour.  A society with no separate
-    profiles reduces its rows once.
+    That is one linear certificate per profile (``certificate_of``), which
+    the lottery side, the Pareto record and the intensity side all read;
+    the intensity side's scaled ints, pair scan (read only when there is no
+    certificate), semi-separability results and ``harvey`` recovery report;
+    and one ``SpanProblem`` per profile (``span_of``), built only where a
+    certificate lacks a neighbour or a lottery-side answer needs the
+    reduction.  A society whose profiles all have neighbours and a linear
+    ethical table reduces no rows.
     A command creates one per society, passes it to its checks and drops it
     when it returns.  It is never stored on the society: a long-lived
     society would otherwise keep a quadratic pair table alive.
@@ -282,6 +298,7 @@ class Analysis:
     def __init__(self, soc: Society):
         self.soc = soc
         self._spans: dict[int, SpanProblem] = {}
+        self._certificates: dict[int, Slopes | None] = {}
 
     def span_of(self, profile: Profile) -> SpanProblem:
         """The span problem of one of the society's profiles, built once per profile."""
@@ -290,6 +307,15 @@ class Analysis:
             problem = SpanProblem.from_profile(profile, self.soc.agents, self.soc.space.states)
             self._spans[id(profile)] = problem
         return problem
+
+    def certificate_of(self, profile: Profile) -> Slopes | None:
+        """One of the society's profiles' linear certificate (``_linear_certificate``), once."""
+        key, soc = id(profile), self.soc
+        if key not in self._certificates:
+            span = partial(self.span_of, profile)
+            found = _linear_certificate(profile, soc.agents, soc.space.states, span)
+            self._certificates[key] = found
+        return self._certificates[key]
 
     @property
     def span(self) -> SpanProblem:
@@ -312,18 +338,19 @@ class Analysis:
     def _ints(self) -> _Ints:
         return _pack(self.soc, self.soc.alt_side())
 
-    @cached_property
-    def certificate(self) -> tuple[tuple[int, int] | None, ...] | None:
-        """The intensity side's linear certificate (``_linear_certificate``), or None."""
-        return _linear_certificate(self._ints, partial(self.span_of, self.soc.alt_side()))
+    def reduced(self, profile: Profile) -> bool:
+        """True once the profile's reduction is built: its certificate, if any, then reads it."""
+        return id(profile) in self._spans
 
-    @cached_property
-    def base_certificate(self) -> tuple[tuple[int, int] | None, ...] | None:
-        """The same certificate on the base tables, which the Pareto record may read."""
-        if self.soc.alt is None:
-            return self.certificate
-        ints = _pack(self.soc, self.soc.base)
-        return _linear_certificate(ints, partial(self.span_of, self.soc.base))
+    @property
+    def certificate(self) -> Slopes | None:
+        """The intensity side's linear certificate, or None."""
+        return self.certificate_of(self.soc.alt_side())
+
+    @property
+    def base_certificate(self) -> Slopes | None:
+        """The same on the base tables, which the Pareto record may read."""
+        return self.certificate_of(self.soc.base)
 
     @cached_property
     def pair_scan(self) -> PairScan:
@@ -387,11 +414,14 @@ def build_difference_map(soc: Society, analysis: Analysis | None = None) -> Diff
             raise AssertionError("semi-separable map misses an axis vector")
         table = {key: scan.table[key] for key, _, _ in keys}
     else:
-        # F_i(c) = c * dE / dU is the ethical difference of two states that
-        # realize the axis vector, so the division is exact.
+        # With weight a_i = p / q, F_i(c) = c * p * e / (q * s_i) on the
+        # scaled tables is the ethical difference of two states that realize
+        # the axis vector, so the division is exact.
+        e = ints.ethical_scale
+        rises = [(p * e, q * s) for (p, q), s in zip((w or (0, 1) for w in slopes), ints.scales)]
         table = {}
         for key, c, i in keys:
-            de, du = slopes[i] or (0, 1)
+            de, du = rises[i]
             table[key], rest = divmod(de * c, du)
             if rest:
                 raise AssertionError("certified axis value is not an int")

@@ -25,7 +25,9 @@ from hypothesis import strategies as st
 
 from conftest import capped_sum_society, cube_society, planted_coincidence_society
 from utilcheck import Profile, Society, StateSpace, UtilityTable, cli, emit_society, linalg
-from utilcheck import coincidence, harvey
+from utilcheck import linear_combination
+from utilcheck import coincidence, core, harvey
+from utilcheck.harsanyi import recover_weights
 from utilcheck.harvey import check_axiom_I, harvey_recover
 from utilcheck.society import check_pareto_criterion, check_pareto_on_lattice
 
@@ -285,6 +287,38 @@ def test_one_reduction_per_profile(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_a_lottery_profile_without_neighbours_scales_no_table_and_reduces_once(
+    monkeypatch, capsys, tmp_path
+):
+    # On the curve u2 = u1^2 every two states differ in both agents, so
+    # neither profile has a single-agent neighbour.  The lottery profile's
+    # certificate search reads only the tables' ratios and then reduces its
+    # rows; the battery, the weights and coincide read that one reduction of
+    # each profile.
+    calls = []
+    real = linalg.reduce_rows
+    monkeypatch.setattr(linalg, "reduce_rows", lambda rows: calls.append(rows) or real(rows))
+    curve = [(0, 0), (1, 1), (2, 4), (3, 9)]
+    soc = _society(curve, [0, 2, 6, 12], range(4))
+    star = {
+        f"a{i}": UtilityTable({s: F(2 * v[i] + 1, 3) for s, v in zip(soc.space.states, curve)})
+        for i in range(2)
+    }
+    lottery = Profile(star, linear_combination(star.values(), [1, F(1, 2)], F(1, 5)))
+    soc = core.replace(soc, nm=lottery)
+    analysis = harvey.Analysis(soc)
+    assert analysis.certificate_of(lottery) == ((1, 1), (1, 2))
+    assert ["_scaled" in t.__dict__ for t in [*star.values(), lottery.ethical]] == [False] * 3
+    assert len(calls) == 1
+    path = tmp_path / "curve.json"
+    path.write_text(emit_society(soc), encoding="utf-8")
+    calls.clear()
+    code, out = _stdout(capsys, "coincide", str(path), "--json")
+    assert code == 1
+    assert {h["name"]: h["verdict"] for h in json.loads(out)["hypotheses"]}["axiom-i"] == "PASS"
+    assert len(calls) == 2
+
+
 def test_span_of_is_one_problem_per_profile():
     soc = cube_society()
     analysis = harvey.Analysis(soc)
@@ -343,3 +377,53 @@ def test_battery_and_verdicts_are_invariant_under_positive_affine_maps(soc, data
     event(before.status)
     assert after.status == before.status
     assert [v.kind for v in after.agents] == [v.kind for v in before.agents]
+
+
+# ---------------------------------------------------------------------------
+# Invariance under renaming and permuting the agents
+#
+# The certificate looks for the agents' neighbours in agent order, and the
+# reduction picks its basis greedily in that order, yet no verdict may
+# depend on the order or on the names.  A failing record's detail names the
+# first failing agent, so only verdicts, statuses and agent kinds are
+# compared; the recovered weights must move with their agents wherever they
+# are unique.
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(lattice_societies(), unseparated_societies(), planted_societies()), st.data())
+def test_verdicts_and_weights_move_with_renamed_and_permuted_agents(soc, data):
+    rename = {a: f"r{k}" for k, a in enumerate(data.draw(st.permutations(soc.agents)))}
+    order = data.draw(st.permutations(soc.agents))
+
+    def moved(profile):
+        if profile is None:
+            return None
+        return Profile({rename[a]: profile.tables[a] for a in order}, profile.ethical)
+
+    other = Society(
+        soc.space, tuple(rename[a] for a in order), moved(soc.base), moved(soc.nm), moved(soc.alt)
+    )
+    passed = [(name, ok) for name, ok, _ in _battery(soc)]
+    assert [(name, ok) for name, ok, _ in _battery(other)] == passed
+    before, after = coincidence.theorem3_pipeline(soc), coincidence.theorem3_pipeline(other)
+    event(before.status)
+    assert after.status == before.status
+    kinds = {rename[v.agent]: v.kind for v in before.agents}
+    assert {v.agent: v.kind for v in after.agents} == kinds
+
+    def weights(report):
+        return dict(zip(report.agents, report.weights))
+
+    old = recover_weights(soc, harvey.Analysis(soc))
+    new = recover_weights(other, harvey.Analysis(other))
+    assert (new.success, new.unique) == (old.success, old.unique)
+    if old.unique:
+        assert weights(new) == {rename[a]: w for a, w in weights(old).items()}
+        assert new.constant == old.constant
+    old, new = harvey_recover(soc), harvey_recover(other)
+    assert new.success == old.success
+    if old.success:
+        assert weights(new) == {rename[a]: w for a, w in weights(old).items()}
+        assert new.constant == old.constant
+        assert set(new.constant_agents) == {rename[a] for a in old.constant_agents}

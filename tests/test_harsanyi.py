@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import express_in_span, letters_space, planted_society, primes, rand_fraction
@@ -26,6 +26,7 @@ from utilcheck import (
     CheckResult,
     GridDim,
     LotteryWitnessPair,
+    Profile,
     SimpleLottery,
     Society,
     SpanProblem,
@@ -734,3 +735,80 @@ def test_failed_axiom_i_reads_only_the_witness_states(monkeypatch):
         witness_lotteries_for_sign(soc, agent, analysis)
     assert "matrix" not in analysis.span.__dict__
     assert "target" not in analysis.span.__dict__
+
+
+# ---------------------------------------------------------------------------
+# The lottery-side certificate against the reduction alone
+
+
+@st.composite
+def lottery_societies(draw):
+    """Societies whose lottery profile may or may not be certified by neighbours.
+
+    A product grid of 2-3 coordinates with 1-2 steps each, listed in grid
+    order or, as an explicit space, in a drawn order, carries agents that
+    each read one drawn coordinate (two agents on one coordinate leave each
+    without a single-agent neighbour) or are constant.  An explicit space of
+    3-9 states carries tables of small values drawn state by state, which
+    have neighbours only by chance.  The lottery profile is the base one or
+    a separate ``nm_profile`` drawn the same way.  Its ethical table is a
+    drawn combination of its agents, weight 0 included, bumped off the span
+    at one state or not.
+    """
+    small = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    n = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        dims = [
+            GridDim(f"x{k}", F(0), F(draw(st.integers(1, 2))), F(1))
+            for k in range(draw(st.integers(2, 3)))
+        ]
+        grid = StateSpace.product_grid(dims)
+        states = list(grid.states)
+        if draw(st.booleans()):
+            states = draw(st.permutations(states))
+        space = StateSpace.explicit(states) if states != list(grid.states) else grid
+
+        def agent():
+            if draw(st.integers(0, 3)) == 0:
+                return dict.fromkeys(states, draw(small))
+            k = draw(st.integers(0, len(dims) - 1))
+            levels = {p: draw(small) for p in dims[k].points()}
+            return {s: levels[grid.coords(s)[k]] for s in states}
+
+    else:
+        space = letters_space(draw(st.integers(3, 9)))
+        states = list(space.states)
+        values = st.sampled_from([F(0), F(1), F(-1, 2), F(3)])
+
+        def agent():
+            return {s: draw(values) for s in states}
+
+    def profile():
+        tables = {f"a{i}": UtilityTable(agent()) for i in range(n)}
+        weights = [draw(st.sampled_from([F(0), F(1), F(-2, 3), F(5, 2)])) for _ in range(n)]
+        ethical = linear_combination(list(tables.values()), weights, draw(small))
+        if draw(st.integers(0, 2)) == 0:
+            bumped = dict(ethical.values)
+            bump = draw(st.sampled_from([F(1), F(-1, 3), F(5, 2)]))
+            bumped[draw(st.sampled_from(states))] += bump
+            ethical = UtilityTable(bumped)
+        return tables, ethical
+
+    tables, ethical = profile()
+    nm = Profile(*profile()) if draw(st.booleans()) else None
+    return Society.from_tables(space, tables, ethical, nm=nm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lottery_societies())
+def test_lottery_certificate_gives_the_reduction_verdict_and_weights(soc):
+    analysis = Analysis(soc)
+    axiom = check_axiom_i(soc, analysis)
+    report = recover_weights(soc, analysis)
+    certified = analysis.certificate_of(soc.nm_side()) is not None
+    if not certified:
+        event("off the span")
+    else:
+        event("reduced" if analysis.reduced(soc.nm_side()) else "read off neighbours")
+    assert axiom == check_axiom_i(soc)
+    assert report == recover_weights(soc)
