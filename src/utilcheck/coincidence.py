@@ -45,7 +45,6 @@ from .society import (
     Profile,
     Society,
     check_pareto_criterion,
-    check_pareto_on_lattice,
     matches,
     order_disagreement,
     semi_separability,
@@ -317,23 +316,15 @@ def proposition1_check(
 
 
 def _pareto_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
-    """PASS when ``_pareto_certified`` holds; otherwise the first dominated pair not ranked above.
+    """PASS when ``_pareto_certified`` holds; otherwise ``check_pareto_criterion``'s verdict.
 
-    Without a certificate, a semi-separable society is decided on its
-    product lattice (``check_pareto_on_lattice``) in O(|X| n).  The
-    dominance loop, O(|X|^2 n), decides the rest: a nonpositive slope read
-    off a single-agent neighbour proves a failure, which the loop meets by
-    that neighbour's row, and a society that is not semi-separable may have
-    many more lattice points than states.  Either way the witness is the
-    loop's first.
+    Where the base tables have no linear certificate, or one with a
+    nonpositive slope, the bitset pass decides, and a failure's witness is
+    the first dominated pair not ranked above.
     """
     if _pareto_certified(soc, analysis):
         return HypothesisRecord("pareto", True)
-    if analysis.base_certificate is None and analysis.semi_separability:
-        result = check_pareto_on_lattice(soc)
-    else:
-        result = check_pareto_criterion(soc)
-    return _check_record("pareto", result, "witness pair")
+    return _check_record("pareto", check_pareto_criterion(soc), "witness pair")
 
 
 def _pareto_certified(soc: Society, analysis: Analysis) -> bool:
@@ -419,11 +410,11 @@ def theorem3_pipeline(soc: Society) -> CoincidenceReport:
     (each gets a named record), before the pipeline decides.  The records
     are those ``validate`` reports: the pareto record is certified by the
     base tables' linear certificate when it can be and decided by the
-    dominance loop otherwise (``_pareto_record``), and normalization reads
-    the cached intensity-side recovery.  The passing battery already
-    settles what the per-agent analysis needs: matching gives each agent's two tables one
-    order, semi-separability with matching fills the range product, and two
-    agents are nonconstant.
+    bitset pass of ``check_pareto_criterion`` otherwise (``_pareto_record``),
+    and normalization reads the cached intensity-side recovery.  The
+    passing battery already settles what the per-agent analysis needs:
+    matching gives each agent's two tables one order, semi-separability
+    with matching fills the range product, and two agents are nonconstant.
     Verdicts are decided on the input tables, so a COINCIDE carries the
     exact (alpha, beta) with starred = alpha * base + beta.  The one
     remaining gate compares the two ethical orders; the reweighted table

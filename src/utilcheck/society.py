@@ -8,13 +8,17 @@ profile (u, v); either defaults to the base profile when absent.
 The checks compare each table's scaled ints in state order
 (``UtilityTable.column``), which keep every order and equality of the
 values.  Failing checks return the first witness in state order, so
-results are reproducible byte for byte.
+results are reproducible byte for byte.  Pareto is one bitset pass over
+the states (``check_pareto_criterion``), whatever the shape of the space;
+``pareto_dominates`` is the pairwise relation it decides.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from operator import ge
+from functools import reduce
+from itertools import accumulate
+from operator import and_, or_
 from typing import Mapping, Sequence
 
 from .core import Record, StateKey, StateSpace, UtilityTable, first_disagreement, same_ranking
@@ -119,88 +123,50 @@ def check_pareto_criterion(soc: Society) -> CheckResult:
     """Every dominated pair must be ranked strictly by the ethical order.
 
     The witness is the first (x, y) in state order with x dominating y and
-    v(x) <= v(y): for each x in turn, ``_first_dominated``, the dominance
-    test ``check_pareto_on_lattice`` shares, scans for y.  The comparisons
-    run on the scaled tables; a positive scale keeps every one of them, so
-    the verdict and the witness are those on the Fractions.  The loop is
-    O(|X|^2 n), and it stops at the first witness.  The pareto hypothesis
-    record, which ``validate``, ``coincide`` and the simplex fixture's
-    self-check share, runs it only when a linear certificate of the base
-    tables has a nonpositive slope, or when there is no certificate and the
-    society is not semi-separable.  A slope read off the first state's
-    single-agent neighbour makes that pair a witness, so the loop stops by
-    the neighbour's row.  A semi-separable society without a certificate is
-    decided by ``check_pareto_on_lattice``.
-    """
-    states = soc.space.states
-    vectors = list(zip(*(soc.base.tables[a].column(states) for a in soc.agents)))
-    ethical = soc.base.ethical.column(states)
-    for x, cx, vx in zip(states, vectors, ethical):
-        y = _first_dominated(states, vectors, ethical, cx, vx)
-        if y is not None:
-            return CheckResult(False, (x, y))
-    return CheckResult(True)
-
-
-def check_pareto_on_lattice(soc: Society) -> CheckResult:
-    """``check_pareto_criterion``'s verdict and first witness, from the product of the classes.
-
-    A state's rank vector c(x) holds each agent's rank of its value among
-    that agent's distinct values, so x dominates y exactly when c(y) < c(x)
-    in the product order.  With G(c) the largest ethical value over the
-    states whose rank vector is at most c (the largest at c itself, then
-    prefix maxima along one axis after another), the largest value over
-    the vectors strictly below c is D(c) = max_i G(c - e_i).  So some state
-    x dominates is valued at least E(x) exactly when D(c(x)) >= E(x): the
-    first such x in state order is the loop's, and one pass over the states
-    finds its first y.  The lattice has as many points as the product of
-    the agents' class counts, and a point no state realizes holds a value
-    below every ethical value; on a semi-separable society every point is
-    realized, so the work is O(|X| n).
+    v(x) <= v(y).  One bitset pass finds it, bit k standing for the k-th
+    state: each state gets the set of states whose agent vector is
+    lexicographically strictly below its own, the set whose ethical value
+    is at least its own, and, for each agent after the first, the set whose
+    value for that agent is at most its own.  A lexicographically smaller
+    vector differs from x's and is at most x's in the first agent, so the
+    intersection is exactly the y that x dominates with v(y) >= v(x); the
+    first state with a nonempty intersection and its lowest bit are the
+    witness.  The comparisons run on the scaled tables; a positive scale
+    keeps every one of them, so the verdict and the witness are those on
+    the Fractions.  The work is O((n+1) |X|^2 / 64) word operations on
+    masks of at most (n+1) |X|^2 / 8 bytes.  The pareto hypothesis record
+    runs it only where the base tables' linear certificate does not prove
+    the criterion.
     """
     states = soc.space.states
     columns = [soc.base.tables[a].column(states) for a in soc.agents]
-    ethical = soc.base.ethical.column(states)
-    # Each state's lattice point as a flat index, the last agent's rank
-    # varying fastest; ``axes`` holds each agent's stride and class count,
-    # last agent first.
-    points = [0] * len(states)
-    axes = []
-    size = 1
-    for column in reversed(columns):
-        levels = sorted(set(column))
-        offsets = {u: r * size for r, u in enumerate(levels)}
-        points = [k + offsets[u] for k, u in zip(points, column)]
-        axes.append((size, len(levels)))
-        size *= len(levels)
-    best = [min(ethical) - 1] * size
-    for k, e in zip(points, ethical):
-        if e > best[k]:
-            best[k] = e
-    for stride, count in axes:
-        block = stride * count
-        for start in range(0, size, block):
-            for k in range(start + stride, start + block):
-                if best[k - stride] > best[k]:
-                    best[k] = best[k - stride]
-    for j, (k, e) in enumerate(zip(points, ethical)):
-        if any(k // stride % count and best[k - stride] >= e for stride, count in axes):
-            break
-    else:
-        return CheckResult(True)
-    cx = tuple(column[j] for column in columns)
-    return CheckResult(False, (states[j], _first_dominated(states, zip(*columns), ethical, cx, e)))
+    masks = [
+        _masks_below(list(zip(*columns)), strict=True),
+        _masks_below([-e for e in soc.base.ethical.column(states)], strict=False),
+        *(_masks_below(column, strict=False) for column in columns[1:]),
+    ]
+    for x, sets in zip(states, zip(*masks)):
+        dominated = reduce(and_, sets)
+        if dominated:
+            return CheckResult(False, (x, states[(dominated & -dominated).bit_length() - 1]))
+    return CheckResult(True)
 
 
-def _first_dominated(states, vectors, ethical, cx, vx) -> StateKey | None:
-    """The first y in state order that cx dominates and whose ethical value is >= vx, or None.
+def _masks_below(keys: Sequence, strict: bool) -> list[int]:
+    """For each state, the bitset of the states whose key is below its own, or at most it.
 
-    cx dominates cy when they differ and cx is at least cy in every coordinate.
+    One sort ranks the states by key, and ``prefix[p]`` holds the first p
+    of them; a state's mask is the prefix before its group of equal keys
+    (``strict``), or through it.
     """
-    for y, cy, vy in zip(states, vectors, ethical):
-        if vx <= vy and cx != cy and all(map(ge, cx, cy)):
-            return y
-    return None
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    prefix = [0, *accumulate(map((1).__lshift__, order), or_)]
+    ranked = list(map(keys.__getitem__, order))
+    if strict:  # each key's first position, which the reversed walk writes last
+        bound = dict(zip(reversed(ranked), range(len(ranked) - 1, -1, -1)))
+    else:  # one past each key's last position
+        bound = dict(zip(ranked, range(1, len(ranked) + 1)))
+    return [prefix[bound[key]] for key in keys]
 
 
 def semi_separability(tables: Sequence[UtilityTable], states: Sequence[StateKey]) -> CheckResult:

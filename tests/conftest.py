@@ -253,7 +253,7 @@ def cube_society() -> Society:
 
     Semi-separable, and Pareto holds (the cube is increasing).  The ethical
     table is not linear in the agents' tables, so there is no linear
-    certificate: the product lattice decides Pareto, and axiom (i) and
+    certificate: the bitset pass decides Pareto, and axiom (i) and
     axiom (I) fail.
     """
     soc, _, _ = product_grid_society(random.Random(7), 3, sizes=(1, 1, 2))

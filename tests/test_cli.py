@@ -346,8 +346,8 @@ def test_shipped_capped_sum_fixture_matches_generator():
 
 def test_validate_capped_sum_json_golden():
     # A semi-separable fixture with a nonlinear ethical table that fails
-    # Pareto: no certificate exists, so the product lattice names the pair,
-    # which is the dominance loop's first, in the last state's row.
+    # Pareto: no certificate exists, so the bitset pass names the pair,
+    # the first dominated one in state order, in the last state's row.
     result = run_cli("validate", str(FIXTURES / "capped_sum.json"), "--json")
     assert result.returncode == 1
     assert result.stdout == (GOLDEN / "validate_capped_sum.json").read_text()

@@ -23,6 +23,7 @@ from conftest import (
     planted_coincidence_society,
     product_grid_society,
 )
+from test_core import pareto_loop
 from utilcheck import (
     GridDim,
     NormalizationError,
@@ -812,13 +813,8 @@ def test_an_alt_profile_runs_no_dominance_loop(monkeypatch):
     # The recovery then reads the intensity-side tables, which prove
     # nothing about the base ones; a cubed base ethical table orders states
     # as the planted sum does but has no linear certificate of its own.
-    # The base grid is semi-separable, so its product lattice decides, once.
+    # So the bitset pass decides, once.
     calls = _count_pareto_loops(monkeypatch)
-    lattices = []
-    real = coincidence.check_pareto_on_lattice
-    monkeypatch.setattr(
-        coincidence, "check_pareto_on_lattice", lambda soc: lattices.append(soc) or real(soc)
-    )
     soc, _, _ = planted_coincidence_society(random.Random(97), 3)
     soc = core.replace(
         soc,
@@ -827,8 +823,7 @@ def test_an_alt_profile_runs_no_dominance_loop(monkeypatch):
     )
     payload = cli_report(soc)
     assert {h["name"]: h["verdict"] for h in payload["hypotheses"]}["pareto"] == "PASS"
-    assert calls == []
-    assert len(lattices) == 1
+    assert len(calls) == 1
 
 
 def test_validate_runs_the_loop_once(monkeypatch):
@@ -884,7 +879,7 @@ def pareto_societies(draw):
 @settings(max_examples=150, deadline=None)
 @given(pareto_societies())
 def test_pareto_record_matches_the_loop(soc):
-    expected = check_pareto_criterion(soc)
+    expected = pareto_loop(soc)
     report = theorem3_pipeline(soc)
     record = report.hypothesis("pareto")
     assert record.passed == expected.passed

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import ge
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ import fraction_checks as oracle
 from conftest import letters_space, planted_society, rand_fraction
 from utilcheck import (
     AltSystem,
+    CheckResult,
     GridDim,
     Profile,
     SimpleLottery,
@@ -361,6 +363,33 @@ def pareto_pair_scan(soc):
     return None
 
 
+def pareto_loop(soc) -> CheckResult:
+    """The former ``check_pareto_criterion``, kept as the oracle for the bitset pass.
+
+    For each x in state order, ``first_dominated`` scans the scaled tables
+    for y; O(|X|^2 n), and it stops at the first witness.
+    """
+    states = soc.space.states
+    vectors = list(zip(*(soc.base.tables[a].column(states) for a in soc.agents)))
+    ethical = soc.base.ethical.column(states)
+    for x, cx, vx in zip(states, vectors, ethical):
+        y = first_dominated(states, vectors, ethical, cx, vx)
+        if y is not None:
+            return CheckResult(False, (x, y))
+    return CheckResult(True)
+
+
+def first_dominated(states, vectors, ethical, cx, vx):
+    """The first y in state order that cx dominates and whose ethical value is >= vx, or None.
+
+    cx dominates cy when they differ and cx is at least cy in every coordinate.
+    """
+    for y, cy, vy in zip(states, vectors, ethical):
+        if vx <= vy and cx != cy and all(map(ge, cx, cy)):
+            return y
+    return None
+
+
 def test_pareto_criterion_witness_matches_bruteforce():
     # u1 constant, u2 rising, v = u1 - u2 must fail where u2 strictly rises.
     soc = _two_agent_society([5, 5, 5], [0, 1, 2], [5, 4, 3])
@@ -386,6 +415,59 @@ def test_pareto_criterion_equals_pair_scan(rows):
     }
     ethical = UtilityTable(dict(zip(space.states, map(F, rows[0]))))
     soc = Society.from_tables(space, tables, ethical)
+    result = check_pareto_criterion(soc)
+    expected = pareto_pair_scan(soc)
+    assert result.passed == (expected is None)
+    assert result.witness == expected
+
+
+@st.composite
+def dominance_societies(draw):
+    """Societies aimed at the bitset pass's masks, in a drawn state order.
+
+    2-4 agents, each perhaps constant.  The vectors come from a product of
+    the agents' levels with states dropped, or from a small pool drawn with
+    repeats, often equal in the first agent's value; a few draws hold
+    30-60 states.  The ethical table is drawn state by state, so a repeated
+    vector may carry different values, or is a weighted sum (weights of
+    every sign) with a bumped state.
+    """
+    n = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        level = st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True)
+        levels = [draw(level) for _ in range(n)]
+        points = list(itertools.product(*levels))
+        kept = draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
+        vectors = [p for p, keep in zip(points, kept) if keep] or points[:1]
+        vectors += draw(st.lists(st.sampled_from(vectors), max_size=3))
+    else:
+        large = draw(st.integers(0, 4)) == 0
+        size = draw(st.integers(30, 60) if large else st.integers(1, 12))
+        firsts = st.integers(0, draw(st.sampled_from([0, 1, 3])))
+        vector = st.tuples(firsts, *(st.integers(0, 3) for _ in range(n - 1)))
+        pool = draw(st.lists(vector, min_size=1, max_size=max(1, size // 2)))
+        vectors = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+        vectors = [v[:i] + (0,) + v[i + 1 :] for v in vectors]
+    if draw(st.booleans()):
+        ethical = draw(st.lists(st.integers(-3, 3), min_size=len(vectors), max_size=len(vectors)))
+    else:
+        weights = [draw(st.sampled_from([-1, 0, 1, 2])) for _ in range(n)]
+        ethical = [sum(w * u for w, u in zip(weights, v)) for v in vectors]
+        ethical[draw(st.integers(0, len(vectors) - 1))] += draw(st.sampled_from([-1, 0, 1]))
+    order = draw(st.permutations(range(len(vectors))))
+    space = letters_space(len(vectors))
+    tables = {
+        f"a{i}": UtilityTable({s: F(vectors[k][i], 3) for s, k in zip(space.states, order)})
+        for i in range(n)
+    }
+    values = UtilityTable({s: F(ethical[k], 2) for s, k in zip(space.states, order)})
+    return Society.from_tables(space, tables, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dominance_societies())
+def test_pareto_pass_equals_pair_scan_on_ties_repeats_and_dropped_states(soc):
     result = check_pareto_criterion(soc)
     expected = pareto_pair_scan(soc)
     assert result.passed == (expected is None)

@@ -1,14 +1,16 @@
-"""The O(|X| n) deciders against the quadratic passes they stand in for.
+"""The fast deciders against the quadratic passes they stand in for.
 
-Pareto on a semi-separable society without a linear certificate is decided
-on the product lattice of the agents' classes
-(``society.check_pareto_on_lattice``), and a linear ethical table on a
-space where some agent has no single-agent neighbour of the first state is
+Pareto without a linear certificate is decided by one bitset pass
+(``society.check_pareto_criterion``), and a linear ethical table on a space
+where some agent has no single-agent neighbour of the first state is
 certified by the profile's reduction of [1 | u | v]
-(``harvey._span_certificate``).  The dominance loop and the pair scan stay
-as the oracles: both fast paths must give their verdict and their first
-witness.  The CLI runs below make the loop and the scan raise, and the
-reports must still be the goldens, pinned before the fast paths existed.
+(``harvey._span_certificate``).  The former dominance loop
+(``test_core.pareto_loop``) and the pair scan stay as the oracles: both
+fast paths must give their verdict and their first witness.  The CLI runs
+below make the dominance check or the scan raise where a certificate
+decides, and the reports must still be the goldens, pinned before the fast
+paths existed.  The properties at the end map, rename or reorder a
+society's tables and states, and no verdict may change.
 """
 
 from __future__ import annotations
@@ -23,13 +25,16 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import fraction_checks as oracle
 from conftest import capped_sum_society, cube_society, planted_coincidence_society
+from test_core import pareto_loop, pareto_pair_scan
+from test_harvey import fraction_pair_scan
 from utilcheck import Profile, Society, StateSpace, UtilityTable, cli, emit_society, linalg
 from utilcheck import linear_combination
 from utilcheck import coincidence, core, harvey
 from utilcheck.harsanyi import recover_weights
 from utilcheck.harvey import check_axiom_I, harvey_recover
-from utilcheck.society import check_pareto_criterion, check_pareto_on_lattice
+from utilcheck.society import check_pareto_criterion
 
 F = Fraction
 ROOT = Path(__file__).resolve().parents[1]
@@ -89,11 +94,11 @@ def lattice_societies(draw):
 @settings(max_examples=300, deadline=None)
 @given(lattice_societies())
 def test_lattice_gives_the_loop_verdict_and_witness(soc):
-    expected = check_pareto_criterion(soc)
+    expected = pareto_loop(soc)
     event("pass" if expected else "fail")
     assert harvey.Analysis(soc).semi_separability.passed
-    assert check_pareto_on_lattice(soc) == expected
-    # The record without the loop: certificate, then lattice.
+    assert check_pareto_criterion(soc) == expected
+    # The record: certificate, then the bitset pass.
     record = coincidence._pareto_record(soc, harvey.Analysis(soc))
     assert (record.passed, record.detail) == (
         expected.passed, "" if expected else f"witness pair {expected.witness}"
@@ -101,11 +106,11 @@ def test_lattice_gives_the_loop_verdict_and_witness(soc):
 
 
 def test_lattice_on_a_society_that_is_not_semi_separable():
-    # Unrealized points hold a value below every ethical value, so the
-    # lattice stays exact off a full product; it is only larger than |X|.
+    # The pass reads no product of the classes, so a society whose vectors
+    # leave lattice points unrealized is decided as a full product is.
     soc = _society([(0, 0), (1, 1), (2, 0), (0, 2)], [0, 1, 0, 5], range(4))
     assert not harvey.Analysis(soc).semi_separability
-    assert check_pareto_on_lattice(soc) == check_pareto_criterion(soc)
+    assert check_pareto_criterion(soc) == pareto_loop(soc)
     assert check_pareto_criterion(soc).witness == ("s2", "s0")
 
 
@@ -169,7 +174,7 @@ def test_span_certificate_gives_the_scan_and_loop_verdicts(soc):
     if in_span:
         assert analysis.certificate is not None
     event(f"in span: {in_span}, axiom (I): {axiom.passed}")
-    loop = check_pareto_criterion(soc)
+    loop = pareto_loop(soc)
     record = coincidence._pareto_record(soc, harvey.Analysis(soc))
     assert (record.passed, record.detail) == (
         loop.passed, "" if loop else f"witness pair {loop.witness}"
@@ -199,7 +204,7 @@ def test_span_certificate_weights_and_constant_agents():
 
 def _forbid_loop(monkeypatch):
     def loop(soc):
-        raise AssertionError("the dominance loop ran")
+        raise AssertionError("the dominance check ran")
 
     monkeypatch.setattr(coincidence, "check_pareto_criterion", loop)
 
@@ -259,10 +264,9 @@ def test_simplex_builder_runs_no_loop_no_scan_and_two_reductions(monkeypatch, ca
     [(cube_society, "validate_cube.json"), (capped_sum_society, "validate_capped_sum.json")],
     ids=["cube", "capped-sum"],
 )
-def test_semi_separable_validate_runs_no_loop(monkeypatch, capsys, tmp_path, society, golden):
+def test_semi_separable_validate_runs_no_loop(capsys, tmp_path, society, golden):
     # Neither has a linear certificate, so axiom (I) still scans its pairs
-    # (and fails); the lattice decides Pareto.
-    _forbid_loop(monkeypatch)
+    # (and fails), and the bitset pass decides Pareto.
     path = tmp_path / "society.json"
     path.write_text(emit_society(society()), encoding="utf-8")
     assert _stdout(capsys, "validate", str(path), "--json") == (1, (GOLDEN / golden).read_text())
@@ -427,3 +431,47 @@ def test_verdicts_and_weights_move_with_renamed_and_permuted_agents(soc, data):
         assert weights(new) == {rename[a]: w for a, w in weights(old).items()}
         assert new.constant == old.constant
         assert set(new.constant_agents) == {rename[a] for a in old.constant_agents}
+
+
+# ---------------------------------------------------------------------------
+# Invariance under permuting the states
+#
+# The bitset pass sorts the states and reads its witness off state order,
+# the certificate reads the first state's neighbours, and the profile scan
+# builds its witness one coordinate at a time.  Re-emitting a society on an
+# explicit space with its states permuted may change no verdict, and each
+# witness must be the brute-force first in the new order.
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(lattice_societies(), unseparated_societies(), planted_societies()), st.data())
+def test_permuted_states_keep_every_verdict_and_the_first_witness(soc, data):
+    order = data.draw(st.permutations(soc.space.states))
+
+    def table(t):
+        return UtilityTable({s: t[s] for s in order})
+
+    def moved(profile):
+        if profile is None:
+            return None
+        return Profile({a: table(t) for a, t in profile.tables.items()}, table(profile.ethical))
+
+    other = Society(
+        StateSpace.explicit(order), soc.agents, moved(soc.base), moved(soc.nm), moved(soc.alt)
+    )
+    records = {name: (ok, detail) for name, ok, detail in _battery(other)}
+    assert [(name, ok) for name, (ok, _) in records.items()] == [
+        (name, ok) for name, ok, _ in _battery(soc)
+    ]
+    pair = pareto_pair_scan(other)
+    assert records["pareto"] == (pair is None, "" if pair is None else f"witness pair {pair}")
+    profile = oracle.semi_separability([other.base.tables[a] for a in other.agents], order)
+    assert records["semi-separability"] == (
+        profile.passed, "" if profile else f"witness profile {profile.witness}"
+    )
+    _, conflict = fraction_pair_scan(other)
+    event(f"pareto {pair is None}, semi-separable {profile.passed}, axiom (I) {conflict is None}")
+    quadruple = None if conflict is None else conflict[0] + conflict[1]
+    assert records["axiom-I"] == (
+        conflict is None, "" if conflict is None else f"witness quadruple {quadruple}"
+    )

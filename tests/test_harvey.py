@@ -28,8 +28,8 @@ from utilcheck import (
     sqrt_fixture,
     verify_component_additivity,
 )
+from test_core import pareto_loop
 from utilcheck import cli, coincidence, core, harsanyi, harvey
-from utilcheck.society import check_pareto_criterion
 
 F = Fraction
 
@@ -706,8 +706,8 @@ def test_certificate_path_equals_the_scan(soc):
         # Complete: a semi-separable society whose components are all
         # linear has a linear ethical table, which the certificate finds.
         assert any(bend is not None for bend in built.bends)
-    # The pareto record, certified or not, is the dominance loop's.
-    loop = check_pareto_criterion(soc)
+    # The pareto record, certified or not, is the former dominance loop's.
+    loop = pareto_loop(soc)
     record = coincidence._pareto_record(soc, analysis)
     detail = "" if loop else f"witness pair {loop.witness}"
     assert (record.passed, record.detail) == (loop.passed, detail)
