@@ -34,7 +34,6 @@ from .core import (
     SimpleLottery,
     StateSpace,
     UtilityTable,
-    dirac,
     expectation,
     first_disagreement,
     linear_combination,

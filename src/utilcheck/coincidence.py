@@ -330,17 +330,17 @@ def _pareto_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
 def _pareto_certified(soc: Society, analysis: Analysis) -> bool:
     """True when the base tables' linear certificate proves the Pareto criterion.
 
-    The certificate (``Analysis.base_certificate``) is the identity
+    The certificate (``Analysis.certificate_of(soc.base)``) is the identity
     v(x) - v(x0) = sum a_i (u_i(x) - u_i(x0)) checked at every state, with
-    each nonconstant agent's a_i an int pair (p, q) read off a
-    single-agent neighbour or, on a space without one, off the base
-    profile's reduction as the canonical weight.  If every such a_i is
-    positive and x dominates y, each u_i(x) - u_i(y) is at least 0 and one
-    is positive, for a nonconstant agent (a constant one has only zero
-    differences), so v(x) > v(y).
+    each nonconstant agent's a_i a Fraction read off a single-agent
+    neighbour or, on a space without one, off the base profile's reduction
+    as the canonical weight.  If every such a_i is positive and x
+    dominates y, each u_i(x) - u_i(y) is at least 0 and one is positive,
+    for a nonconstant agent (a constant one has only zero differences), so
+    v(x) > v(y).
     """
-    slopes = analysis.base_certificate
-    return slopes is not None and all(s is None or s[0] * s[1] > 0 for s in slopes)
+    weights = analysis.certificate_of(soc.base)
+    return weights is not None and all(w is None or w > 0 for w in weights)
 
 
 def _matching_record(soc: Society, analysis: Analysis) -> HypothesisRecord:

@@ -361,6 +361,23 @@ def combination_holds(d, v, us, weights, constant=Fraction(0)) -> bool:
     return all(map(eq, map(m.__mul__, v), total))
 
 
+def fitted_constant(tables, ethical, weights, states) -> Fraction | None:
+    """The b with ethical = sum(w_i * t_i) + b at every state, or None if no b fits.
+
+    b is fixed at the first state and the identity re-checked at every
+    state on the scaled columns (``combination_holds``): with E the ethical
+    column over scale e and U_i table i's over s_i, it reads
+    E = sum (w_i * e / s_i) U_i + b * e.
+    """
+    e, v = ethical.scale, ethical.column(states)
+    us = [t.column(states) for t in tables]
+    coefficients = [w * Fraction(e, t.scale) for w, t in zip(weights, tables)]
+    b = v[0] - sum((c * u[0] for c, u in zip(coefficients, us)), Fraction(0))
+    if not combination_holds([1] * len(states), v, us, coefficients, b):
+        return None
+    return b / e
+
+
 class SimpleLottery(Record):
     """Finite-support probability vector over states.
 
@@ -394,16 +411,8 @@ class SimpleLottery(Record):
     def from_mapping(cls, probs: Mapping[StateKey, Fraction]) -> "SimpleLottery":
         return cls(tuple(probs.items()))
 
-    @property
-    def support(self) -> tuple[StateKey, ...]:
-        return tuple(s for s, _ in self.probs)
-
     def as_dict(self) -> dict[StateKey, Fraction]:
         return dict(self.probs)
-
-
-def dirac(state: StateKey) -> SimpleLottery:
-    return SimpleLottery(((state, Fraction(1)),))
 
 
 def expectation(p: SimpleLottery, u: UtilityTable) -> Fraction:

@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from . import linalg
-from .core import Record, SimpleLottery, StateKey, combination_holds
+from .core import Record, SimpleLottery, StateKey, combination_holds, fitted_constant
 from .rationals import scale_rows
 from .society import CheckResult, Profile, Society
 
@@ -69,9 +69,10 @@ class SpanProblem(Record):
     regular state columns of the profile matrix, and the one with v's pivot,
     if any, is the first state that separates v.  ``verify`` re-checks a
     recovered identity at every state on the scaled rows
-    (``core.combination_holds``), as ``harvey.recover_constant`` does on the
-    intensity side's columns.  The witness constructions read the same
-    rows, d_s times the profile column at state s, at the states they need.
+    (``core.combination_holds``), which ``core.fitted_constant`` also runs
+    for a constant fixed at the first state.  The witness constructions
+    read the same rows, d_s times the profile column at state s, at the
+    states they need.
     A run's ``harvey.Analysis`` builds one only where the profile's linear
     certificate lacks a neighbour or v is off the span.
     """
@@ -269,7 +270,7 @@ def check_axiom_i(soc: Society, analysis: Analysis | None = None) -> CheckResult
     """
     if analysis is not None and analysis.certificate_of(soc.nm_side()) is not None:
         return CheckResult(True)
-    problem = SpanProblem.of(soc) if analysis is None else analysis.span
+    problem = SpanProblem.of(soc) if analysis is None else analysis.span_of(soc.nm_side())
     if problem.in_span:
         return CheckResult(True)
     pair = _perturbed_pair(problem.separating_null_vector(), problem.states)
@@ -286,15 +287,23 @@ def recover_weights(soc: Society, analysis: Analysis | None = None) -> WeightRep
     fails, the report carries the first state where the ethical table is
     nonzero (the zero table is always in the span).  Given an ``analysis``
     whose lottery profile has a certificate and no reduction, that is one
-    read off neighbours, the report is the certificate's
-    (``_certified_weights``).  Every report is re-verified before return.
+    read off neighbours, the report is the certificate's: those neighbours
+    make the nonconstant agents independent together with 1, so its weights
+    are the canonical ones (a constant agent's 0), unique exactly when no
+    agent is constant, and ``core.fitted_constant`` fixes the constant.
+    Every report is re-verified before return; a failure is a bug.
     """
     if analysis is not None:
         profile = soc.nm_side()
-        slopes = analysis.certificate_of(profile)
-        if slopes is not None and not analysis.reduced(profile):
-            return _certified_weights(soc, slopes)
-    problem = SpanProblem.of(soc) if analysis is None else analysis.span
+        certificate = analysis.certificate_of(profile)
+        if certificate is not None and not analysis.reduced(profile):
+            weights = tuple(Fraction(0) if w is None else w for w in certificate)
+            tables = [profile.tables[a] for a in soc.agents]
+            b = fitted_constant(tables, profile.ethical, weights, soc.space.states)
+            if b is None:
+                raise AssertionError("recovered identity failed pointwise re-verification")
+            return WeightReport(True, soc.agents, weights, b, None not in certificate)
+    problem = SpanProblem.of(soc) if analysis is None else analysis.span_of(soc.nm_side())
     if not problem.in_span:
         bad = next(s for s, p in zip(problem.states, problem.columns[-1][0]) if p)
         return WeightReport(success=False, agents=soc.agents, residual_witness=bad)
@@ -310,33 +319,6 @@ def recover_weights(soc: Society, analysis: Analysis | None = None) -> WeightRep
     return report
 
 
-def _certified_weights(soc: Society, slopes) -> WeightReport:
-    """The report of a lottery-side certificate read off single-agent neighbours.
-
-    Those make the nonconstant agents independent together with 1, so the
-    weights are the canonical ones (a constant agent's 0), unique exactly
-    when no agent is constant.  The constant is fixed at the first state
-    and the identity re-verified on the scaled columns, E over scale e and
-    U_i over s_i: E = sum (w_i * e / s_i) U_i + b * e.  A failure is a bug.
-    """
-    profile, states = soc.nm_side(), soc.space.states
-    tables = [profile.tables[a] for a in soc.agents]
-    weights = tuple(Fraction(0) if w is None else Fraction(*w) for w in slopes)
-    e = profile.ethical.scale
-    coefficients = [w * Fraction(e, t.scale) for w, t in zip(weights, tables)]
-    v, us = profile.ethical.column(states), [t.column(states) for t in tables]
-    b = v[0] - sum((c * u[0] for c, u in zip(coefficients, us)), Fraction(0))
-    if not combination_holds([1] * len(states), v, us, coefficients, b):
-        raise AssertionError("recovered identity failed pointwise re-verification")
-    return WeightReport(
-        success=True,
-        agents=soc.agents,
-        weights=weights,
-        constant=b / e,
-        unique=None not in slopes,
-    )
-
-
 def witness_lotteries_for_sign(
     soc: Society, agent: str, analysis: Analysis | None = None
 ) -> LotteryWitnessPair:
@@ -347,7 +329,7 @@ def witness_lotteries_for_sign(
     vector gives the perturbation.  Calls given the same ``analysis`` share
     the regular states and the inverse.
     """
-    problem = SpanProblem.of(soc) if analysis is None else analysis.span
+    problem = SpanProblem.of(soc) if analysis is None else analysis.span_of(soc.nm_side())
     if not problem.rows_independent():
         raise ValueError("profile is linearly dependent; no regular submatrix exists")
     idx = soc.agents.index(agent) + 1  # strict separation for the chosen agent only

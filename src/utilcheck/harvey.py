@@ -59,7 +59,7 @@ from itertools import repeat
 from operator import ne, sub
 from typing import Callable
 
-from .core import Record, StateKey, combination_holds
+from .core import Record, StateKey, fitted_constant
 from .harsanyi import SpanProblem
 from .society import CheckResult, Profile, Society, check_semi_separable
 
@@ -138,10 +138,6 @@ class DifferenceMap(PairScan):
             for grid, s, r in zip(self.grids, self.scales, self.radices)
         )
 
-    def component_monotone(self, i: int) -> bool:
-        values = [self.table[c * self.radices[i]] for c in self.grids[i]]
-        return all(a < b for a, b in zip(values, values[1:]))
-
 
 class _Ints(Record):
     """One profile's tables in state order as scaled ints, and their radices.
@@ -178,17 +174,17 @@ def _pack(soc: Society, profile: Profile) -> _Ints:
     return _Ints(states, columns, scales, tuple(radices), ethical.scale, ethical.column(states))
 
 
-Slopes = tuple[tuple[int, int] | None, ...]
+Weights = tuple[Fraction | None, ...]
 
 
 def _linear_certificate(
     profile: Profile, agents, states, span: Callable[[], SpanProblem]
-) -> Slopes | None:
+) -> Weights | None:
     """v's exact weights over [1 | u] on one profile, or None if v is off their span.
 
-    Weight a_i is an int pair (numerator, denominator), None for a constant
-    agent, whose weight is 0.  With x0 the first state, a_i is read off a
-    neighbour, a state where only agent i's value differs from x0's, found
+    Weight a_i is a Fraction, None for a constant agent, whose weight is
+    0.  With x0 the first state, a_i is read off a neighbour, a state
+    where only agent i's value differs from x0's, found
     on the tables' numerators and denominators, so a profile without
     neighbours scales no table.  On the scaled columns, with each slope
     dE / dU, D the LCM of the dU and N_i = dE * D / dU, E(x) * D minus the
@@ -228,7 +224,7 @@ def _linear_certificate(
             continue
         column = t.column(states)
         de, du = ethical[j] - e0, column[j] - column[0]
-        slopes.append((de * t.scale, du * e))
+        slopes.append(Fraction(de * t.scale, du * e))
         rises.append((de, du, column))
     d = math.lcm(*(du for _, du, _ in rises))
     total, k0 = map(d.__mul__, ethical), d * e0
@@ -239,8 +235,8 @@ def _linear_certificate(
     return tuple(slopes) if all(map(k0.__eq__, total)) else None
 
 
-def _span_certificate(problem: SpanProblem, constant: list[bool]) -> Slopes | None:
-    """The canonical weights of v over [1 | u] as int pairs, or None if v is off the span.
+def _span_certificate(problem: SpanProblem, constant: list[bool]) -> Weights | None:
+    """The canonical weights of v over [1 | u], or None if v is off the span.
 
     A constant agent's weight is None, and a nonconstant agent outside the
     greedy basis has weight 0.
@@ -248,7 +244,7 @@ def _span_certificate(problem: SpanProblem, constant: list[bool]) -> Slopes | No
     weights = problem.solution
     if weights is None:
         return None
-    return tuple(None if c else w.as_integer_ratio() for c, w in zip(constant, weights[1:]))
+    return tuple(None if c else w for c, w in zip(constant, weights[1:]))
 
 
 def _scan_pairs(ints: _Ints) -> PairScan:
@@ -298,7 +294,7 @@ class Analysis:
     def __init__(self, soc: Society):
         self.soc = soc
         self._spans: dict[int, SpanProblem] = {}
-        self._certificates: dict[int, Slopes | None] = {}
+        self._certificates: dict[int, Weights | None] = {}
 
     def span_of(self, profile: Profile) -> SpanProblem:
         """The span problem of one of the society's profiles, built once per profile."""
@@ -308,7 +304,7 @@ class Analysis:
             self._spans[id(profile)] = problem
         return problem
 
-    def certificate_of(self, profile: Profile) -> Slopes | None:
+    def certificate_of(self, profile: Profile) -> Weights | None:
         """One of the society's profiles' linear certificate (``_linear_certificate``), once."""
         key, soc = id(profile), self.soc
         if key not in self._certificates:
@@ -316,11 +312,6 @@ class Analysis:
             found = _linear_certificate(profile, soc.agents, soc.space.states, span)
             self._certificates[key] = found
         return self._certificates[key]
-
-    @property
-    def span(self) -> SpanProblem:
-        """The lottery side's span problem."""
-        return self.span_of(self.soc.nm_side())
 
     @cached_property
     def semi_separability(self) -> CheckResult:
@@ -341,16 +332,6 @@ class Analysis:
     def reduced(self, profile: Profile) -> bool:
         """True once the profile's reduction is built: its certificate, if any, then reads it."""
         return id(profile) in self._spans
-
-    @property
-    def certificate(self) -> Slopes | None:
-        """The intensity side's linear certificate, or None."""
-        return self.certificate_of(self.soc.alt_side())
-
-    @property
-    def base_certificate(self) -> Slopes | None:
-        """The same on the base tables, which the Pareto record may read."""
-        return self.certificate_of(self.soc.base)
 
     @cached_property
     def pair_scan(self) -> PairScan:
@@ -374,7 +355,7 @@ def check_axiom_I(soc: Society, analysis: Analysis | None = None) -> CheckResult
     """
     if analysis is None:
         analysis = Analysis(soc)
-    if analysis.certificate is not None:
+    if analysis.certificate_of(soc.alt_side()) is not None:
         return CheckResult(True)
     conflict = analysis.pair_scan.conflict
     if conflict is None:
@@ -398,7 +379,7 @@ def build_difference_map(soc: Society, analysis: Analysis | None = None) -> Diff
     semi = analysis.alt_semi_separability
     if not semi:
         raise ValueError(f"society is not semi-separable (witness profile {semi.witness})")
-    ints, slopes = analysis._ints, analysis.certificate
+    ints, weights = analysis._ints, analysis.certificate_of(soc.alt_side())
     # Agent i's grid is its scaled range minus itself, and the axis vector
     # with scaled component c for agent i is the key c * R_i.
     ranges = [set(column) for column in ints.columns]
@@ -406,7 +387,7 @@ def build_difference_map(soc: Society, analysis: Analysis | None = None) -> Diff
     keys = [
         (c * radix, c, i) for i, (grid, radix) in enumerate(zip(grids, ints.radices)) for c in grid
     ]
-    if slopes is None:
+    if weights is None:
         scan = analysis.pair_scan
         if scan.conflict is not None:
             raise DifferenceMapError(*scan.conflict)
@@ -418,7 +399,8 @@ def build_difference_map(soc: Society, analysis: Analysis | None = None) -> Diff
         # scaled tables is the ethical difference of two states that realize
         # the axis vector, so the division is exact.
         e = ints.ethical_scale
-        rises = [(p * e, q * s) for (p, q), s in zip((w or (0, 1) for w in slopes), ints.scales)]
+        ratios = ((w or 0).as_integer_ratio() for w in weights)
+        rises = [(p * e, q * s) for (p, q), s in zip(ratios, ints.scales)]
         table = {}
         for key, c, i in keys:
             de, du = rises[i]
@@ -485,23 +467,20 @@ def extract_slopes(dm: DifferenceMap) -> SlopeReport:
     return SlopeReport(slopes=tuple(slopes), constant_agents=tuple(constant_agents))
 
 
-def recover_constant(soc: Society, slopes, analysis: Analysis | None = None) -> Fraction:
-    """The additive constant, fixed at the first state and re-verified pointwise.
+def recover_constant(soc: Society, slopes) -> Fraction:
+    """The additive constant of the intensity side, by ``core.fitted_constant``.
 
-    Both read the intensity side's scaled columns (``Analysis._ints``), the
-    ints the difference map was built from.  With E the ethical column over
-    scale e and U_i agent i's over s_i, v = sum a_i u_i + b reads
-    E = sum (a_i * e / s_i) U_i + b * e at every state.  The slopes passed
-    the linearity decision, so a failed re-verification is a bug, not a
-    verdict: it raises ``AssertionError``.
+    It reads the intensity side's scaled columns, the ints the difference
+    map was built from.  The slopes passed the linearity decision, so a
+    failed re-verification is a bug, not a verdict: it raises
+    ``AssertionError``.
     """
-    ints = (Analysis(soc) if analysis is None else analysis)._ints
-    e = ints.ethical_scale
-    weights = [a * Fraction(e, s) for a, s in zip(slopes, ints.scales)]
-    b = ints.ethical[0] - sum((w * u[0] for w, u in zip(weights, ints.columns)), Fraction(0))
-    if not combination_holds([1] * len(ints.states), ints.ethical, ints.columns, weights, b):
+    profile = soc.alt_side()
+    tables = [profile.tables[a] for a in soc.agents]
+    b = fitted_constant(tables, profile.ethical, slopes, soc.space.states)
+    if b is None:
         raise AssertionError("slopes and constant fail pointwise re-verification")
-    return b / e
+    return b
 
 
 class HarveyReport(Record):
@@ -546,6 +525,6 @@ def harvey_recover(soc: Society, analysis: Analysis | None = None) -> HarveyRepo
         success=True,
         agents=soc.agents,
         weights=slope_report.slopes,
-        constant=recover_constant(soc, slope_report.slopes, analysis),
+        constant=recover_constant(soc, slope_report.slopes),
         constant_agents=slope_report.constant_agents,
     )

@@ -91,10 +91,6 @@ class Society(Record):
             metadata=dict(metadata or {}),
         )
 
-    @property
-    def n(self) -> int:
-        return len(self.agents)
-
     def nm_side(self) -> Profile:
         """Tables feeding the expected-utility theorems (u*, v*)."""
         return self.nm if self.nm is not None else self.base

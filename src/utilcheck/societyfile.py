@@ -82,10 +82,8 @@ def _check_size(size: int, max_states: int | None) -> None:
         raise SocietyFileError(f"{size} states exceed --max-states {max_states}")
 
 
-def _parse_space(payload: Any, max_states: int | None = None) -> StateSpace:
+def _parse_space(payload: dict, max_states: int | None = None) -> StateSpace:
     where = "space"
-    if not isinstance(payload, dict):
-        raise SocietyFileError("must be an object", where)
     kind = _need(payload, "kind", str, where)
     if kind == "explicit":
         _known(payload, ("kind", "states"), where)
@@ -137,10 +135,8 @@ def _memoize(texts, literals: dict[str, tuple[int, int]]) -> bool:
 
 
 def _parse_table(
-    payload: Any, space: StateSpace, where: str, literals: dict[str, tuple[int, int]]
+    payload: dict, space: StateSpace, where: str, literals: dict[str, tuple[int, int]]
 ) -> UtilityTable:
-    if not isinstance(payload, dict):
-        raise SocietyFileError("utility table must be an object", where)
     index = space.index
     covers = len(payload) == len(index) and payload.keys() <= index.keys()
     if not (covers and _memoize(payload.values(), literals)):

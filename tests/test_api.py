@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
     "affine_relation", "alt", "alt_represents", "build_difference_map",
     "build_standard_sequence", "check_axiom_I", "check_axiom_i", "check_consistency",
     "check_crossover", "check_pareto_criterion", "check_semi_separable", "coincidence", "core",
-    "dirac", "emit_society", "expectation", "extract_slopes", "first_disagreement",
+    "emit_society", "expectation", "extract_slopes", "first_disagreement",
     "format_rational", "harsanyi", "harvey", "harvey_recover", "linalg", "linear_combination",
     "matches", "nm", "normalize_for_theorem3", "order_disagreement", "pareto_dominates",
     "parse_rational", "parse_society", "positive_reweighting", "proposition1_check",

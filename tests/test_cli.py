@@ -677,15 +677,28 @@ def test_max_states_is_checked_before_the_space_is_built(tmp_path, monkeypatch, 
 
 
 def test_failed_reverification_exits_three(monkeypatch, capsys):
-    # Skew the integer identity check the lottery-side recovery re-verifies
-    # its scaled rows with.
+    # Fail the constant fit the certified lottery-side recovery re-verifies
+    # its scaled columns with.
+    monkeypatch.setattr(harsanyi, "fitted_constant", lambda *args: None)
+    code = cli.main(["coincide", str(FIXTURES / "sqrt_k10.json"), "--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: recovered identity failed pointwise re-verification\n"
+    )
+
+
+def test_failed_reduction_reverification_exits_three(monkeypatch, capsys):
+    # recover --mode harsanyi reads the reduction; skew the integer identity
+    # check its solution is re-verified with on the scaled rows.
     real = harsanyi.combination_holds
 
     def skewed(d, v, us, weights, constant=Fraction(0)):
         return real(d, v, us, weights, constant + 1)
 
     monkeypatch.setattr(harsanyi, "combination_holds", skewed)
-    code = cli.main(["coincide", str(FIXTURES / "sqrt_k10.json"), "--json"])
+    code = cli.main(["recover", str(FIXTURES / "sqrt_k10.json"), "--mode", "harsanyi", "--json"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -717,7 +730,7 @@ def test_tampered_axiom_i_witness_exits_three(monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [["recover", "--mode", "harvey"], ["coincide"]])
 def test_failed_harvey_reverification_exits_three(monkeypatch, capsys, argv):
     # A failed self-check of the intensity-side recovery is a bug, not a verdict.
-    monkeypatch.setattr(harvey, "combination_holds", lambda *args: False)
+    monkeypatch.setattr(harvey, "fitted_constant", lambda *args: None)
     code = cli.main([argv[0], str(FIXTURES / "sqrt_k10.json"), *argv[1:], "--json"])
     captured = capsys.readouterr()
     assert code == 3

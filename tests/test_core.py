@@ -25,7 +25,6 @@ from utilcheck import (
     UtilityTable,
     check_pareto_criterion,
     check_semi_separable,
-    dirac,
     expectation,
     harvey_recover,
     linear_combination,
@@ -272,7 +271,7 @@ def test_every_construction_holds_one_state_ordered_column(values, rng):
 
 def test_expectation_dirac():
     u = UtilityTable({"x": F(7, 3), "y": F(0)})
-    assert expectation(dirac("x"), u) == F(7, 3)
+    assert expectation(SimpleLottery((("x", F(1)),)), u) == F(7, 3)
 
 
 def test_expectation_simple():
@@ -294,7 +293,7 @@ def test_expectation_matches_bruteforce_sum():
 def test_expectation_missing_state():
     u = UtilityTable({"a": F(1)})
     with pytest.raises(KeyError):
-        expectation(dirac("b"), u)
+        expectation(SimpleLottery((("b", F(1)),)), u)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +546,7 @@ def first_unmatched_profile(soc):
     combination no state realizes, or None.  |X|**n profiles."""
     tables = [soc.base.tables[a] for a in soc.agents]
     realized = {tuple(t[s] for t in tables) for s in soc.space.states}
-    for profile in itertools.product(soc.space.states, repeat=soc.n):
+    for profile in itertools.product(soc.space.states, repeat=len(soc.agents)):
         if tuple(t[s] for t, s in zip(tables, profile)) not in realized:
             return profile
     return None

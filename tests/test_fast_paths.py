@@ -32,7 +32,7 @@ from test_harvey import fraction_pair_scan
 from utilcheck import Profile, Society, StateSpace, UtilityTable, cli, emit_society, linalg
 from utilcheck import linear_combination
 from utilcheck import coincidence, core, harvey
-from utilcheck.harsanyi import recover_weights
+from utilcheck.harsanyi import SpanProblem, recover_weights
 from utilcheck.harvey import check_axiom_I, harvey_recover
 from utilcheck.society import check_pareto_criterion
 
@@ -45,7 +45,8 @@ GOLDEN = Path(__file__).parent / "golden"
 class ScanOnly(harvey.Analysis):
     """An ``Analysis`` with no certificate: every intensity-side answer reads the pair scan."""
 
-    certificate = None
+    def certificate_of(self, profile):
+        return None
 
 
 def _society(vectors, ethical, order) -> Society:
@@ -167,12 +168,13 @@ def test_span_certificate_gives_the_scan_and_loop_verdicts(soc):
     event("reduced" if analysis._spans else "read off neighbours")
     assert axiom == check_axiom_I(soc, scan_only)
     assert harvey_recover(soc, analysis) == harvey_recover(soc, scan_only)
-    if analysis.certificate is not None:
+    certificate = analysis.certificate_of(soc.alt_side())
+    if certificate is not None:
         assert scan_only.pair_scan.conflict is None
     # v in the intensity side's span certifies axiom (I), whichever path read it.
     in_span = analysis.span_of(soc.alt_side()).in_span
     if in_span:
-        assert analysis.certificate is not None
+        assert certificate is not None
     event(f"in span: {in_span}, axiom (I): {axiom.passed}")
     loop = pareto_loop(soc)
     record = coincidence._pareto_record(soc, harvey.Analysis(soc))
@@ -188,12 +190,12 @@ def test_span_certificate_weights_and_constant_agents():
     # u1 gets the canonical weight 0, which certifies axiom (I) but not Pareto.
     curve, ethical = [(0, 0), (1, 1), (2, 4), (3, 9)], [0, 2, 6, 12]
     soc = _society(curve, ethical, range(4))
-    assert harvey.Analysis(soc).base_certificate == ((1, 1), (1, 1))
+    assert harvey.Analysis(soc).certificate_of(soc.base) == (F(1), F(1))
     with_constant = _society([(a, b, 7) for a, b in curve], ethical, range(4))
-    assert harvey.Analysis(with_constant).base_certificate == ((1, 1), (1, 1), None)
+    assert harvey.Analysis(with_constant).certificate_of(with_constant.base) == (F(1), F(1), None)
     with_copy = _society([(a, b, a) for a, b in curve], ethical, range(4))
     analysis = harvey.Analysis(with_copy)
-    assert analysis.base_certificate == ((1, 1), (1, 1), (0, 1))
+    assert analysis.certificate_of(with_copy.base) == (F(1), F(1), F(0))
     assert check_axiom_I(with_copy, analysis)
     assert not coincidence._pareto_certified(with_copy, analysis)
 
@@ -311,7 +313,7 @@ def test_a_lottery_profile_without_neighbours_scales_no_table_and_reduces_once(
     lottery = Profile(star, linear_combination(star.values(), [1, F(1, 2)], F(1, 5)))
     soc = core.replace(soc, nm=lottery)
     analysis = harvey.Analysis(soc)
-    assert analysis.certificate_of(lottery) == ((1, 1), (1, 2))
+    assert analysis.certificate_of(lottery) == (F(1), F(1, 2))
     assert ["_scaled" in t.__dict__ for t in [*star.values(), lottery.ethical]] == [False] * 3
     assert len(calls) == 1
     path = tmp_path / "curve.json"
@@ -326,12 +328,14 @@ def test_a_lottery_profile_without_neighbours_scales_no_table_and_reduces_once(
 def test_span_of_is_one_problem_per_profile():
     soc = cube_society()
     analysis = harvey.Analysis(soc)
-    assert analysis.span is analysis.span_of(soc.base) is analysis.span_of(soc.alt_side())
+    lottery = analysis.span_of(soc.nm_side())
+    assert lottery is analysis.span_of(soc.base) is analysis.span_of(soc.alt_side())
     alt = Profile(soc.base.tables, soc.base.ethical)
     with_alt = Society(soc.space, soc.agents, soc.base, alt=alt)
     analysis = harvey.Analysis(with_alt)
-    assert analysis.span is analysis.span_of(with_alt.base)
-    assert analysis.span_of(alt) is analysis.span_of(with_alt.alt_side()) is not analysis.span
+    lottery = analysis.span_of(with_alt.nm_side())
+    assert lottery is analysis.span_of(with_alt.base)
+    assert analysis.span_of(alt) is analysis.span_of(with_alt.alt_side()) is not lottery
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +385,26 @@ def test_battery_and_verdicts_are_invariant_under_positive_affine_maps(soc, data
     event(before.status)
     assert after.status == before.status
     assert [v.kind for v in after.agents] == [v.kind for v in before.agents]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(lattice_societies(), unseparated_societies(), planted_societies()))
+def test_neighbours_and_the_reduction_give_one_certificate(soc):
+    # Where every nonconstant agent has a single-agent neighbour, the
+    # weights read off the neighbours are the reduction's canonical ones:
+    # one Fraction per nonconstant agent and None per constant one, or
+    # None for the whole profile when v is off the span.
+    states = soc.space.states
+    for profile in {id(p): p for p in (soc.base, soc.nm_side(), soc.alt_side())}.values():
+        problem, reduced = SpanProblem.from_profile(profile, soc.agents, states), []
+        found = harvey._linear_certificate(
+            profile, soc.agents, states, lambda: reduced.append(1) or problem
+        )
+        constant = [profile.tables[a].is_constant() for a in soc.agents]
+        expected = harvey._span_certificate(problem, constant)
+        event("reduced" if reduced else f"neighbours, in span: {expected is not None}")
+        assert found == expected
+        assert {type(w) for w in found or ()} <= {Fraction, type(None)}
 
 
 # ---------------------------------------------------------------------------

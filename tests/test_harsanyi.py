@@ -436,7 +436,7 @@ def solve_and_fit_recover_weights(soc) -> WeightReport:
             if dot(col, fit) != want
         )
         return WeightReport(success=False, agents=soc.agents, residual_witness=bad)
-    weights = [F(0)] * soc.n
+    weights = [F(0)] * len(soc.agents)
     for slot, agent_index in enumerate(basis):
         weights[agent_index] = sol[slot + 1]
     unique = rank(matrix) == len(matrix)
@@ -687,7 +687,7 @@ def test_axiom_i_witness_verifier_equals_the_expectation_oracle(soc):
         assert expectation(pair.p, table) == expectation(pair.q, table)
     assert expectation(pair.p, profile.ethical) != expectation(pair.q, profile.ethical)
 
-    source = pair.p.support[0]
+    source = pair.p.probs[0][0]
     values = {s: [profile.tables[a][s] for a in soc.agents] for s in soc.space.states}
     target = next((s for s in soc.space.states if values[s] != values[source]), None)
     assume(target is not None)
@@ -733,8 +733,9 @@ def test_failed_axiom_i_reads_only_the_witness_states(monkeypatch):
     assert result == solve_axiom_i(soc)
     for agent in soc.agents:
         witness_lotteries_for_sign(soc, agent, analysis)
-    assert "matrix" not in analysis.span.__dict__
-    assert "target" not in analysis.span.__dict__
+    problem = analysis.span_of(soc.nm_side())
+    assert "matrix" not in problem.__dict__
+    assert "target" not in problem.__dict__
 
 
 # ---------------------------------------------------------------------------

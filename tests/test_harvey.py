@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bent_component_society, nonadditive_society, product_grid_society
+from fraction_checks import component_monotone
 from utilcheck import (
     DifferenceMapError,
     GridDim,
@@ -217,7 +218,7 @@ def test_int_kernel_equals_fraction_pair_scan(soc):
         return
     assert decoded_table(dm) == on_axes(decoded_table(scan))
     for i, grid in enumerate(dm.diff_grids):
-        axis = [tuple(c if j == i else F(0) for j in range(soc.n)) for c in grid]
+        axis = [tuple(c if j == i else F(0) for j in range(len(soc.agents))) for c in grid]
         assert dm.components[i] == {v[i]: table[v] for v in axis}
 
 
@@ -603,7 +604,7 @@ def test_component_monotonicity_under_dominance():
         soc, _, _ = product_grid_society(rng, 2)
         dm = build_difference_map(soc)
         for i in range(2):
-            assert dm.component_monotone(i)
+            assert component_monotone(dm, i)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +614,8 @@ def test_component_monotonicity_under_dominance():
 class ScanOnly(harvey.Analysis):
     """An ``Analysis`` with no certificate: every intensity-side answer reads the pair scan."""
 
-    certificate = None
+    def certificate_of(self, profile):
+        return None
 
 
 def _outcome(fn, *args):
@@ -700,7 +702,7 @@ def test_certificate_path_equals_the_scan(soc):
     built = _outcome(build_difference_map, soc, analysis)
     assert built == _outcome(build_difference_map, soc, scan_only)
     assert harvey_recover(soc, analysis) == harvey_recover(soc, scan_only)
-    if analysis.certificate is not None:
+    if analysis.certificate_of(soc.alt_side()) is not None:
         assert scan_only.pair_scan.conflict is None
     elif isinstance(built, harvey.DifferenceMap):
         # Complete: a semi-separable society whose components are all

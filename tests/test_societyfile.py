@@ -269,6 +269,29 @@ def test_coverage_errors_keep_their_text(edit, message):
     assert _outcome(oracle.payload_to_society, payload) == ("error", message, "$.agents[1].utility")
 
 
+def _bad_dimension(payload):
+    dim = {"name": "x", "min": "1", "max": "0", "resolution": "1"}
+    payload["space"] = {"kind": "product_grid", "dims": [dim]}
+
+
+@pytest.mark.parametrize(
+    "edit, message, where",
+    [
+        (_bad_dimension, "dimension 'x': need hi > lo", "space.dims[0]"),
+        (lambda p: p["space"].update(kind="torus"), "unknown space kind 'torus'", "space"),
+        (lambda p: p.update(nm_profile=[]), "must be an object", "nm_profile"),
+        (lambda p: p["agents"].pop(), "a society needs at least two individuals", ""),
+    ],
+    ids=["grid-dimension", "space-kind", "profile-object", "one-agent"],
+)
+def test_structural_rejections_name_their_location(edit, message, where):
+    payload = _repeated_literal_payload()
+    edit(payload)
+    with pytest.raises(SocietyFileError) as err:
+        payload_to_society(payload)
+    assert (str(err.value), err.value.where) == (f"{where}: {message}" if where else message, where)
+
+
 @pytest.mark.parametrize("text", ['{"a": 1, "a": 2}', "{", "[]"])
 def test_files_parse_or_fail_alike(tmp_path, text):
     path = tmp_path / "society.json"
