@@ -11,6 +11,11 @@ stand-in for the connected spaces that the calibration constructions need:
 their step structure lets every halving step of a standard sequence land
 exactly on a state.  Only this module lays a utility table out in state
 order: every check elsewhere reads ``UtilityTable.column``.
+
+Every identity check of the package is ``residual``: is an int column a
+fixed combination of other int columns plus one constant, in every row?
+The lottery-side re-check, both recoveries' constant (``fitted_constant``),
+the linear certificate and the affinity verdict all call it.
 """
 
 from __future__ import annotations
@@ -18,11 +23,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
-from operator import add, eq, itemgetter
+from math import gcd, lcm
+from operator import itemgetter, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .rationals import scale_ratios, scale_to_ints
+from .rationals import scale_ratios
 
 StateKey = str
 
@@ -218,9 +223,9 @@ class UtilityTable:
     denominators) as ints, or ``ratio_column``, the two int columns, in the
     order it asks for; in the table's own order both are kept.  A positive
     scale keeps every order and equality among values and differences.
-    The views by state, ``values`` (Fractions), ``ratios`` ((p, q)) and
-    ``scaled``, are built on first read and kept, and ``__getitem__``
-    builds one Fraction.  A table built from Fractions or ints keeps their
+    The views by state, ``values`` (Fractions) and ``ratios`` ((p, q)),
+    are built on first read and kept, and ``__getitem__`` builds one
+    Fraction.  A table built from Fractions or ints keeps their
     order, and the Fractions, each int as its own, as its ``values``; any
     other value, a float included, raises TypeError naming its state.
     Tables are never changed, and equality is pointwise.
@@ -291,10 +296,6 @@ class UtilityTable:
     def ratios(self) -> dict[StateKey, tuple[int, int]]:
         return dict(zip(self._states, zip(self._nums, self._dens)))
 
-    @cached_property
-    def scaled(self) -> tuple[int, dict[StateKey, int]]:
-        return self.scale, dict(zip(self._states, self.column()))
-
     def __getitem__(self, key: StateKey) -> Fraction:
         k = self._index[key]
         return Fraction(self._nums[k], self._dens[k])
@@ -344,38 +345,38 @@ def linear_combination(
     return UtilityTable({s: sum((w * v[s] for w, v in terms), constant) for s in states})
 
 
-def combination_holds(d, v, us, weights, constant=Fraction(0)) -> bool:
-    """True iff v = sum(w_i * u_i) + constant on every row scaled to ints.
+def residual(v, columns, ratios) -> Fraction | None:
+    """The k / D with v = sum (p_i / q_i) * u_i + k / D in every row, or None if none fits.
 
-    Row s holds d[s] times each value: v[s] for the target and u[s] for
-    each table in ``us``, as ``SpanProblem.scaled`` holds them.  With
-    the coefficients scaled to ints a_i, c over their common denominator
-    m, each row is tested as m * v == sum(a_i * u_i) + c * d.
+    The paper's three identities are this one check: the lottery-side and
+    intensity-side combinations v = sum a_i u_i + b and an agent's affine
+    relation u* = alpha u + beta.  ``v`` and each of ``columns`` are int
+    columns of one length, and ``ratios`` holds each column's coefficient as
+    an int pair (p_i, q_i), q_i != 0, unreduced if need be.  With D the LCM
+    of the q_i and N_i = p_i * D / q_i, v * D - sum N_i * u_i must be one int
+    k in every row; it is decided in C-level ``map`` passes, and only the
+    returned k / D is built as a Fraction.
     """
-    m, (c, *coefficients) = scale_to_ints([Fraction(constant), *map(Fraction, weights)])
-    if len(us) != len(coefficients):
-        raise ValueError("one weight per table")
-    total = map(c.__mul__, d)  # c * d + sum(a_i * u_i), row by row
-    for a, u in zip(coefficients, us):
-        total = map(add, total, map(a.__mul__, u))
-    return all(map(eq, map(m.__mul__, v), total))
+    d = lcm(*(q for _, q in ratios))
+    total, k = map(d.__mul__, v), d * v[0]  # v * D - sum N_i * u_i, row by row
+    for (p, q), u in zip(ratios, columns, strict=True):
+        n = p * (d // q)
+        total = map(sub, total, map(n.__mul__, u))
+        k -= n * u[0]
+    return Fraction(k, d) if all(map(k.__eq__, total)) else None
 
 
 def fitted_constant(tables, ethical, weights, states) -> Fraction | None:
     """The b with ethical = sum(w_i * t_i) + b at every state, or None if no b fits.
 
-    b is fixed at the first state and the identity re-checked at every
-    state on the scaled columns (``combination_holds``): with E the ethical
-    column over scale e and U_i table i's over s_i, it reads
-    E = sum (w_i * e / s_i) U_i + b * e.
+    Decided by ``residual`` on the tables' columns in the order ``states``:
+    with E the ethical column over scale e, U_i table i's over s_i and
+    w_i = p / q, E = sum (p * e / (q * s_i)) U_i + b * e.
     """
-    e, v = ethical.scale, ethical.column(states)
-    us = [t.column(states) for t in tables]
-    coefficients = [w * Fraction(e, t.scale) for w, t in zip(weights, tables)]
-    b = v[0] - sum((c * u[0] for c, u in zip(coefficients, us)), Fraction(0))
-    if not combination_holds([1] * len(states), v, us, coefficients, b):
-        return None
-    return b / e
+    e, ratios = ethical.scale, [w.as_integer_ratio() for w in weights]
+    ratios = [(p * e, q * t.scale) for (p, q), t in zip(ratios, tables)]
+    r = residual(ethical.column(states), [t.column(states) for t in tables], ratios)
+    return None if r is None else r / e
 
 
 class SimpleLottery(Record):

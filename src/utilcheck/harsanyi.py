@@ -17,7 +17,10 @@ states and the first state that separates the ethical table; the witness
 constructions add one reduction of at most n+1 rows each.  They read the
 reduction's scaled rows at only the states they need: a failed axiom (i)
 at most n+2, the origin of v's pivot and the regular states before it,
-where its null vector is nonzero.  Every witness pair is re-verified
+where its null vector is nonzero.  A recovered identity is re-checked at
+every state by ``core.residual``: on the reduction's scaled rows
+(``SpanProblem.verify``), or for a certificate's weights on the tables'
+columns (``core.fitted_constant``).  Every witness pair is re-verified
 before return on the pair itself, over the states where p - q is
 nonzero: by linearity E_p[u] - E_q[u] is the sum of (p_s - q_s) u(s)
 over them.
@@ -30,7 +33,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from . import linalg
-from .core import Record, SimpleLottery, StateKey, combination_holds, fitted_constant
+from .core import Record, SimpleLottery, StateKey, fitted_constant, residual
 from .rationals import scale_rows
 from .society import CheckResult, Profile, Society
 
@@ -68,9 +71,9 @@ class SpanProblem(Record):
     greedy first-independent states: those with a pivot in [1 | u] are the
     regular state columns of the profile matrix, and the one with v's pivot,
     if any, is the first state that separates v.  ``verify`` re-checks a
-    recovered identity at every state on the scaled rows
-    (``core.combination_holds``), which ``core.fitted_constant`` also runs
-    for a constant fixed at the first state.  The witness constructions
+    recovered identity at every state on the scaled rows with
+    ``core.residual``, the row factor d one more column whose coefficient
+    is the constant, so the residual must be 0.  The witness constructions
     read the same rows, d_s times the profile column at state s, at the
     states they need.
     A run's ``harvey.Analysis`` builds one only where the profile's linear
@@ -110,7 +113,8 @@ class SpanProblem(Record):
     def verify(self, weights, constant) -> None:
         """Re-check v = sum(w_i * u_i) + constant on every scaled row; a failure is a bug."""
         d, (*us, v) = self.scaled
-        if not combination_holds(d, v, us, weights, constant):
+        ratios = [c.as_integer_ratio() for c in (*weights, constant)]
+        if residual(v, [*us, d], ratios) != 0:
             raise AssertionError("recovered identity failed pointwise re-verification")
 
     @cached_property

@@ -16,9 +16,10 @@ that identity proves axiom (I) and gives every component, F_i(c) = a_i * c.
 ``_linear_certificate`` finds, on the tables' numerators and denominators,
 one state that differs from the first state in agent i's value only, reads
 a_i off it and checks the identity on the scaled columns in O(|X| n) int
-operations; a semi-separable society with a linear ethical table always has
-one.  A profile where some agent has no such state reads the canonical a_i
-off its one reduction of [1 | u | v] instead.  ``Analysis.certificate_of``
+operations (``core.residual``, the package's one identity check); a
+semi-separable society with a linear ethical table always has one.  A
+profile where some agent has no such state reads the canonical a_i off its
+one reduction of [1 | u | v] instead.  ``Analysis.certificate_of``
 computes the certificate once per profile, and the lottery side's axiom (i)
 and weights and the Pareto record read it too.  Only without a certificate
 does one ordered-pair scan, O(|X|^2), decide axiom (I), name the first
@@ -46,20 +47,19 @@ scaled table.  Every component of a difference vector lies in
 [-span_i, span_i], so P(x) - P(y) is a balanced mixed-radix numeral with
 those components as digits and names the difference vector uniquely, so
 each scanned pair costs one int subtraction and one int dict lookup.
-Fractions are built for the slopes and the reports; the Fraction components
-are decoded only when something reads them.
+Fractions are built only for the slopes, the reports, the witnesses and
+``DifferenceMap.diff_grids``.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import repeat
-from operator import ne, sub
+from operator import ne
 from typing import Callable
 
-from .core import Record, StateKey, fitted_constant
+from .core import Record, StateKey, fitted_constant, residual
 from .harsanyi import SpanProblem
 from .society import CheckResult, Profile, Society, check_semi_separable
 
@@ -98,8 +98,7 @@ class DifferenceMap(PairScan):
     ``grids`` holds agent i's scaled grid in ascending order; its point c is
     the axis vector keyed c * radices[i], and ``table`` holds exactly those
     keys, from the linear certificate or from a complete pair scan.
-    ``components`` and ``diff_grids`` are the same grids decoded to
-    Fractions on first read.
+    ``diff_grids`` is the same grids decoded to Fractions on first read.
     """
 
     agents: tuple[str, ...]
@@ -130,13 +129,6 @@ class DifferenceMap(PairScan):
     @cached_property
     def diff_grids(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(c, s) for c in g) for g, s in zip(self.grids, self.scales))
-
-    @cached_property
-    def components(self) -> tuple[dict[Fraction, Fraction], ...]:
-        return tuple(
-            {Fraction(c, s): Fraction(self.table[c * r], self.ethical_scale) for c in grid}
-            for grid, s, r in zip(self.grids, self.scales, self.radices)
-        )
 
 
 class _Ints(Record):
@@ -186,15 +178,15 @@ def _linear_certificate(
     0.  With x0 the first state, a_i is read off a neighbour, a state
     where only agent i's value differs from x0's, found
     on the tables' numerators and denominators, so a profile without
-    neighbours scales no table.  On the scaled columns, with each slope
-    dE / dU, D the LCM of the dU and N_i = dE * D / dU, E(x) * D minus the
-    sum of N_i * U_i(x) must be the same at every state (C-level ``map``
-    passes); then a_i = (dE * s_i) / (dU * e).  A failed identity gives
-    None: a neighbour for every nonconstant agent makes them independent
-    together with 1, so a v in their span shows each neighbour its weight.
-    Without a neighbour ``span()``, the profile's one reduction of
-    [1 | u | v], decides (``_span_certificate``); a semi-separable society
-    never gets there.
+    neighbours scales no table.  On the scaled columns the rise (dE, dU)
+    from x0 to the neighbour gives the slope dE / dU, and
+    ``core.residual`` checks E = sum (dE / dU) U_i + k at every state; then
+    a_i = (dE * s_i) / (dU * e).  A failed identity gives None: a neighbour
+    for every nonconstant agent makes them independent together with 1, so
+    a v in their span shows each neighbour its weight.  Without a
+    neighbour ``span()``, the profile's one reduction of [1 | u | v],
+    decides: its canonical weights, where a nonconstant agent outside the
+    greedy basis has weight 0.  A semi-separable society never gets there.
     """
     tables = [profile.tables[a] for a in agents]
     # Each agent's moves as one int whose byte j is 1 where the value at
@@ -208,43 +200,27 @@ def _linear_certificate(
     for m in moves:
         twice |= once & m
         once |= m
-    constant = [not m for m in moves]
     picks = []
     for m in moves:
         hit = m & once & ~twice
         if m and not hit:
-            return _span_certificate(span(), constant)
+            weights = span().solution
+            if weights is None:
+                return None
+            return tuple(w if moved else None for moved, w in zip(moves, weights[1:]))
         picks.append((hit & -hit).bit_length() // 8 if m else None)
     ethical, e = profile.ethical.column(states), profile.ethical.scale
-    e0 = ethical[0]
-    slopes, rises = [], []
+    slopes, columns, rises = [], [], []
     for t, j in zip(tables, picks):
         if j is None:
             slopes.append(None)
             continue
         column = t.column(states)
-        de, du = ethical[j] - e0, column[j] - column[0]
+        de, du = ethical[j] - ethical[0], column[j] - column[0]
         slopes.append(Fraction(de * t.scale, du * e))
-        rises.append((de, du, column))
-    d = math.lcm(*(du for _, du, _ in rises))
-    total, k0 = map(d.__mul__, ethical), d * e0
-    for de, du, column in rises:
-        n = de * (d // du)
-        total = map(sub, total, map(n.__mul__, column))
-        k0 -= n * column[0]
-    return tuple(slopes) if all(map(k0.__eq__, total)) else None
-
-
-def _span_certificate(problem: SpanProblem, constant: list[bool]) -> Weights | None:
-    """The canonical weights of v over [1 | u], or None if v is off the span.
-
-    A constant agent's weight is None, and a nonconstant agent outside the
-    greedy basis has weight 0.
-    """
-    weights = problem.solution
-    if weights is None:
-        return None
-    return tuple(None if c else w for c, w in zip(constant, weights[1:]))
+        columns.append(column)
+        rises.append((de, du))
+    return None if residual(ethical, columns, rises) is None else tuple(slopes)
 
 
 def _scan_pairs(ints: _Ints) -> PairScan:

@@ -3,16 +3,16 @@
 A von Neumann-Morgenstern utility is unique up to a positive affine map,
 so "do u and w represent the same preferences over lotteries?" is the
 question whether w = alpha * u + beta with alpha > 0.  ``affine_relation``
-decides it exactly on the two tables' scaled ints and returns the pair;
-the coincidence verdicts make the same call.
+reads alpha off the two tables' scaled ints and leaves the identity to
+``core.fitted_constant``, the check both weight recoveries also run; the
+coincidence verdicts make the same call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .core import UtilityTable
+from .core import UtilityTable, fitted_constant
 
 
 def affine_relation(
@@ -20,26 +20,23 @@ def affine_relation(
 ) -> tuple[Fraction, Fraction] | None:
     """The unique (alpha > 0, beta) with w = alpha*u + beta, or None.
 
-    Decided on the two tables' columns U and W, in u's state order.  From
-    the first state a and the first state o where u differs, run = U(o) -
-    U(a) and lift = W(o) - W(a) must have one sign, and every state s must
-    satisfy run * (W(s) - W(a)) == lift * (U(s) - U(a)).  Fractions are
-    built only for u(a), w(a) and the returned pair.  Constant u: returns
-    (1, shift) when w is constant too, else None.
+    Read on the two tables' columns U and W, in u's state order.  From the
+    first state a and the first state o where u differs, alpha is
+    (W(o) - W(a)) / (U(o) - U(a)), rescaled to the tables' values, and 1
+    for a constant u; a nonpositive alpha gives None.  Then
+    ``core.fitted_constant`` fixes beta at a and checks every state, or
+    gives None.  So a constant u relates only to a constant w.
     """
     states = u.states()
     if states != w.states() and set(states) != set(w.states()):
         raise ValueError("tables must share a domain")
     us, ws = u.column(), w.column(states)
-    u0, w0 = us[0], ws[0]
-    at_u, at_w = Fraction(u0, u.scale), Fraction(w0, w.scale)  # u(a) and w(a)
-    other = next((k for k, x in enumerate(us) if x != u0), None)
+    other = next((k for k, x in enumerate(us) if x != us[0]), None)
     if other is None:
-        return (Fraction(1), at_w - at_u) if w.is_constant() else None
-    run, lift = us[other] - u0, ws[other] - w0
-    g = gcd(run, lift)  # the ratio in lowest terms keeps the products short
-    run, lift = run // g, lift // g
-    if run * lift <= 0 or any(run * (y - w0) != lift * (x - u0) for x, y in zip(us, ws)):
-        return None
-    alpha = Fraction(lift * u.scale, run * w.scale)
-    return alpha, at_w - alpha * at_u
+        alpha = Fraction(1)
+    else:
+        alpha = Fraction((ws[other] - ws[0]) * u.scale, (us[other] - us[0]) * w.scale)
+        if alpha <= 0:
+            return None
+    beta = fitted_constant([u], w, [alpha], states)
+    return None if beta is None else (alpha, beta)

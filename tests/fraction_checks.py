@@ -1,6 +1,6 @@
 """Fraction table checks: the oracles for the checks on scaled tables.
 
-The package compares each table's scaled int form (``UtilityTable.scaled``).
+The package compares each table's scaled int form (``UtilityTable.column``).
 These are the same checks as it ran them before, on the Fractions
 themselves: order agreement by sorting value pairs, indifference classes
 named by their values, the affinity of two tables solved and checked in
@@ -9,7 +9,8 @@ tested by building the table sum and comparing it with the target.
 The intensity side's linearity decision is kept the same way: the package
 decides it once per component on the difference map's ints
 (``DifferenceMap.bends``); here the additivity skip and the slope
-extraction each test F_i(c) = a * c on the decoded Fraction components, and
+extraction each test F_i(c) = a * c on the Fraction components decoded
+from the map's ints (``components``), and
 ``harvey_recover`` is the pipeline that ran them, with the additivity
 check on those components.
 
@@ -198,10 +199,18 @@ def agent_verdicts(agents, tables, starred, states) -> tuple[AgentVerdict, ...]:
     return tuple(verdicts)
 
 
+def components(dm) -> tuple[dict[Fraction, Fraction], ...]:
+    """Each agent's F_i on its grid, decoded from the map's ints: c / s_i to table[c R_i] / e."""
+    return tuple(
+        {Fraction(c, s): Fraction(dm.table[c * r], dm.ethical_scale) for c in grid}
+        for grid, s, r in zip(dm.grids, dm.scales, dm.radices)
+    )
+
+
 def is_linear(dm, i: int) -> bool:
     """True iff F_i(c) = a * c on the whole grid for a single a."""
     grid = dm.diff_grids[i]
-    comp = dm.components[i]
+    comp = components(dm)[i]
     top = grid[-1]
     a = comp[top] / top if top else Fraction(0)
     return all(comp[c] == a * c for c in grid)
@@ -212,7 +221,7 @@ def extract_slopes(dm) -> SlopeReport:
     constant_agents: list[str] = []
     for i, name in enumerate(dm.agents):
         grid = dm.diff_grids[i]
-        comp = dm.components[i]
+        comp = components(dm)[i]
         positives = [c for c in grid if c > 0]
         if not positives:
             slopes.append(Fraction(1))
@@ -230,7 +239,7 @@ def extract_slopes(dm) -> SlopeReport:
 
 
 def verify_component_additivity(dm, i: int) -> CheckResult:
-    comp = dm.components[i]
+    comp = components(dm)[i]
     grid = dm.diff_grids[i]
     zero = Fraction(0)
     if comp[zero] != 0:
@@ -248,7 +257,7 @@ def verify_component_additivity(dm, i: int) -> CheckResult:
 
 def component_monotone(dm, i: int) -> bool:
     grid = dm.diff_grids[i]
-    comp = dm.components[i]
+    comp = components(dm)[i]
     return all(comp[a] < comp[b] for a, b in zip(grid, grid[1:]))
 
 

@@ -5,7 +5,8 @@ up in a diff of this file.  No module imports ``random``: every verdict is
 decided exactly, and none may rest on a sample.  ``coincidence`` imports
 nothing from ``alt``: the pipeline decides matching on the tables.  Only
 ``core`` lays a table out in state order: every other module reads
-``UtilityTable.column``, never a table's ``ratios`` or ``scaled`` view by state.
+``UtilityTable.column``, never a table's ``ratios`` view by state.  No
+module but ``__init__``, which re-exports, imports a name it never reads.
 """
 
 from __future__ import annotations
@@ -72,6 +73,26 @@ def _package_imports(path: Path) -> set[str]:
                 module = module[10:]
             found |= {module} if module else {alias.name for alias in node.names}
     return found
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Each name the file imports, ``__future__`` aside, that no expression reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert [hit for p in modules for hit in _unread_imports(p)] == []
 
 
 def test_coincidence_imports_nothing_from_alt():

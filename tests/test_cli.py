@@ -692,12 +692,13 @@ def test_failed_reverification_exits_three(monkeypatch, capsys):
 def test_failed_reduction_reverification_exits_three(monkeypatch, capsys):
     # recover --mode harsanyi reads the reduction; skew the integer identity
     # check its solution is re-verified with on the scaled rows.
-    real = harsanyi.combination_holds
+    real = harsanyi.residual
 
-    def skewed(d, v, us, weights, constant=Fraction(0)):
-        return real(d, v, us, weights, constant + 1)
+    def skewed(v, columns, ratios):
+        found = real(v, columns, ratios)
+        return None if found is None else found + 1
 
-    monkeypatch.setattr(harsanyi, "combination_holds", skewed)
+    monkeypatch.setattr(harsanyi, "residual", skewed)
     code = cli.main(["recover", str(FIXTURES / "sqrt_k10.json"), "--mode", "harsanyi", "--json"])
     captured = capsys.readouterr()
     assert code == 3

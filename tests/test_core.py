@@ -224,13 +224,13 @@ def test_tables_are_immutable_in_every_view():
     assert built == parsed
     assert parsed["x"] == F(-1, 2) and "values" not in vars(parsed)
     for table in (built, parsed):
-        for view in ("values", "ratios", "scaled"):
+        for view in ("values", "ratios", "scale"):
             with pytest.raises(AttributeError, match="immutable"):
                 setattr(table, view, {"x": F(0), "y": F(0)})
             with pytest.raises(AttributeError, match="immutable"):
                 delattr(table, view)
         assert table.values == {"x": F(-1, 2), "y": F(3)}
-        assert table.scaled == (2, {"x": -1, "y": 6})
+        assert (table.scale, table.column()) == (2, [-1, 6])
 
 
 @settings(max_examples=200, deadline=None)
@@ -264,7 +264,7 @@ def test_every_construction_holds_one_state_ordered_column(values, rng):
         assert table.column() is table.column(states) == [int(v * scale) for v in values]
         assert table.column(order) == [int(F(text) * scale) for _, text in shuffled]
         assert list(table.values.items()) == list(zip(states, values))
-        assert table.scaled == (scale, dict(zip(states, table.column())))
+        assert table.scale == scale
         assert table.literals(order) == [text for _, text in shuffled]
         assert table.literals(states) == list(map(str, values))
 

@@ -4,13 +4,15 @@ Pareto without a linear certificate is decided by one bitset pass
 (``society.check_pareto_criterion``), and a linear ethical table on a space
 where some agent has no single-agent neighbour of the first state is
 certified by the profile's reduction of [1 | u | v]
-(``harvey._span_certificate``).  The former dominance loop
-(``test_core.pareto_loop``) and the pair scan stay as the oracles: both
-fast paths must give their verdict and their first witness.  The CLI runs
-below make the dominance check or the scan raise where a certificate
-decides, and the reports must still be the goldens, pinned before the fast
-paths existed.  The properties at the end map, rename or reorder a
-society's tables and states, and no verdict may change.
+(``SpanProblem.solution``, which ``harvey._linear_certificate`` reads).
+The former dominance loop (``test_core.pareto_loop``) and the pair scan
+stay as the oracles: both fast paths must give their verdict and their
+first witness.  The CLI runs below make the dominance check or the scan
+raise where a certificate decides, and the reports must still be the
+goldens, pinned before the fast paths existed.  The properties at the end
+map, rename or reorder a society's tables and states, and no verdict may
+change; under positive affine maps the recovered weights, constants and
+each agent's (alpha, beta) move exactly as the maps say.
 """
 
 from __future__ import annotations
@@ -344,7 +346,9 @@ def test_span_of_is_one_problem_per_profile():
 # Each table is an NM or Alt utility, unique up to a positive affine map,
 # and every fast path above reads state order, ranks or scaled ints.  So
 # mapping every table on every side, each by its own map, may change no
-# record of the battery, witnesses included, and no agent verdict's kind.
+# record of the battery, witnesses included, and no agent verdict's kind;
+# the recovered weights and constants and each COINCIDE agent's
+# (alpha, beta) transform exactly as the maps say.
 
 
 @st.composite
@@ -371,13 +375,22 @@ def _battery(soc) -> list[tuple[str, bool, str]]:
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(lattice_societies(), unseparated_societies(), planted_societies()), st.data())
 def test_battery_and_verdicts_are_invariant_under_positive_affine_maps(soc, data):
+    maps = {}  # each mapped profile's id: its agents' maps (a_i, c_i) and its ethical (A, C)
+
     def image(table):
-        return table.affine(data.draw(positive_slopes), data.draw(shifts))
+        a, c = data.draw(positive_slopes), data.draw(shifts)
+        return table.affine(a, c), (a, c)
 
     def mapped(profile):
         if profile is None:
             return None
-        return Profile({a: image(t) for a, t in profile.tables.items()}, image(profile.ethical))
+        tables, agent_maps = {}, {}
+        for a, t in profile.tables.items():
+            tables[a], agent_maps[a] = image(t)
+        ethical, ethical_map = image(profile.ethical)
+        moved = Profile(tables, ethical)
+        maps[id(moved)] = (agent_maps, ethical_map)
+        return moved
 
     moved = Society(soc.space, soc.agents, mapped(soc.base), mapped(soc.nm), mapped(soc.alt))
     assert _battery(moved) == _battery(soc)
@@ -385,6 +398,42 @@ def test_battery_and_verdicts_are_invariant_under_positive_affine_maps(soc, data
     event(before.status)
     assert after.status == before.status
     assert [v.kind for v in after.agents] == [v.kind for v in before.agents]
+    # The recovered identities and the affine relations move with the maps.
+    for recover, side in ((recover_weights, Society.nm_side), (harvey_recover, Society.alt_side)):
+        old, new = recover(soc), recover(moved)
+        assert new.success == old.success
+        if old.success:
+            expected = _moved_identity(old, side(soc), maps[id(side(moved))], soc.agents)
+            assert (new.weights, new.constant) == expected
+    base_maps, star_maps = maps[id(moved.alt_side())][0], maps[id(moved.nm_side())][0]
+    for old, new in zip(before.agents, after.agents):
+        if old.kind == coincidence.COINCIDE:
+            (a, c), (a_star, c_star) = base_maps[old.agent], star_maps[old.agent]
+            alpha = a_star * old.alpha / a
+            assert (new.alpha, new.beta) == (alpha, a_star * old.beta + c_star - alpha * c)
+
+
+def _moved_identity(report, profile, maps, agents):
+    """A recovered (weights, constant) after the maps u_i -> a_i u_i + c_i and v -> A v + C.
+
+    A nonconstant agent's weight w_i becomes w'_i = A w_i / a_i, and the
+    constant b becomes A b + C - sum w'_i c_i.  A constant agent keeps its
+    weight, 0 on the lottery side and the fixed slope 1 on the intensity
+    side, so its term w_k u_k moves by its own map: the constant also gains
+    (A - a_k) w_k u_k for each constant agent k.
+    """
+    agent_maps, (big_a, big_c) = maps
+    x0 = profile.ethical.states()[0]
+    weights, constant = [], big_a * report.constant + big_c
+    for name, w in zip(agents, report.weights):
+        (a, c), table = agent_maps[name], profile.tables[name]
+        if table.is_constant():
+            constant += (big_a - a) * w * table[x0]
+        else:
+            w = big_a * w / a
+        weights.append(w)
+        constant -= w * c
+    return tuple(weights), constant
 
 
 @settings(max_examples=300, deadline=None)
@@ -401,7 +450,8 @@ def test_neighbours_and_the_reduction_give_one_certificate(soc):
             profile, soc.agents, states, lambda: reduced.append(1) or problem
         )
         constant = [profile.tables[a].is_constant() for a in soc.agents]
-        expected = harvey._span_certificate(problem, constant)
+        solution = problem.solution
+        expected = solution and tuple(None if c else w for c, w in zip(constant, solution[1:]))
         event("reduced" if reduced else f"neighbours, in span: {expected is not None}")
         assert found == expected
         assert {type(w) for w in found or ()} <= {Fraction, type(None)}

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bent_component_society, nonadditive_society, product_grid_society
-from fraction_checks import component_monotone
+from fraction_checks import component_monotone, components
 from utilcheck import (
     DifferenceMapError,
     GridDim,
@@ -216,10 +216,11 @@ def test_int_kernel_equals_fraction_pair_scan(soc):
         dm = build_difference_map(soc)
     except ValueError:
         return
-    assert decoded_table(dm) == on_axes(decoded_table(scan))
+    decoded = decoded_table(dm)
+    assert decoded == on_axes(decoded_table(scan))
     for i, grid in enumerate(dm.diff_grids):
         axis = [tuple(c if j == i else F(0) for j in range(len(soc.agents))) for c in grid]
-        assert dm.components[i] == {v[i]: table[v] for v in axis}
+        assert {v[i]: decoded[v] for v in axis} == {v[i]: table[v] for v in axis}
 
 
 def test_packed_keys_decode_at_the_span_edges():
@@ -288,13 +289,14 @@ def test_difference_map_zero_and_symmetry_invariants():
     rng = random.Random(61)
     soc, _, _ = product_grid_society(rng, 2)
     dm = build_difference_map(soc)
-    n = len(soc.agents)
-    assert decoded_table(dm)[tuple([F(0)] * n)] == 0
+    n, decoded = len(soc.agents), decoded_table(dm)
+    assert decoded[tuple([F(0)] * n)] == 0
     for i in range(n):
         grid = dm.diff_grids[i]
         assert list(grid) == sorted(grid)
         assert all(-c in grid for c in grid)
-        assert dm.components[i][F(0)] == 0
+        axis = {v[i]: value for v, value in decoded.items() if not any(v[:i] + v[i + 1 :])}
+        assert sorted(axis) == list(grid) and axis[F(0)] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +380,7 @@ def test_component_additivity_and_negation():
     dm = build_difference_map(soc)
     for i in range(2):
         assert verify_component_additivity(dm, i).passed
-        comp = dm.components[i]
+        comp = components(dm)[i]
         assert all(comp[-c] == -comp[c] for c in dm.diff_grids[i])
 
 
@@ -392,7 +394,7 @@ def test_component_additivity_detects_corruption():
     bumped[dm.radices[1]] += 1
     bumped[-dm.radices[1]] -= 1
     corrupted = core.replace(dm, table=bumped)
-    assert corrupted.components[1][F(1, 2)] == F(1)
+    assert components(corrupted)[1][F(1, 2)] == F(1)
     result = verify_component_additivity(corrupted, 1)
     assert not result.passed
     assert result.witness == (F(-1), F(1, 2))
@@ -423,12 +425,12 @@ def test_extract_slopes_dyadic_scaling_claim():
     soc = _grid_society(lambda x, y: 2 * x + 7 * y, y_step=F(1, 4))
     dm = build_difference_map(soc)
     report = extract_slopes(dm)
-    for i in range(2):
+    for i, comp in enumerate(components(dm)):
         grid = dm.diff_grids[i]
         h = min(c for c in grid if c > 0)
         for c in grid:
             ratio = c / h
-            assert dm.components[i][c] == ratio * dm.components[i][h]
+            assert comp[c] == ratio * comp[h]
     assert report.slopes == (F(2), F(7))
 
 
@@ -556,8 +558,8 @@ def test_harvey_recover_additive_nonlinear_component_reports_slopes():
 
 
 def test_passing_harvey_recover_decodes_no_fractions(monkeypatch):
-    # The Fraction components and grids are cached properties: one that was
-    # read is in the map's instance dict.
+    # The Fraction grids are a cached property: once read, they are in the
+    # map's instance dict.
     built = []
     real = harvey.build_difference_map
     monkeypatch.setattr(
@@ -573,7 +575,7 @@ def test_passing_harvey_recover_decodes_no_fractions(monkeypatch):
     assert len(built) == 4
     for dm in built:
         assert "bends" in vars(dm)
-        assert "components" not in vars(dm) and "diff_grids" not in vars(dm)
+        assert "diff_grids" not in vars(dm)
 
 
 def test_harvey_recover_linear_components_skip_additivity_scan(monkeypatch):

@@ -1,9 +1,11 @@
 """Integer table checks against their Fraction oracles, and the scaling count.
 
-The order, class and affinity checks read ``UtilityTable.scaled``, and the
-identity check tests each state with ints on a ``SpanProblem``'s cached
-rows after its reduction has read them, the rows both recoveries re-check
-their identity on.  The differentials draw 2-4 agents with ties and
+The order, class and affinity checks read ``UtilityTable.column``, and the
+identity check, ``core.residual``, tests each state with ints on a
+``SpanProblem``'s cached rows after its reduction has read them, the rows
+the reduction's recovery re-checks its identity on, and on the tables'
+columns through ``core.fitted_constant``, the constant both certified
+recoveries fit.  The differentials draw 2-4 agents with ties and
 constant agents, negative values, denominators 1, 2, 3, 5 and 7 or a
 distinct prime under every value, tables whose key order differs from the
 state order, and identities off by one unit at a single state, and assert
@@ -52,7 +54,7 @@ from utilcheck import (
     verify_component_additivity,
 )
 from utilcheck.coincidence import _agent_verdicts
-from utilcheck.core import combination_holds
+from utilcheck.core import fitted_constant, residual
 from utilcheck.society import semi_separability
 
 F = Fraction
@@ -235,13 +237,22 @@ def test_identity_check_matches_table_sum(soc, data):
     bumped = data.draw(st.booleans())
     if bumped:
         state = data.draw(st.sampled_from(soc.space.states))
-        unit = data.draw(st.sampled_from([F(1), F(1, target.scaled[0])]))
+        unit = data.draw(st.sampled_from([F(1), F(1, target.scale)]))
         target = UtilityTable({s: v + unit * (s == state) for s, v in target.values.items()})
     expected = oracle.is_combination(target, tables, weights, constant)
     assert expected is not bumped
     assert _cached_row_verdict(soc, target, tables, weights, constant) == expected
     first = oracle.is_combination(target, tables[:1], weights[:1], constant)
     assert _cached_row_verdict(soc, target, tables[:1], weights[:1], constant) == first
+    # The constant fitted at the first state, then re-checked on the columns.
+    states, x0 = soc.space.states, soc.space.states[0]
+    if not bumped:
+        assert fitted_constant(tables, target, weights, states) == constant
+    for k in (len(tables), 1):
+        at_x0 = target[x0] - sum(w * t[x0] for w, t in zip(weights[:k], tables[:k]))
+        fitted = fitted_constant(tables[:k], target, weights[:k], states)
+        holds = oracle.is_combination(target, tables[:k], weights[:k], at_x0)
+        assert fitted == (at_x0 if holds else None)
 
 
 def _cached_row_verdict(soc, target, tables, weights, constant) -> bool:
@@ -252,7 +263,7 @@ def _cached_row_verdict(soc, target, tables, weights, constant) -> bool:
     )
     problem.reduction  # the reduction reads the same scaled rows first
     d, (*us, v) = problem.scaled
-    return combination_holds(d, v, us, weights, constant)
+    return residual(v, [*us, d], [F(c).as_integer_ratio() for c in (*weights, constant)]) == 0
 
 
 def test_identity_check_on_long_scale_tables():
@@ -269,7 +280,7 @@ def test_identity_check_on_long_scale_tables():
     target = linear_combination(tables, weights, constant)
     soc = Society.from_tables(StateSpace.explicit(states), dict(zip("abcd", tables)), target)
     problem = SpanProblem.of(soc)
-    assert min(t.scaled[0] for t in tables).bit_length() > 300
+    assert min(t.scale for t in tables).bit_length() > 300
     assert problem.scaled[0] == [
         math.lcm(*(t[s].denominator for t in (*tables, target))) for s in states
     ]
