@@ -339,8 +339,8 @@ def _pareto_certified(soc: Society, analysis: Analysis) -> bool:
     for a nonconstant agent (a constant one has only zero differences), so
     v(x) > v(y).
     """
-    weights = analysis.certificate_of(soc.base)
-    return weights is not None and all(w is None or w > 0 for w in weights)
+    certificate = analysis.certificate_of(soc.base)
+    return certificate is not None and all(w is None or w > 0 for w in certificate[0])
 
 
 def _matching_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
@@ -384,7 +384,8 @@ def _two_nonconstant_record(soc: Society, analysis: Analysis) -> HypothesisRecor
 
 
 def _semi_separability_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
-    return _check_record("semi-separability", analysis.semi_separability, "witness profile")
+    semi = analysis.semi_separability_of(soc.base)
+    return _check_record("semi-separability", semi, "witness profile")
 
 
 def _axiom_cap_i_record(soc: Society, analysis: Analysis) -> HypothesisRecord:
@@ -588,5 +589,5 @@ def simplex_counterexample(resolution: Fraction) -> SimplexFixture:
         society=society,
         resolution=resolution,
         x1_values=tuple(x1_values),
-        semi_separability_witness=tuple(analysis.semi_separability.witness),
+        semi_separability_witness=tuple(analysis.semi_separability_of(society.base).witness),
     )

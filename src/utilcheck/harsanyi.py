@@ -17,12 +17,13 @@ states and the first state that separates the ethical table; the witness
 constructions add one reduction of at most n+1 rows each.  They read the
 reduction's scaled rows at only the states they need: a failed axiom (i)
 at most n+2, the origin of v's pivot and the regular states before it,
-where its null vector is nonzero.  A recovered identity is re-checked at
-every state by ``core.residual``: on the reduction's scaled rows
-(``SpanProblem.verify``), or for a certificate's weights on the tables'
-columns (``core.fitted_constant``).  Every witness pair is re-verified
-before return on the pair itself, over the states where p - q is
-nonzero: by linearity E_p[u] - E_q[u] is the sum of (p_s - q_s) u(s)
+where its null vector is nonzero.  A reported identity is checked at
+every state on the values reported: a reduction's by ``SpanProblem.verify``
+on its scaled rows, and a certificate's weights and constant by the
+certificate's own pass on the tables' columns (``core.linear_certificate``),
+so the certified report makes no second pass.  Every witness pair is
+re-verified before return on the pair itself, over the states where p - q
+is nonzero: by linearity E_p[u] - E_q[u] is the sum of (p_s - q_s) u(s)
 over them.
 """
 
@@ -33,7 +34,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from . import linalg
-from .core import Record, SimpleLottery, StateKey, fitted_constant, residual
+from .core import Record, SimpleLottery, StateKey, residual
 from .rationals import scale_rows
 from .society import CheckResult, Profile, Society
 
@@ -294,19 +295,17 @@ def recover_weights(soc: Society, analysis: Analysis | None = None) -> WeightRep
     read off neighbours, the report is the certificate's: those neighbours
     make the nonconstant agents independent together with 1, so its weights
     are the canonical ones (a constant agent's 0), unique exactly when no
-    agent is constant, and ``core.fitted_constant`` fixes the constant.
-    Every report is re-verified before return; a failure is a bug.
+    agent is constant, and its constant is the one its pass checked at
+    every state.  A reduction's report is re-verified before return by
+    ``SpanProblem.verify``; a failure is a bug.
     """
     if analysis is not None:
         profile = soc.nm_side()
         certificate = analysis.certificate_of(profile)
         if certificate is not None and not analysis.reduced(profile):
-            weights = tuple(Fraction(0) if w is None else w for w in certificate)
-            tables = [profile.tables[a] for a in soc.agents]
-            b = fitted_constant(tables, profile.ethical, weights, soc.space.states)
-            if b is None:
-                raise AssertionError("recovered identity failed pointwise re-verification")
-            return WeightReport(True, soc.agents, weights, b, None not in certificate)
+            weights, b = certificate
+            canonical = tuple(Fraction(0) if w is None else w for w in weights)
+            return WeightReport(True, soc.agents, canonical, b, None not in weights)
     problem = SpanProblem.of(soc) if analysis is None else analysis.span_of(soc.nm_side())
     if not problem.in_span:
         bad = next(s for s, p in zip(problem.states, problem.columns[-1][0]) if p)

@@ -13,15 +13,16 @@ a limit argument, and additivity separates an ``additivity:`` failure from a
 
 A pass is certified first.  If v = sum a_i u_i + b holds at every state,
 that identity proves axiom (I) and gives every component, F_i(c) = a_i * c.
-``_linear_certificate`` finds, on the tables' numerators and denominators,
-one state that differs from the first state in agent i's value only, reads
-a_i off it and checks the identity on the scaled columns in O(|X| n) int
-operations (``core.residual``, the package's one identity check); a
-semi-separable society with a linear ethical table always has one.  A
-profile where some agent has no such state reads the canonical a_i off its
-one reduction of [1 | u | v] instead.  ``Analysis.certificate_of``
-computes the certificate once per profile, and the lottery side's axiom (i)
-and weights and the Pareto record read it too.  Only without a certificate
+``core.linear_certificate`` finds, on the tables' numerators and
+denominators, one state that differs from the first state in agent i's
+value only, reads a_i off it and checks the identity on the scaled columns
+in O(|X| n) int operations, which also gives b; a semi-separable society
+with a linear ethical table always has one.  A profile where some agent
+has no such state reads the canonical a_i and b off its one reduction of
+[1 | u | v] instead.  ``Analysis.certificate_of`` computes the certificate
+(weights, b) once per profile; axiom (I) and the difference map read its
+weights, and so do the lottery side's axiom (i) and report and the Pareto
+record, the report its b too.  Only without a certificate
 does one ordered-pair scan, O(|X|^2), decide axiom (I), name the first
 conflicting pair in state order, and tabulate F, bent components included.
 An ``Analysis`` object carries the certificate and the scan from the first
@@ -54,12 +55,9 @@ Fractions are built only for the slopes, the reports, the witnesses and
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import repeat
-from operator import ne
-from typing import Callable
+from functools import cached_property
 
-from .core import Record, StateKey, fitted_constant, residual
+from .core import Record, StateKey, fitted_constant, linear_certificate
 from .harsanyi import SpanProblem
 from .society import CheckResult, Profile, Society, check_semi_separable
 
@@ -166,63 +164,6 @@ def _pack(soc: Society, profile: Profile) -> _Ints:
     return _Ints(states, columns, scales, tuple(radices), ethical.scale, ethical.column(states))
 
 
-Weights = tuple[Fraction | None, ...]
-
-
-def _linear_certificate(
-    profile: Profile, agents, states, span: Callable[[], SpanProblem]
-) -> Weights | None:
-    """v's exact weights over [1 | u] on one profile, or None if v is off their span.
-
-    Weight a_i is a Fraction, None for a constant agent, whose weight is
-    0.  With x0 the first state, a_i is read off a neighbour, a state
-    where only agent i's value differs from x0's, found
-    on the tables' numerators and denominators, so a profile without
-    neighbours scales no table.  On the scaled columns the rise (dE, dU)
-    from x0 to the neighbour gives the slope dE / dU, and
-    ``core.residual`` checks E = sum (dE / dU) U_i + k at every state; then
-    a_i = (dE * s_i) / (dU * e).  A failed identity gives None: a neighbour
-    for every nonconstant agent makes them independent together with 1, so
-    a v in their span shows each neighbour its weight.  Without a
-    neighbour ``span()``, the profile's one reduction of [1 | u | v],
-    decides: its canonical weights, where a nonconstant agent outside the
-    greedy basis has weight 0.  A semi-separable society never gets there.
-    """
-    tables = [profile.tables[a] for a in agents]
-    # Each agent's moves as one int whose byte j is 1 where the value at
-    # state j differs from x0's: the neighbours are the bytes where exactly
-    # one agent moves, and agent i's first is the lowest byte set in both.
-    moves = []
-    for p, q in (t.ratio_column(states) for t in tables):
-        p_moves = int.from_bytes(bytes(map(ne, p, repeat(p[0]))), "little")
-        moves.append(p_moves | int.from_bytes(bytes(map(ne, q, repeat(q[0]))), "little"))
-    once = twice = 0
-    for m in moves:
-        twice |= once & m
-        once |= m
-    picks = []
-    for m in moves:
-        hit = m & once & ~twice
-        if m and not hit:
-            weights = span().solution
-            if weights is None:
-                return None
-            return tuple(w if moved else None for moved, w in zip(moves, weights[1:]))
-        picks.append((hit & -hit).bit_length() // 8 if m else None)
-    ethical, e = profile.ethical.column(states), profile.ethical.scale
-    slopes, columns, rises = [], [], []
-    for t, j in zip(tables, picks):
-        if j is None:
-            slopes.append(None)
-            continue
-        column = t.column(states)
-        de, du = ethical[j] - ethical[0], column[j] - column[0]
-        slopes.append(Fraction(de * t.scale, du * e))
-        columns.append(column)
-        rises.append((de, du))
-    return None if residual(ethical, columns, rises) is None else tuple(slopes)
-
-
 def _scan_pairs(ints: _Ints) -> PairScan:
     states, packed, ethical = ints.states, ints.packed, ints.ethical
     table: dict[int, int] = {}
@@ -270,36 +211,40 @@ class Analysis:
     def __init__(self, soc: Society):
         self.soc = soc
         self._spans: dict[int, SpanProblem] = {}
-        self._certificates: dict[int, Weights | None] = {}
+        self._certificates: dict[int, tuple[tuple[Fraction | None, ...], Fraction] | None] = {}
+        self._semi_separable: dict[int, CheckResult] = {}
+
+    @staticmethod
+    def _once(cache: dict, profile: Profile, build, *args):
+        """``build(*args)`` for one of the society's profiles, called only on its first request."""
+        if id(profile) not in cache:
+            cache[id(profile)] = build(*args)
+        return cache[id(profile)]
 
     def span_of(self, profile: Profile) -> SpanProblem:
         """The span problem of one of the society's profiles, built once per profile."""
-        problem = self._spans.get(id(profile))
-        if problem is None:
-            problem = SpanProblem.from_profile(profile, self.soc.agents, self.soc.space.states)
-            self._spans[id(profile)] = problem
-        return problem
+        agents, states = self.soc.agents, self.soc.space.states
+        return self._once(self._spans, profile, SpanProblem.from_profile, profile, agents, states)
 
-    def certificate_of(self, profile: Profile) -> Weights | None:
-        """One of the society's profiles' linear certificate (``_linear_certificate``), once."""
-        key, soc = id(profile), self.soc
-        if key not in self._certificates:
-            span = partial(self.span_of, profile)
-            found = _linear_certificate(profile, soc.agents, soc.space.states, span)
-            self._certificates[key] = found
-        return self._certificates[key]
+    def certificate_of(
+        self, profile: Profile
+    ) -> tuple[tuple[Fraction | None, ...], Fraction] | None:
+        """One of the society's profiles' ``core.linear_certificate``, (weights, b).
 
-    @cached_property
-    def semi_separability(self) -> CheckResult:
-        """Semi-separability of the base orders, the hypothesis record's question."""
-        return check_semi_separable(self.soc)
+        Its fallback is the profile's reduction (``span_of``): the canonical
+        weights, a nonconstant agent outside the greedy basis at 0.
+        """
 
-    @cached_property
-    def alt_semi_separability(self) -> CheckResult:
-        """Semi-separability of the intensity-side tables the difference map reads."""
-        if self.soc.alt is None:
-            return self.semi_separability
-        return check_semi_separable(self.soc, self.soc.alt)
+        def reduction():
+            return self.span_of(profile).solution
+
+        tables, states = [profile.tables[a] for a in self.soc.agents], self.soc.space.states
+        args = (tables, profile.ethical, states, reduction)
+        return self._once(self._certificates, profile, linear_certificate, *args)
+
+    def semi_separability_of(self, profile: Profile) -> CheckResult:
+        """Semi-separability of one of the society's profiles' agent tables."""
+        return self._once(self._semi_separable, profile, check_semi_separable, self.soc, profile)
 
     @cached_property
     def _ints(self) -> _Ints:
@@ -352,10 +297,10 @@ def build_difference_map(soc: Society, analysis: Analysis | None = None) -> Diff
     """
     if analysis is None:
         analysis = Analysis(soc)
-    semi = analysis.alt_semi_separability
+    semi = analysis.semi_separability_of(soc.alt_side())
     if not semi:
         raise ValueError(f"society is not semi-separable (witness profile {semi.witness})")
-    ints, weights = analysis._ints, analysis.certificate_of(soc.alt_side())
+    ints, certificate = analysis._ints, analysis.certificate_of(soc.alt_side())
     # Agent i's grid is its scaled range minus itself, and the axis vector
     # with scaled component c for agent i is the key c * R_i.
     ranges = [set(column) for column in ints.columns]
@@ -363,7 +308,7 @@ def build_difference_map(soc: Society, analysis: Analysis | None = None) -> Diff
     keys = [
         (c * radix, c, i) for i, (grid, radix) in enumerate(zip(grids, ints.radices)) for c in grid
     ]
-    if weights is None:
+    if certificate is None:
         scan = analysis.pair_scan
         if scan.conflict is not None:
             raise DifferenceMapError(*scan.conflict)
@@ -375,7 +320,7 @@ def build_difference_map(soc: Society, analysis: Analysis | None = None) -> Diff
         # scaled tables is the ethical difference of two states that realize
         # the axis vector, so the division is exact.
         e = ints.ethical_scale
-        ratios = ((w or 0).as_integer_ratio() for w in weights)
+        ratios = ((w or 0).as_integer_ratio() for w in certificate[0])
         rises = [(p * e, q * s) for (p, q), s in zip(ratios, ints.scales)]
         table = {}
         for key, c, i in keys:

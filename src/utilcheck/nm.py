@@ -3,16 +3,15 @@
 A von Neumann-Morgenstern utility is unique up to a positive affine map,
 so "do u and w represent the same preferences over lotteries?" is the
 question whether w = alpha * u + beta with alpha > 0.  ``affine_relation``
-reads alpha off the two tables' scaled ints and leaves the identity to
-``core.fitted_constant``, the check both weight recoveries also run; the
-coincidence verdicts make the same call.
+is the one-table ``core.linear_certificate``, the certificate both weight
+recoveries also read; the coincidence verdicts make the same call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import UtilityTable, fitted_constant
+from .core import UtilityTable, linear_certificate
 
 
 def affine_relation(
@@ -20,23 +19,21 @@ def affine_relation(
 ) -> tuple[Fraction, Fraction] | None:
     """The unique (alpha > 0, beta) with w = alpha*u + beta, or None.
 
-    Read on the two tables' columns U and W, in u's state order.  From the
-    first state a and the first state o where u differs, alpha is
-    (W(o) - W(a)) / (U(o) - U(a)), rescaled to the tables' values, and 1
-    for a constant u; a nonpositive alpha gives None.  Then
-    ``core.fitted_constant`` fixes beta at a and checks every state, or
-    gives None.  So a constant u relates only to a constant w.
+    ``core.linear_certificate([u], w, ...)`` in u's state order reads alpha
+    at the first state where u differs from the first state x0, and checks
+    the identity and fixes beta at every state in one pass; a nonpositive
+    alpha gives None.  A constant u has weight None there, and the
+    certificate's constant is w's one value, so a constant u relates only
+    to a constant w, with alpha 1 and beta w(x0) - u(x0).
     """
     states = u.states()
     if states != w.states() and set(states) != set(w.states()):
         raise ValueError("tables must share a domain")
-    us, ws = u.column(), w.column(states)
-    other = next((k for k, x in enumerate(us) if x != us[0]), None)
-    if other is None:
-        alpha = Fraction(1)
-    else:
-        alpha = Fraction((ws[other] - ws[0]) * u.scale, (us[other] - us[0]) * w.scale)
-        if alpha <= 0:
-            return None
-    beta = fitted_constant([u], w, [alpha], states)
-    return None if beta is None else (alpha, beta)
+    # One table always has a neighbour, so the fallback is never called.
+    found = linear_certificate([u], w, states, lambda: None)
+    if found is None:
+        return None
+    (alpha,), beta = found
+    if alpha is None:
+        return Fraction(1), beta - u[states[0]]
+    return (alpha, beta) if alpha > 0 else None

@@ -6,7 +6,9 @@ decided exactly, and none may rest on a sample.  ``coincidence`` imports
 nothing from ``alt``: the pipeline decides matching on the tables.  Only
 ``core`` lays a table out in state order: every other module reads
 ``UtilityTable.column``, never a table's ``ratios`` view by state.  No
-module but ``__init__``, which re-exports, imports a name it never reads.
+module but ``__init__``, which re-exports, imports a name it never reads,
+and every private module-level function or class, and every private
+method, is read somewhere in the package.
 """
 
 from __future__ import annotations
@@ -121,3 +123,38 @@ def test_only_core_lays_out_a_table_in_state_order():
     others = sorted(p for p in SRC.glob("*.py") if p.name != "core.py")
     assert others
     assert [hit for p in others for hit in _table_layouts(p)] == []
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Each private module-level function or class, and each private method, with its line.
+
+    Private is one leading underscore and not a dunder name.
+    """
+    found = []
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for d in [node, *members]:
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+                name = d.name
+                if name.startswith("_") and not name.endswith("__"):
+                    found.append((name, d.lineno))
+    return found
+
+
+def test_every_private_definition_is_read():
+    modules = sorted(SRC.glob("*.py"))
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in modules}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [
+        f"{name}:{line} {private}"
+        for name, tree in trees.items()
+        for private, line in _private_definitions(tree)
+        if private not in read
+    ]
+    assert unread == []

@@ -676,19 +676,6 @@ def test_max_states_is_checked_before_the_space_is_built(tmp_path, monkeypatch, 
     assert built == []
 
 
-def test_failed_reverification_exits_three(monkeypatch, capsys):
-    # Fail the constant fit the certified lottery-side recovery re-verifies
-    # its scaled columns with.
-    monkeypatch.setattr(harsanyi, "fitted_constant", lambda *args: None)
-    code = cli.main(["coincide", str(FIXTURES / "sqrt_k10.json"), "--json"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err == (
-        "internal error: recovered identity failed pointwise re-verification\n"
-    )
-
-
 def test_failed_reduction_reverification_exits_three(monkeypatch, capsys):
     # recover --mode harsanyi reads the reduction; skew the integer identity
     # check its solution is re-verified with on the scaled rows.
@@ -739,6 +726,44 @@ def test_failed_harvey_reverification_exits_three(monkeypatch, capsys, argv):
     assert captured.err == (
         "internal error: slopes and constant fail pointwise re-verification\n"
     )
+
+
+def _skewed_weights(monkeypatch):
+    # Add 1/10007 to every certified weight: no scaled axis value of
+    # sqrt_k10 is then an int multiple of the skewed slope's denominator.
+    real = harvey.Analysis.certificate_of
+
+    def skewed(self, profile):
+        weights, b = real(self, profile)
+        return tuple(None if w is None else w + Fraction(1, 10007) for w in weights), b
+
+    monkeypatch.setattr(harvey.Analysis, "certificate_of", skewed)
+    return "sqrt_k10.json", "certified axis value is not an int"
+
+
+def _dropped_axis_vector(monkeypatch):
+    # nonadditive passes axiom (I), is semi-separable and has no
+    # certificate, so the map reads the scan's table: drop the zero vector.
+    real = harvey._scan_pairs
+
+    def dropped(ints):
+        scan = real(ints)
+        del scan.table[0]
+        return scan
+
+    monkeypatch.setattr(harvey, "_scan_pairs", dropped)
+    return "nonadditive.json", "semi-separable map misses an axis vector"
+
+
+@pytest.mark.parametrize("skew", [_skewed_weights, _dropped_axis_vector])
+def test_difference_map_internal_errors_exit_three(monkeypatch, capsys, skew):
+    # Both of build_difference_map's self-checks are bugs, not verdicts.
+    fixture, message = skew(monkeypatch)
+    code = cli.main(["recover", str(FIXTURES / fixture), "--mode", "harvey", "--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"internal error: {message}\n"
 
 
 def test_parser_is_built_once_per_process(capsys):

@@ -4,7 +4,7 @@ Pareto without a linear certificate is decided by one bitset pass
 (``society.check_pareto_criterion``), and a linear ethical table on a space
 where some agent has no single-agent neighbour of the first state is
 certified by the profile's reduction of [1 | u | v]
-(``SpanProblem.solution``, which ``harvey._linear_certificate`` reads).
+(``SpanProblem.solution``, which ``core.linear_certificate`` falls back on).
 The former dominance loop (``test_core.pareto_loop``) and the pair scan
 stay as the oracles: both fast paths must give their verdict and their
 first witness.  The CLI runs below make the dominance check or the scan
@@ -99,7 +99,7 @@ def lattice_societies(draw):
 def test_lattice_gives_the_loop_verdict_and_witness(soc):
     expected = pareto_loop(soc)
     event("pass" if expected else "fail")
-    assert harvey.Analysis(soc).semi_separability.passed
+    assert harvey.Analysis(soc).semi_separability_of(soc.base).passed
     assert check_pareto_criterion(soc) == expected
     # The record: certificate, then the bitset pass.
     record = coincidence._pareto_record(soc, harvey.Analysis(soc))
@@ -112,7 +112,7 @@ def test_lattice_on_a_society_that_is_not_semi_separable():
     # The pass reads no product of the classes, so a society whose vectors
     # leave lattice points unrealized is decided as a full product is.
     soc = _society([(0, 0), (1, 1), (2, 0), (0, 2)], [0, 1, 0, 5], range(4))
-    assert not harvey.Analysis(soc).semi_separability
+    assert not harvey.Analysis(soc).semi_separability_of(soc.base)
     assert check_pareto_criterion(soc) == pareto_loop(soc)
     assert check_pareto_criterion(soc).witness == ("s2", "s0")
 
@@ -187,17 +187,21 @@ def test_span_certificate_gives_the_scan_and_loop_verdicts(soc):
 
 def test_span_certificate_weights_and_constant_agents():
     # On the curve u2 = u1^2 no state is a single-agent neighbour of
-    # another, so the reduction certifies v = u1 + u2 with both weights
-    # positive; a constant third agent has no slope, and a dependent copy of
-    # u1 gets the canonical weight 0, which certifies axiom (I) but not Pareto.
+    # another, so the reduction certifies v = u1 + u2 + b with both weights
+    # positive and its constant; a constant third agent has no slope, and a
+    # dependent copy of u1 gets the canonical weight 0, which certifies
+    # axiom (I) but not Pareto.
     curve, ethical = [(0, 0), (1, 1), (2, 4), (3, 9)], [0, 2, 6, 12]
     soc = _society(curve, ethical, range(4))
-    assert harvey.Analysis(soc).certificate_of(soc.base) == (F(1), F(1))
+    assert harvey.Analysis(soc).certificate_of(soc.base) == ((F(1), F(1)), F(0))
+    shifted = _society(curve, [e + 5 for e in ethical], range(4))
+    assert harvey.Analysis(shifted).certificate_of(shifted.base) == ((F(1), F(1)), F(5))
     with_constant = _society([(a, b, 7) for a, b in curve], ethical, range(4))
-    assert harvey.Analysis(with_constant).certificate_of(with_constant.base) == (F(1), F(1), None)
+    certificate = harvey.Analysis(with_constant).certificate_of(with_constant.base)
+    assert certificate == ((F(1), F(1), None), F(0))
     with_copy = _society([(a, b, a) for a, b in curve], ethical, range(4))
     analysis = harvey.Analysis(with_copy)
-    assert analysis.certificate_of(with_copy.base) == (F(1), F(1), F(0))
+    assert analysis.certificate_of(with_copy.base) == ((F(1), F(1), F(0)), F(0))
     assert check_axiom_I(with_copy, analysis)
     assert not coincidence._pareto_certified(with_copy, analysis)
 
@@ -315,7 +319,7 @@ def test_a_lottery_profile_without_neighbours_scales_no_table_and_reduces_once(
     lottery = Profile(star, linear_combination(star.values(), [1, F(1, 2)], F(1, 5)))
     soc = core.replace(soc, nm=lottery)
     analysis = harvey.Analysis(soc)
-    assert analysis.certificate_of(lottery) == (F(1), F(1, 2))
+    assert analysis.certificate_of(lottery) == ((F(1), F(1, 2)), F(1, 5))
     assert ["_scaled" in t.__dict__ for t in [*star.values(), lottery.ethical]] == [False] * 3
     assert len(calls) == 1
     path = tmp_path / "curve.json"
@@ -440,21 +444,26 @@ def _moved_identity(report, profile, maps, agents):
 @given(st.one_of(lattice_societies(), unseparated_societies(), planted_societies()))
 def test_neighbours_and_the_reduction_give_one_certificate(soc):
     # Where every nonconstant agent has a single-agent neighbour, the
-    # weights read off the neighbours are the reduction's canonical ones:
-    # one Fraction per nonconstant agent and None per constant one, or
-    # None for the whole profile when v is off the span.
+    # weights and constant read off the neighbours are the reduction's
+    # canonical ones: one Fraction per nonconstant agent and None per
+    # constant one, or None for the whole profile when v is off the span.
     states = soc.space.states
     for profile in {id(p): p for p in (soc.base, soc.nm_side(), soc.alt_side())}.values():
         problem, reduced = SpanProblem.from_profile(profile, soc.agents, states), []
-        found = harvey._linear_certificate(
-            profile, soc.agents, states, lambda: reduced.append(1) or problem
+        tables = [profile.tables[a] for a in soc.agents]
+        found = core.linear_certificate(
+            tables, profile.ethical, states, lambda: reduced.append(1) or problem.solution
         )
         constant = [profile.tables[a].is_constant() for a in soc.agents]
         solution = problem.solution
-        expected = solution and tuple(None if c else w for c, w in zip(constant, solution[1:]))
+        expected = solution and (
+            tuple(None if c else w for c, w in zip(constant, solution[1:])), solution[0]
+        )
         event("reduced" if reduced else f"neighbours, in span: {expected is not None}")
         assert found == expected
-        assert {type(w) for w in found or ()} <= {Fraction, type(None)}
+        if found is not None:
+            assert {type(w) for w in found[0]} <= {Fraction, type(None)}
+            assert type(found[1]) is Fraction
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,14 @@ The order, class and affinity checks read ``UtilityTable.column``, and the
 identity check, ``core.residual``, tests each state with ints on a
 ``SpanProblem``'s cached rows after its reduction has read them, the rows
 the reduction's recovery re-checks its identity on, and on the tables'
-columns through ``core.fitted_constant``, the constant both certified
-recoveries fit.  The differentials draw 2-4 agents with ties and
-constant agents, negative values, denominators 1, 2, 3, 5 and 7 or a
-distinct prime under every value, tables whose key order differs from the
-state order, and identities off by one unit at a single state, and assert
-the verdicts and witnesses of ``fraction_checks``.  The affinity kernel is
-also drawn on single table pairs (constant tables, zero and negative
-slopes, a bumped state, mismatched domains).  The
+columns through ``core.fitted_constant``, the constant the linear
+certificate and the intensity side fit.  The differentials draw 2-4
+agents with ties and constant agents, negative values, denominators 1, 2,
+3, 5 and 7 or a distinct prime under every value, tables whose key order
+differs from the state order, and identities off by one unit at a single
+state, and assert the verdicts and witnesses of ``fraction_checks``.  The
+affinity kernel is also drawn on single table pairs (constant tables, zero
+and negative slopes, a bumped state, mismatched domains).  The
 intensity-side differential draws linear, additive but bent, non-additive,
 constant and nonpositive-slope components and asserts the same linearity
 decisions, slope reports, error texts and recovery reports as the Fraction
