@@ -39,7 +39,7 @@ from typing import Mapping
 
 from .core import Record, StateKey, StateSpace, UtilityTable, linear_combination, replace
 from .harsanyi import check_axiom_i, recover_weights
-from .harvey import Analysis, check_axiom_I
+from .harvey import Analysis, check_axiom_I, harvey_recover
 from .nm import affine_relation
 from .society import (
     Profile,
@@ -149,12 +149,12 @@ def normalize_for_theorem3(
     every combination of them), so their weights are unique and a
     nonpositive one has no positive alternative.  On a society that fails
     the battery it may raise where another solution is positive.
-    ``analysis`` carries the intensity-side report and the lottery-side
-    certificate or reduction of checks already run on ``soc``.
+    ``analysis`` carries both sides' certificates, pair scan or reduction
+    from checks already run on ``soc``.
     """
     if analysis is None:
         analysis = Analysis(soc)
-    alt_report = analysis.harvey
+    alt_report = harvey_recover(soc, analysis)
     if not alt_report.success:
         raise NormalizationError(
             f"intensity-side recovery failed at {alt_report.failed_stage}: {alt_report.witness}"
@@ -412,7 +412,7 @@ def theorem3_pipeline(soc: Society) -> CoincidenceReport:
     are those ``validate`` reports: the pareto record is certified by the
     base tables' linear certificate when it can be and decided by the
     bitset pass of ``check_pareto_criterion`` otherwise (``_pareto_record``),
-    and normalization reads the cached intensity-side recovery.  The
+    and normalization recovers both sides on the run's ``Analysis``.  The
     passing battery already settles what the per-agent analysis needs:
     matching gives each agent's two tables one order, semi-separability
     with matching fills the range product, and two agents are nonconstant.

@@ -14,9 +14,9 @@ order: every check elsewhere reads ``UtilityTable.column``.
 
 Every identity check of the package is ``residual``: is an int column a
 fixed combination of other int columns plus one constant, in every row?
-``linear_certificate`` reads each table's weight at a neighbour state and
-checks the identity with one ``fitted_constant`` pass: both sides'
-certificates and the affinity verdict are its results.
+``fitted_constant`` asks it of tables and Fraction weights and gives the
+constant; ``harsanyi.SpanProblem.certificate``, which both sides'
+certificates and the affinity verdict read, checks its weights with it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import itemgetter, ne, sub
+from operator import itemgetter, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .rationals import scale_ratios
@@ -380,57 +380,6 @@ def fitted_constant(tables, ethical, weights, states) -> Fraction | None:
     ratios = [(p * e, q * t.scale) for t, (p, q) in terms]
     r = residual(ethical.column(states), [t.column(states) for t, _ in terms], ratios)
     return None if r is None else r / e
-
-
-def linear_certificate(
-    tables: Sequence[UtilityTable],
-    ethical: UtilityTable,
-    states: Sequence[StateKey],
-    fallback: Callable[[], Sequence[Fraction] | None],
-) -> tuple[tuple[Fraction | None, ...], Fraction] | None:
-    """The (weights, b) with ethical = sum w_i * t_i + b at every state, or None if none fit.
-
-    Weight w_i is a Fraction, None for a constant table, whose weight is 0.
-    With x0 the first of ``states``, w_i is read off a neighbour, a state
-    where only table i's value differs from x0's, found on the tables'
-    numerators and denominators, so a profile without neighbours scales no
-    table.  On the scaled columns the rise (dE, dU) from x0 to the neighbour
-    gives w_i = (dE * s_i) / (dU * e), and one ``fitted_constant`` pass on
-    those Fractions checks the identity at every state and gives b.  A
-    failed identity gives None: a neighbour for every nonconstant table
-    makes them independent together with 1, so an ethical table in their
-    span shows each neighbour its weight.  A single table always has one.
-    Where some nonconstant table has none, ``fallback()`` decides: it gives
-    [b, w_1 ... w_n] with a constant table's weight 0, or None.
-    """
-    # Each table's moves as one int whose byte j is 1 where the value at
-    # state j differs from x0's: the neighbours are the bytes where exactly
-    # one table moves, and table i's first is the lowest byte set in both.
-    moves = []
-    for p, q in (t.ratio_column(states) for t in tables):
-        p_moves = int.from_bytes(bytes(map(ne, p, itertools.repeat(p[0]))), "little")
-        moves.append(p_moves | int.from_bytes(bytes(map(ne, q, itertools.repeat(q[0]))), "little"))
-    once = twice = 0
-    for m in moves:
-        twice |= once & m
-        once |= m
-    picks = []
-    for m in moves:
-        hit = m & once & ~twice
-        if m and not hit:
-            solution = fallback()
-            if solution is None:
-                return None
-            return tuple(w if moved else None for moved, w in zip(moves, solution[1:])), solution[0]
-        picks.append((hit & -hit).bit_length() // 8 if m else None)
-    values, e = ethical.column(states), ethical.scale
-    weights: list[Fraction | None] = [None] * len(tables)
-    for i, (t, j) in enumerate(zip(tables, picks)):
-        if j is not None:
-            u = t.column(states)
-            weights[i] = Fraction((values[j] - values[0]) * t.scale, (u[j] - u[0]) * e)
-    b = fitted_constant(tables, ethical, weights, states)
-    return None if b is None else (tuple(weights), b)
 
 
 class SimpleLottery(Record):

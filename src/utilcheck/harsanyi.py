@@ -8,20 +8,19 @@ follows constructively: a violating null vector yields a witness lottery
 pair, and a regular submatrix yields sign-certifying lotteries.
 
 Given a run's ``harvey.Analysis``, axiom (i) and the weights read the
-lottery profile's linear certificate first (``Analysis.certificate_of``),
-and a certificate read off single-agent neighbours reduces no rows.
-Otherwise, and in ``recover --mode harsanyi``, one integer reduction of
-the profile (``SpanProblem.reduction``, shared through
-``Analysis.span_of``) gives the span verdict, the weights, the regular
-states and the first state that separates the ethical table; the witness
-constructions add one reduction of at most n+1 rows each.  They read the
-reduction's scaled rows at only the states they need: a failed axiom (i)
-at most n+2, the origin of v's pivot and the regular states before it,
-where its null vector is nonzero.  A reported identity is checked at
-every state on the values reported: a reduction's by ``SpanProblem.verify``
-on its scaled rows, and a certificate's weights and constant by the
-certificate's own pass on the tables' columns (``core.linear_certificate``),
-so the certified report makes no second pass.  Every witness pair is
+lottery profile's ``SpanProblem`` (``Analysis.span_of``), and its
+``certificate`` first: one read off single-agent neighbours reduces no
+rows.  Otherwise, and in ``recover --mode harsanyi``, the problem's one
+integer reduction (``SpanProblem.reduction``) gives the span verdict, the
+weights, the regular states and the first state that separates the
+ethical table; the witness constructions add one reduction of at most n+1
+rows each.  They read the reduction's scaled rows at only the states they
+need: a failed axiom (i) at most n+2, the origin of v's pivot and the
+regular states before it, where its null vector is nonzero.  A reported
+identity is checked at every state on the values reported: a reduction's
+by ``SpanProblem.verify`` on its scaled rows, and a certificate's weights
+and constant by the certificate's own pass on the tables' columns, so the
+certified report makes no second pass.  Every witness pair is
 re-verified before return on the pair itself, over the states where p - q
 is nonzero: by linearity E_p[u] - E_q[u] is the sum of (p_s - q_s) u(s)
 over them.
@@ -31,10 +30,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from operator import ne
 from typing import TYPE_CHECKING, Sequence
 
 from . import linalg
-from .core import Record, SimpleLottery, StateKey, residual
+from .core import Record, SimpleLottery, StateKey, UtilityTable, fitted_constant, residual
 from .rationals import scale_rows
 from .society import CheckResult, Profile, Society
 
@@ -55,13 +56,16 @@ def _solution(red: linalg.Reduction, n: int) -> list[Fraction] | None:
 class SpanProblem(Record):
     """Stacked profile matrix: row 0 is constantly 1, row i is agent i's table.
 
-    ``columns`` holds u_1 ... u_n and v in state order as each table's
-    ``ratio_column``, its numerators and denominators.  ``scaled`` is the one
-    scaling of its rows: each state's values times the LCM d of that
-    state's own denominators (``rationals.scale_rows``), which keeps the
-    row space, so no Fraction is built.  ``reduction`` and ``verify`` both
-    read these ints.  ``reduction`` is the one ``linalg.reduce_rows`` of
-    the |X| x (n+2) matrix with columns [1 | u_1 ... u_n | v], one row
+    ``tables`` holds u_1 ... u_n, then v, and ``columns`` each one's
+    ``ratio_column``, its numerators and denominators in state order.
+    ``certificate`` decides whether v is in the span of [1 | u], each of
+    the paper's three identities, and ``reduced`` whether the reduction is
+    built.  ``scaled`` is the one scaling of its rows: each state's values
+    times the LCM d of that state's own denominators
+    (``rationals.scale_rows``), which keeps the row space, so no Fraction
+    is built.  ``reduction`` and ``verify`` both read these ints.
+    ``reduction`` is the one ``linalg.reduce_rows`` of the |X| x (n+2)
+    matrix with columns [1 | u_1 ... u_n | v], one row
     [d | d u_1 ... d u_n | d v] per state.  Its pivots are the greedy
     first-independent columns.  So v is in the span (axiom (i)) iff its
     column is no pivot; the agent pivots are a greedy maximal set of agents
@@ -77,29 +81,80 @@ class SpanProblem(Record):
     is the constant, so the residual must be 0.  The witness constructions
     read the same rows, d_s times the profile column at state s, at the
     states they need.
-    A run's ``harvey.Analysis`` builds one only where the profile's linear
-    certificate lacks a neighbour or v is off the span.
     """
 
     states: tuple[StateKey, ...]
-    columns: tuple[tuple[Sequence[int], Sequence[int]], ...]
+    tables: tuple[UtilityTable, ...]
 
     @classmethod
     def from_profile(cls, profile: Profile, agents, states) -> "SpanProblem":
-        states = tuple(states)
-        tables = [*(profile.tables[a] for a in agents), profile.ethical]
-        columns = tuple(t.ratio_column(states) for t in tables)
-        return cls(states=states, columns=columns)
+        tables = (*(profile.tables[a] for a in agents), profile.ethical)
+        return cls(tuple(states), tables)
 
     @classmethod
     def of(cls, soc: Society) -> "SpanProblem":
         """The lottery-side problem of a society."""
         return cls.from_profile(soc.nm_side(), soc.agents, soc.space.states)
 
+    @cached_property
+    def columns(self) -> tuple[tuple[Sequence[int], Sequence[int]], ...]:
+        return tuple(t.ratio_column(self.states) for t in self.tables)
+
+    @cached_property
+    def certificate(self) -> tuple[tuple[Fraction | None, ...], Fraction] | None:
+        """The (weights, b) with v = sum w_i * u_i + b at every state, or None if none fit.
+
+        Weight w_i is a Fraction, None for a constant table, whose weight is 0.
+        With x0 the first state, w_i is read off a neighbour, a state where
+        only table i's value differs from x0's, found on ``columns``, so a
+        profile without neighbours scales no table.  On the scaled columns
+        the rise (dE, dU) from x0 to the neighbour gives
+        w_i = (dE * s_i) / (dU * e), and one ``core.fitted_constant`` pass on
+        those Fractions checks the identity at every state and gives b.  A
+        failed identity gives None: a neighbour for every nonconstant table
+        makes them independent together with 1, so a v in their span shows
+        each neighbour its weight.  A single table always has one.  Where
+        some nonconstant table has none, ``solution`` decides, the canonical
+        weights with a nonconstant agent outside the greedy basis at 0.
+        """
+        # Each table's moves as one int whose byte j is 1 where the value at
+        # state j differs from x0's: the neighbours are the bytes where exactly
+        # one table moves, and table i's first is the lowest byte set in both.
+        *tables, ethical = self.tables
+        moves = []
+        for p, q in self.columns[:-1]:
+            p_moves = int.from_bytes(bytes(map(ne, p, repeat(p[0]))), "little")
+            moves.append(p_moves | int.from_bytes(bytes(map(ne, q, repeat(q[0]))), "little"))
+        once = twice = 0
+        for m in moves:
+            twice |= once & m
+            once |= m
+        unique = once & ~twice
+        if any(m and not m & unique for m in moves):
+            solution = self.solution
+            if solution is None:
+                return None
+            return tuple(w if m else None for m, w in zip(moves, solution[1:])), solution[0]
+        states, e = self.states, ethical.scale
+        values = ethical.column(states)
+        weights: list[Fraction | None] = [None] * len(tables)
+        for i, (t, m) in enumerate(zip(tables, moves)):
+            if m:
+                hit, u = m & unique, t.column(states)
+                j = (hit & -hit).bit_length() // 8
+                weights[i] = Fraction((values[j] - values[0]) * t.scale, (u[j] - u[0]) * e)
+        b = fitted_constant(tables, ethical, weights, states)
+        return None if b is None else (tuple(weights), b)
+
+    @property
+    def reduced(self) -> bool:
+        """True once ``reduction`` is built, by the certificate's fallback or another answer."""
+        return "reduction" in vars(self)
+
     @property
     def size(self) -> int:
         """The number of rows of the profile matrix, n + 1: v's column index."""
-        return len(self.columns)
+        return len(self.tables)
 
     @cached_property
     def scaled(self) -> tuple[list[int], list[list[int]]]:
@@ -266,17 +321,16 @@ def check_axiom_i(soc: Society, analysis: Analysis | None = None) -> CheckResult
     """Unanimous lottery indifference must force ethical indifference.
 
     Passes iff the ethical table lies in the row space of the profile
-    matrix.  Given an ``analysis``, the lottery profile's linear certificate
-    decides a pass first.  On failure the certifying lottery pair (equal expectation for every agent,
-    unequal for the ethical table) is constructed from the reduction's
-    first canonical null vector that v does not annihilate, which is
-    nonzero on at most n+2 states and is solved from their scaled rows alone.
-    The pair is verified before return on the states where p and q differ.
+    matrix.  Given an ``analysis``, the lottery profile's
+    ``SpanProblem.certificate`` decides a pass first.  On failure the
+    certifying lottery pair (equal expectation for every agent, unequal for
+    the ethical table) is constructed from the reduction's first canonical
+    null vector that v does not annihilate, which is nonzero on at most n+2
+    states and is solved from their scaled rows alone.  The pair is
+    verified before return on the states where p and q differ.
     """
-    if analysis is not None and analysis.certificate_of(soc.nm_side()) is not None:
-        return CheckResult(True)
     problem = SpanProblem.of(soc) if analysis is None else analysis.span_of(soc.nm_side())
-    if problem.in_span:
+    if (analysis is not None and problem.certificate is not None) or problem.in_span:
         return CheckResult(True)
     pair = _perturbed_pair(problem.separating_null_vector(), problem.states)
     _verify_witness(soc, pair)
@@ -291,22 +345,22 @@ def recover_weights(soc: Society, analysis: Analysis | None = None) -> WeightRep
     to 0 and the basis carries everything.  If the row-space condition
     fails, the report carries the first state where the ethical table is
     nonzero (the zero table is always in the span).  Given an ``analysis``
-    whose lottery profile has a certificate and no reduction, that is one
-    read off neighbours, the report is the certificate's: those neighbours
-    make the nonconstant agents independent together with 1, so its weights
-    are the canonical ones (a constant agent's 0), unique exactly when no
-    agent is constant, and its constant is the one its pass checked at
-    every state.  A reduction's report is re-verified before return by
+    whose lottery profile (``Analysis.span_of``) has a certificate and no
+    reduction, that is one read off neighbours, the report is the
+    certificate's: those neighbours make the nonconstant agents independent
+    together with 1, so its weights are the canonical ones (a constant
+    agent's 0), unique exactly when no agent is constant, and its constant
+    is the one its pass checked at every state.  Without an ``analysis``,
+    as in ``recover --mode harsanyi``, only the reduction is read: on a
+    long scale the certificate's per-table check costs many times the
+    reduction.  A reduction's report is re-verified before return by
     ``SpanProblem.verify``; a failure is a bug.
     """
-    if analysis is not None:
-        profile = soc.nm_side()
-        certificate = analysis.certificate_of(profile)
-        if certificate is not None and not analysis.reduced(profile):
-            weights, b = certificate
-            canonical = tuple(Fraction(0) if w is None else w for w in weights)
-            return WeightReport(True, soc.agents, canonical, b, None not in weights)
     problem = SpanProblem.of(soc) if analysis is None else analysis.span_of(soc.nm_side())
+    if analysis is not None and problem.certificate is not None and not problem.reduced:
+        weights, b = problem.certificate
+        canonical = tuple(Fraction(0) if w is None else w for w in weights)
+        return WeightReport(True, soc.agents, canonical, b, None not in weights)
     if not problem.in_span:
         bad = next(s for s, p in zip(problem.states, problem.columns[-1][0]) if p)
         return WeightReport(success=False, agents=soc.agents, residual_witness=bad)

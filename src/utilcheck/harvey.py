@@ -13,14 +13,15 @@ a limit argument, and additivity separates an ``additivity:`` failure from a
 
 A pass is certified first.  If v = sum a_i u_i + b holds at every state,
 that identity proves axiom (I) and gives every component, F_i(c) = a_i * c.
-``core.linear_certificate`` finds, on the tables' numerators and
-denominators, one state that differs from the first state in agent i's
-value only, reads a_i off it and checks the identity on the scaled columns
-in O(|X| n) int operations, which also gives b; a semi-separable society
-with a linear ethical table always has one.  A profile where some agent
-has no such state reads the canonical a_i and b off its one reduction of
-[1 | u | v] instead.  ``Analysis.certificate_of`` computes the certificate
-(weights, b) once per profile; axiom (I) and the difference map read its
+The profile's ``harsanyi.SpanProblem.certificate`` finds, on the tables'
+numerators and denominators, one state that differs from the first state
+in agent i's value only, reads a_i off it and checks the identity on the
+scaled columns in O(|X| n) int operations, which also gives b; a
+semi-separable society with a linear ethical table always has one.  A
+profile where some agent has no such state reads the canonical a_i and b
+off the problem's one reduction of [1 | u | v] instead.
+``Analysis.certificate_of`` reads the certificate (weights, b) of the
+profile's one ``SpanProblem``; axiom (I) and the difference map read its
 weights, and so do the lottery side's axiom (i) and report and the Pareto
 record, the report its b too.  Only without a certificate
 does one ordered-pair scan, O(|X|^2), decide axiom (I), name the first
@@ -57,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .core import Record, StateKey, fitted_constant, linear_certificate
+from .core import Record, StateKey, fitted_constant
 from .harsanyi import SpanProblem
 from .society import CheckResult, Profile, Society, check_semi_separable
 
@@ -195,14 +196,14 @@ def _first_pair(
 class Analysis:
     """Results that several checks of one run need, each computed on first use.
 
-    That is one linear certificate per profile (``certificate_of``), which
-    the lottery side, the Pareto record and the intensity side all read;
-    the intensity side's scaled ints, pair scan (read only when there is no
-    certificate), semi-separability results and ``harvey`` recovery report;
-    and one ``SpanProblem`` per profile (``span_of``), built only where a
-    certificate lacks a neighbour or a lottery-side answer needs the
-    reduction.  A society whose profiles all have neighbours and a linear
-    ethical table reduces no rows.
+    That is one ``SpanProblem`` per profile (``span_of``), whose
+    certificate (``certificate_of``) the lottery side, the Pareto record
+    and the intensity side all read, and whose reduction is built only
+    where the certificate lacks a neighbour or a lottery-side answer needs
+    it; and the intensity side's scaled ints, pair scan (read only when
+    there is no certificate) and semi-separability results.  A society
+    whose profiles all have neighbours and a linear ethical table reduces
+    no rows.
     A command creates one per society, passes it to its checks and drops it
     when it returns.  It is never stored on the society: a long-lived
     society would otherwise keep a quadratic pair table alive.
@@ -211,7 +212,6 @@ class Analysis:
     def __init__(self, soc: Society):
         self.soc = soc
         self._spans: dict[int, SpanProblem] = {}
-        self._certificates: dict[int, tuple[tuple[Fraction | None, ...], Fraction] | None] = {}
         self._semi_separable: dict[int, CheckResult] = {}
 
     @staticmethod
@@ -229,18 +229,8 @@ class Analysis:
     def certificate_of(
         self, profile: Profile
     ) -> tuple[tuple[Fraction | None, ...], Fraction] | None:
-        """One of the society's profiles' ``core.linear_certificate``, (weights, b).
-
-        Its fallback is the profile's reduction (``span_of``): the canonical
-        weights, a nonconstant agent outside the greedy basis at 0.
-        """
-
-        def reduction():
-            return self.span_of(profile).solution
-
-        tables, states = [profile.tables[a] for a in self.soc.agents], self.soc.space.states
-        args = (tables, profile.ethical, states, reduction)
-        return self._once(self._certificates, profile, linear_certificate, *args)
+        """One of the society's profiles' ``SpanProblem.certificate``, (weights, b)."""
+        return self.span_of(profile).certificate
 
     def semi_separability_of(self, profile: Profile) -> CheckResult:
         """Semi-separability of one of the society's profiles' agent tables."""
@@ -250,18 +240,9 @@ class Analysis:
     def _ints(self) -> _Ints:
         return _pack(self.soc, self.soc.alt_side())
 
-    def reduced(self, profile: Profile) -> bool:
-        """True once the profile's reduction is built: its certificate, if any, then reads it."""
-        return id(profile) in self._spans
-
     @cached_property
     def pair_scan(self) -> PairScan:
         return _scan_pairs(self._ints)
-
-    @cached_property
-    def harvey(self) -> HarveyReport:
-        """The intensity-side recovery, which Theorem 3 normalizes with."""
-        return harvey_recover(self.soc, self)
 
 
 def check_axiom_I(soc: Society, analysis: Analysis | None = None) -> CheckResult:

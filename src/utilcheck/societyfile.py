@@ -7,7 +7,8 @@ emit -> parse -> emit reproduces the file byte for byte.  A key repeated
 within one object is rejected: no emitted file has one, and JSON itself
 would let the last copy win silently.  So is a field that emission never
 writes (only ``metadata`` is free-form), so a misspelled block cannot be
-ignored.
+ignored.  So are ``NaN``, ``Infinity`` and a number past a double's range,
+which are not JSON: emission refuses them too (``allow_nan=False``).
 
 Parsing validates each distinct literal of a file once: one dict per file
 maps each literal string to its ints (p, q).  A table is accepted in one
@@ -236,10 +237,19 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
+def _finite(text: str) -> float:
+    """A JSON float; ``NaN``, ``Infinity`` and one past a double's range are not JSON."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise SocietyFileError(f"invalid JSON: {text} is not a finite number")
+    return value
+
+
 def parse_society(path: str, max_states: int | None = None) -> Society:
+    hooks = dict(parse_int=_parse_int, parse_float=_finite, parse_constant=_finite)
     with open(path, encoding="utf-8") as handle:
         try:
-            payload = json.load(handle, object_pairs_hook=_unique_keys, parse_int=_parse_int)
+            payload = json.load(handle, object_pairs_hook=_unique_keys, **hooks)
         except json.JSONDecodeError as exc:
             raise SocietyFileError(f"invalid JSON: {exc}") from None
     return payload_to_society(payload, max_states)
@@ -288,4 +298,4 @@ def society_to_payload(soc: Society) -> dict:
 
 
 def emit_society(soc: Society) -> str:
-    return json.dumps(society_to_payload(soc), indent=2) + "\n"
+    return json.dumps(society_to_payload(soc), indent=2, allow_nan=False) + "\n"

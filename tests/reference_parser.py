@@ -8,9 +8,11 @@ parser that validated every value with its location string in hand,
 searched every table for missing states, and formatted every coordinate of
 every grid state.  Its literal validator is the one the package had before
 ``parse_ratio``: the same regular expression, then a checked ``Fraction``,
-with the package's one rule added: an int of more than 4300 digits (CPython's
-default conversion limit), in a literal or as a JSON number, is rejected
-before any int is built, with one message on every interpreter.
+with the package's two rules added: an int of more than 4300 digits
+(CPython's default conversion limit), in a literal or as a JSON number, is
+rejected before any int is built, with one message on every interpreter;
+and ``NaN``, ``Infinity``, ``-Infinity`` and a number past a double's range
+are rejected as the non-JSON they are.
 Errors are the package's ``SocietyFileError``, so text and location compare
 directly.
 """
@@ -186,10 +188,17 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
+def _finite(text: str) -> float:
+    if float(text) in (float("inf"), float("-inf")) or float(text) != float(text):
+        raise SocietyFileError(f"invalid JSON: {text} is not a finite number")
+    return float(text)
+
+
 def parse_society(path: str) -> Society:
+    hooks = dict(parse_int=_parse_int, parse_float=_finite, parse_constant=_finite)
     with open(path, encoding="utf-8") as handle:
         try:
-            payload = json.load(handle, object_pairs_hook=_unique_keys, parse_int=_parse_int)
+            payload = json.load(handle, object_pairs_hook=_unique_keys, **hooks)
         except json.JSONDecodeError as exc:
             raise SocietyFileError(f"invalid JSON: {exc}") from None
     return payload_to_society(payload)

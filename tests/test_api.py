@@ -8,7 +8,8 @@ nothing from ``alt``: the pipeline decides matching on the tables.  Only
 ``UtilityTable.column``, never a table's ``ratios`` view by state.  No
 module but ``__init__``, which re-exports, imports a name it never reads,
 and every private module-level function or class, and every private
-method, is read somewhere in the package.
+method, is read somewhere in the package.  Which module imports which at
+run time is pinned, and the graph has no cycle.
 """
 
 from __future__ import annotations
@@ -95,6 +96,53 @@ def test_no_module_imports_a_name_it_never_reads():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [hit for p in modules for hit in _unread_imports(p)] == []
+
+
+#: Each module's run-time imports from the package (``from .x import``),
+#: leaving out ``__init__``, which re-exports, and ``TYPE_CHECKING`` blocks.
+IMPORT_GRAPH = {
+    "alt": ["core", "rationals", "society"],
+    "cli": ["coincidence", "harsanyi", "harvey", "rationals", "societyfile"],
+    "coincidence": ["core", "harsanyi", "harvey", "nm", "society"],
+    "core": ["rationals"],
+    "harsanyi": ["core", "linalg", "rationals", "society"],
+    "harvey": ["core", "harsanyi", "society"],
+    "linalg": [],
+    "nm": ["core", "harsanyi"],
+    "rationals": [],
+    "society": ["core"],
+    "societyfile": ["core", "rationals", "society"],
+}
+
+
+def _runtime_imports(path: Path) -> set[str]:
+    """Every package module the file imports by a relative import outside ``if TYPE_CHECKING:``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    typing_only = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+        for statement in node.body
+        for inner in ast.walk(statement)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and id(node) not in typing_only:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_the_import_graph_is_pinned_and_acyclic():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    graph = {p.stem: sorted(_runtime_imports(p)) for p in modules}
+    assert graph == IMPORT_GRAPH
+    # Peel off the modules that import none of those left; a cycle leaves none to peel.
+    left = {name: set(edges) for name, edges in graph.items()}
+    while left:
+        leaves = [name for name, edges in left.items() if not edges & left.keys()]
+        assert leaves, f"import cycle among {sorted(left)}"
+        for name in leaves:
+            del left[name]
 
 
 def test_coincidence_imports_nothing_from_alt():

@@ -471,6 +471,19 @@ def test_coincide_planted_affine_exit_zero(tmp_path):
     assert all(a["verdict"] == "COINCIDE" for a in payload["agents"])
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_every_json_report_is_strict_json(capsys, fixture):
+    # json.loads takes NaN and Infinity by default; a report must parse without them.
+    commands = (["validate"], ["recover", "--mode", "harsanyi"], ["recover", "--mode", "harvey"])
+    for command in (*commands, ["coincide"]):
+        cli.main([command[0], str(FIXTURES / fixture), *command[1:], "--json"])
+        assert isinstance(json.loads(capsys.readouterr().out, parse_constant=_no_constant), dict)
+
+
 @pytest.mark.parametrize("states", [["s"], ["s0", "s1"]], ids=["one-state", "two-state"])
 def test_degenerate_society_through_every_command(tmp_path, capsys, states):
     # Every agent is constant: each battery check passes, the lottery-side

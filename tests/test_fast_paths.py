@@ -4,7 +4,7 @@ Pareto without a linear certificate is decided by one bitset pass
 (``society.check_pareto_criterion``), and a linear ethical table on a space
 where some agent has no single-agent neighbour of the first state is
 certified by the profile's reduction of [1 | u | v]
-(``SpanProblem.solution``, which ``core.linear_certificate`` falls back on).
+(``SpanProblem.solution``, which ``SpanProblem.certificate`` falls back on).
 The former dominance loop (``test_core.pareto_loop``) and the pair scan
 stay as the oracles: both fast paths must give their verdict and their
 first witness.  The CLI runs below make the dominance check or the scan
@@ -28,9 +28,11 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import fraction_checks as oracle
+import conftest
 from conftest import capped_sum_society, cube_society, planted_coincidence_society
 from test_core import pareto_loop, pareto_pair_scan
-from test_harvey import fraction_pair_scan
+from test_harvey import _scan_societies, certificate_societies, fraction_pair_scan
+from test_scaled_checks import intensity_societies
 from utilcheck import Profile, Society, StateSpace, UtilityTable, cli, emit_society, linalg
 from utilcheck import linear_combination
 from utilcheck import coincidence, core, harvey
@@ -167,7 +169,7 @@ def unseparated_societies(draw):
 def test_span_certificate_gives_the_scan_and_loop_verdicts(soc):
     analysis, scan_only = harvey.Analysis(soc), ScanOnly(soc)
     axiom = check_axiom_I(soc, analysis)
-    event("reduced" if analysis._spans else "read off neighbours")
+    event("reduced" if analysis.span_of(soc.alt_side()).reduced else "read off neighbours")
     assert axiom == check_axiom_I(soc, scan_only)
     assert harvey_recover(soc, analysis) == harvey_recover(soc, scan_only)
     certificate = analysis.certificate_of(soc.alt_side())
@@ -204,6 +206,49 @@ def test_span_certificate_weights_and_constant_agents():
     assert analysis.certificate_of(with_copy.base) == ((F(1), F(1), F(0)), F(0))
     assert check_axiom_I(with_copy, analysis)
     assert not coincidence._pareto_certified(with_copy, analysis)
+
+
+def _harvey_success_and_certificate(soc) -> tuple[bool, bool]:
+    analysis = harvey.Analysis(soc)
+    success = harvey_recover(soc, analysis).success
+    return success, analysis.certificate_of(soc.alt_side()) is not None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        _scan_societies(),
+        certificate_societies(),
+        unseparated_societies(),
+        lattice_societies(),
+        intensity_societies(),
+    )
+)
+def test_a_harvey_success_has_a_certificate(soc):
+    # Semi-separability gives every nonconstant agent a single-agent
+    # neighbour, and a successful scan makes v linear, so the certificate
+    # exists: on a real Analysis the scan path only ever fails, and only an
+    # Analysis without certificates (ScanOnly) reaches its success branch.
+    success, certified = _harvey_success_and_certificate(soc)
+    event(f"harvey success: {success}, certified: {certified}")
+    assert certified or not success
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "affine_grid_society",
+        "bent_component_society",
+        "capped_sum_society",
+        "cube_society",
+        "negative_lottery_weight_society",
+        "negative_weight_society",
+        "nonadditive_society",
+    ],
+)
+def test_a_fixture_harvey_success_has_a_certificate(name):
+    success, certified = _harvey_success_and_certificate(getattr(conftest, name)())
+    assert certified or not success
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +494,8 @@ def test_neighbours_and_the_reduction_give_one_certificate(soc):
     # constant one, or None for the whole profile when v is off the span.
     states = soc.space.states
     for profile in {id(p): p for p in (soc.base, soc.nm_side(), soc.alt_side())}.values():
-        problem, reduced = SpanProblem.from_profile(profile, soc.agents, states), []
-        tables = [profile.tables[a] for a in soc.agents]
-        found = core.linear_certificate(
-            tables, profile.ethical, states, lambda: reduced.append(1) or problem.solution
-        )
+        problem = SpanProblem.from_profile(profile, soc.agents, states)
+        found, reduced = problem.certificate, problem.reduced
         constant = [profile.tables[a].is_constant() for a in soc.agents]
         solution = problem.solution
         expected = solution and (

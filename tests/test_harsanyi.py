@@ -810,6 +810,6 @@ def test_lottery_certificate_gives_the_reduction_verdict_and_weights(soc):
     if not certified:
         event("off the span")
     else:
-        event("reduced" if analysis.reduced(soc.nm_side()) else "read off neighbours")
+        event("reduced" if analysis.span_of(soc.nm_side()).reduced else "read off neighbours")
     assert axiom == check_axiom_i(soc)
     assert report == recover_weights(soc)

@@ -320,6 +320,39 @@ def test_an_over_long_json_int_is_rejected_alike_on_every_interpreter(tmp_path, 
     assert parse_society(str(path)).metadata == {"n": longest}
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+def test_a_json_value_that_is_not_json_exits_two(tmp_path, capsys, value):
+    # json.load reads these as floats by default, and a title NaN was then
+    # printed by coincide --json as "title": NaN, which is not JSON.
+    message = f"invalid JSON: {value} is not a finite number"
+    payload = _repeated_literal_payload()
+    in_metadata = json.dumps({"metadata": {"title": 0}, **payload})
+    in_metadata = in_metadata.replace('"title": 0', f'"title": {value}')
+    in_table = json.dumps(payload).replace('"s1": "1"', f'"s1": {value}', 1)
+    path = tmp_path / "society.json"
+    for text in (in_metadata, in_table):
+        assert value in text
+        path.write_text(text, encoding="utf-8")
+        for parse in (parse_society, oracle.parse_society):
+            with pytest.raises(SocietyFileError) as err:
+                parse(str(path))
+            assert str(err.value) == message
+        for command in (["validate"], ["coincide", "--json"]):
+            assert cli.main([command[0], str(path), *command[1:]]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+    path.write_text(json.dumps({"metadata": {"title": 1e300}, **payload}), encoding="utf-8")
+    assert parse_society(str(path)).metadata == {"title": 1e300}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_emission_refuses_what_parsing_rejects(value):
+    space = StateSpace.explicit(["s0", "s1"])
+    ones = UtilityTable({s: F(1) for s in space.states})
+    soc = Society.from_tables(space, {"a": ones, "b": ones}, ones, metadata={"title": value})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        emit_society(soc)
+
+
 def test_grid_keys_match_the_per_coordinate_format():
     dims = [GridDim("x", F(-1, 2), F(1, 2), F(1, 4)), GridDim("y", F(0), F(3), F(3, 2))]
     space = StateSpace.product_grid(dims)
