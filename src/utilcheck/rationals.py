@@ -16,9 +16,11 @@ numerator or denominator of more than ``MAX_DIGITS`` digits, with one
 message on every interpreter.  ``parse_ratio`` decides one literal on its
 two ints and returns them, or names it in its error (an over-long one only
 by its length); ``parse_rational`` wraps its pair in a Fraction.
-``parse_ratios`` decides many literals in one batch, from the same syntax,
-and only accepts: it gives None where any literal is rejected, and
-``parse_ratio`` then names the one at fault.
+``parse_ratios`` decides many literals in one batch and only accepts: it
+gives None where any literal is rejected, and ``parse_ratio`` then names
+the one at fault.  It reads the whole batch as one flat JSON array of ints,
+numerator then denominator, and rejects what JSON's number grammar lets
+through and the literal syntax does not.
 """
 
 from __future__ import annotations
@@ -26,21 +28,19 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import starmap
 from math import gcd, lcm
-from operator import floordiv, itemgetter, mul
+from operator import floordiv, mul
 from typing import Collection, Sequence
 
 #: Accepted wire syntax, ASCII digits only: "0" or a nonzero integer with no
 #: "+" and no leading zero, then optionally "/" and a denominator with no
 #: leading zero.  A denominator above 1 and lowest terms are checked after.
-_NUMERATOR = r"0|-?[1-9][0-9]*"
-_RATIONAL_RE = re.compile(rf"({_NUMERATOR})(?:/(0|[1-9][0-9]*))?")
+_RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/(0|[1-9][0-9]*))?")
 
-#: Canonical literals, one per line: the same numerator, and a denominator
-#: above 1, so that only lowest terms are left to check.
-_LITERAL = rf"(?:{_NUMERATOR})(?:/(?:[2-9]|[1-9][0-9]+))?"
-_LINES_RE = re.compile(rf"{_LITERAL}(?:\n{_LITERAL})*")
+#: The characters of a batch of literals, each spelled "p/q", joined by ",":
+#: ASCII digits, "-", "/" and ",".  JSON's number grammar then refuses a
+#: leading zero, a lone "-" and a "-" inside a number.
+_BATCH_RE = re.compile(r"[-0-9/,]*")
 _DECODER = json.JSONDecoder()
 
 #: The most digits a literal's numerator or denominator may have.  It is
@@ -77,33 +77,41 @@ def parse_ratio(text: str) -> tuple[int, int]:
 def parse_ratios(texts: Collection[str]) -> list[tuple[int, int]] | None:
     """Each literal's ints (p, q), as ``parse_ratio`` gives them, or None if any is rejected.
 
-    One match of the newline-joined literals decides their syntax, and a
-    count of the lines they make rejects a literal with a newline in it.
-    Only a literal longer than ``MAX_DIGITS`` characters is looked at
-    alone, and one with a longer int gives None.  The ints are read in C,
-    as a JSON array of one [p, 1] or [p, q, 1] per literal, and one ``gcd``
-    pass checks lowest terms.  It never raises: a non-string gives None.
+    Each literal without a "/" gets "/1", and the batch, joined by "," with
+    every "/" turned into ",", is read in C as one flat JSON array of ints:
+    the numerators at even places, the denominators at odd ones.  Its
+    characters, JSON's number grammar, and a count of 2 ints per literal
+    (which refuses a "," and a second "/") decide the syntax; "-0", a
+    denominator below 1, and more denominators of 1 than literals without
+    "/" (a "p/1") are refused after, and one ``gcd`` pass checks lowest
+    terms.  Only a literal longer than ``MAX_DIGITS`` characters is looked
+    at alone, and one with a longer int gives None.  It never raises: a
+    non-string gives None.
     """
     if not texts:
         return []
     try:
-        lines = "\n".join(texts)
+        joined = ",".join([t if "/" in t else t + "/1" for t in texts])
     except TypeError:
         return None
-    if _LINES_RE.fullmatch(lines) is None:
+    if _BATCH_RE.fullmatch(joined) is None or "-0" in joined:
         return None
-    longest = max(map(len, texts)) if len(lines) > MAX_DIGITS else 0
+    longest = max(map(len, texts)) if len(joined) > MAX_DIGITS else 0
     if longest > MAX_DIGITS and any(map(_over_long, texts)):
         return None
-    body = lines.replace("/", ",").replace("\n", ",1],[")
     try:
-        rows = _DECODER.raw_decode(f"[[{body},1]]")[0]
+        flat = _DECODER.raw_decode(f"[{joined.replace('/', ',')}]")[0]
     except ValueError:
         return None
-    ratios = list(map(itemgetter(0, 1), rows))
-    if len(ratios) != len(texts) or set(starmap(gcd, ratios)) != {1}:
+    nums, dens = flat[0::2], flat[1::2]
+    # The literals without "/": each "/1" put after one adds 2 characters to
+    # the joined text, past the literals' own and the n - 1 commas.
+    plain = (len(joined) - sum(map(len, texts)) - len(texts) + 1) // 2
+    if len(flat) != 2 * len(texts) or min(dens) < 1 or dens.count(1) > plain:
         return None
-    return ratios
+    if set(map(gcd, nums, dens)) != {1}:
+        return None
+    return list(zip(nums, dens))
 
 
 def _over_long(text: str) -> bool:

@@ -8,7 +8,9 @@ within one object is rejected: no emitted file has one, and JSON itself
 would let the last copy win silently.  So is a field that emission never
 writes (only ``metadata`` is free-form), so a misspelled block cannot be
 ignored.  So are ``NaN``, ``Infinity`` and a number past a double's range,
-which are not JSON: emission refuses them too (``allow_nan=False``).
+which are not JSON: emission refuses them too (``allow_nan=False``).  So
+is nesting deeper than ``json.load`` can read, which would otherwise
+escape as a ``RecursionError``.
 
 Parsing validates each distinct literal of a file once: one dict per file
 maps each literal string to its ints (p, q).  A table is accepted in one
@@ -252,6 +254,8 @@ def parse_society(path: str, max_states: int | None = None) -> Society:
             payload = json.load(handle, object_pairs_hook=_unique_keys, **hooks)
         except json.JSONDecodeError as exc:
             raise SocietyFileError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise SocietyFileError("invalid JSON: nested too deeply") from None
     return payload_to_society(payload, max_states)
 
 

@@ -11,8 +11,9 @@ every grid state.  Its literal validator is the one the package had before
 with the package's two rules added: an int of more than 4300 digits
 (CPython's default conversion limit), in a literal or as a JSON number, is
 rejected before any int is built, with one message on every interpreter;
-and ``NaN``, ``Infinity``, ``-Infinity`` and a number past a double's range
-are rejected as the non-JSON they are.
+``NaN``, ``Infinity``, ``-Infinity`` and a number past a double's range
+are rejected as the non-JSON they are; and arrays or objects nested past
+the interpreter's recursion limit are rejected as invalid JSON.
 Errors are the package's ``SocietyFileError``, so text and location compare
 directly.
 """
@@ -201,4 +202,6 @@ def parse_society(path: str) -> Society:
             payload = json.load(handle, object_pairs_hook=_unique_keys, **hooks)
         except json.JSONDecodeError as exc:
             raise SocietyFileError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise SocietyFileError("invalid JSON: nested too deeply") from None
     return payload_to_society(payload)

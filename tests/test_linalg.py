@@ -82,11 +82,49 @@ def span_problems(draw):
     return [[F(1), *(u[s] for u in agents), v[s]] for s in range(n_rows)]
 
 
+@st.composite
+def long_tails(draw):
+    """150-300 rows whose basis fills within the first few, late pivots
+    apart, so that most rows reach the kernel's column pass over its in-span
+    tail: columns 1, one to three fresh ones and affine images of them, then
+    one equal to an earlier column except at one late row (a late pivot in a
+    free column that is not the last), then v, a combination of all of them
+    that may be bumped at the last row only.  A zero row and a repeated row
+    may go in before the basis is full."""
+    n_rows = draw(st.integers(150, 300))
+    value = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 7]))
+    nonzero = value.filter(bool)
+    columns = [[F(1)] * n_rows]
+    n_fresh = draw(st.integers(1, 3))
+    for _ in range(n_fresh):
+        columns.append(draw(st.lists(value, min_size=n_rows, max_size=n_rows)))
+    for _ in range(draw(st.integers(0, 2))):
+        u, a, b = draw(st.sampled_from(columns)), draw(value), draw(value)
+        columns.append([a + b * x for x in u])
+    late = list(draw(st.sampled_from(columns)))
+    late[draw(st.integers(n_rows // 2, n_rows - 2))] += draw(nonzero)
+    columns.append(late)
+    weights = draw(st.lists(value, min_size=len(columns), max_size=len(columns)))
+    v = [sum(w * x for w, x in zip(weights, row)) for row in zip(*columns)]
+    if draw(st.booleans()):
+        v[-1] += draw(nonzero)
+    columns.append(v)
+    rows = [list(row) for row in zip(*columns)]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, n_fresh)), [F(0)] * len(columns))
+    if draw(st.booleans()):
+        at = draw(st.integers(1, n_fresh))
+        rows.insert(at, list(draw(st.sampled_from(rows[:at]))))
+    return rows
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(matrices(), span_problems()))
-def test_kernel_equals_fraction_gauss_jordan(rows):
-    # The kernel reads each row scaled by its own LCM; the oracle reads the Fractions.
-    red = reduce_rows([scale_to_ints(row)[1] for row in rows])
+@given(st.one_of(matrices(), span_problems(), long_tails()), st.booleans())
+def test_kernel_equals_fraction_gauss_jordan(rows, as_zip):
+    # The kernel reads each row scaled by its own LCM; the oracle reads the
+    # Fractions.  ``SpanProblem.reduction`` hands the kernel a zip of columns.
+    scaled = [scale_to_ints(row)[1] for row in rows]
+    red = reduce_rows(zip(*zip(*scaled)) if as_zip and scaled and scaled[0] else scaled)
     oracle, pivots = rref(rows)
     assert red.pivots == pivots
     assert red.rows == oracle[: len(pivots)]

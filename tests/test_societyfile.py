@@ -42,9 +42,12 @@ BAD_LITERALS = ("1.0", "2/4", "+1", "01", "1/0", "3/1", "-0", "", " 1", "1/-2", 
 
 #: Values the batch validator must reject, each then located by the per-state
 #: loop: a newline inside or after a literal, digit spellings ``int`` takes
-#: but the syntax does not, an unreduced zero, two JSON non-strings, and a
+#: but the syntax does not, an unreduced zero, two JSON non-strings, a
 #: numerator and a denominator past the package's digit limit
-#: (``rationals.MAX_DIGITS``, CPython's default of 4300).
+#: (``rationals.MAX_DIGITS``, CPython's default of 4300), and the spellings
+#: the batch's flat JSON array of ints could read as ints: a "," or a second
+#: "/" (two ints more or fewer), "-0", a denominator below 1 or of 1, an
+#: empty numerator or denominator, and JSON numbers that are not ints.
 HAZARDS = (
     "1\n2",
     "1/2\n",
@@ -55,6 +58,22 @@ HAZARDS = (
     None,
     "1" * 4301,
     "1/" + "1" * 4301,
+    ",",
+    "1,2",
+    "-0",
+    "-0/3",
+    "1/-0",
+    "1/-2",
+    "3/1",
+    "",
+    "/",
+    "1/",
+    "1//2",
+    "1/2/3",
+    "+1",
+    "1e5",
+    "1.0",
+    "1\n",
 )
 
 
@@ -115,17 +134,19 @@ def many_literal_societies(draw):
 
 
 #: Literal spellings: canonical values, their unreduced, signed, padded and
-#: decimal variants, and short strings over the literal alphabet.
+#: decimal variants, the string hazards, and short strings over the literal
+#: alphabet and the batch's separators.
 literal_texts = st.one_of(
     canonical_texts,
     st.sampled_from(BAD_LITERALS),
+    st.sampled_from([h for h in HAZARDS if isinstance(h, str)]),
     st.builds(
         lambda p, q, form: form.format(p=p, q=q),
         st.sampled_from([0, 1, -1, 2]) | st.integers(-200, 200),
         st.sampled_from([0, 1, 2, 4]) | st.integers(-3, 200),
         st.sampled_from(["{p}/{q}", "+{p}", "0{p}", "{p}/0{q}", "{p}.0", " {p}", "{p}/{q}/1"]),
     ),
-    st.text(alphabet="0123456789-/+. e\u0663", max_size=8),
+    st.text(alphabet="0123456789-/+. e\u0663,\n", max_size=8),
 )
 
 
@@ -342,6 +363,32 @@ def test_a_json_value_that_is_not_json_exits_two(tmp_path, capsys, value):
             assert capsys.readouterr() == ("", f"error: {message}\n")
     path.write_text(json.dumps({"metadata": {"title": 1e300}, **payload}), encoding="utf-8")
     assert parse_society(str(path)).metadata == {"title": 1e300}
+
+
+@pytest.mark.parametrize("kind", ["array", "object"])
+def test_json_nested_too_deeply_exits_two(tmp_path, capsys, kind):
+    # json.load raised RecursionError, which the CLI reported as a traceback
+    # and exit 1, its code for a failed check.
+    message = "invalid JSON: nested too deeply"
+    depth = 100_000
+    deep = "[" * depth + "]" * depth if kind == "array" else '{"a": ' * depth + "0" + "}" * depth
+    in_metadata = json.dumps({"metadata": {"title": 0}, **_repeated_literal_payload()})
+    commands = (
+        ["validate"],
+        ["recover", "--mode", "harsanyi"],
+        ["recover", "--mode", "harvey"],
+        ["coincide"],
+    )
+    path = tmp_path / "society.json"
+    for text in (deep, in_metadata.replace('"title": 0', f'"title": {deep}')):
+        path.write_text(text, encoding="utf-8")
+        for parse in (parse_society, oracle.parse_society):
+            with pytest.raises(SocietyFileError) as err:
+                parse(str(path))
+            assert str(err.value) == message
+        for name, *flags in commands:
+            assert cli.main([name, str(path), *flags]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
