@@ -23,6 +23,7 @@ from .coincidence import (
     SimplexFixture,
     SqrtFixture,
     ViolationWitness,
+    affine_relation,
     normalize_for_theorem3,
     proposition1_check,
     simplex_counterexample,
@@ -59,7 +60,6 @@ from .harvey import (
     recover_constant,
     verify_component_additivity,
 )
-from .nm import affine_relation
 from .rationals import format_rational, parse_rational
 from .society import (
     CheckResult,

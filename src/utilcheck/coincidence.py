@@ -6,7 +6,7 @@ sum of its reweighted agent tables, then asks, agent by agent, whether the
 two input tables are positive affine images of each other.  Reweighting
 either table by a positive factor cannot change that answer, so it is
 decided once, on the tables as given.  On a finite grid this is decidable
-outright.  ``nm.affine_relation`` decides it on both tables' scaled ints and
+outright.  ``affine_relation`` decides it on both tables' scaled ints and
 returns the exact coefficients (a coincidence certificate).  Only when it
 fails is the value-for-value map built, to find two steps with different
 per-unit increments (a violation witness anyone can recheck by hand).
@@ -38,9 +38,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .core import Record, StateKey, StateSpace, UtilityTable, linear_combination, replace
-from .harsanyi import check_axiom_i, recover_weights
+from .harsanyi import SpanProblem, check_axiom_i, recover_weights
 from .harvey import Analysis, check_axiom_I, harvey_recover
-from .nm import affine_relation
 from .society import (
     Profile,
     Society,
@@ -177,6 +176,31 @@ def normalize_for_theorem3(
         nm_weights=nm_report.weights,
         nm_constant=nm_report.constant,
     )
+
+
+def affine_relation(
+    u: UtilityTable, w: UtilityTable
+) -> tuple[Fraction, Fraction] | None:
+    """The unique (alpha > 0, beta) with w = alpha*u + beta, or None.
+
+    ``SpanProblem(states, (u, w)).certificate`` in u's state order reads
+    alpha at the first state where u differs from the first state x0, and
+    checks the identity and fixes beta at every state in one pass; a
+    nonpositive alpha gives None.  One table always has a neighbour, so no
+    reduction is built.  A constant u has weight None there, and the
+    certificate's constant is w's one value, so a constant u relates only
+    to a constant w, with alpha 1 and beta w(x0) - u(x0).
+    """
+    states = u.states()
+    if states != w.states() and set(states) != set(w.states()):
+        raise ValueError("tables must share a domain")
+    found = SpanProblem(states, (u, w)).certificate
+    if found is None:
+        return None
+    (alpha,), beta = found
+    if alpha is None:
+        return Fraction(1), beta - u[states[0]]
+    return (alpha, beta) if alpha > 0 else None
 
 
 def _agent_verdicts(agents, tables, starred, states) -> tuple[AgentVerdict, ...]:

@@ -8,6 +8,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from utilcheck import GridDim, Profile, Society, StateSpace, UtilityTable, linear_combination
 from utilcheck import core, linalg
 from utilcheck.harsanyi import _solution
@@ -43,6 +45,15 @@ def express_in_span(f0, fs) -> tuple[Fraction, ...] | None:
     rows = (scale_to_ints(row)[1] for row in zip(*fs, f0))
     sol = _solution(linalg.reduce_rows(rows), len(fs))
     return tuple(sol) if sol is not None else None
+
+
+@pytest.fixture
+def reduce_rows_calls(monkeypatch) -> list:
+    """The rows of every ``linalg.reduce_rows`` call the test makes, in call order."""
+    calls = []
+    real = linalg.reduce_rows
+    monkeypatch.setattr(linalg, "reduce_rows", lambda rows: calls.append(rows) or real(rows))
+    return calls
 
 
 def letters_space(n: int) -> StateSpace:

@@ -32,7 +32,7 @@ PUBLIC_NAMES = [
     "check_crossover", "check_pareto_criterion", "check_semi_separable", "coincidence", "core",
     "emit_society", "expectation", "extract_slopes", "first_disagreement",
     "format_rational", "harsanyi", "harvey", "harvey_recover", "linalg", "linear_combination",
-    "matches", "nm", "normalize_for_theorem3", "order_disagreement", "pareto_dominates",
+    "matches", "normalize_for_theorem3", "order_disagreement", "pareto_dominates",
     "parse_rational", "parse_society", "positive_reweighting", "proposition1_check",
     "rationals", "reconstruct_alt_utility", "recover_constant", "recover_weights",
     "simplex_counterexample", "society", "society_to_payload",
@@ -103,12 +103,11 @@ def test_no_module_imports_a_name_it_never_reads():
 IMPORT_GRAPH = {
     "alt": ["core", "rationals", "society"],
     "cli": ["coincidence", "harsanyi", "harvey", "rationals", "societyfile"],
-    "coincidence": ["core", "harsanyi", "harvey", "nm", "society"],
+    "coincidence": ["core", "harsanyi", "harvey", "society"],
     "core": ["rationals"],
     "harsanyi": ["core", "linalg", "rationals", "society"],
     "harvey": ["core", "harsanyi", "society"],
     "linalg": [],
-    "nm": ["core", "harsanyi"],
     "rationals": [],
     "society": ["core"],
     "societyfile": ["core", "rationals", "society"],

@@ -45,7 +45,7 @@ from utilcheck import (
     sqrt_fixture,
     theorem3_pipeline,
 )
-from utilcheck import alt, cli, coincidence, core, harvey, linalg
+from utilcheck import alt, cli, coincidence, core, harvey
 
 F = Fraction
 
@@ -658,23 +658,20 @@ def test_coincide_scans_the_pairs_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_coincide_and_recover_reduce_once(tmp_path, monkeypatch, capsys):
+def test_coincide_and_recover_reduce_once(tmp_path, reduce_rows_calls, capsys):
     # Every lottery profile of a planted grid has single-agent neighbours and
     # a linear ethical table, so in coincide its certificate decides axiom
     # (i) and gives the weights with no reduction; recover --mode harsanyi,
     # which builds no Analysis, reads one reduction of [1 | u | v].
-    calls = []
-    real = linalg.reduce_rows
-    monkeypatch.setattr(linalg, "reduce_rows", lambda rows: calls.append(rows) or real(rows))
     soc, _, _ = planted_coincidence_society(random.Random(97), 3)
     path = tmp_path / "planted.json"
     path.write_text(emit_society(soc), encoding="utf-8")
     assert cli.main(["coincide", str(path), "--json"]) == 0
     assert '"status": "coincide"' in capsys.readouterr().out
-    assert len(calls) == 0
+    assert len(reduce_rows_calls) == 0
     assert cli.main(["recover", str(path), "--mode", "harsanyi", "--json"]) == 0
     assert '"success": true' in capsys.readouterr().out
-    assert len(calls) == 1
+    assert len(reduce_rows_calls) == 1
 
 
 def test_matching_skips_a_table_compared_with_itself(tmp_path, monkeypatch, capsys):

@@ -31,9 +31,9 @@ import fraction_checks as oracle
 import conftest
 from conftest import capped_sum_society, cube_society, planted_coincidence_society
 from test_core import pareto_loop, pareto_pair_scan
-from test_harvey import _scan_societies, certificate_societies, fraction_pair_scan
+from test_harvey import ScanOnly, _scan_societies, certificate_societies, fraction_pair_scan
 from test_scaled_checks import intensity_societies
-from utilcheck import Profile, Society, StateSpace, UtilityTable, cli, emit_society, linalg
+from utilcheck import Profile, Society, StateSpace, UtilityTable, cli, emit_society
 from utilcheck import linear_combination
 from utilcheck import coincidence, core, harvey
 from utilcheck.harsanyi import SpanProblem, recover_weights
@@ -44,13 +44,6 @@ F = Fraction
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
-
-
-class ScanOnly(harvey.Analysis):
-    """An ``Analysis`` with no certificate: every intensity-side answer reads the pair scan."""
-
-    def certificate_of(self, profile):
-        return None
 
 
 def _society(vectors, ethical, order) -> Society:
@@ -296,15 +289,14 @@ def test_simplex_runs_no_loop_and_no_scan(monkeypatch, capsys):
 SIMPLEX_512_SHA256 = "7fddbc8c66ae9b4795e0145820e92ca99d7cefba2cf65369de8697de6d6ab68e"
 
 
-def test_simplex_builder_runs_no_loop_no_scan_and_two_reductions(monkeypatch, capsys):
+def test_simplex_builder_runs_no_loop_no_scan_and_two_reductions(
+    monkeypatch, reduce_rows_calls, capsys
+):
     # Its battery reduces each profile once, and no other reduction runs.
     _forbid_loop(monkeypatch)
     _forbid_scan(monkeypatch)
-    calls = []
-    real = linalg.reduce_rows
-    monkeypatch.setattr(linalg, "reduce_rows", lambda rows: calls.append(rows) or real(rows))
     coincidence.simplex_counterexample(F(1, 4))
-    assert len(calls) == 2
+    assert len(reduce_rows_calls) == 2
     assert _stdout(capsys, "fixture", "simplex", "--resolution", "1/4") == (
         0, (FIXTURES / "simplex.json").read_text()
     )
@@ -325,36 +317,30 @@ def test_semi_separable_validate_runs_no_loop(capsys, tmp_path, society, golden)
     assert _stdout(capsys, "validate", str(path), "--json") == (1, (GOLDEN / golden).read_text())
 
 
-def test_one_reduction_per_profile(monkeypatch, capsys):
+def test_one_reduction_per_profile(reduce_rows_calls, capsys):
     # The simplex fixture's base tables are its intensity side: one
     # reduction certifies both their Pareto record and axiom (I), and a
     # second, of the lottery side, decides axiom (i).
-    calls = []
-    real = linalg.reduce_rows
-    monkeypatch.setattr(linalg, "reduce_rows", lambda rows: calls.append(rows) or real(rows))
     simplex = str(FIXTURES / "simplex.json")
     code, out = _stdout(capsys, "validate", simplex, "--json")
     assert code == 1
     assert [c["name"] for c in json.loads(out)["checks"] if c["verdict"] == "FAIL"] == [
         "semi-separability"
     ]
-    assert len(calls) == 2
-    calls.clear()
+    assert len(reduce_rows_calls) == 2
+    reduce_rows_calls.clear()
     assert _stdout(capsys, "recover", simplex, "--mode", "harvey")[0] == 1
-    assert len(calls) == 1
+    assert len(reduce_rows_calls) == 1
 
 
 def test_a_lottery_profile_without_neighbours_scales_no_table_and_reduces_once(
-    monkeypatch, capsys, tmp_path
+    reduce_rows_calls, capsys, tmp_path
 ):
     # On the curve u2 = u1^2 every two states differ in both agents, so
     # neither profile has a single-agent neighbour.  The lottery profile's
     # certificate search reads only the tables' ratios and then reduces its
     # rows; the battery, the weights and coincide read that one reduction of
     # each profile.
-    calls = []
-    real = linalg.reduce_rows
-    monkeypatch.setattr(linalg, "reduce_rows", lambda rows: calls.append(rows) or real(rows))
     curve = [(0, 0), (1, 1), (2, 4), (3, 9)]
     soc = _society(curve, [0, 2, 6, 12], range(4))
     star = {
@@ -366,14 +352,14 @@ def test_a_lottery_profile_without_neighbours_scales_no_table_and_reduces_once(
     analysis = harvey.Analysis(soc)
     assert analysis.certificate_of(lottery) == ((F(1), F(1, 2)), F(1, 5))
     assert ["_scaled" in t.__dict__ for t in [*star.values(), lottery.ethical]] == [False] * 3
-    assert len(calls) == 1
+    assert len(reduce_rows_calls) == 1
     path = tmp_path / "curve.json"
     path.write_text(emit_society(soc), encoding="utf-8")
-    calls.clear()
+    reduce_rows_calls.clear()
     code, out = _stdout(capsys, "coincide", str(path), "--json")
     assert code == 1
     assert {h["name"]: h["verdict"] for h in json.loads(out)["hypotheses"]}["axiom-i"] == "PASS"
-    assert len(calls) == 2
+    assert len(reduce_rows_calls) == 2
 
 
 def test_span_of_is_one_problem_per_profile():

@@ -41,7 +41,7 @@ from utilcheck import (
     recover_weights,
     witness_lotteries_for_sign,
 )
-from utilcheck import core, harsanyi, linalg
+from utilcheck import core, harsanyi
 from utilcheck.harsanyi import _expectation_gaps, _perturbed_pair, _verify_witness
 from utilcheck.societyfile import payload_to_society, society_to_payload
 
@@ -632,18 +632,15 @@ def test_ratio_rows_equal_the_fraction_oracle(drawn):
 
 
 @pytest.mark.parametrize("n_agents", [2, 3])
-def test_witness_lotteries_reduce_a_fixed_number_of_times(monkeypatch, n_agents):
+def test_witness_lotteries_reduce_a_fixed_number_of_times(reduce_rows_calls, n_agents):
     # One reduction of [1 | u | v] gives the regular states, and one of the
     # square submatrix beside the identity gives its inverse; every agent
     # reads both.
-    calls = []
-    real = linalg.reduce_rows
-    monkeypatch.setattr(linalg, "reduce_rows", lambda rows: calls.append(rows) or real(rows))
     soc, _, _ = planted_society(random.Random(61), n_agents, 6)
     analysis = Analysis(soc)
     for agent in soc.agents:
         witness_lotteries_for_sign(soc, agent, analysis)
-    assert len(calls) == 2
+    assert len(reduce_rows_calls) == 2
 
 
 @st.composite
